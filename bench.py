@@ -25,115 +25,54 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
-BENCH_QUERIES = ["g1_lineitem_agg", "j1_region_revenue", "o1_first_line_partkey",
-                 "dedup_exact", "dedup_minhash", "sim_topk", "text_quality",
-                 "tokens_by_lang", "events_sessionize", "topk_orders_per_customer",
-                 "embedding_centroids",
-                 # round-2 additions (new keys; round-1 keys unchanged)
-                 "parse_detail_rows", "lm_unigram_score",
-                 # round-3 addition: the end-to-end training-prep chain
-                 "training_prep",
-                 # round-3 additions (new keys; earlier keys unchanged)
-                 "rag_prep", "pack_stream", "dedup_incremental",
-                 "dsir_weights",
-                 # round-3 continuation #2 additions
-                 "semantic_dedup", "quality_classifier", "bpe_train",
-                 "mm_interleaved_pack", "mm_prep",
-                 # round-4 additions
-                 "heavy_hitters_exact", "distinct_users_per_type",
-                 "length_percentile_filter", "dedup_cdc", "corpus_diff",
-                 "text_index_search", "bm25_index_search",
-                 "extract_span_checksum",
-                 # round-4 continuation additions
-                 "dedup_edit1", "mad_outliers", "events_moving_avg",
-                 "token_cooccurrence", "jsonl_roundtrip",
-                 "weighted_sample", "source_cap", "dedup_substring",
-                 "topk_with_ties", "events_hopping",
-                 "funnel_conversions", "events_pivot",
-                 "dedup_edit2", "token_drift", "winsorize_values",
-                 "self_join_size_by_user",
-                 "doc_skyline", "grouped_mad", "retention_cohorts",
-                 "events_interval_join_count", "events_unpivot",
-                 # one decode-pool checksum in the bench (the resize
-                 # twin has the same shape and ~the same cost; keeping
-                 # both doubled the bench wall for no extra signal)
-                 "mm_featurize_checksum",
-                 # round-4 second-continuation additions
-                 "events_regression", "user_diversity", "triangle_degree",
-                 "rrf_fusion", "lexical_stats_by_source",
-                 "kmeans_embeddings", "token_pmi", "user_rfm",
-                 # round-4 third-batch additions
-                 "embedding_quantize", "vocab_coverage_by_lang",
-                 "user_burstiness", "hits_user_event",
-                 "next_token_top1", "events_cusum", "embedding_top_pc",
-                 # round-4 fourth-batch additions
-                 "ngram_novelty", "linkpred_dups", "blocklist_filter",
-                 "dedup_priority",
-                 # round-4 fifth-batch additions
-                 "mmr_diversify", "session_paths", "embedding_pq",
-                 # round-4 sixth-batch additions
-                 "q5_local_supplier_volume", "dup_cluster_stats",
-                 "ra_linkpred",
-                 # round-4 seventh-batch additions
-                 "kmeans_assign_new", "tokenizer_fertility",
-                 # round-4 eighth-batch additions
-                 "q18_large_orders", "langid_confusion",
-                 # round-4 ninth-batch additions
-                 "ann_pq_search",
-                 # round-4 tenth-batch additions
-                 "embedding_prep",
-                 # round-4 eleventh-batch additions
-                 "boolean_search", "ranking_eval", "canonical_docs",
-                 # round-4 twelfth-batch additions
-                 "proximity_rerank", "sparse_dot_topk",
-                 "last_touch_attribution", "incremental_agg",
-                 # round-4 thirteenth-batch additions
-                 "zorder_stats", "q4_order_priority", "ewma_activity",
-                 "time_travel",
-                 # round-4 fourteenth-batch additions
-                 "scd2_intervals", "fk_integrity", "score_bias_audit",
-                 # round-4 fifteenth-batch additions
-                 "sim_topk_filtered", "interval_coverage",
-                 # round-4 sixteenth-batch additions
-                 "events_cube", "type_corr_matrix",
-                 # round-4 seventeenth-batch additions
-                 "k_anonymity", "multi_pattern_counts", "hive_roundtrip",
-                 # round-4 eighteenth-batch addition
-                 "range_partitioned_export",
-                 # round-4 nineteenth-batch additions
-                 "q10_returned_items", "q13_order_distribution",
-                 # round-4 twentieth-batch addition
-                 "eval_prep",
-                 # round-4 batch-21/22 additions
-                 "weighted_pagerank_dups", "tokenized_export",
-                 "daily_interpolate", "funnel_strict",
-                 # round-4 batch-23 additions
-                 "q7_nation_trade", "daily_new_users",
-                 # round-4 batch-24 addition
-                 "pushdown_filter_agg",
-                 # round-4 batch-25 additions
-                 "longest_token_run", "dataset_card",
-                 # round-4 batch-26 addition
-                 "ivfpq_search",
-                 # round-4 batch-27 additions
-                 "pruned_range_read", "ivf_cell_stats",
-                 # round-4 batch-28 additions
-                 "bm25_prf_search", "monthly_revenue_growth",
-                 # round-4 batch-29 addition
-                 "session_type_pairs",
-                 # round-4 batch-30 additions
-                 "q14_promo_revenue", "q19_bracket_revenue",
-                 "user_entropy",
-                 # round-4 batch-31 addition
-                 "dedup_simhash_radius",
-                 # round-4 batch-32 addition
-                 "vocab_growth",
-                 # round-5 additions: the remaining feasible TPC-H shapes
-                 "q3_shipping_priority", "q12_ship_delay",
-                 "q15_top_supplier", "q17_small_qty_revenue",
-                 "q21_waiting_suppliers", "q22_idle_customers",
-                 "q8_market_share", "mm_caption_align",
-                 "label_centroid_distances"]
+BENCH_QUERIES = [
+    "g1_lineitem_agg", "j1_region_revenue", "o1_first_line_partkey",
+    "dedup_exact", "dedup_minhash", "sim_topk", "text_quality",
+    "tokens_by_lang", "events_sessionize", "topk_orders_per_customer",
+    "embedding_centroids", "parse_detail_rows", "lm_unigram_score",
+    "training_prep", "rag_prep", "pack_stream", "dedup_incremental",
+    "dsir_weights", "semantic_dedup", "quality_classifier", "bpe_train",
+    "mm_interleaved_pack", "mm_prep", "heavy_hitters_exact",
+    "distinct_users_per_type", "length_percentile_filter", "dedup_cdc",
+    "corpus_diff", "text_index_search", "bm25_index_search",
+    "extract_span_checksum", "dedup_edit1", "mad_outliers",
+    "events_moving_avg", "token_cooccurrence", "jsonl_roundtrip",
+    "weighted_sample", "source_cap", "dedup_substring", "topk_with_ties",
+    "events_hopping", "funnel_conversions", "events_pivot", "dedup_edit2",
+    "token_drift", "winsorize_values", "self_join_size_by_user",
+    "doc_skyline", "grouped_mad", "retention_cohorts",
+    "events_interval_join_count", "events_unpivot",
+    # one decode-pool checksum (the resize twin has the same shape
+    # and ~the same cost; keeping both doubled the bench wall for
+    # no extra signal)
+    "mm_featurize_checksum", "events_regression", "user_diversity",
+    "triangle_degree", "rrf_fusion", "lexical_stats_by_source",
+    "kmeans_embeddings", "token_pmi", "user_rfm", "embedding_quantize",
+    "vocab_coverage_by_lang", "user_burstiness", "hits_user_event",
+    "next_token_top1", "events_cusum", "embedding_top_pc", "ngram_novelty",
+    "linkpred_dups", "blocklist_filter", "dedup_priority", "mmr_diversify",
+    "session_paths", "embedding_pq", "q5_local_supplier_volume",
+    "dup_cluster_stats", "ra_linkpred", "kmeans_assign_new",
+    "tokenizer_fertility", "q18_large_orders", "langid_confusion",
+    "ann_pq_search", "embedding_prep", "boolean_search", "ranking_eval",
+    "canonical_docs", "proximity_rerank", "sparse_dot_topk",
+    "last_touch_attribution", "incremental_agg", "zorder_stats",
+    "q4_order_priority", "ewma_activity", "time_travel", "scd2_intervals",
+    "fk_integrity", "score_bias_audit", "sim_topk_filtered",
+    "interval_coverage", "events_cube", "type_corr_matrix", "k_anonymity",
+    "multi_pattern_counts", "hive_roundtrip", "range_partitioned_export",
+    "q10_returned_items", "q13_order_distribution", "eval_prep",
+    "weighted_pagerank_dups", "tokenized_export", "daily_interpolate",
+    "funnel_strict", "q7_nation_trade", "daily_new_users",
+    "pushdown_filter_agg", "longest_token_run", "dataset_card",
+    "ivfpq_search", "pruned_range_read", "ivf_cell_stats", "bm25_prf_search",
+    "monthly_revenue_growth", "session_type_pairs", "q14_promo_revenue",
+    "q19_bracket_revenue", "user_entropy", "dedup_simhash_radius",
+    "vocab_growth", "q3_shipping_priority", "q12_ship_delay",
+    "q15_top_supplier", "q17_small_qty_revenue", "q21_waiting_suppliers",
+    "q22_idle_customers", "q8_market_share", "mm_caption_align",
+    "label_centroid_distances",
+]
 
 
 def _warm_workers(ncpu: int) -> None:
@@ -192,12 +131,9 @@ def run_bench() -> dict:
     extract_sec, docs = min(extract_runs)
 
     def consume(res) -> None:
-        try:
-            import ray.data as rd
-            if isinstance(res, rd.Dataset):
-                res.count()
-        except Exception:
-            pass
+        import ray.data as rd
+        if isinstance(res, rd.Dataset):
+            res.count()
 
     # prime pass (untimed, GRAFT_BENCH_PRIME=0 to skip): several
     # queries serve from marker-cached artifacts (_extracted partitions,

@@ -1,15 +1,19 @@
-"""Local stand-in for the driver's correctness gate: run each query and
-its oracle SQL side-by-side, compare row count + order-insensitive
-values. Usage:
+"""The registry's correctness gate: run each query and its oracle SQL
+side-by-side, compare row count + order-insensitive values. Usage:
 
-    python scripts/check_queries.py [sf_dir] [names...]
-    python scripts/check_queries.py [sf_dir] --json OUT.json [names...]
+    python scripts/check_queries.py [sf_dir...] [names...]
+    python scripts/check_queries.py [sf_dir...] --json OUT.json [names...]
 
-With --json, a driver-CORRECTNESS-style artifact is written: one row per
-registered query with rows_match / schema_match / hash_match (hash_match
-= the order-insensitive value compare; null for rows-only entries), so
-the judge can diff FULL-registry verification without re-running all
-oracles (VERDICT r4 item 7)."""
+Leading arguments that are directories are sf dirs (default: the
+sf0.001 tables); every sf dir is checked in turn in one Ray session,
+and the rest are query names to restrict the run to.
+
+With --json, one artifact covers every sf dir: {"failures": total,
+"tiers": {sf_dir: {"sf_dir", "failures", "queries"}}}, where
+"queries" holds one row per registered query with rows_match /
+schema_match / hash_match (hash_match = the order-insensitive value
+compare; null for rows-only entries), so full-registry verification
+can be diffed without re-running all oracles."""
 
 from __future__ import annotations
 
@@ -47,28 +51,15 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def main() -> int:
-    argv = list(sys.argv[1:])
-    json_out = None
-    if "--json" in argv:
-        i = argv.index("--json")
-        json_out = argv[i + 1]
-        del argv[i:i + 2]
-    sf_dir = argv[0] if argv else "/root/testdata/sf0.001"
-    only = set(argv[1:])
-
-    import ray
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
-
+def check_tier(sf_dir: str, only: set) -> tuple[int, dict]:
+    """Check every registered query (or only `only`) against its oracle
+    over the tables in `sf_dir`; returns (failures, per-query records)."""
     from westa_ocr_ray import fixtures
     from westa_ocr_ray.queries import (ORACLE_SQL, QUERIES,
                                        TIER_ORACLE_BUILDERS)
 
     # tier-dependent oracles (inline VALUES from the serial reference)
-    # must match THIS sf dir's fixture tier, not the driver's sf0.01
+    # must match THIS sf dir's fixture tier
     ORACLE_SQL = dict(ORACLE_SQL)
     tier = fixtures.tier_for_sf_dir(sf_dir)
     for name, builder in TIER_ORACLE_BUILDERS.items():
@@ -158,13 +149,42 @@ def main() -> int:
             record(name, err=f"{type(exc).__name__}: {exc}"[:300],
                    wall=time.perf_counter() - t0)
             failures += 1
+    con.close()
+    print(f"{sf_dir} failures: {failures}")
+    return failures, records
+
+
+def main() -> int:
+    argv = list(sys.argv[1:])
+    json_out = None
+    if "--json" in argv:
+        i = argv.index("--json")
+        json_out = argv[i + 1]
+        del argv[i:i + 2]
+    sf_dirs = []
+    while argv and os.path.isdir(argv[0]):
+        sf_dirs.append(argv.pop(0))
+    sf_dirs = sf_dirs or ["/root/testdata/sf0.001"]
+    only = set(argv)
+
+    import ray
+    ray.init(address="local", num_cpus=8, include_dashboard=False,
+             ignore_reinit_error=True, logging_level="ERROR")
+    from ray.data import DataContext
+    DataContext.get_current().enable_progress_bars = False
+
+    tiers = {}
+    for sf_dir in sf_dirs:
+        n_fail, records = check_tier(sf_dir, only)
+        tiers[sf_dir] = {"sf_dir": sf_dir, "failures": n_fail,
+                         "queries": records}
     ray.shutdown()
+    failures = sum(t["failures"] for t in tiers.values())
     print(f"failures: {failures}")
     if json_out:
         with open(json_out, "w") as f:
-            json.dump({"sf_dir": sf_dir, "failures": failures,
-                       "queries": records}, f, indent=1)
-        print(f"wrote {json_out} ({len(records)} rows)")
+            json.dump({"failures": failures, "tiers": tiers}, f, indent=1)
+        print(f"wrote {json_out} ({len(tiers)} tiers)")
     return 1 if failures else 0
 
 

@@ -1,10 +1,8 @@
 #!/bin/sh
-# The full local gate, one command (ADVICE r2: keep check_queries a
-# required step — the driver's CORRECTNESS window records only the
-# first 50 registered queries; check_queries covers EVERY ORACLE_SQL
-# entry):
+# The full local gate, one command:
 #   1. pytest (unit / e2e / chaos / resume)
-#   2. query-vs-DuckDB oracle compare at the smoke and correctness tiers
+#   2. query-vs-DuckDB oracle compare of EVERY ORACLE_SQL entry at the
+#      smoke and correctness tiers
 #   3. the full-corpus span-sequence gate at the correctness tier
 # Exit nonzero on any failure.
 set -e

@@ -1,11 +1,13 @@
-"""10x-bench-tier scale rehearsal of the flagship extraction pipeline
-(VERDICT r4 item 9): ~6M docs (vs bench's 600k) through run_extract on
-this host, recording the phase-1/phase-2 split, the external-shuffle
-stage-file count and peak volume, and whether the num_parts=64 /
-reduce_concurrency=8 defaults hold at 10x. One JSON line per config.
+"""10x-bench-tier scale rehearsal of the flagship extraction pipeline:
+~6M docs (vs bench's 600k) through run_extract on the local host,
+recording the phase-1/phase-2 split, the external-shuffle stage-file
+count and peak volume, and whether the ExtractConfig defaults
+(num_parts=64, reduce_concurrency=16) hold at 10x. One JSON line per
+config. Configs: default, parts256 (256 partitions), reduce8 (the
+previous reduce_concurrency default), blocks512 (512 read blocks).
 
     python scripts/scale_rehearsal.py            # default config
-    GRAFT_REHEARSAL_DOCS=6000000 GRAFT_REHEARSAL_CONFIGS=default,parts256 \
+    GRAFT_REHEARSAL_DOCS=6000000 GRAFT_REHEARSAL_CONFIGS=default,reduce8 \
         python scripts/scale_rehearsal.py
 """
 
@@ -84,12 +86,12 @@ def main() -> None:
         # the bench-tier defaults, unchanged — the question under test
         "default": ExtractConfig(extract_concurrency=(nact, nact),
                                  read_num_blocks=rb),
-        # candidate retunes for 10x (opt-in via GRAFT_REHEARSAL_CONFIGS)
+        # alternatives to compare at 10x (opt-in via
+        # GRAFT_REHEARSAL_CONFIGS)
         "parts256": ExtractConfig(extract_concurrency=(nact, nact),
-                                  read_num_blocks=rb, num_parts=256,
-                                  reduce_concurrency=16),
-        "reduce16": ExtractConfig(extract_concurrency=(nact, nact),
-                                  read_num_blocks=rb, reduce_concurrency=16),
+                                  read_num_blocks=rb, num_parts=256),
+        "reduce8": ExtractConfig(extract_concurrency=(nact, nact),
+                                 read_num_blocks=rb, reduce_concurrency=8),
         "blocks512": ExtractConfig(extract_concurrency=(nact, nact),
                                    read_num_blocks=512),
     }

@@ -114,22 +114,6 @@ def test_cluster_pairs_transitive():
     assert got == {1: 1, 2: 1, 3: 1, 7: 7, 9: 7}
 
 
-def test_connected_components_distributed_matches_union_find():
-    rng = np.random.RandomState(3)
-    edges = pd.DataFrame({
-        "doc_a": rng.randint(0, 120, size=150),
-        "doc_b": rng.randint(0, 120, size=150),
-    })
-    edges = edges[edges["doc_a"] != edges["doc_b"]].reset_index(drop=True)
-    exp = dedup.cluster_pairs(edges).sort_values("doc_id", ignore_index=True)
-    got = (dedup.connected_components_distributed(rd.from_pandas(edges))
-           .sort_values("doc_id", ignore_index=True))
-    pd.testing.assert_frame_equal(
-        got.rename(columns={"cluster_id": "c"})[["doc_id", "c"]],
-        exp.rename(columns={"cluster_id": "c"})[["doc_id", "c"]],
-        check_dtype=False)
-
-
 def test_dedup_by_minhash_end_to_end():
     kept = dedup.dedup_by_minhash(_docs_with_near_dups()).to_pandas()
     ids = set(kept["doc_id"])
@@ -156,17 +140,7 @@ def test_embedding_near_dup_pairs():
     assert pairs == {(1, 2)}
 
 
-def test_connected_components_partitioned_matches_union_find():
-    # chains of length 4 plus cross-links: converges in a few pointer-
-    # jumping rounds (each Ray round costs seconds of fixed overhead at
-    # toy scale, so the test graph is chosen to converge fast; the
-    # random-graph equivalence is covered by the broadcast variant's
-    # test, which shares the propagation semantics)
-    rows = []
-    for k in range(0, 30, 3):
-        rows += [(k, k + 1), (k + 1, k + 2)]
-    rows += [(2, 15), (8, 27)]  # merge some chains transitively
-    edges = pd.DataFrame(rows, columns=["doc_a", "doc_b"])
+def _assert_partitioned_cc_matches_union_find(edges: pd.DataFrame) -> None:
     exp = dedup.cluster_pairs(edges).sort_values("doc_id", ignore_index=True)
     got = (dedup.connected_components_partitioned(rd.from_pandas(edges),
                                                   num_buckets=4)
@@ -174,6 +148,27 @@ def test_connected_components_partitioned_matches_union_find():
     pd.testing.assert_frame_equal(
         got[["doc_id", "cluster_id"]].astype("int64"),
         exp[["doc_id", "cluster_id"]].astype("int64"))
+
+
+def test_connected_components_partitioned_matches_union_find():
+    # chains of length 4 plus cross-links: converges in a few pointer-
+    # jumping rounds
+    rows = []
+    for k in range(0, 30, 3):
+        rows += [(k, k + 1), (k + 1, k + 2)]
+    rows += [(2, 15), (8, 27)]  # merge some chains transitively
+    _assert_partitioned_cc_matches_union_find(
+        pd.DataFrame(rows, columns=["doc_a", "doc_b"]))
+
+
+def test_connected_components_partitioned_random_graph_matches_union_find():
+    rng = np.random.RandomState(3)
+    edges = pd.DataFrame({
+        "doc_a": rng.randint(0, 120, size=150),
+        "doc_b": rng.randint(0, 120, size=150),
+    })
+    _assert_partitioned_cc_matches_union_find(
+        edges[edges["doc_a"] != edges["doc_b"]].reset_index(drop=True))
 
 
 def test_dedup_by_minhash_large_path_matches_small_path():

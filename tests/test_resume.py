@@ -54,6 +54,34 @@ def test_resume_skips_completed_partitions(tmp_path):
     assert 1 in attempts and 0 in attempts
 
 
+def test_resume_sweeps_tmp_files_of_killed_writer(tmp_path):
+    """A writer killed between write and rename leaves a truncated
+    ``.tmp.<pid>`` file next to the committed parts; the resume must
+    remove it so reading the output directory still works."""
+    corpus = fixtures.ensure_corpus("smoke")
+    out = str(tmp_path / "killed")
+    run_extract(corpus, out, CFG)
+    full = _result_key(read_extracted(out))
+
+    m = sorted(glob.glob(os.path.join(out, "_markers", "*.done")))[0]
+    part = os.path.basename(m)[len("part-"):-len(".done")]
+    os.remove(m)
+    final = os.path.join(out, "extracted", f"part-{part}.parquet")
+    with open(final, "rb") as fh:
+        head = fh.read(64)
+    os.remove(final)
+    stale = [final + ".tmp.99999",
+             os.path.join(out, "_markers", f"part-{part}.tmp.99999")]
+    for path in stale:
+        with open(path, "wb") as fh:
+            fh.write(head)
+
+    metrics = run_extract(corpus, out, CFG)
+    assert metrics["parts_skipped"] == CFG.num_parts - 1
+    assert not any(os.path.exists(p) for p in stale)
+    assert _result_key(read_extracted(out)) == full
+
+
 def test_assign_version_mismatch_restarts(tmp_path):
     """Markers written under a DIFFERENT doc→partition assignment
     version must not be trusted: the resume wipes the stale outputs

@@ -25,7 +25,6 @@ silent.
 from __future__ import annotations
 
 import hashlib
-import zlib
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -40,10 +39,6 @@ _BUCKET_CAP = 200  # max docs inspected pairwise per LSH bucket / block
 #: array via ray.put) instead of going through the Bloom+join scalable
 #: path — the same routing idea as dedup_by_minhash's CC tiers
 _BROADCAST_IDS_MAX = 2_000_000
-
-
-def _crc(s: str) -> int:
-    return zlib.crc32(s.encode("utf-8"))
 
 
 def md5_hex(s: str) -> str:
@@ -285,14 +280,6 @@ class MinHasher:
         })
 
 
-def _jaccard(a: str, b: str, shingle: int) -> float:
-    ta, tb = a.split(" "), b.split(" ")
-    sa = {" ".join(ta[i:i + shingle]) for i in range(max(1, len(ta) - shingle + 1))}
-    sb = {" ".join(tb[i:i + shingle]) for i in range(max(1, len(tb) - shingle + 1))}
-    inter = len(sa & sb)
-    return inter / (len(sa) + len(sb) - inter) if inter else 0.0
-
-
 def _jaccard_pct(a: str, b: str, shingle: int) -> int:
     """Integer Jaccard percent with FLOOR semantics — 100*inter // union.
     Floor (not round) so the DuckDB oracles reproduce it exactly:
@@ -417,7 +404,7 @@ def cluster_pairs(pairs: pd.DataFrame, a_col: str = "doc_a",
     driver: valid because the pair set is post-LSH/post-verify output,
     which is bounded (≈ duplicate count, not corpus size). For a pair
     set too large for one machine, use
-    connected_components_distributed (SCALE.md §dedup)."""
+    connected_components_partitioned (SCALE.md §dedup)."""
     parent: dict = {}
 
     def find(x):
@@ -441,75 +428,14 @@ def cluster_pairs(pairs: pd.DataFrame, a_col: str = "doc_a",
                          "cluster_id": [find(m) for m in members]})
 
 
-def connected_components_distributed(edges: rd.Dataset, a_col: str = "doc_a",
-                                     b_col: str = "doc_b",
-                                     max_rounds: int = 50) -> pd.DataFrame:
-    """Connected components as iterative min-label propagation: the EDGE
-    set stays a distributed Dataset (that's the big side at 100 TB — it
-    streams through map_batches each round); the label table is the
-    small side, broadcast via ray.put and min-reduced per batch, then
-    merged driver-side. Labels only decrease, so the changed-count
-    convergence check is exact; rounds ≤ graph diameter.
-
-    Sizing: the label table is one row per node that appears in a
-    candidate pair — bounded by the duplicate count, not the corpus.
-    Beyond ~10^8 such nodes the label side must be hash-partitioned too
-    (alternate the broadcast with relops.hash_join per round).
-    Returns (doc_id, cluster_id)."""
-    import ray
-
-    def to_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"doc_id": pd.concat([df[a_col], df[b_col]],
-                                                 ignore_index=True)})
-
-    nodes = (partial_aggregate(edges.map_batches(to_nodes, batch_format="pandas"),
-                               ["doc_id"], {"n": ("count", None)})
-             .to_pandas()["doc_id"])
-    labels = pd.Series(nodes.to_numpy(), index=nodes.to_numpy())
-
-    edges = edges.materialize()  # reused every round
-    for _ in range(max_rounds):
-        ref = ray.put(labels)
-
-        def propagate(df: pd.DataFrame) -> pd.DataFrame:
-            lab = ray.get(ref)
-            la = lab.loc[df[a_col]].to_numpy()
-            lb = lab.loc[df[b_col]].to_numpy()
-            m = np.minimum(la, lb)
-            out = pd.DataFrame({
-                "doc_id": pd.concat([df[a_col], df[b_col]], ignore_index=True),
-                "label": np.concatenate([m, m]),
-            })
-            # per-batch combiner: one row per node per batch
-            return out.groupby("doc_id", sort=False, as_index=False).min()
-
-        # min-merge DISTRIBUTED (bucketed partial aggregate) before the
-        # driver sees anything: one row per node reaches the driver —
-        # never one row per node per block
-        merged = partial_aggregate(
-            edges.map_batches(propagate, batch_format="pandas"),
-            ["doc_id"], {"label": ("min", "label")}).to_pandas()
-        partial = merged.set_index("doc_id")["label"]
-        new_labels = labels.copy()
-        common = partial.index
-        improved = partial.to_numpy() < labels.loc[common].to_numpy()
-        if not improved.any():
-            break
-        new_labels.loc[common[improved]] = partial.to_numpy()[improved]
-        labels = new_labels
-
-    return pd.DataFrame({"doc_id": labels.index.to_numpy(),
-                         "cluster_id": labels.to_numpy()})
-
-
 def connected_components_partitioned(edges: rd.Dataset, a_col: str = "doc_a",
                                      b_col: str = "doc_b",
                                      max_rounds: int = 50,
                                      num_buckets: int = 32) -> rd.Dataset:
     """Connected components with NO broadcast side: the label table is a
-    hash-partitioned Dataset joined onto the edges each round (the
-    variant connected_components_distributed's docstring promises for
-    >10^8 dup nodes, where a broadcast label table no longer fits).
+    hash-partitioned Dataset joined onto the edges each round, so it
+    scales past the point where a broadcast label table no longer fits
+    (>10^8 dup nodes).
 
     Per round: edges ⨝ labels on each endpoint (partitioned hash join),
     per-edge min label propagated to both endpoints, PLUS a

@@ -221,6 +221,11 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
     else:
         stage_dir = os.path.join(out_dir, "_stage")
     wipe_stage_dir(stage_dir, fs=stage_fs)
+    # a writer killed between write and rename leaves its tmp file in
+    # extracted/ or _markers/, where a directory read would trip on it
+    for sub in ("extracted", "_markers"):
+        for stale in glob.glob(os.path.join(out_dir, sub, "*.tmp.*")):
+            os.remove(stale)
     summary_rows = []
     phase1_sec = phase2_sec = 0.0
     n_remaining = cfg.num_parts - len(skip)

@@ -46,9 +46,8 @@ from .relops import (broadcast_join, grouped_topk, hash_join,
 
 
 #: serializes Dataset CONSTRUCTION (not execution) across driver
-#: threads — see relops.DATASET_CONSTRUCTION_LOCK (shared with
-#: search.text_index_lookup, which also constructs Datasets from the
-#: threaded combined_small_shapes)
+#: threads — see relops.DATASET_CONSTRUCTION_LOCK (shared with the
+#: search module, which also constructs Datasets)
 _READ_LOCK = relops.DATASET_CONSTRUCTION_LOCK
 
 
@@ -2847,446 +2846,6 @@ def parse_detail_rows(sf_dir: str) -> rd.Dataset:
     return docs.map_batches(fn, batch_format="pandas")
 
 
-# ------------------------------------------- combined trivial-shape check
-
-def combined_small_shapes(sf_dir: str) -> pd.DataFrame:
-    """Trivial/redundant operator shapes (39 folds) re-verified as ONE
-    query inside the driver's ~50-query correctness window (VERDICT r2
-    #5: the individually-registered versions sit past the window by
-    design; this tall (metric, k, v) checksum table keeps each SHAPE
-    hash-checked by the driver every round): global count, DISTINCT,
-    deterministic hash sampling, union set-op, grouped stats, grouped
-    top-k, rolling / tumbling / lag windows, string agg, histogram, the
-    four scalar-function shapes, simhash pair table, per-lang token
-    totals, global bigram top-k, the daily rollup, status filter,
-    native Dataset.join, and the recency top-k. Each sub-result is reduced to integer
-    checksums with per-batch partials — only tiny partial rows reach
-    the driver; the independent sub-pipelines are launched from driver
-    THREADS so their Ray executions overlap instead of paying ~17
-    fixed pipeline latencies in sequence."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    def checksum(ds: rd.Dataset, cols: List[str], metric: str) -> List[tuple]:
-        def part(df: pd.DataFrame) -> pd.DataFrame:
-            d = {"n": [len(df)]}
-            for c in cols:
-                d["s_" + c] = [int(df[c].sum()) if len(df) else 0]
-            return pd.DataFrame(d)
-
-        p = ds.map_batches(part, batch_format="pandas").to_pandas()
-        # an all-empty Dataset loses its schema (NOTES.md known wart):
-        # zero partial rows means every checksum is 0
-        empty = "n" not in p.columns
-        out = [(metric + "_count", "", 0 if empty else int(p["n"].sum()))]
-        for c in cols:
-            out.append((metric + "_sum_" + c, "",
-                        0 if empty else int(p["s_" + c].sum())))
-        return out
-
-    def t_count_orders() -> List[tuple]:
-        return [("count_orders", "",
-                 int(rp(sf_dir, "orders", ["o_orderkey"]).count()))]
-
-    def t_event_types() -> List[tuple]:
-        return [("event_type", t, 1) for t in
-                sorted(distinct_event_types(sf_dir).to_pandas()["event_type"])]
-
-    def t_sample() -> List[tuple]:
-        return checksum(sample_events_hash(sf_dir), ["event_id"],
-                        "sample_mod16_3")
-
-    def t_union() -> List[tuple]:
-        ue = (partial_aggregate(union_entities(sf_dir), ["src"],
-                                {"n": ("count", None)}).to_pandas())
-        return [("union_src_count", r["src"], int(r["n"]))
-                for _, r in ue.sort_values("src").iterrows()]
-
-    def t_brand() -> List[tuple]:
-        pb = part_brand_stats(sf_dir).to_pandas().sort_values("p_brand")
-        out: List[tuple] = []
-        for _, r in pb.iterrows():
-            out.append(("brand_n_parts", r["p_brand"], int(r["n_parts"])))
-            out.append(("brand_sum_size", r["p_brand"], int(r["sum_size"])))
-            out.append(("brand_max_price_cents", r["p_brand"],
-                        int(r["max_price_cents"])))
-        return out
-
-    def t_topk2() -> List[tuple]:
-        tk = topk_orders_per_customer(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["o_orderkey"].to_numpy(dtype=np.int64)
-                 * df["rk"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(tk, ["chk"], "topk2")
-
-    def t_rolling() -> List[tuple]:
-        return checksum(events_rolling_sum3(sf_dir), ["sum3_cents"],
-                        "rolling3")
-
-    # round-3 folds: tumbling window, per-user lag, ordered string agg
-    # (their individually-registered versions moved past the window to
-    # make room for text_repetition / decontaminate / shard_stats)
-    def t_tumbling() -> List[tuple]:
-        return checksum(events_tumbling(sf_dir),
-                        ["window_start", "n", "sum_value_cents"], "tumbling")
-
-    def t_prevgap() -> List[tuple]:
-        return checksum(events_prev_gap(sf_dir), ["event_id", "prev_gap_us"],
-                        "prevgap")
-
-    def t_concat() -> List[tuple]:
-        opc = order_priorities_concat(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"cust": df["o_custkey"].to_numpy(dtype=np.int64),
-                 "plen": df["priorities"].str.len().to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(opc, ["cust", "plen"], "concat")
-
-    # round-3 fold #2: binned histogram (slot went to training_prep)
-    def t_hist() -> List[tuple]:
-        return checksum(events_value_histogram(sf_dir), ["bin", "n"], "hist")
-
-    # round-3 fold #3: the four scalar-function shapes (regex extract,
-    # id normalize, masking, JSON parse) — their slots went to the
-    # training-data ops pack_sequences / semi_anti_bloom / shuffle_rank
-    # / lang_quota; each string output reduces to integer checksums
-    def t_regexfw() -> List[tuple]:
-        m3 = m3_regex_first_word(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"fw_len": df["first_word"].str.len().to_numpy(dtype=np.int64),
-                 "nonempty": (df["first_word"].str.len() > 0
-                              ).to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(m3, ["fw_len", "nonempty"], "regexfw")
-
-    def t_priocode() -> List[tuple]:
-        m4 = m4_priority_code(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"keyed": df["o_orderkey"].to_numpy(dtype=np.int64)
-                 * pd.to_numeric(df["prio_code"].replace("", "0")
-                                 ).to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(m4, ["keyed"], "priocode")
-
-    def t_mask() -> List[tuple]:
-        m8 = m8_mask_props(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"mlen": df["masked_props"].str.len().to_numpy(dtype=np.int64),
-                 "hashes": df["masked_props"].str.count(
-                     "#").to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(m8, ["mlen", "hashes"], "mask")
-
-    def t_propsjson() -> List[tuple]:
-        return checksum(m_props_json(sf_dir), ["event_id", "k_val"],
-                        "propsjson")
-
-    # round-3 fold #4: simhash pair table, per-lang token totals, global
-    # bigram top-k, daily rollup — their slots went to the round-3
-    # training-data ops dedup_contained / perplexity_filter /
-    # contamination_report / build_vocab
-    def t_shpairs() -> List[tuple]:
-        sp = q_dedup_simhash_pairs(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["doc_a"].to_numpy(dtype=np.int64) * 31
-                 + df["doc_b"].to_numpy(dtype=np.int64) * 7
-                 + df["hamming"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(sp, ["chk"], "shpairs")
-
-    def t_toklang() -> List[tuple]:
-        tl = q_tokens_by_lang(sf_dir).to_pandas().sort_values("lang")
-        out: List[tuple] = []
-        for _, r in tl.iterrows():
-            out.append(("toklang_n_docs", r["lang"], int(r["n_docs"])))
-            out.append(("toklang_n_tokens", r["lang"], int(r["n_tokens"])))
-        return out
-
-    def t_bigrams() -> List[tuple]:
-        tb = top_bigrams(sf_dir)  # already a (tiny) pandas DataFrame
-        return [("bigram_n", r["bg"], int(r["n"]))
-                for _, r in tb.iterrows()]
-
-    def t_daily() -> List[tuple]:
-        ed = events_daily(sf_dir).to_pandas()
-        out: List[tuple] = []
-        for _, r in ed.iterrows():
-            key = f"{r['event_type']}|{r['day']}"
-            out.append(("daily_n", key, int(r["n"])))
-            out.append(("daily_sum_cents", key, int(r["sum_value_cents"])))
-        return out
-
-    # round-3 fold #5: status filter, native Dataset.join, recency
-    # top-k — their slots went to dedup_passage / token_budget_per_lang
-    # / prep_funnel
-    def t_m9() -> List[tuple]:
-        m9 = m9_status_filter(sf_dir).to_pandas().sort_values("o_orderstatus")
-        return [("m9_n", r["o_orderstatus"], int(r["n"]))
-                for _, r in m9.iterrows()]
-
-    def t_jnat() -> List[tuple]:
-        jn = j_native_supplier_nation(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"supp": df["s_suppkey"].to_numpy(dtype=np.int64),
-                 "namelen": df["n_name"].str.len().to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(jn, ["supp", "namelen"], "jnat")
-
-    def t_o3() -> List[tuple]:
-        o3 = o3_topk_recent_events(sf_dir)  # already a tiny DataFrame
-        return [("o3_count", "", len(o3)),
-                ("o3_sum_event_id", "", int(o3["event_id"].sum()))]
-
-    # round-3 fold #6: per-doc token counting and stratified sampling —
-    # their slots went to chunk_documents / pii_scrub
-    def t_bpe() -> List[tuple]:
-        return checksum(q_token_count_bpe(sf_dir),
-                        ["n_ws_tokens", "n_bpe_tokens"], "bpe")
-
-    def t_strat() -> List[tuple]:
-        import hashlib
-        st = stratified_sample_by_lang(sf_dir).to_pandas()  # ≤ 20×langs rows
-        st["h"] = [int(hashlib.md5(str(d).encode()).hexdigest()[:8], 16)
-                   for d in st["doc_id"]]
-        out: List[tuple] = []
-        for lang, d in sorted(st.groupby("lang"), key=lambda kv: kv[0]):
-            out.append(("strat_n", lang, len(d)))
-            out.append(("strat_sum_h", lang, int(d["h"].sum())))
-        return out
-
-    # round-3 fold #7: as-of join and exact grouped median — their
-    # slots went to pack_stream / dsir_weights
-    def t_asof() -> List[tuple]:
-        aj = asof_last_order_before_event(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"eid": df["event_id"].to_numpy(dtype=np.int64),
-                 "dint": pd.to_numeric(
-                     df["last_order_date"].str.replace("-", ""),
-                     errors="coerce").fillna(0).astype(np.int64)}),
-            batch_format="pandas")
-        return checksum(aj, ["eid", "dint"], "asof")
-
-    def t_median() -> List[tuple]:
-        md = median_value_by_type(sf_dir)  # already a tiny DataFrame
-        return [("median2", r["event_type"],
-                 int(round(2 * float(r["median_cents"]))))
-                for _, r in md.sort_values("event_type").iterrows()]
-
-    # round-3 fold #8: banded range join and sessionization — their
-    # slots went to dedup_incremental / corpus_report
-    def t_range() -> List[tuple]:
-        rj = range_join_balance_band(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["c_custkey"].to_numpy(dtype=np.int64) * 31
-                 + df["s_suppkey"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(rj, ["chk"], "rjoin")
-
-    def t_sess() -> List[tuple]:
-        se = events_sessionize(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["event_id"].to_numpy(dtype=np.int64) * 7
-                 + df["session_idx"].to_numpy(dtype=np.int64) * 31}),
-            batch_format="pandas")
-        return checksum(se, ["chk"], "sess")
-
-    # round-3 fold #9: token explode and per-doc top tokens — their
-    # slots went to lm_bigram_score / vocab_encode. Row identities are
-    # checksummed through md5-derived ints, not just counts.
-    from .dedup import md5_hex
-
-    def t_m1() -> List[tuple]:
-        m1 = m1_explode_tokens(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": np.fromiter(
-                    (int(md5_hex(f"{d}|{t}")[:8], 16)
-                     for d, t in zip(df["doc_id"], df["token"])),
-                    dtype=np.int64, count=len(df))}),
-            batch_format="pandas")
-        return checksum(m1, ["chk"], "m1")
-
-    def t_tpd() -> List[tuple]:
-        tp = top_tokens_per_doc(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": np.fromiter(
-                    (int(md5_hex(f"{d}|{t}|{r}")[:8], 16)
-                     for d, t, r in zip(df["doc_id"], df["token"], df["rk"])),
-                    dtype=np.int64, count=len(df))}),
-            batch_format="pandas")
-        return checksum(tp, ["chk"], "tpd")
-
-    # round-3 fold #11: the md5 shard manifest — its slot went to
-    # self_overlap (training_prep's composed oracle still value-checks
-    # the same shard-assignment rule in-window)
-    def t_shard() -> List[tuple]:
-        ss = q_shard_stats(sf_dir).to_pandas().sort_values("shard")
-        out: List[tuple] = []
-        for _, r in ss.iterrows():
-            out.append(("shard_n", str(int(r["shard"])), int(r["n_docs"])))
-            out.append(("shard_chars", str(int(r["shard"])),
-                        int(r["sum_n_chars"])))
-        return out
-
-    # round-3 fold #10: per-doc fixed-length packing — its slot went to
-    # the composed rag_prep chain (chunk_documents keeps the explode
-    # family in-window)
-    def t_pack() -> List[tuple]:
-        pk = q_pack_sequences(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": np.fromiter(
-                    (int(md5_hex(f"{d}|{s}|{n}|{t}")[:8], 16)
-                     for d, s, n, t in zip(df["doc_id"], df["seq_idx"],
-                                           df["n_tokens"],
-                                           df["first_token"])),
-                    dtype=np.int64, count=len(df))}),
-            batch_format="pandas")
-        return checksum(pk, ["chk"], "pack")
-
-    # round-3 fold #12: blocked n-gram Jaccard pairs — its slot went to
-    # semantic_dedup (the SemDeDup cluster + in-cluster cosine drop)
-    def t_ngram() -> List[tuple]:
-        ng = q_dedup_ngram(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["doc_a"].to_numpy(dtype=np.int64) * 31
-                 + df["doc_b"].to_numpy(dtype=np.int64) * 7
-                 + df["jaccard_pct"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(ng, ["chk"], "ngram")
-
-    # round-3 fold #13: winnowing fingerprint — its slot went to
-    # quality_classifier (the fastText-style hashed-bigram scorer)
-    def t_fprint() -> List[tuple]:
-        fp = q_text_fingerprint(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["fingerprint"].to_numpy(dtype=np.int64)
-                 % 1000003}),  # mod keeps the sum inside int64/BIGINT
-            batch_format="pandas")
-        return checksum(fp, ["chk"], "fprint")
-
-    # round-3 fold #14: per-lang length z-score — its slot went to
-    # bpe_train (the distributed BPE tokenizer trainer)
-    def t_zs() -> List[tuple]:
-        return checksum(zscore_by_lang(sf_dir), ["doc_id", "z_milli"],
-                        "zs")
-
-    # round-3 fold #15: shared-chunk pair table — its slot went to
-    # mm_prep (the composed multimodal end-to-end)
-    def t_shc() -> List[tuple]:
-        sc = q_dedup_shared_chunks(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["doc_a"].to_numpy(dtype=np.int64) * 31
-                 + df["doc_b"].to_numpy(dtype=np.int64) * 7
-                 + df["n_shared_chunks"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(sc, ["chk"], "shc")
-
-    # round-4 fold #16: exact two-pass heavy hitters (the registered
-    # twin heavy_hitters_exact sits past the window)
-    def t_hhx() -> List[tuple]:
-        hh = heavy_hitters_exact_tokens(sf_dir)  # ≤ HHX_K-1 driver rows
-        chk = int(sum(
-            int(hashlib.md5(f"{t}|{c}".encode("utf-8")).hexdigest()[:8], 16)
-            for t, c in zip(hh["token"], hh["cnt"])))
-        return [("hhx_n", "", len(hh)), ("hhx_sum_chk", "", chk)]
-
-    # round-4 fold #17: md5-parity HLL register table (registered twin
-    # hll_user_registers past the window)
-    def t_hllr() -> List[tuple]:
-        rg = hll_user_registers(sf_dir)  # 4096 driver rows by design
-        ixr = rg["idx"].to_numpy(dtype=np.int64)
-        rv = rg["register"].to_numpy(dtype=np.int64)
-        return [("hllr_sum_reg", "", int(rv.sum())),
-                ("hllr_sum_ixr", "", int((ixr * rv).sum())),
-                ("hllr_nonzero", "", int((rv > 0).sum()))]
-
-    # round-4 fold #18: md5-bucketed greedy packer (registered twin
-    # pack_greedy past the window; its oracle is the recursive CTE)
-    def t_pg() -> List[tuple]:
-        pg = q_pack_greedy(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["bucket"].to_numpy(dtype=np.int64) * 1_000_003
-                 + df["doc_id"].to_numpy(dtype=np.int64) * 31
-                 + df["pack_idx"].to_numpy(dtype=np.int64) * 7
-                 + df["n_tokens"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(pg, ["chk"], "pg")
-
-    # round-4 fold #19: per-lang exact quantile cutoff (registered twin
-    # length_percentile_filter past the window)
-    def t_pf() -> List[tuple]:
-        return checksum(length_percentile_filter(sf_dir),
-                        ["doc_id", "n_chars"], "pf")
-
-    # round-4 fold #20: partitioned connected components (registered
-    # twin dup_clusters past the window; oracle = transitive closure)
-    def t_cc() -> List[tuple]:
-        cc = q_dup_clusters(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["doc_id"].to_numpy(dtype=np.int64) * 31
-                 + df["cluster_id"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(cc, ["chk"], "cc")
-
-    # round-4 fold #21: exact grouped count-distinct (registered twin
-    # distinct_users_per_type past the window)
-    def t_dut() -> List[tuple]:
-        d = distinct_users_per_type(sf_dir).to_pandas()
-        return [("dut_n_users", str(r["event_type"]), int(r["n_users"]))
-                for _, r in d.sort_values("event_type").iterrows()]
-
-    # round-4 fold #22: persisted-index term lookup (registered twin
-    # text_index_search past the window)
-    def t_tix() -> List[tuple]:
-        ti = q_text_index_search(sf_dir)  # small: probe-term postings
-        chk = int((np.fromiter(
-            (int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
-             for t in ti["token"]), dtype=np.int64, count=len(ti))
-            + ti["doc_id"].to_numpy(dtype=np.int64) * 31
-            + ti["tf"].to_numpy(dtype=np.int64) * 7).sum()) if len(ti) else 0
-        return [("tix_n", "", len(ti)), ("tix_sum_chk", "", chk)]
-
-    # round-4 fold #23: content-defined chunking pairs (registered twin
-    # dedup_cdc past the window)
-    def t_cdc() -> List[tuple]:
-        cd = q_dedup_cdc(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"chk": df["doc_a"].to_numpy(dtype=np.int64) * 31
-                 + df["doc_b"].to_numpy(dtype=np.int64) * 7
-                 + df["n_shared_chunks"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        return checksum(cd, ["chk"], "cdc")
-
-    # round-4 fold #24: snapshot-versioning diff (registered twin
-    # corpus_diff past the window)
-    def t_cdiff() -> List[tuple]:
-        cd = q_corpus_diff(sf_dir).map_batches(
-            lambda df: pd.DataFrame(
-                {"status": df["status"].to_numpy(),
-                 "doc_id": df["doc_id"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas")
-        agg = partial_aggregate(cd, ["status"],
-                                {"n": ("count", None),
-                                 "s": ("sum", "doc_id")}).to_pandas()
-        return [(f"cdiff_{r['status']}", "", int(r["n"]))
-                for _, r in agg.sort_values("status").iterrows()] +                [(f"cdiff_sum_{r['status']}", "", int(r["s"]))
-                for _, r in agg.sort_values("status").iterrows()]
-
-    tasks = [t_count_orders, t_event_types, t_sample, t_union, t_brand,
-             t_topk2, t_rolling, t_tumbling, t_prevgap, t_concat, t_hist,
-             t_regexfw, t_priocode, t_mask, t_propsjson,
-             t_shpairs, t_toklang, t_bigrams, t_daily,
-             t_m9, t_jnat, t_o3, t_bpe, t_strat, t_asof, t_median,
-             t_range, t_sess, t_m1, t_tpd, t_pack, t_shard, t_ngram,
-             t_fprint, t_zs, t_shc, t_hhx, t_hllr, t_pg, t_pf,
-             t_cc, t_dut, t_tix, t_cdc, t_cdiff]
-    with ThreadPoolExecutor(max_workers=8) as ex:
-        results = list(ex.map(lambda f: f(), tasks))
-    rows = [r for res in results for r in res]
-    return pd.DataFrame({"metric": [r[0] for r in rows],
-                         "k": [str(r[1]) for r in rows],
-                         "v": np.array([r[2] for r in rows], dtype=np.int64)})
-
-
 def _cms_oracle_sql() -> str:
     """Generated from CMS_WIDTH / CMS_DEPTH / CMS_QUERY_TOKENS — the
     same constants the engine sketch uses, so the cell hashing cannot
@@ -5728,41 +5287,22 @@ def events_ks_drift(sf_dir: str) -> rd.Dataset:
         "at_cents": np.array([int(piv.index[best])], dtype=np.int64)}))
 
 
-# Registration order is DELIBERATE: the driver records CORRECTNESS rows
-# for exactly the first 50 registered queries (a count/time budget — the
-# suite itself runs in ~90 s), so every hash-checkable (oracle-bearing)
-# query comes first — exactly 50 of them — and the rows-only /
-# documented-approximate entries come after. The trivial/redundant
-# shapes registered past the window (seven from round 2 plus
-# events_tumbling / events_prev_gap / order_priorities_concat /
-# m9_status_filter / j_native_supplier_nation / o3_topk_recent_events,
-# whose slots went to the round-3 training-data operators
-# incl. prep_funnel / token_budget_per_lang / dedup_passage) stay
-# value-checked every round via their in-window twin
-# `combined_small_shapes`;
-# scripts/check_queries.py covers EVERY ORACLE_SQL entry locally
-# regardless of the window.
-#
-# As of round 4 every one of the 50 in-window queries is
-# oracle-bearing (extract_pipeline's raw-rows slot went to its value
-# twin extract_span_checksum; the round-4 operators live past-window
-# with their checksums folded into combined_small_shapes #16-#24).
+# The registry, grouped by family. Order carries no meaning:
+# scripts/check_queries.py compares every ORACLE_SQL entry on full rows,
+# and entries without an oracle are rows-only by design. Later sections
+# of this module register more queries with `QUERIES[name] = fn`.
 QUERIES = {
-    # flagship extraction family: SQL-checkable twins first
-    # (ingest_flat_documents = full pipeline on the flat corpus;
-    # extract_summary = reference-counter VALUES oracle), plus the raw
-    # pipeline rows (value oracle = the pytest span-sequence gate)
+    # flagship extraction family: ingest_flat_documents = full pipeline
+    # on the flat corpus; extract_summary = reference-counter VALUES
+    # oracle
     "ingest_flat_documents": ingest_flat_documents,
     "parse_detail_rows": parse_detail_rows,
     # extract_span_checksum value-checks EVERY span of the flagship
-    # extraction (per-kind md5 fold vs the serial reference VALUES);
-    # it runs the same marker-cached extraction extract_pipeline
-    # returns raw, so the pipeline itself still executes under the
-    # driver (and again via entry()); the raw row view moved
-    # past-window next to extract_flat
+    # extraction (per-kind md5 fold vs the serial reference VALUES); it
+    # runs the same marker-cached extraction extract_pipeline returns raw
     "extract_span_checksum": extract_span_checksum,
     "extract_summary": q_extract_summary,
-    # dedup / cleaning (oracle-bearing)
+    # dedup / cleaning
     "dedup_exact": q_dedup_exact,
     "dedup_prefix": q_dedup_prefix,
     "dedup_minhash_planted": q_dedup_minhash_planted,
@@ -5772,13 +5312,11 @@ QUERIES = {
     "dedup_substring": q_dedup_substring,
     "semantic_dedup": q_semantic_dedup,
     # mm_prep = the composed multimodal end-to-end (extraction →
-    # interleaved packing → shard manifest); dedup_shared_chunks moved
-    # past-window via fold #15 (dedup_passage and dedup_contained keep
-    # the substring-dedup family in-window)
+    # interleaved packing → shard manifest)
     "mm_prep": q_mm_prep,
     "dedup_embedding": q_dedup_embedding,
     "clean_corpus": q_clean_corpus,
-    # text / similarity (oracle-bearing)
+    # text / similarity
     "text_quality": q_text_quality,
     "text_langid": q_text_langid,
     "quality_classifier": q_quality_classifier,
@@ -5791,12 +5329,9 @@ QUERIES = {
     "contamination_report": q_contamination_report,
     "embedding_centroids": embedding_centroids,
     "sim_topk": q_sim_topk,
-    # multimodal value checks (payload-exact dedup + interleaved pack;
-    # chunk_documents moved past-window — its 32/24 chunk rule stays
-    # value-checked in-window inside rag_prep's composed oracle)
+    # multimodal payload-exact dedup
     "mm_payload_dedup": q_mm_payload_dedup,
     # relational core
-    "combined_small_shapes": combined_small_shapes,
     "g1_lineitem_agg": g1_lineitem_agg,
     "j1_region_revenue": j1_region_revenue,
     "j4_customer_order_counts": j4_customer_order_counts,
@@ -5809,15 +5344,7 @@ QUERIES = {
     "dedup_incremental": q_dedup_incremental,
     "dsir_weights": q_dsir_weights,
     "corpus_report": q_corpus_report,
-    # round-3 training-data operators (in-window; their slots come from
-    # events_tumbling / events_prev_gap / order_priorities_concat /
-    # events_value_histogram / m3_regex_first_word / m4_priority_code /
-    # m8_mask_props / m_props_json / dedup_simhash_pairs /
-    # tokens_by_lang / top_bigrams / events_daily / m9_status_filter /
-    # j_native_supplier_nation / o3_topk_recent_events, whose checksums
-    # moved into combined_small_shapes below)
-    # prep_funnel moved past-window — it audits the same chain
-    # training_prep value-checks below
+    # training-data operators
     "mm_interleaved_pack": q_mm_interleaved_pack,
     "token_budget_per_lang": q_token_budget_per_lang,
     "text_repetition": q_text_repetition,
@@ -5828,17 +5355,17 @@ QUERIES = {
     "semi_anti_bloom": q_semi_anti_bloom,
     "shuffle_rank": q_shuffle_rank,
     "lang_quota": q_lang_quota,
-    # round-4 session: the ANN family's planted value oracles (recall
-    # provably 1.0 on the planted corpus — LSH bucketing, IVF
-    # training/probing, the persisted index round-trip and the
-    # incremental index ADD all hash-match one brute-force SQL oracle)
+    # the ANN family's planted value oracles (recall provably 1.0 on the
+    # planted corpus — LSH bucketing, IVF training/probing, the
+    # persisted index round-trip and the incremental index ADD all
+    # hash-match one brute-force SQL oracle)
     "sim_ann_lsh_planted": q_sim_ann_lsh_planted,
     "sim_ann_ivf_planted": q_sim_ann_ivf_planted,
     "sim_ann_ivf_index_planted": q_sim_ann_ivf_index_planted,
     "sim_ann_ivf_incremental": q_sim_ann_ivf_incremental,
-    # round-4 session: distributed exact ORDER BY (histogram
-    # range-partition rank), GROUPING SETS rollup, boolean-AND index
-    # retrieval, burst-window streaming max, SQL-parity minhash kernel
+    # distributed exact ORDER BY (histogram range-partition rank),
+    # GROUPING SETS rollup, boolean-AND index retrieval, burst-window
+    # streaming max, SQL-parity minhash kernel
     "length_rank": length_rank,
     "weighted_sample": weighted_sample,
     "length_ntile": length_ntile,
@@ -5847,9 +5374,7 @@ QUERIES = {
     "text_index_all_terms": q_text_index_all_terms,
     "events_top_burst": events_top_burst,
     "minhash_md5_signatures": q_minhash_md5_signatures,
-    # trivial/redundant oracles — past the driver window by design;
-    # their SHAPES stay value-checked every round through the in-window
-    # combined_small_shapes checksum twin
+    # simple relational / scalar-function / windowing shapes
     "m3_regex_first_word": m3_regex_first_word,
     "m9_status_filter": m9_status_filter,
     "j_native_supplier_nation": j_native_supplier_nation,
@@ -5872,17 +5397,12 @@ QUERIES = {
     "distinct_event_types": distinct_event_types,
     "sample_events_hash": sample_events_hash,
     "union_entities": union_entities,
-    # oracle-bearing but past the 50-query driver window (in-window
-    # slots hold distinct shapes): gated every round by
-    # scripts/check_queries.py, which covers ALL ORACLE_SQL entries
+    # training-data sampling and splits
     "mixture_sample": q_mixture_sample,
     "epoch_oversample": q_epoch_oversample,
     "curriculum_rank": q_curriculum_rank,
     "train_val_split": q_train_val_split,
     "dedup_contained_pairs": q_dedup_contained_pairs,
-    # round-3 folds #12/#13/#14 displaced these (slots went to
-    # semantic_dedup / quality_classifier / bpe_train); checksums live
-    # in combined_small_shapes
     "dedup_ngram": q_dedup_ngram,
     "text_fingerprint": q_text_fingerprint,
     "zscore_by_lang": zscore_by_lang,
@@ -5899,74 +5419,54 @@ QUERIES = {
     "pagerank_dups": q_pagerank_dups,
     "bpe_encode": q_bpe_encode,
     "export_jsonl": q_export_jsonl,
-    # round-3 fold #15 displaced this one (slot went to mm_prep);
-    # checksum lives in combined_small_shapes
     "dedup_shared_chunks": q_dedup_shared_chunks,
-    # round-4 sketch-family exact twins (past-window; checksums live in
-    # combined_small_shapes folds #16/#17/#18): exact two-pass heavy
-    # hitters, md5-parity HLL registers, and the md5-bucketed greedy
-    # packer with its recursive-CTE oracle
+    # sketch-family exact twins: exact two-pass heavy hitters,
+    # md5-parity HLL registers, and the md5-bucketed greedy packer with
+    # its recursive-CTE oracle
     "heavy_hitters_exact": heavy_hitters_exact_tokens,
     "hll_user_registers": hll_user_registers,
     "pack_greedy": q_pack_greedy,
-    # round-4: grouped exact order statistic (fold #19 in-window)
+    # grouped exact order statistic
     "length_percentile_filter": length_percentile_filter,
-    # round-4: partitioned CC made oracle-visible + exact grouped
-    # count-distinct (folds #20/#21 in-window)
+    # partitioned connected components + exact grouped count-distinct
     "dup_clusters": q_dup_clusters,
     "distinct_users_per_type": distinct_users_per_type,
-    # round-4: persisted inverted index (pruned-bucket lookup; fold #22)
+    # persisted inverted index (pruned-bucket lookup)
     "text_index_search": q_text_index_search,
-    # round-4: BM25 served FROM the index, hash-matched against the
-    # full-scan oracle (past-window; check_queries gates it)
+    # BM25 served FROM the index, hash-matched against the full-scan
+    # oracle
     "bm25_index_search": q_bm25_index_search,
     "phrase_search": q_phrase_search,
-    # round-4: incremental index add == full rebuild (same oracle as
+    # incremental index add == full rebuild (same oracle as
     # text_index_search)
     "text_index_incremental": q_text_index_incremental,
-    # round-4: watermark / late-data flags (the out-of-order streaming
-    # shape; past-window, check_queries gates it)
+    # watermark / late-data flags (the out-of-order streaming shape)
     "events_late_flags": events_late_flags,
-    # round-4: one-pass covariance/PCA statistics (integer-exact)
+    # one-pass covariance/PCA statistics (integer-exact)
     "embedding_moments": q_embedding_moments,
-    # round-4: content-defined chunking dedup (fold #23 in-window)
+    # content-defined chunking dedup
     "dedup_cdc": q_dedup_cdc,
-    # round-4: snapshot-versioning diff (fold #24 in-window)
+    # snapshot-versioning diff
     "corpus_diff": q_corpus_diff,
     # `extract_pipeline` / `extract_flat` are LIBRARY VIEWS, not
-    # registered queries (retired round 5 per VERDICT r4 item 10): the
-    # raw per-unit rows they expose are value-checked strictly harder by
-    # the registered twins — extract_span_checksum folds EVERY span,
+    # registered queries: the raw per-unit rows they expose are
+    # value-checked strictly harder by the registered twins —
+    # extract_span_checksum folds EVERY span,
     # extract_summary/ingest_flat_documents check the aggregates, and
     # tests/test_pipeline_e2e.py asserts span-sequence equality per
     # doc_id. Call q_extract_pipeline/q_extract_flat directly for the
     # raw rows.
-    # displaced by the in-window multimodal value checks: chunking is
-    # re-verified inside rag_prep, the funnel inside training_prep
     "chunk_documents": q_chunk_documents,
     "prep_funnel": q_prep_funnel,
-    # round-3 fold #6 displaced these two (slots went to chunk_documents
-    # / pii_scrub); their checksums live in combined_small_shapes
     "token_count_bpe": q_token_count_bpe,
     "stratified_sample_by_lang": stratified_sample_by_lang,
-    # round-3 fold #7 displaced these two (slots went to pack_stream /
-    # dsir_weights); checksums live in combined_small_shapes
     "asof_last_order_before_event": asof_last_order_before_event,
     "median_value_by_type": median_value_by_type,
-    # round-3 fold #8 displaced these two (slots went to
-    # dedup_incremental / corpus_report); checksums in the combined twin
     "range_join_balance_band": range_join_balance_band,
     "events_sessionize": events_sessionize,
-    # round-3 fold #9 displaced these two (slots went to lm_bigram_score
-    # / vocab_encode); checksums in the combined twin
     "m1_explode_tokens": m1_explode_tokens,
     "top_tokens_per_doc": top_tokens_per_doc,
-    # round-3 fold #10 displaced this one (slot went to rag_prep);
-    # checksum in the combined twin
     "pack_sequences": q_pack_sequences,
-    # round-3 fold #11 displaced this one (slot went to self_overlap;
-    # training_prep's composed oracle still value-checks the md5 shard
-    # manifest shape in-window)
     "shard_stats": q_shard_stats,
     # extract → clean composition, value-checked by a serial-reference
     # VALUES oracle (same clean rule replayed single-process)
@@ -5975,11 +5475,10 @@ QUERIES = {
     # (dedup_minhash* at threshold<1, clean_corpus_fuzzy), sketches
     # (approx_distinct_users — its exact twin is hll_user_registers
     # above), codec stubs. `sim_ann_lsh` / `sim_ann_ivf` are LIBRARY
-    # VIEWS, not registered queries (retired round 5 per VERDICT r4
-    # item 10): the same kernels are value-checked by the planted
-    # oracles (sim_ann_lsh_planted / sim_ann_ivf_planted /
-    # sim_ann_ivf_index_planted) and recall-gated vs brute force inside
-    # ann_recall_report + tests/test_similarity.py.
+    # VIEWS, not registered queries: the same kernels are value-checked
+    # by the planted oracles (sim_ann_lsh_planted / sim_ann_ivf_planted
+    # / sim_ann_ivf_index_planted) and recall-gated vs brute force
+    # inside ann_recall_report + tests/test_similarity.py.
     "dedup_minhash": q_dedup_minhash,
     "dedup_minhash_keep": q_dedup_minhash_keep,
     "dedup_incremental_fuzzy": q_dedup_incremental_fuzzy,
@@ -5992,8 +5491,8 @@ QUERIES = {
     "mm_featurize": q_mm_featurize,
     "mm_frame_sample": q_mm_frame_sample,
     "mm_resize": q_mm_resize,
-    # round-4 continuation (past-window; oracle-bearing — the r5 window
-    # rotation picks these up)
+    # edit-distance dedup, robust statistics, streaming windows, graph
+    # and embedding analytics
     "dedup_edit1": q_dedup_edit1,
     "mad_outliers": mad_outliers,
     "events_moving_avg": events_moving_avg,
@@ -6035,65 +5534,6 @@ QUERIES = {
     "events_ks_drift": events_ks_drift,
 }
 
-# ------------------------------------------------------------ the window
-# The external driver records CORRECTNESS rows for only the FIRST ~50
-# registered queries; the registry above groups by family for readers.
-# Each round the 50-slot window ROTATES (VERDICT r3 item 1) so that over
-# rounds every oracle-bearing query accumulates a driver-verified row:
-# the flagship extraction family and the round's newest operators stay
-# pinned, `combined_small_shapes` keeps the parked trivial shapes
-# value-checked in-window, and the remaining slots cycle through proven
-# veterans that had no driver row in CORRECTNESS_r03.json (45 of these
-# 50 names are new vs r03). scripts/check_queries.py still gates EVERY
-# oracle locally regardless of order.
-_WINDOW_R4 = [
-    # flagship extraction family (pinned)
-    "ingest_flat_documents", "parse_detail_rows", "extract_span_checksum",
-    "extract_summary", "extract_then_clean",
-    # round-4 ops (pinned while newest)
-    "length_rank", "corpus_rollup", "text_index_all_terms",
-    "events_top_burst", "minhash_md5_signatures",
-    "sim_ann_lsh_planted", "sim_ann_ivf_planted",
-    "sim_ann_ivf_index_planted", "sim_ann_ivf_incremental",
-    # the in-window fold of the parked trivial shapes (pinned)
-    "combined_small_shapes",
-    # rotated-in veterans: dedup / versioning
-    "dup_clusters", "pagerank_dups", "dedup_cdc",
-    "dedup_contained_pairs", "dedup_shared_chunks",
-    "dedup_soft", "corpus_diff", "upsert_compact",
-    # search / index
-    "bm25_search", "bm25_index_search", "text_index_search",
-    "text_index_incremental",
-    # sketches / exact twins
-    "heavy_hitters_exact", "hll_user_registers", "distinct_users_per_type",
-    "cms_token_counts",
-    # text analysis / LM
-    "text_fingerprint", "lm_heldout_score", "bpe_encode",
-    # packing / shards / mixture
-    "pack_greedy", "mixture_sample", "curriculum_rank",
-    "train_val_split", "shard_stats",
-    # relational / streaming / embedding
-    "range_join_balance_band",
-    "events_late_flags", "embedding_moments",
-    # round-4 continuation ops (newest stay pinned; the four slots came
-    # from veterans with TWO prior driver-green rounds each:
-    # median_value_by_type / stratified_sample_by_lang /
-    # asof_last_order_before_event / events_sessionize, all still
-    # locally oracle-verified every round via check_queries)
-    "events_regression", "user_diversity", "triangle_degree",
-    "rrf_fusion",
-    # round-4 third-batch ops (pinned while newest; their four slots
-    # came from one-prior-green veterans dedup_ngram /
-    # dedup_simhash_pairs / zscore_by_lang / token_count_bpe, all still
-    # locally oracle-verified every round via check_queries; these four
-    # names register at the file tail, so the reorder below skips them
-    # and the file-end reorder places them)
-    "embedding_quantize", "vocab_coverage_by_lang",
-    "user_burstiness", "hits_user_event",
-]
-assert len(_WINDOW_R4) == 50 and len(set(_WINDOW_R4)) == 50
-QUERIES = {**{n: QUERIES[n] for n in _WINDOW_R4 if n in QUERIES},
-           **{n: f for n, f in QUERIES.items() if n not in set(_WINDOW_R4)}}
 
 def _mixture_sample_oracle_sql() -> str:
     """Generated from the SAME constants the engine query uses
@@ -6964,566 +6404,6 @@ ORACLE_SQL = {
                CAST(COUNT(*) AS BIGINT) AS n_docs,
                CAST(SUM(n_chars) AS BIGINT) AS sum_n_chars
         FROM f GROUP BY 1""",
-    "combined_small_shapes": f"""
-        WITH RECURSIVE {_SIMHASH_CORE_SQL},
-        hx_tok AS (SELECT unnest(string_split(text, ' ')) AS token
-                   FROM documents),
-        hx_n AS (SELECT COUNT(*) AS c FROM hx_tok),
-        hx_hh AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS cnt
-                  FROM hx_tok GROUP BY token
-                  HAVING COUNT(*) * {HHX_K} > (SELECT c FROM hx_n)),
-        hll_h AS (SELECT CAST(('0x' || substr(md5(CAST(user_id AS VARCHAR)),
-                               1, 16)) AS UBIGINT) AS hv FROM events),
-        hll_r AS (SELECT CAST(hv >> 52 AS INTEGER) AS idx,
-                         hv & ((CAST(1 AS UBIGINT) << 52) - 1) AS tail
-                  FROM hll_h),
-        hll_mx AS (SELECT idx,
-                          MAX(CASE WHEN tail = 0 THEN 53
-                                   ELSE CAST(53 - length(bin(tail))
-                                             AS INTEGER) END) AS reg
-                   FROM hll_r GROUP BY idx),
-        pg_nt AS (
-          SELECT doc_id, CAST(len(string_split(text, ' ')) AS BIGINT)
-                   AS n_tokens,
-                 CAST(CAST(('0x' || substr(md5('pg|' ||
-                      CAST(doc_id AS VARCHAR)), 1, 16)) AS UBIGINT) % 32
-                   AS INTEGER) AS bucket
-          FROM documents),
-        pg_rn AS (SELECT *, ROW_NUMBER() OVER (PARTITION BY bucket
-                                               ORDER BY doc_id) AS r
-                  FROM pg_nt),
-        pg_s AS (
-          SELECT bucket, r, doc_id, n_tokens,
-                 0 AS pack_idx, n_tokens AS filled
-          FROM pg_rn WHERE r = 1
-          UNION ALL
-          SELECT pg_rn.bucket, pg_rn.r, pg_rn.doc_id, pg_rn.n_tokens,
-                 CASE WHEN pg_s.filled + pg_rn.n_tokens > 256
-                      THEN pg_s.pack_idx + 1 ELSE pg_s.pack_idx END,
-                 CASE WHEN pg_s.filled + pg_rn.n_tokens > 256
-                      THEN pg_rn.n_tokens
-                      ELSE pg_s.filled + pg_rn.n_tokens END
-          FROM pg_s JOIN pg_rn ON pg_rn.bucket = pg_s.bucket
-                              AND pg_rn.r = pg_s.r + 1),
-        pf_cnt AS (SELECT lang, COUNT(*) AS n FROM documents GROUP BY lang),
-        pf_rk AS (SELECT lang, n_chars, doc_id,
-                         ROW_NUMBER() OVER (PARTITION BY lang
-                                            ORDER BY n_chars, doc_id) AS rn
-                  FROM documents),
-        pf_thr AS (SELECT pf_rk.lang, pf_rk.n_chars AS t
-                   FROM pf_rk JOIN pf_cnt USING (lang)
-                   WHERE pf_rk.rn = (pf_cnt.n + 3) // 4),
-        pf_kept AS (SELECT d.doc_id, d.lang, d.n_chars
-                    FROM documents d JOIN pf_thr ON d.lang = pf_thr.lang
-                    WHERE d.n_chars >= pf_thr.t),
-        shp AS (
-          SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                 CAST(bit_count(xor(a.simhash, b.simhash)) AS BIGINT)
-                   AS hamming
-          FROM simhashes a JOIN simhashes b ON a.doc_id < b.doc_id
-          WHERE bit_count(xor(a.simhash, b.simhash)) <= 3),
-        tt AS (
-          SELECT doc_id, unnest(string_split(text, ' ')) AS tok,
-                 generate_subscripts(string_split(text, ' '), 1) AS i
-          FROM documents),
-        bb AS (
-          SELECT tok || ' ' || lead(tok) OVER (PARTITION BY doc_id
-                                               ORDER BY i) AS bg,
-                 lead(tok) OVER (PARTITION BY doc_id ORDER BY i) AS nxt
-          FROM tt WHERE tok <> ''),
-        bg20 AS (
-          SELECT bg, CAST(COUNT(*) AS BIGINT) AS n FROM bb
-          WHERE nxt IS NOT NULL AND nxt <> ''
-          GROUP BY bg ORDER BY n DESC, bg LIMIT 20),
-        dly AS (
-          SELECT event_type || '|' || strftime(ts, '%Y-%m-%d') AS key,
-                 CAST(COUNT(*) AS BIGINT) AS n,
-                 CAST(SUM(CAST(ROUND(value*100) AS BIGINT)) AS BIGINT) AS sc
-          FROM events GROUP BY 1),
-        {_SHINGLES_CORE_SQL.format(src='documents')},
-        ngp AS (
-          SELECT doc_a, doc_b,
-                 CAST((100 * inter) // un AS BIGINT) AS jaccard_pct
-          FROM (
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                   len(list_intersect(a.shingles, b.shingles)) AS inter,
-                   len(a.shingles) + len(b.shingles)
-                     - len(list_intersect(a.shingles, b.shingles)) AS un
-            FROM sh a JOIN sh b ON a.block = b.block AND a.doc_id < b.doc_id)
-          WHERE inter > 0 AND (100 * inter) // un >= 50),
-        fpw AS (
-          SELECT doc_id,
-                 CAST(('0x' || substr(md5(array_to_string(toks[i:i+7], ' ')),
-                                      1, 16)) AS UBIGINT) AS h
-          FROM (SELECT doc_id, toks,
-                       unnest(range(1, greatest(2, len(toks) - 6))) AS i
-                FROM t)),
-        fpr AS (
-          SELECT doc_id, CAST(MIN(h) >> 1 AS BIGINT) AS fingerprint
-          FROM fpw GROUP BY doc_id),
-        zsized AS (
-          SELECT doc_id, lang, CAST(LENGTH(text) AS BIGINT) AS n
-          FROM documents),
-        zm AS (
-          SELECT lang,
-                 CAST(SUM(n) AS DOUBLE) / COUNT(*) AS mean,
-                 CAST(SUM(n*n) AS DOUBLE) / COUNT(*)
-                   - (CAST(SUM(n) AS DOUBLE) / COUNT(*))
-                     * (CAST(SUM(n) AS DOUBLE) / COUNT(*)) AS var
-          FROM zsized GROUP BY lang),
-        zsc AS (
-          SELECT s.doc_id,
-                 CAST(CASE WHEN m.var > 0
-                      THEN FLOOR(1000 * (s.n - m.mean) / sqrt(m.var))
-                      ELSE 0 END AS BIGINT) AS z_milli
-          FROM zsized s JOIN zm m USING (lang)),
-        shc_c AS (
-          SELECT doc_id, md5(array_to_string(toks[10*i+1:10*i+10], ' '))
-                   AS ch
-          FROM (SELECT doc_id, toks,
-                       unnest(range(0, len(toks) // 10)) AS i
-                FROM t)),
-        shc_d AS (SELECT DISTINCT doc_id, ch FROM shc_c),
-        shc_p AS (
-          SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                 CAST(COUNT(*) AS BIGINT) AS n
-          FROM shc_d a JOIN shc_d b
-            ON a.ch = b.ch AND a.doc_id < b.doc_id
-          GROUP BY 1, 2),
-        cc_e AS (SELECT doc_a AS a, doc_b AS b FROM shc_p
-                 UNION SELECT doc_b, doc_a FROM shc_p),
-        cc_reach AS (
-          SELECT a, b FROM cc_e
-          UNION
-          SELECT r.a, cc_e.b FROM cc_reach r JOIN cc_e ON r.b = cc_e.a
-          WHERE cc_e.b <> r.a),
-        cc_lab AS (
-          SELECT n.a AS doc_id,
-                 CAST(LEAST(n.a, MIN(r.b)) AS BIGINT) AS cluster_id
-          FROM (SELECT DISTINCT a FROM cc_e) n
-          LEFT JOIN cc_reach r ON r.a = n.a
-          GROUP BY n.a),
-        tix AS (
-          SELECT token, doc_id, CAST(COUNT(*) AS BIGINT) AS tf
-          FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS token
-                FROM documents)
-          WHERE token IN ({', '.join(repr(t) for t in CMS_QUERY_TOKENS)})
-          GROUP BY token, doc_id),
-        cdc_fl AS (SELECT doc_id, tok AS tk, i,
-                          CASE WHEN CAST(('0x' || substr(md5(tok), 1, 8))
-                                         AS UBIGINT) % 16 = 0
-                               THEN 1 ELSE 0 END AS f
-                   FROM tt),
-        cdc_cid AS (SELECT doc_id, tk, i,
-                           COALESCE(SUM(f) OVER (PARTITION BY doc_id
-                                     ORDER BY i
-                                     ROWS BETWEEN UNBOUNDED PRECEDING
-                                     AND 1 PRECEDING), 0) AS c
-                    FROM cdc_fl),
-        cdc_ch AS (SELECT doc_id, md5(string_agg(tk, ' ' ORDER BY i)) AS h
-                   FROM cdc_cid GROUP BY doc_id, c HAVING COUNT(*) >= 8),
-        cdc_d AS (SELECT DISTINCT doc_id, h FROM cdc_ch),
-        cdc_pairs AS (
-          SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                 CAST(COUNT(*) AS BIGINT) AS n
-          FROM cdc_d a JOIN cdc_d b ON a.h = b.h AND a.doc_id < b.doc_id
-          GROUP BY 1, 2),
-        cdiff_new AS (
-          SELECT doc_id,
-                 CASE WHEN doc_id % 10 = 0 THEN text || ' v2'
-                      ELSE text END AS text
-          FROM documents WHERE doc_id % 17 <> 0
-          UNION ALL
-          SELECT doc_id + 10000000 AS doc_id, text
-          FROM documents WHERE doc_id % 25 = 0),
-        cdiff AS (
-          SELECT COALESCE(b.doc_id, n.doc_id) AS doc_id,
-                 CASE WHEN b.text IS NULL THEN 'added'
-                      WHEN n.text IS NULL THEN 'removed'
-                      WHEN b.text = n.text THEN 'unchanged'
-                      ELSE 'changed' END AS status
-          FROM documents b FULL OUTER JOIN cdiff_new n
-            ON b.doc_id = n.doc_id)
-        SELECT 'count_orders' AS metric, '' AS k, COUNT(*) AS v FROM orders
-        UNION ALL
-        SELECT 'event_type', event_type, CAST(1 AS BIGINT)
-        FROM (SELECT DISTINCT event_type FROM events)
-        UNION ALL
-        SELECT 'sample_mod16_3_count', '', COUNT(*)
-        FROM events WHERE event_id % 16 = 3
-        UNION ALL
-        SELECT 'sample_mod16_3_sum_event_id', '',
-               CAST(SUM(event_id) AS BIGINT)
-        FROM events WHERE event_id % 16 = 3
-        UNION ALL
-        SELECT 'union_src_count', src, COUNT(*)
-        FROM (SELECT 'c' AS src FROM customer
-              UNION ALL SELECT 's' AS src FROM supplier)
-        GROUP BY src
-        UNION ALL
-        SELECT 'brand_n_parts', p_brand, COUNT(*) FROM part GROUP BY p_brand
-        UNION ALL
-        SELECT 'brand_sum_size', p_brand,
-               CAST(SUM(CAST(p_size AS BIGINT)) AS BIGINT)
-        FROM part GROUP BY p_brand
-        UNION ALL
-        SELECT 'brand_max_price_cents', p_brand,
-               CAST(MAX(CAST(ROUND(p_retailprice*100) AS BIGINT)) AS BIGINT)
-        FROM part GROUP BY p_brand
-        UNION ALL
-        SELECT 'topk2_count', '', COUNT(*)
-        FROM (SELECT row_number() OVER (PARTITION BY o_custkey
-                     ORDER BY o_totalprice DESC, o_orderkey) AS rk
-              FROM orders) WHERE rk <= 2
-        UNION ALL
-        SELECT 'topk2_sum_chk', '', CAST(SUM(o_orderkey * rk) AS BIGINT)
-        FROM (SELECT o_orderkey,
-                     row_number() OVER (PARTITION BY o_custkey
-                     ORDER BY o_totalprice DESC, o_orderkey) AS rk
-              FROM orders) WHERE rk <= 2
-        UNION ALL
-        SELECT 'rolling3_count', '', COUNT(*) FROM events
-        UNION ALL
-        SELECT 'rolling3_sum_sum3_cents', '', CAST(SUM(s3) AS BIGINT)
-        FROM (SELECT SUM(CAST(ROUND(value*100) AS BIGINT))
-                     OVER (PARTITION BY user_id ORDER BY ts, event_id
-                           ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS s3
-              FROM events)
-        UNION ALL
-        SELECT 'tumbling_count', '', COUNT(*) FROM
-        (SELECT event_type, CAST(floor(epoch(ts)/300)*300 AS BIGINT) AS ws
-         FROM events GROUP BY 1, 2)
-        UNION ALL
-        SELECT 'tumbling_sum_window_start', '', CAST(SUM(ws) AS BIGINT) FROM
-        (SELECT event_type, CAST(floor(epoch(ts)/300)*300 AS BIGINT) AS ws
-         FROM events GROUP BY 1, 2)
-        UNION ALL
-        SELECT 'tumbling_sum_n', '', COUNT(*) FROM events
-        UNION ALL
-        SELECT 'tumbling_sum_sum_value_cents', '',
-               CAST(SUM(CAST(ROUND(value*100) AS BIGINT)) AS BIGINT)
-        FROM events
-        UNION ALL
-        SELECT 'prevgap_count', '', COUNT(*) FROM events
-        UNION ALL
-        SELECT 'prevgap_sum_event_id', '', CAST(SUM(event_id) AS BIGINT)
-        FROM events
-        UNION ALL
-        SELECT 'prevgap_sum_prev_gap_us', '', CAST(SUM(g) AS BIGINT) FROM
-        (SELECT CAST(COALESCE(date_diff('microsecond',
-                 lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id),
-                 ts), -1) AS BIGINT) AS g
-         FROM events)
-        UNION ALL
-        SELECT 'concat_count', '', COUNT(DISTINCT o_custkey) FROM orders
-        UNION ALL
-        SELECT 'concat_sum_cust', '', CAST(SUM(c) AS BIGINT) FROM
-        (SELECT DISTINCT o_custkey AS c FROM orders)
-        UNION ALL
-        SELECT 'concat_sum_plen', '', CAST(SUM(LEN(p)) AS BIGINT) FROM
-        (SELECT string_agg(o_orderpriority, '|'
-                           ORDER BY o_orderdate, o_orderkey) AS p
-         FROM orders GROUP BY o_custkey)
-        UNION ALL
-        SELECT 'hist_count', '', COUNT(*) FROM
-        (SELECT event_type, CAST(floor(value / 10.0) * 10 AS BIGINT) AS b
-         FROM events GROUP BY 1, 2)
-        UNION ALL
-        SELECT 'hist_sum_bin', '', CAST(SUM(b) AS BIGINT) FROM
-        (SELECT event_type, CAST(floor(value / 10.0) * 10 AS BIGINT) AS b
-         FROM events GROUP BY 1, 2)
-        UNION ALL
-        SELECT 'hist_sum_n', '', COUNT(*) FROM events
-        UNION ALL
-        SELECT 'regexfw_count', '', COUNT(*) FROM documents
-        UNION ALL
-        SELECT 'regexfw_sum_fw_len', '',
-               CAST(SUM(LEN(regexp_extract(text, '^([a-z]+)', 1)))
-                    AS BIGINT)
-        FROM documents
-        UNION ALL
-        SELECT 'regexfw_sum_nonempty', '',
-               CAST(SUM(CASE WHEN LEN(regexp_extract(text, '^([a-z]+)', 1))
-                             > 0 THEN 1 ELSE 0 END) AS BIGINT)
-        FROM documents
-        UNION ALL
-        SELECT 'priocode_count', '', COUNT(*) FROM orders
-        UNION ALL
-        SELECT 'priocode_sum_keyed', '',
-               CAST(SUM(o_orderkey * COALESCE(TRY_CAST(
-                    regexp_extract(o_orderpriority, '^([0-9]+)', 1)
-                    AS BIGINT), 0)) AS BIGINT)
-        FROM orders
-        UNION ALL
-        SELECT 'mask_count', '', COUNT(*) FROM events
-        UNION ALL
-        SELECT 'mask_sum_mlen', '', CAST(SUM(LEN(props)) AS BIGINT)
-        FROM events
-        UNION ALL
-        SELECT 'mask_sum_hashes', '',
-               CAST(SUM(LEN(props) -
-                        LEN(regexp_replace(props, '[0-9]', '', 'g')))
-                    AS BIGINT)
-        FROM events
-        UNION ALL
-        SELECT 'propsjson_count', '', COUNT(*) FROM events
-        UNION ALL
-        SELECT 'propsjson_sum_event_id', '', CAST(SUM(event_id) AS BIGINT)
-        FROM events
-        UNION ALL
-        SELECT 'propsjson_sum_k_val', '',
-               CAST(SUM(CAST(COALESCE(json_extract(props, '$.k'), -1)
-                             AS BIGINT)) AS BIGINT)
-        FROM events
-        UNION ALL
-        SELECT 'shpairs_count', '', COUNT(*) FROM shp
-        UNION ALL
-        SELECT 'shpairs_sum_chk', '',
-               CAST(COALESCE(SUM(doc_a * 31 + doc_b * 7 + hamming), 0)
-                    AS BIGINT)
-        FROM shp
-        UNION ALL
-        SELECT 'toklang_n_docs', lang, COUNT(*) FROM documents GROUP BY lang
-        UNION ALL
-        SELECT 'toklang_n_tokens', lang,
-               CAST(SUM(LEN(string_split(text, ' '))) AS BIGINT)
-        FROM documents GROUP BY lang
-        UNION ALL
-        SELECT 'bigram_n', bg, n FROM bg20
-        UNION ALL
-        SELECT 'daily_n', key, n FROM dly
-        UNION ALL
-        SELECT 'daily_sum_cents', key, sc FROM dly
-        UNION ALL
-        SELECT 'm9_n', o_orderstatus, COUNT(*) FROM orders
-        WHERE o_orderstatus IN ('O', 'F') GROUP BY o_orderstatus
-        UNION ALL
-        SELECT 'jnat_count', '', COUNT(*)
-        FROM supplier JOIN nation ON s_nationkey = n_nationkey
-        UNION ALL
-        SELECT 'jnat_sum_supp', '', CAST(SUM(s_suppkey) AS BIGINT)
-        FROM supplier JOIN nation ON s_nationkey = n_nationkey
-        UNION ALL
-        SELECT 'jnat_sum_namelen', '', CAST(SUM(LEN(n_name)) AS BIGINT)
-        FROM supplier JOIN nation ON s_nationkey = n_nationkey
-        UNION ALL
-        SELECT 'o3_count', '', COUNT(*) FROM
-        (SELECT event_id FROM events ORDER BY ts DESC, event_id DESC
-         LIMIT 100)
-        UNION ALL
-        SELECT 'o3_sum_event_id', '', CAST(SUM(event_id) AS BIGINT) FROM
-        (SELECT event_id FROM events ORDER BY ts DESC, event_id DESC
-         LIMIT 100)
-        UNION ALL
-        SELECT 'bpe_count', '', COUNT(*) FROM documents
-        UNION ALL
-        SELECT 'bpe_sum_n_ws_tokens', '',
-               CAST(SUM(LEN(string_split(text, ' '))) AS BIGINT)
-        FROM documents
-        UNION ALL
-        SELECT 'bpe_sum_n_bpe_tokens', '',
-               CAST(SUM(LEN(regexp_extract_all(text,
-                    '[A-Za-z]+|[0-9]+|[^A-Za-z0-9 \\t\\n\\r]+'))) AS BIGINT)
-        FROM documents
-        UNION ALL
-        SELECT 'strat_n', lang, COUNT(*) FROM (
-          SELECT doc_id, lang, row_number() OVER (PARTITION BY lang
-                 ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) AS rk
-          FROM documents) WHERE rk <= 20 GROUP BY lang
-        UNION ALL
-        SELECT 'strat_sum_h', lang,
-               CAST(SUM(CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)),
-                                             1, 8)) AS UBIGINT)) AS BIGINT)
-        FROM (
-          SELECT doc_id, lang, row_number() OVER (PARTITION BY lang
-                 ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) AS rk
-          FROM documents) WHERE rk <= 20 GROUP BY lang
-        UNION ALL
-        SELECT 'asof_count', '', COUNT(*)
-        FROM events e ASOF JOIN orders o
-          ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate
-        UNION ALL
-        SELECT 'asof_sum_eid', '', CAST(SUM(e.event_id) AS BIGINT)
-        FROM events e ASOF JOIN orders o
-          ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate
-        UNION ALL
-        SELECT 'asof_sum_dint', '',
-               CAST(SUM(CAST(replace(strftime(o.o_orderdate, '%Y-%m-%d'),
-                                     '-', '') AS BIGINT)) AS BIGINT)
-        FROM events e ASOF JOIN orders o
-          ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate
-        UNION ALL
-        SELECT 'median2', event_type,
-               CAST(2 * median(CAST(ROUND(value*100) AS BIGINT)) AS BIGINT)
-        FROM events GROUP BY event_type
-        UNION ALL
-        SELECT 'rjoin_count', '', COUNT(*) FROM customer, supplier
-        WHERE abs(c_acctbal - s_acctbal) <= 1.0
-        UNION ALL
-        SELECT 'rjoin_sum_chk', '',
-               CAST(COALESCE(SUM(c_custkey * 31 + s_suppkey), 0) AS BIGINT)
-        FROM customer, supplier WHERE abs(c_acctbal - s_acctbal) <= 1.0
-        UNION ALL
-        SELECT 'sess_count', '', COUNT(*) FROM events
-        UNION ALL
-        SELECT 'sess_sum_chk', '', CAST(SUM(event_id * 7 + si * 31) AS BIGINT)
-        FROM (
-          SELECT event_id,
-                 SUM(CASE WHEN gap_us IS NULL OR gap_us > 1800000000
-                          THEN 1 ELSE 0 END)
-                   OVER (PARTITION BY user_id ORDER BY ts, event_id
-                         ROWS UNBOUNDED PRECEDING) - 1 AS si
-          FROM (SELECT event_id, user_id, ts,
-                       date_diff('microsecond',
-                         lag(ts) OVER (PARTITION BY user_id
-                                       ORDER BY ts, event_id), ts) AS gap_us
-                FROM events))
-        UNION ALL
-        SELECT 'm1_count', '', COUNT(*)
-        FROM (SELECT unnest(string_split(text, ' ')) FROM documents)
-        UNION ALL
-        SELECT 'm1_sum_chk', '',
-               CAST(SUM(CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)
-                    || '|' || token), 1, 8)) AS UBIGINT)) AS BIGINT)
-        FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS token
-              FROM documents)
-        UNION ALL
-        SELECT 'tpd_count', '', COUNT(*)
-        FROM (SELECT doc_id,
-                     row_number() OVER (PARTITION BY doc_id
-                                        ORDER BY n DESC, token) AS rk
-              FROM (SELECT doc_id, token, COUNT(*) AS n
-                    FROM (SELECT doc_id, unnest(string_split(text, ' '))
-                            AS token FROM documents)
-                    WHERE token <> '' GROUP BY doc_id, token))
-        WHERE rk <= 3
-        UNION ALL
-        SELECT 'tpd_sum_chk', '',
-               CAST(SUM(CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)
-                    || '|' || token || '|' || CAST(rk AS VARCHAR)), 1, 8))
-                    AS UBIGINT)) AS BIGINT)
-        FROM (SELECT doc_id, token,
-                     row_number() OVER (PARTITION BY doc_id
-                                        ORDER BY n DESC, token) AS rk
-              FROM (SELECT doc_id, token, COUNT(*) AS n
-                    FROM (SELECT doc_id, unnest(string_split(text, ' '))
-                            AS token FROM documents)
-                    WHERE token <> '' GROUP BY doc_id, token))
-        WHERE rk <= 3
-        UNION ALL
-        SELECT 'pack_count', '', COUNT(*)
-        FROM (SELECT doc_id, string_split(text, ' ') AS toks
-              FROM documents) t,
-             LATERAL (SELECT unnest(range(0, (len(toks) + 31) // 32)) AS i)
-        UNION ALL
-        SELECT 'pack_sum_chk', '',
-               CAST(SUM(CAST(('0x' || substr(md5(
-                    CAST(doc_id AS VARCHAR) || '|' || CAST(i AS VARCHAR)
-                    || '|' || CAST(least(32, len(toks) - 32*i) AS VARCHAR)
-                    || '|' || toks[32*i + 1]), 1, 8)) AS UBIGINT)) AS BIGINT)
-        FROM (SELECT doc_id, string_split(text, ' ') AS toks
-              FROM documents) t,
-             LATERAL (SELECT unnest(range(0, (len(toks) + 31) // 32)) AS i)
-        UNION ALL
-        SELECT 'shard_n', CAST(shard AS VARCHAR), n_docs FROM (
-          SELECT CAST(CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)),
-                       1, 8)) AS UBIGINT) % 16 AS BIGINT) AS shard,
-                 CAST(COUNT(*) AS BIGINT) AS n_docs
-          FROM documents GROUP BY 1)
-        UNION ALL
-        SELECT 'shard_chars', CAST(shard AS VARCHAR), sum_n_chars FROM (
-          SELECT CAST(CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)),
-                       1, 8)) AS UBIGINT) % 16 AS BIGINT) AS shard,
-                 CAST(SUM(n_chars) AS BIGINT) AS sum_n_chars
-          FROM documents GROUP BY 1)
-        UNION ALL
-        SELECT 'ngram_count', '', COUNT(*) FROM ngp
-        UNION ALL
-        SELECT 'ngram_sum_chk', '',
-               CAST(COALESCE(SUM(doc_a * 31 + doc_b * 7 + jaccard_pct),
-                             0) AS BIGINT)
-        FROM ngp
-        UNION ALL
-        SELECT 'fprint_count', '', COUNT(*) FROM fpr
-        UNION ALL
-        SELECT 'fprint_sum_chk', '',
-               CAST(COALESCE(SUM(fingerprint % 1000003), 0) AS BIGINT)
-        FROM fpr
-        UNION ALL
-        SELECT 'zs_count', '', COUNT(*) FROM zsc
-        UNION ALL
-        SELECT 'zs_sum_doc_id', '',
-               CAST(COALESCE(SUM(doc_id), 0) AS BIGINT) FROM zsc
-        UNION ALL
-        SELECT 'zs_sum_z_milli', '',
-               CAST(COALESCE(SUM(z_milli), 0) AS BIGINT) FROM zsc
-        UNION ALL
-        SELECT 'shc_count', '', COUNT(*) FROM shc_p
-        UNION ALL
-        SELECT 'shc_sum_chk', '',
-               CAST(COALESCE(SUM(doc_a * 31 + doc_b * 7 + n), 0)
-                    AS BIGINT)
-        FROM shc_p
-        UNION ALL
-        SELECT 'hhx_n', '', COUNT(*) FROM hx_hh
-        UNION ALL
-        SELECT 'hhx_sum_chk', '',
-               CAST(COALESCE(SUM(CAST(('0x' || substr(md5(token || '|' ||
-                    CAST(cnt AS VARCHAR)), 1, 8)) AS UBIGINT)), 0)
-                    AS BIGINT)
-        FROM hx_hh
-        UNION ALL
-        SELECT 'hllr_sum_reg', '',
-               CAST(COALESCE(SUM(reg), 0) AS BIGINT) FROM hll_mx
-        UNION ALL
-        SELECT 'hllr_sum_ixr', '',
-               CAST(COALESCE(SUM(idx * reg), 0) AS BIGINT) FROM hll_mx
-        UNION ALL
-        SELECT 'hllr_nonzero', '', COUNT(*) FROM hll_mx
-        UNION ALL
-        SELECT 'pg_count', '', COUNT(*) FROM pg_s
-        UNION ALL
-        SELECT 'pg_sum_chk', '',
-               CAST(SUM(bucket * 1000003 + doc_id * 31 + pack_idx * 7
-                        + n_tokens) AS BIGINT)
-        FROM pg_s
-        UNION ALL
-        SELECT 'pf_count', '', COUNT(*) FROM pf_kept
-        UNION ALL
-        SELECT 'pf_sum_doc_id', '',
-               CAST(COALESCE(SUM(doc_id), 0) AS BIGINT) FROM pf_kept
-        UNION ALL
-        SELECT 'pf_sum_n_chars', '',
-               CAST(COALESCE(SUM(n_chars), 0) AS BIGINT) FROM pf_kept
-        UNION ALL
-        SELECT 'cc_count', '', COUNT(*) FROM cc_lab
-        UNION ALL
-        SELECT 'cc_sum_chk', '',
-               CAST(COALESCE(SUM(doc_id * 31 + cluster_id), 0) AS BIGINT)
-        FROM cc_lab
-        UNION ALL
-        SELECT 'dut_n_users', event_type,
-               CAST(COUNT(DISTINCT user_id) AS BIGINT)
-        FROM events GROUP BY event_type
-        UNION ALL
-        SELECT 'tix_n', '', COUNT(*) FROM tix
-        UNION ALL
-        SELECT 'tix_sum_chk', '',
-               CAST(COALESCE(SUM(CAST(('0x' || substr(md5(token), 1, 8))
-                                      AS UBIGINT)
-                                 + doc_id * 31 + tf * 7), 0) AS BIGINT)
-        FROM tix
-        UNION ALL
-        SELECT 'cdc_count', '', COUNT(*) FROM cdc_pairs
-        UNION ALL
-        SELECT 'cdc_sum_chk', '',
-               CAST(COALESCE(SUM(doc_a * 31 + doc_b * 7 + n), 0) AS BIGINT)
-        FROM cdc_pairs
-        UNION ALL
-        SELECT 'cdiff_' || status, '', COUNT(*) FROM cdiff GROUP BY status
-        UNION ALL
-        SELECT 'cdiff_sum_' || status, '', CAST(SUM(doc_id) AS BIGINT)
-        FROM cdiff GROUP BY status""",
     # exact two-pass heavy hitters: the MG candidate sweep only
     # determines WHICH values get exact-counted; the final filter is
     # the pure frequency rule, so the oracle is a plain GROUP BY HAVING
@@ -9149,13 +8029,6 @@ def _hits_oracle_sql(n_rounds: int = HITS_ROUNDS,
 
 QUERIES["hits_user_event"] = hits_user_event
 ORACLE_SQL["hits_user_event"] = _hits_oracle_sql()
-
-
-# final window reorder: the third-batch names above registered after the
-# mid-file reorder ran, so re-apply it now that every name exists (the
-# driver records CORRECTNESS rows for the FIRST 50 registered queries)
-QUERIES = {**{n: QUERIES[n] for n in _WINDOW_R4},
-           **{n: f for n, f in QUERIES.items() if n not in set(_WINDOW_R4)}}
 
 
 def next_token_top1(sf_dir: str) -> rd.Dataset:
@@ -13970,91 +12843,8 @@ ORACLE_SQL["vocab_growth"] = f"""
     GROUP BY p"""
 
 
-# ---------------------------------------------------------------------------
-# ROUND-5 driver window. The driver records ~50 CORRECTNESS rows per
-# round in registration order (see NOTES.md "Driver-cap diagnosis").
-# Round-5 rotation: keep the flagship extraction family +
-# combined_small_shapes pinned (6 slots), give the other 44 slots to
-# oracle-bearing queries that have NEVER had a driver row in rounds
-# 1-4 (per the union of CORRECTNESS_r0{1..4}.json) — preferring the
-# lakehouse tier, the TPC-H q4-q19 family, the serving/search tier and
-# the stats/graph tier per VERDICT r4 item 1. Every remaining
-# never-checked oracle-bearing name is ordered IMMEDIATELY after
-# position 50 so any extra driver budget lands on them too.
-# scripts/check_queries.py (--json -> CHECK_r05.json) still gates the
-# ENTIRE registry locally every round regardless of this order.
-_WINDOW_R5 = [
-    # flagship extraction family (pinned)
-    "ingest_flat_documents", "parse_detail_rows", "extract_span_checksum",
-    "extract_summary", "extract_then_clean",
-    # the in-window fold of the parked trivial shapes (pinned)
-    "combined_small_shapes",
-    # TPC-H relational family (never driver-checked)
-    "q4_order_priority", "q5_local_supplier_volume", "q6_forecast_revenue",
-    "q7_nation_trade", "q10_returned_items", "q13_order_distribution",
-    "q14_promo_revenue", "q18_large_orders", "q19_bracket_revenue",
-    # lakehouse tier
-    "time_travel", "scd2_intervals", "incremental_agg", "hive_roundtrip",
-    "range_partitioned_export", "pruned_range_read", "tokenized_export",
-    "pushdown_filter_agg", "zorder_stats", "fk_integrity", "k_anonymity",
-    # serving / search tier
-    "boolean_search", "ranking_eval", "proximity_rerank", "sparse_dot_topk",
-    "sim_topk_filtered", "bm25_prf_search", "ivfpq_search", "ivf_cell_stats",
-    "phrase_search", "ann_pq_search",
-    # graph / dedup analytics
-    "kcore_dups", "weighted_pagerank_dups", "dup_cluster_stats",
-    "ra_linkpred", "dedup_simhash_radius", "dedup_priority",
-    # stats / streaming analytics
-    "user_rfm", "events_ks_drift", "events_cusum", "embedding_top_pc",
-    "next_token_top1", "user_entropy",
-    # composed end-to-end chains
-    "embedding_prep", "eval_prep",
-]
-assert len(_WINDOW_R5) == 50 and len(set(_WINDOW_R5)) == 50
-assert all(n in QUERIES and (n in ORACLE_SQL or n in TIER_ORACLE_BUILDERS
-                             or n in ("combined_small_shapes",))
-           for n in _WINDOW_R5)
-
-# never-driver-checked (r1-r4) oracle-bearing names NOT in the window:
-# they follow immediately so extra driver budget extends coverage.
-_R5_OVERFLOW = [
-    "mmr_diversify", "session_paths", "embedding_pq", "kmeans_embeddings",
-    "kmeans_cluster_stats", "kmeans_assign_new", "tokenizer_fertility",
-    "langid_confusion", "lang_source_chi2", "monthly_revenue_growth",
-    "session_type_pairs", "vocab_growth", "canonical_docs", "events_cube",
-    "type_corr_matrix", "ewma_activity", "interval_coverage",
-    "last_touch_attribution", "score_bias_audit", "multi_pattern_counts",
-    "daily_interpolate", "funnel_strict", "daily_new_users",
-    "longest_token_run", "dataset_card", "linkpred_dups",
-    "blocklist_filter", "ngram_novelty", "dedup_edit2", "dedup_edit1",
-    "winsorize_values", "self_join_size_by_user", "doc_skyline",
-    "grouped_mad", "retention_cohorts", "events_interval_join_count",
-    "events_unpivot", "events_profile", "lexical_stats_by_source",
-    "source_overlap_jaccard", "length_gini_by_lang", "event_transitions",
-    "token_pmi", "csv_roundtrip", "dup_source_matrix", "dedup_substring",
-    "weighted_sample", "length_ntile", "source_cap", "epoch_oversample",
-    "hash_embed_stats", "media_usage", "contrastive_pairs",
-    "mm_span_transitions", "events_window_dedup", "export_jsonl",
-    "length_percentile_filter", "chunk_documents", "prep_funnel",
-    "pack_sequences", "mad_outliers", "events_moving_avg",
-    "token_cooccurrence", "jsonl_roundtrip", "topk_with_ties",
-    "session_stats", "events_hopping", "dup_degree_hist",
-    "funnel_conversions", "events_pivot", "top_event_type_per_user",
-    "token_drift", "mm_featurize_checksum", "mm_frame_sample_checksum",
-    "mm_resize_checksum",
-]
-assert not (set(_R5_OVERFLOW) & set(_WINDOW_R5))
-assert all(n in QUERIES for n in _R5_OVERFLOW)
-
-_r5_head = _WINDOW_R5 + _R5_OVERFLOW
-QUERIES = {**{n: QUERIES[n] for n in _r5_head},
-           **{n: f for n, f in QUERIES.items() if n not in set(_r5_head)}}
-
-
 # ===================================================================
-# round-5 additions (registered PAST the fixed _WINDOW_R5 on purpose —
-# CHECK_r05.json + scripts/check_queries.py value-gate them locally;
-# the r6 window would rotate them in)
+# TPC-H q3/q8/q12/q15/q17/q21/q22, caption alignment, label centroids
 # ===================================================================
 
 Q3_DATE = pd.Timestamp("1997-06-15")

@@ -33,9 +33,10 @@ TARGET_BUCKET_BYTES = 256 << 20
 #: HTTPFileSystem` on every read_parquet and only catches
 #: ModuleNotFoundError — with aiohttp absent the import always fails,
 #: and two threads importing the same failing module race Python's
-#: partial-module state into a bare ImportError (observed in the
-#: threaded combined_small_shapes). Shared here so every module that
-#: constructs Datasets from driver threads takes the same lock.
+#: partial-module state into a bare ImportError. Callers of the
+#: registry (`__ray_entry__.queries()`) may run queries from several
+#: driver threads, so every module that constructs Datasets takes this
+#: one lock.
 import threading as _threading
 
 DATASET_CONSTRUCTION_LOCK = _threading.Lock()

@@ -1,5 +1,4 @@
 from .explode import make_explode  # noqa: F401
 from .prepare import make_prepare  # noqa: F401
 from .extract import ExtractModel  # noqa: F401
-from .reassemble import (reassemble_partition, make_partition_writer,  # noqa: F401
-                         make_stage_writer, make_part_reducer)  # noqa: F401
+from .reassemble import reassemble_partition, make_part_reducer  # noqa: F401

@@ -217,22 +217,6 @@ def _marker_table(markers: list) -> pa.Table:
     })
 
 
-def make_partition_writer(out_dir: str, attempt: int = 0) -> Callable[[pa.Table], pa.Table]:
-    """groupby-shuffle sink variant: reassemble one partition group and
-    commit it. Returns a one-row marker table per partition."""
-
-    def write_partition(t: pa.Table) -> pa.Table:
-        t0 = time.perf_counter()
-        result = reassemble_partition(t)
-        if result.num_rows == 0:
-            return pa.table(_EMPTY_MARKERS)
-        part = int(result.column("part")[0].as_py())
-        return _marker_table([_commit_partition(result, part, t.num_rows,
-                                                out_dir, attempt, t0)])
-
-    return write_partition
-
-
 # ------------------------------------------- external (staged) shuffle
 #
 # Ray Data's sort-based groupby is an all-to-all barrier with a high
@@ -244,19 +228,6 @@ def make_partition_writer(out_dir: str, attempt: int = 0) -> Callable[[pa.Table]
 # parallel reduce task per partition reads its fragments, reassembles,
 # and commits. No barrier beyond the phase boundary (which the marker
 # protocol needs anyway), and both phases stream/scale.
-
-
-def make_stage_writer(stage_dir: str, stage_fs=None) -> Callable[[pa.Table], pa.Table]:
-    """Standalone map-side shuffle writer (one stage file per block, one
-    row group per partition — see stages/staging.py). Normally staging is
-    fused into the extract actors (ExtractModel(stage_dir=...)); this fn
-    stages an arbitrary part-keyed dataset."""
-    from .staging import stage_write_table
-
-    def stage_write(t: pa.Table) -> pa.Table:
-        return stage_write_table(t, stage_dir, fs=stage_fs)
-
-    return stage_write
 
 
 def make_part_reducer(stage_dir: str, out_dir: str, attempt: int = 0,
