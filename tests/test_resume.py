@@ -23,6 +23,14 @@ def _result_key(ds):
                            for s in r["spans"]], r["status"]) for r in rows]
 
 
+def _lineage_line_counts(out_dir):
+    counts = []
+    for path in sorted(glob.glob(os.path.join(out_dir, "lineage", "*.jsonl"))):
+        with open(path) as fh:
+            counts.append(len(fh.readlines()))
+    return counts
+
+
 def test_resume_skips_completed_partitions(tmp_path):
     corpus = fixtures.ensure_corpus("smoke")
     full_dir = str(tmp_path / "full")
@@ -261,6 +269,93 @@ def test_markers_match_partition_files(tmp_path):
         with open(m) as fh:
             marker_docs += json.load(fh)["rows"]
     assert marker_docs == total_docs
+
+
+def test_part_reducer_retry_commits_each_partition_once(tmp_path):
+    """A reduce task retried after committing some of its partitions
+    must not commit them again: calling the reducer twice on the same
+    batch in-process leaves one lineage line per partition and returns
+    equal marker tables."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from westa_ocr_ray.stages import (
+        ExtractModel, make_explode, make_part_reducer, make_prepare)
+
+    docs = pq.read_table(os.path.join(fixtures.ensure_corpus("smoke"),
+                                      "documents_0000.parquet"))
+    stage = str(tmp_path / "stage")
+    units = make_prepare(CFG.seed)(make_explode(CFG.num_parts)(docs))
+    ExtractModel(masters=fixtures.master_keys(CFG.seed, CFG.pattern),
+                 stage_dir=stage)(units)
+
+    out = str(tmp_path / "out")
+    reduce_parts = make_part_reducer(stage, out)
+    batch = pa.table({"part": pa.array(range(CFG.num_parts), type=pa.int32())})
+    first = reduce_parts(batch)
+    again = reduce_parts(batch)
+    assert first.num_rows == CFG.num_parts
+    assert again.equals(first)
+    assert _lineage_line_counts(out) == [1] * CFG.num_parts
+
+
+def test_reduce_concurrency_does_not_change_output(tmp_path):
+    """Phase 2 splits the partitions into one contiguous run per
+    reduce task; the number of tasks must not change what is
+    committed."""
+    import ray
+
+    corpus = fixtures.ensure_corpus("smoke")
+    cpus = int(ray.cluster_resources()["CPU"])
+    keys = []
+    for rc in (1, 3, 8):
+        out = str(tmp_path / f"rc{rc}")
+        cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
+                            extract_concurrency=(1, 3),
+                            reduce_concurrency=rc)
+        m = run_extract(corpus, out, cfg)
+        assert m["parts_written"] == 8
+        with open(os.path.join(out, "metrics", "run-attempt0.json")) as fh:
+            recorded = json.load(fh)
+        assert recorded["reduce_tasks"] == m["reduce_tasks"] == min(8, rc, cpus)
+        assert done_parts(out) == set(range(8))
+        assert _lineage_line_counts(out) == [1] * 8
+        keys.append(_result_key(read_extracted(out)))
+    assert keys[0] == keys[1] == keys[2]
+
+
+def test_phase1_actor_pool_released_before_phase2(tmp_path, monkeypatch):
+    """Phase 2 starts with every CPU free: the extract actor pool's
+    handles sit in reference cycles, and a pool left for a later
+    garbage collection would hold the CPUs phase 2's few reducer tasks
+    need. Automatic collection is off here, so only run_extract's own
+    release at the phase boundary can free them."""
+    import gc
+    import time
+
+    import ray
+
+    from westa_ocr_ray.pipelines import extract
+
+    free_at_phase2 = []
+    task_count = extract._reduce_task_count
+
+    def spy(n_parts, reduce_concurrency):
+        total = ray.cluster_resources()["CPU"]
+        deadline = time.monotonic() + 5
+        while (ray.available_resources().get("CPU", 0) < total
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        free_at_phase2.append(ray.available_resources().get("CPU", 0) == total)
+        return task_count(n_parts, reduce_concurrency)
+
+    monkeypatch.setattr(extract, "_reduce_task_count", spy)
+    gc.disable()
+    try:
+        run_extract(fixtures.ensure_corpus("smoke"), str(tmp_path / "out"), CFG)
+    finally:
+        gc.enable()
+    assert free_at_phase2 == [True]
 
 
 def test_graceful_drain_stop_file_mid_phase2(tmp_path):

@@ -30,12 +30,15 @@ class ExtractConfig:
     extract_concurrency: Tuple[int, int] = (2, 12)  # actor-pool bounds
     extract_num_cpus: float = 1.0
     # staged-shuffle knobs: input block count controls stage-file count
-    # (one stage file per block); the reduce is storage-bandwidth-bound
-    # locally, so its task concurrency is capped independently of CPUs
-    # (Ray still schedules <= available CPUs below the cap). 16 beat 8
-    # at the 6M-doc rehearsal (phase2 15.2s -> 9.7s, BASELINE.md §10x);
-    # 256 parts with 16 reducers regressed (32.3s — per-task stage-file
-    # open cost dominates), so num_parts stays 64.
+    # (one stage file per block). reduce_concurrency caps the concurrent
+    # reducers: phase 2 runs as ONE wave of min(parts left,
+    # reduce_concurrency, cluster CPUs) tasks, each reducing a
+    # contiguous run of partitions, so every stage file is opened once
+    # per reducer rather than once per partition. 16 beat 8 at the
+    # 6M-doc rehearsal (phase2 15.2s -> 9.7s, BASELINE.md §10x, measured
+    # with one task per partition); 256 parts with 16 reducers regressed
+    # there (32.3s — per-task stage-file open cost dominated), so
+    # num_parts stays 64.
     read_num_blocks: Optional[int] = None
     reduce_concurrency: int = 16
     # stage files are transient (wiped on resume): put them on fast local

@@ -16,6 +16,7 @@ Everything streams with backpressure; nothing materializes the corpus.
 
 from __future__ import annotations
 
+import gc
 import glob
 import hashlib
 import json
@@ -24,6 +25,7 @@ import shutil
 import time
 from typing import Optional, Set
 
+import ray
 import ray.data as rd
 
 from .. import fixtures
@@ -141,6 +143,16 @@ def _fire_commit_hooks(out_dir: str, hook) -> int:
     return fired
 
 
+def _reduce_task_count(n_parts: int, reduce_concurrency: int) -> int:
+    """Phase-2 task count: one task per reducer slot, so the wave
+    opens every stage file once per slot rather than once per
+    partition. Capped by the partitions left, ``reduce_concurrency``
+    and the cluster's CPUs (``reduce_concurrency`` alone when Ray
+    reports no CPU count)."""
+    cpus = int(ray.cluster_resources().get("CPU", reduce_concurrency))
+    return max(1, min(n_parts, reduce_concurrency, cpus))
+
+
 def run_extract(input_path: str, out_dir: str,
                 cfg: ExtractConfig = ExtractConfig(),
                 on_partition_commit=None) -> dict:
@@ -227,6 +239,7 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
         for stale in glob.glob(os.path.join(out_dir, sub, "*.tmp.*")):
             os.remove(stale)
     summary_rows = []
+    reduce_tasks = 0
     phase1_sec = phase2_sec = 0.0
     n_remaining = cfg.num_parts - len(skip)
     if n_remaining and not stop_requested():
@@ -237,26 +250,34 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
                                          stage_dir=stage_dir,
                                          stage_fs=stage_fs)
         manifest = manifest.materialize()  # manifest is tiny (part, rows)
+        # The phase-1 actor pool keeps its CPUs until its handles, held
+        # in reference cycles, are garbage-collected. Collect now: phase
+        # 2's few reducer tasks otherwise wait on those CPUs until the
+        # raylet's own GC request, which takes seconds to fire.
+        gc.collect()
         phase1_sec = time.perf_counter() - t0
         os.makedirs(os.path.join(out_dir, "metrics"), exist_ok=True)
         with open(os.path.join(out_dir, "metrics",
                                f"stats-attempt{attempt}.txt"), "w") as fh:
             fh.write(manifest.stats())  # per-stage wall/cpu/memory breakdown
-        # phase 2: one reduce per partition, embarrassingly parallel.
+        # phase 2: one wave of reduce tasks, one per reducer slot, each
+        # reducing a contiguous run of partitions (one block per task).
         # A stop request landing between the phases drains here — the
         # stage files are transient either way, so nothing is lost that
         # a marker resume would not recompute.
         remaining = sorted(set(range(cfg.num_parts)) - skip)
         if not stop_requested():
+            reduce_tasks = _reduce_task_count(len(remaining),
+                                              cfg.reduce_concurrency)
             parts_ds = rd.from_items([{"part": p} for p in remaining],
-                                     parallelism=len(remaining))
+                                     override_num_blocks=reduce_tasks)
             markers = parts_ds.map_batches(
                 make_part_reducer(stage_dir, out_dir, attempt=attempt,
                                   keep_units=cfg.keep_units,
                                   stop_file=cfg.stop_file,
                                   stage_fs=stage_fs),
-                batch_format="pyarrow", batch_size=1,
-                concurrency=cfg.reduce_concurrency)
+                batch_format="pyarrow", batch_size=None,
+                concurrency=reduce_tasks)
             summary_rows = markers.take_all()  # tiny: one row per partition
         phase2_sec = time.perf_counter() - t0 - phase1_sec
         wipe_stage_dir(stage_dir, fs=stage_fs)
@@ -278,6 +299,7 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
         "phase1_sec": round(phase1_sec, 3),
         "phase2_sec": round(phase2_sec, 3),
         "num_parts": cfg.num_parts,
+        "reduce_tasks": reduce_tasks,
     }
     os.makedirs(os.path.join(out_dir, "metrics"), exist_ok=True)
     with open(os.path.join(out_dir, "metrics", f"run-attempt{attempt}.json"), "w") as fh:

@@ -224,20 +224,33 @@ def _marker_table(markers: list) -> pa.Table:
 # this corpus — see BASELINE.md). Since the partition id is already a
 # column (`part`), the exchange can be a classic external shuffle
 # instead: map tasks append per-partition parquet fragments
-# (out/_stage/part-XXXXX/<uuid>.parquet), then one embarrassingly
-# parallel reduce task per partition reads its fragments, reassembles,
-# and commits. No barrier beyond the phase boundary (which the marker
-# protocol needs anyway), and both phases stream/scale.
+# (out/_stage/part-XXXXX/<uuid>.parquet), then one wave of
+# embarrassingly parallel reduce tasks — one per reducer slot, each
+# owning a contiguous run of partitions — reads each partition's
+# fragments, reassembles, and commits it. No barrier beyond the phase
+# boundary (which the marker protocol needs anyway), and both phases
+# stream/scale.
 
 
 def make_part_reducer(stage_dir: str, out_dir: str, attempt: int = 0,
                       keep_units: bool = False,
                       stop_file: str = None,
                       stage_fs=None) -> Callable[[pa.Table], pa.Table]:
-    """Reduce one partition: read its row groups from every stage file
-    (statistics-pruned — only matching row groups are fetched),
-    reassemble, commit. On a multi-node cluster stage files would be
-    bucketed per node-group; the read pattern is unchanged.
+    """Reduce a run of partitions (one batch = one task's block): list
+    the stage files and open them as one dataset ONCE per task, then
+    for each partition read its row groups (statistics-pruned — only
+    matching row groups are fetched), reassemble, commit. Reads and
+    commits stay per partition, so memory per read and the drain and
+    marker granularity do not grow with the run length. On a
+    multi-node cluster stage files would be bucketed per node-group;
+    the read pattern is unchanged.
+
+    Retry-idempotent: a partition whose ``_markers/part-XXXXX.done``
+    already exists returns the stored marker without re-reading or
+    re-committing. Within one run, such a marker can only come from an
+    earlier try of the same task (the run's partitions exclude those
+    committed before it started), so a retried task never appends a
+    second lineage line for what its failed try committed.
 
     ``keep_units`` also persists the per-unit rows (the reference's
     PAGE_RESULT event granularity, app/worker.py:633-687: one row per
@@ -260,14 +273,20 @@ def make_part_reducer(stage_dir: str, out_dir: str, attempt: int = 0,
 
         markers = []
         files = list_stage_files(stage_dir, fs=stage_fs)
+        dset = (pads.dataset(files, format="parquet", filesystem=stage_fs)
+                if files else None)
         for part in batch.column("part").to_pylist():
+            done = os.path.join(out_dir, "_markers", f"part-{part:05d}.done")
+            if os.path.exists(done):
+                # committed by an earlier try of this task
+                with open(done) as fh:
+                    markers.append(json.load(fh))
+                continue
             if stop_file is not None and os.path.exists(stop_file):
                 break  # drain: leave this and later parts uncommitted
             t0 = time.perf_counter()
             t = None
-            if files:
-                dset = pads.dataset(files, format="parquet",
-                                    filesystem=stage_fs)
+            if dset is not None:
                 # use_threads=False: each reducer is one Ray task on one
                 # CPU — per-task arrow threadpools would nest-thrash
                 t = dset.to_table(filter=pads.field("part") == part,
