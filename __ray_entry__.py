@@ -56,7 +56,7 @@ def entry() -> Any:
         return pa.table({"doc_id": ids, "spans": spans})
 
     docs = corpus.union(flat.map_batches(to_interleaved, batch_format="pyarrow"))
-    cfg = ExtractConfig(num_parts=8, extract_concurrency=(1, 4))
+    cfg = ExtractConfig(num_parts=8, extract_concurrency=4)
     return extract_dataset(docs, cfg)
 
 

@@ -112,11 +112,14 @@ def run_bench() -> dict:
     _warm_workers(NUM_CPUS)
 
     frac = float(os.environ.get("GRAFT_ACTOR_FRACTION", "0.875"))
-    nact = max(2, int(NUM_CPUS * frac))  # reserve ~1/8 cores for read/IO tasks
+    # cap concurrent extract tasks at frac of the CPUs. The read runs
+    # inside each extract task, so the cap reserves no cores for it; it
+    # keeps the scaling pair's task fraction matched at both levels.
+    nact = max(2, int(NUM_CPUS * frac))
     # measured block-count optimum (same-window A/Bs, BASELINE.md):
     # 8 blocks/cpu below 16 cpus, ~256 at 16-32 cpus (512 regresses)
     rb = 8 * NUM_CPUS if NUM_CPUS < 16 else max(256, 4 * NUM_CPUS)
-    cfg = ExtractConfig(extract_concurrency=(nact, nact),
+    cfg = ExtractConfig(extract_concurrency=nact,
                         read_num_blocks=rb)
     # best-of-N: the host shows ±40% hypervisor-steal windows
     # (BASELINE.md); one run can land anywhere in that band
@@ -289,11 +292,14 @@ def run_extract_only() -> dict:
     out_dir = f"/tmp/westa_bench_out/{tier}_cpus{NUM_CPUS}"
     shutil.rmtree(out_dir, ignore_errors=True)
     frac = float(os.environ.get("GRAFT_ACTOR_FRACTION", "0.875"))
-    nact = max(2, int(NUM_CPUS * frac))  # reserve ~1/8 cores for read/IO tasks
+    # cap concurrent extract tasks at frac of the CPUs. The read runs
+    # inside each extract task, so the cap reserves no cores for it; it
+    # keeps the scaling pair's task fraction matched at both levels.
+    nact = max(2, int(NUM_CPUS * frac))
     # measured block-count optimum (same-window A/Bs, BASELINE.md):
     # 8 blocks/cpu below 16 cpus, ~256 at 16-32 cpus (512 regresses)
     rb = 8 * NUM_CPUS if NUM_CPUS < 16 else max(256, 4 * NUM_CPUS)
-    cfg = ExtractConfig(extract_concurrency=(nact, nact),
+    cfg = ExtractConfig(extract_concurrency=nact,
                         read_num_blocks=rb)
     t0 = time.perf_counter()
     metrics = run_extract(corpus, out_dir, cfg)

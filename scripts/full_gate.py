@@ -62,7 +62,7 @@ def main() -> int:
     shutil.rmtree(out, ignore_errors=True)
     t0 = time.perf_counter()
     nact = max(2, ncpu - max(1, ncpu // 8))
-    run_extract(corpus, out, ExtractConfig(extract_concurrency=(nact, nact),
+    run_extract(corpus, out, ExtractConfig(extract_concurrency=nact,
                                            read_num_blocks=8 * ncpu))
     extract_sec = time.perf_counter() - t0
 

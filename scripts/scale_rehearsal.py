@@ -84,15 +84,15 @@ def main() -> None:
 
     configs = {
         # the bench-tier defaults, unchanged — the question under test
-        "default": ExtractConfig(extract_concurrency=(nact, nact),
+        "default": ExtractConfig(extract_concurrency=nact,
                                  read_num_blocks=rb),
         # alternatives to compare at 10x (opt-in via
         # GRAFT_REHEARSAL_CONFIGS)
-        "parts256": ExtractConfig(extract_concurrency=(nact, nact),
+        "parts256": ExtractConfig(extract_concurrency=nact,
                                   read_num_blocks=rb, num_parts=256),
-        "reduce8": ExtractConfig(extract_concurrency=(nact, nact),
+        "reduce8": ExtractConfig(extract_concurrency=nact,
                                  read_num_blocks=rb, reduce_concurrency=8),
-        "blocks512": ExtractConfig(extract_concurrency=(nact, nact),
+        "blocks512": ExtractConfig(extract_concurrency=nact,
                                    read_num_blocks=512),
     }
     wanted = os.environ.get("GRAFT_REHEARSAL_CONFIGS", "default").split(",")

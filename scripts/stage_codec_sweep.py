@@ -36,7 +36,7 @@ def main() -> int:
     pads.dataset(corpus).to_table()
 
     nact = max(2, ncpu - max(1, ncpu // 8))
-    cfg = ExtractConfig(extract_concurrency=(nact, nact),
+    cfg = ExtractConfig(extract_concurrency=nact,
                         read_num_blocks=8 * ncpu)
     out = {}
     for codec in ("snappy", "none", "zstd"):

@@ -77,8 +77,9 @@ def test_errored_block_budget_drops_only_poisoned_block():
 
 
 def test_extract_actor_crash_end_to_end(tmp_path):
-    """The flagship pipeline itself survives an extract-actor death
-    mid-run: output matches the single-process oracle doc-for-doc."""
+    """The flagship pipeline itself survives an extract worker's death
+    mid-run: the killed task is retried as a task on another worker,
+    and the output matches the single-process oracle doc-for-doc."""
     from westa_ocr_ray import fixtures, oracle
     from westa_ocr_ray.config import ExtractConfig
     from westa_ocr_ray.pipelines.extract import read_extracted, run_extract
@@ -90,7 +91,7 @@ def test_extract_actor_crash_end_to_end(tmp_path):
     out_dir = str(tmp_path / "out")
 
     run_extract(corpus, out_dir,
-                ExtractConfig(num_parts=4, extract_concurrency=(2, 2),
+                ExtractConfig(num_parts=4, extract_concurrency=2,
                               chaos_crash_marker=marker))
 
     assert os.path.exists(marker)
@@ -112,7 +113,7 @@ def test_quality_classifier_actor_death_oracle_identical(tmp_path):
     """An actor death upstream of the model-scoring stage: the killed
     batch is retried and flows through the live classifier pool, and
     the scores match a clean run exactly — the scoring stage inherits
-    the same exactly-once guarantee the extract actors are chaos-tested
+    the same exactly-once guarantee the extract stage is chaos-tested
     for. The flaky shim takes num_cpus=0 so its pool fits NEXT TO the
     4-actor classifier pool in the 4-CPU test session (two pipelined
     actor pools that both demand whole CPUs would deadlock here — the

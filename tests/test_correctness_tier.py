@@ -17,7 +17,7 @@ def spans_key(spans):
 
 def test_correctness_tier_full_gate(tmp_path):
     corpus = fixtures.ensure_corpus("correctness")
-    cfg = ExtractConfig(num_parts=16, extract_concurrency=(2, 4))
+    cfg = ExtractConfig(num_parts=16, extract_concurrency=4)
     out = str(tmp_path / "out")
     metrics = run_extract(corpus, out, cfg)
     got = sorted(read_extracted(out).take_all(), key=lambda r: r["doc_id"])

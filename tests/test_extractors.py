@@ -89,7 +89,7 @@ def test_file_scheme_through_pipeline(tmp_path):
     doc = {"doc_id": "filedoc_0", "spans": [
         {"kind": "pdf", "text": "", "media_ref": f"file://{p}", "offset": 0}]}
     table = pa.Table.from_pylist([doc], schema=DOCUMENTS_SCHEMA)
-    cfg = ExtractConfig(num_parts=2, extract_concurrency=(1, 1))
+    cfg = ExtractConfig(num_parts=2, extract_concurrency=1)
     got = extract_dataset(rd.from_arrow(table), cfg).take_all()[0]
     exp = oracle.extract_doc(doc)
     assert [(s["kind"], s["text"], s["order"]) for s in got["spans"]] == \

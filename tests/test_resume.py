@@ -14,7 +14,7 @@ from westa_ocr_ray.config import ExtractConfig
 from westa_ocr_ray.pipelines.extract import (
     done_parts, read_extracted, run_extract)
 
-CFG = ExtractConfig(num_parts=8, repartition_blocks=8, extract_concurrency=(1, 3))
+CFG = ExtractConfig(num_parts=8, repartition_blocks=8, extract_concurrency=3)
 
 
 def _result_key(ds):
@@ -135,19 +135,27 @@ def test_real_sigkill_resume(tmp_path):
         " logging_level='ERROR')\n"
         "from westa_ocr_ray.config import ExtractConfig\n"
         "from westa_ocr_ray.pipelines.extract import run_extract\n"
-        f"cfg = ExtractConfig(num_parts=16, extract_concurrency=(2, 2),"
+        f"cfg = ExtractConfig(num_parts=16, extract_concurrency=2,"
         f" stage_root=None)\n"
         f"run_extract({corpus!r}, {out!r}, cfg)\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", script],
                             cwd="/root/repo", start_new_session=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _time.sleep(12)  # mid-flight: ray up, phase 1 running (2-actor pool is slow)
-    os.killpg(proc.pid, signal.SIGKILL)
+    # mid-flight: phase 1 has written its first stage file. A fixed
+    # sleep would race the run, which can finish in ~12 s.
+    deadline = _time.monotonic() + 120
+    while (not glob.glob(os.path.join(out, "_stage", "*.parquet"))
+           and proc.poll() is None and _time.monotonic() < deadline):
+        _time.sleep(0.05)
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the run exited before writing a stage file
+        pass
     proc.wait()
 
     done_before = len(done_parts(out))
-    cfg = ExtractConfig(num_parts=16, extract_concurrency=(1, 3), stage_root=None)
+    cfg = ExtractConfig(num_parts=16, extract_concurrency=3, stage_root=None)
     m = run_extract(corpus, out, cfg)
     assert m["parts_skipped"] == done_before
     assert len(done_parts(out)) == 16
@@ -204,7 +212,7 @@ def test_keep_units_writes_page_granularity(tmp_path):
 
     corpus = fixtures.ensure_corpus("smoke")
     out = str(tmp_path / "out")
-    cfg = ExtractConfig(num_parts=8, extract_concurrency=(1, 3), keep_units=True)
+    cfg = ExtractConfig(num_parts=8, extract_concurrency=3, keep_units=True)
     m = run_extract(corpus, out, cfg)
     units = pads.dataset(os.path.join(out, "units")).to_table()
     assert {"doc_id", "span_idx", "page_idx", "kind", "text",
@@ -233,7 +241,7 @@ def test_resume_ignores_stale_stage_files(tmp_path):
     with open(os.path.join(crashed, "_stage", "dead.parquet"), "wb") as fh:
         fh.write(b"PAR1 garbage not a real file")
     cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                        extract_concurrency=(1, 3), stage_root=None)
+                        extract_concurrency=3, stage_root=None)
     m = run_extract(corpus, crashed, cfg)
     assert m["parts_written"] == 8
     assert _result_key(read_extracted(crashed)) == full
@@ -311,7 +319,7 @@ def test_reduce_concurrency_does_not_change_output(tmp_path):
     for rc in (1, 3, 8):
         out = str(tmp_path / f"rc{rc}")
         cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                            extract_concurrency=(1, 3),
+                            extract_concurrency=3,
                             reduce_concurrency=rc)
         m = run_extract(corpus, out, cfg)
         assert m["parts_written"] == 8
@@ -325,11 +333,12 @@ def test_reduce_concurrency_does_not_change_output(tmp_path):
 
 
 def test_phase1_actor_pool_released_before_phase2(tmp_path, monkeypatch):
-    """Phase 2 starts with every CPU free: the extract actor pool's
-    handles sit in reference cycles, and a pool left for a later
-    garbage collection would hold the CPUs phase 2's few reducer tasks
-    need. Automatic collection is off here, so only run_extract's own
-    release at the phase boundary can free them."""
+    """Phase 2 starts with every CPU free. Phase 1 runs as tasks, which
+    return their CPUs when they finish; an extract actor pool would hold
+    them until its handles, which sit in reference cycles, were
+    garbage-collected, starving phase 2's few reducer tasks. Automatic
+    collection is off here, so nothing but the phase-1 design can free
+    them."""
     import gc
     import time
 
@@ -358,6 +367,20 @@ def test_phase1_actor_pool_released_before_phase2(tmp_path, monkeypatch):
     assert free_at_phase2 == [True]
 
 
+def test_extract_runs_without_actor_pool(tmp_path):
+    """The fused extract stage runs as tasks on the warm task-worker
+    pool: a run creates no ``MapWorker(...ExtractModel)`` actor, whose
+    fresh worker process would cost about 2 s of fixed start-up."""
+    from ray._private import state
+
+    before = set(state.actors())
+    m = run_extract(fixtures.ensure_corpus("smoke"), str(tmp_path / "out"), CFG)
+    assert m["parts_written"] == CFG.num_parts
+    new = [a["ActorClassName"] for aid, a in state.actors().items()
+           if aid not in before]
+    assert not [c for c in new if "ExtractModel" in c], new
+
+
 def test_graceful_drain_stop_file_mid_phase2(tmp_path):
     """Cooperative cancellation (VERDICT r4 item 2): the stop file
     appears mid-phase-2; the run commits the partitions it finished,
@@ -375,7 +398,7 @@ def test_graceful_drain_stop_file_mid_phase2(tmp_path):
     stop = str(tmp_path / "STOP")
     # serialize phase 2 so the marker watcher can interleave a stop
     cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                        extract_concurrency=(1, 3), reduce_concurrency=1,
+                        extract_concurrency=3, reduce_concurrency=1,
                         stop_file=stop)
 
     def watch():
@@ -424,7 +447,7 @@ def test_graceful_drain_sigterm(tmp_path):
     out = str(tmp_path / "term")
     stop = str(tmp_path / "STOP_TERM")
     cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                        extract_concurrency=(1, 3), reduce_concurrency=1,
+                        extract_concurrency=3, reduce_concurrency=1,
                         stop_file=stop)
 
     def watch():
@@ -460,7 +483,7 @@ def test_stop_file_at_entry_noop(tmp_path):
     with open(stop, "w") as fh:
         fh.write("stop")
     cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                        extract_concurrency=(1, 3), stop_file=stop)
+                        extract_concurrency=3, stop_file=stop)
     m = run_extract(corpus, out, cfg)
     assert m["stopped"] is True and m["parts_written"] == 0
     assert m["parts_drained"] == 8
@@ -480,7 +503,7 @@ def test_run_extract_stage_root_file_uri(tmp_path):
     corpus = fixtures.ensure_corpus("smoke")
     base = str(tmp_path / "shared_stage")
     cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                        extract_concurrency=(1, 3),
+                        extract_concurrency=3,
                         stage_root=f"file://{base}")
     out = str(tmp_path / "uri_out")
     m = run_extract(corpus, out, cfg)
@@ -514,7 +537,7 @@ def test_run_extract_stage_on_rooted_filesystem(tmp_path):
                      uri.split("://", 1)[1]))
     try:
         cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                            extract_concurrency=(1, 3),
+                            extract_concurrency=3,
                             stage_root="sharedtest://stage")
         out = str(tmp_path / "subtree_out")
         m = run_extract(corpus, out, cfg)

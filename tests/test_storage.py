@@ -69,7 +69,7 @@ def test_read_text_lines_as_documents(tmp_path):
     assert len(rows) == 3
     assert all(r["doc_id"].startswith("line_") for r in rows)
     # identical lines get identical ids → first-wins dedup collapses them
-    cfg = ExtractConfig(num_parts=2, extract_concurrency=(1, 1))
+    cfg = ExtractConfig(num_parts=2, extract_concurrency=1)
     res = sorted(extract_dataset(docs, cfg).take_all(), key=lambda r: r["doc_id"])
     assert len(res) == 2  # duplicate line deduped
     texts = sorted(s["text"] for r in res for s in r["spans"])

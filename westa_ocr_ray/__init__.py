@@ -11,7 +11,8 @@ and per-document span sequences are reassembled in deterministic order
 summary counters (reference app/worker.py:425-505).
 
 Everything is expressed Ray-Data-first: `ray.data.Dataset` pipelines of
-`map_batches` over Arrow batches, actor pools for stateful stages, and a
+`map_batches` over Arrow batches, actor pools for stages with costly
+per-worker state, and a
 single `groupby` shuffle for reassembly. See SURVEY.md for the full
 operator mapping.
 """

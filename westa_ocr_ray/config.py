@@ -1,12 +1,12 @@
 """Per-run configuration — the engine analog of the reference's per-job
 knobs (app/models.py:34-52) and env surface (app/settings.py:131-170),
-collapsed to an immutable dataclass (no hot reload; Ray actor pools are
-per-run, SURVEY.md §2.3 A3)."""
+collapsed to an immutable dataclass (no hot reload; a run's tasks read
+the config it started with, SURVEY.md §2.3 A3)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .fixtures import DEFAULT_SEED
 
@@ -19,7 +19,7 @@ class ExtractConfig:
     # skew handling (SURVEY.md §4.2), two levels:
     # - local_interleave (default): deterministic pseudo-random reorder of
     #   span-ref rows WITHIN each explode batch — free, streaming, spreads
-    #   heavy media spans across the actor pool's batch_size slices.
+    #   heavy media spans across the extract batch_size slices.
     # - skew_repartition (opt-in): a full shuffle of the tiny pre-payload
     #   span-ref rows across blocks. An all-to-all barrier: only worth it
     #   when heavy docs are pathologically clustered in the input files.
@@ -27,7 +27,10 @@ class ExtractConfig:
     skew_repartition: bool = False
     repartition_blocks: int = 64
     extract_batch_size: int = 128   # small batches keep heavy pages from stalling a worker
-    extract_concurrency: Tuple[int, int] = (2, 12)  # actor-pool bounds
+    # cap on concurrent extract tasks (the reference's WORKER_COUNT);
+    # None = as many as the cluster's CPUs allow. A cap above the input
+    # block count buys nothing: each task takes one block.
+    extract_concurrency: Optional[int] = None
     extract_num_cpus: float = 1.0
     # staged-shuffle knobs: input block count controls stage-file count
     # (one stage file per block). reduce_concurrency caps the concurrent
@@ -48,7 +51,7 @@ class ExtractConfig:
     # on all nodes OR a filesystem URI ("file:///mnt/shared/stage",
     # "s3://bucket/stage", any staging.register_stage_fs scheme) — the
     # URI resolves once on the driver to a pyarrow.fs.FileSystem that
-    # ships into the actors/reducers (stages/staging.py). Codec
+    # ships into the extract tasks/reducers (stages/staging.py). Codec
     # auto-switches to zstd on URI staging (network bytes dominate;
     # scripts/stage_codec_sweep.py).
     stage_root: Optional[str] = "/dev/shm/westa_stage"
@@ -68,7 +71,7 @@ class ExtractConfig:
     # (same requirement as stage_root).
     stop_file: Optional[str] = None
     # fault-injection seam (tests/test_chaos.py): when set, the FIRST
-    # extract actor to process a batch hard-kills its process (os._exit)
+    # extract task to process a batch hard-kills its worker (os._exit)
     # after creating this marker file — proving Ray's task-retry
     # boundary leaves output byte-identical. None in production.
     chaos_crash_marker: Optional[str] = None

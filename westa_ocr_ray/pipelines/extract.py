@@ -5,7 +5,7 @@
       → map_batches(explode_spans)            # doc → span rows (M1 fan-out)
       → [repartition(shuffle)]                # opt-in skew all-to-all (§4.2)
       → map_batches(prepare)                  # fetch + page split (S1/M1)
-      → map_batches(ExtractModel, actor pool) # stateful model (A1) + masters (J1)
+      → map_batches(ExtractModel instance)    # model (A1) + masters (J1), as tasks
       → exchange on `part`                    # the one shuffle (O1 + G1):
           run_extract:     external staged shuffle + per-partition reduce
           extract_dataset: groupby(part).map_groups(reassemble)
@@ -16,7 +16,6 @@ Everything streams with backpressure; nothing materializes the corpus.
 
 from __future__ import annotations
 
-import gc
 import glob
 import hashlib
 import json
@@ -49,7 +48,7 @@ def build_extracted_units(docs: rd.Dataset, cfg: ExtractConfig,
                           stage_fs=None) -> rd.Dataset:
     """documents → extracted unit rows (pre-reassembly).
 
-    With ``stage_dir`` set, the extract actors also write the map side of
+    With ``stage_dir`` set, the extract tasks also write the map side of
     the external shuffle and the returned dataset is the tiny manifest
     (see stages/staging.py); batches are whole blocks then, so each block
     yields one stage file."""
@@ -60,22 +59,26 @@ def build_extracted_units(docs: rd.Dataset, cfg: ExtractConfig,
         # opt-in all-to-all on the tiny span-ref rows (no payloads yet):
         # shuffles metadata, not data — for inputs whose heavy docs are
         # clustered so badly that in-block interleave + dynamic batch
-        # dispatch can't level the actor pool.
+        # dispatch can't level the extract tasks.
         ds = ds.repartition(cfg.repartition_blocks, shuffle=True)
     ds = ds.map_batches(make_prepare(cfg.seed), batch_format="pyarrow")
+    # A callable instance, not the class: the fused chain (read → ... →
+    # ExtractModel → stage write) then runs as tasks on the warm
+    # task-worker pool instead of a fresh actor pool per run (see
+    # stages/extract.py). Ray Data names the operator after the class,
+    # MapBatches(ExtractModel), which the stats parsing keys on.
     # Broadcast small side (J1): the masters table is tiny, so it ships
-    # inline in the actor-creation task (once per actor, never per batch).
-    # A large small-side would go through ray.put with the ref kept alive
-    # on the driver (see similarity.py for that pattern).
-    masters = fixtures.master_keys(cfg.seed, cfg.pattern)
+    # inside the pickled instance. A large small-side would go through
+    # ray.put with the ref kept alive on the driver (see similarity.py).
+    model = ExtractModel(masters=fixtures.master_keys(cfg.seed, cfg.pattern),
+                         stage_dir=stage_dir,
+                         chaos_crash_marker=cfg.chaos_crash_marker,
+                         stage_fs=stage_fs)
     return ds.map_batches(
-        ExtractModel,
-        fn_constructor_kwargs={"masters": masters, "stage_dir": stage_dir,
-                               "chaos_crash_marker": cfg.chaos_crash_marker,
-                               "stage_fs": stage_fs},
+        model,
         batch_format="pyarrow",
         batch_size=None if stage_dir is not None else cfg.extract_batch_size,
-        concurrency=cfg.extract_concurrency,
+        concurrency=cfg.extract_concurrency,  # None: as many as CPUs allow
         num_cpus=cfg.extract_num_cpus,
     )
 
@@ -223,7 +226,7 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
     stage_fs = None
     if cfg.stage_root and "://" in cfg.stage_root:
         # shared/remote staging: resolve the filesystem ONCE here; the
-        # fs object ships (pickled) into extract actors and reducers.
+        # fs object ships (pickled) into extract tasks and reducers.
         # Multi-node REQUIRES this form (or a stage_root path mounted
         # identically on every node): phase 2 reads every stage file.
         stage_fs, stage_base = resolve_stage_fs(cfg.stage_root)
@@ -244,17 +247,12 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
     n_remaining = cfg.num_parts - len(skip)
     if n_remaining and not stop_requested():
         docs = read_documents(input_path, num_blocks=cfg.read_num_blocks)
-        # phase 1: map-side shuffle files, written by the extract actors
+        # phase 1: map-side shuffle files, written by the extract tasks
         # themselves (streams; no barrier, no extra worker pool)
         manifest = build_extracted_units(docs, cfg, skip_parts=skip,
                                          stage_dir=stage_dir,
                                          stage_fs=stage_fs)
         manifest = manifest.materialize()  # manifest is tiny (part, rows)
-        # The phase-1 actor pool keeps its CPUs until its handles, held
-        # in reference cycles, are garbage-collected. Collect now: phase
-        # 2's few reducer tasks otherwise wait on those CPUs until the
-        # raylet's own GC request, which takes seconds to fire.
-        gc.collect()
         phase1_sec = time.perf_counter() - t0
         os.makedirs(os.path.join(out_dir, "metrics"), exist_ok=True)
         with open(os.path.join(out_dir, "metrics",

@@ -23,7 +23,6 @@ def main(argv=None) -> int:
     p.add_argument("--num-parts", type=int, default=64)
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init num_cpus (omit to auto/join existing)")
-    p.add_argument("--actors", type=int, default=None, help="extract actor pool size")
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--read-blocks", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
@@ -55,12 +54,9 @@ def main(argv=None) -> int:
     from .config import ExtractConfig
     from .pipelines.extract import run_extract
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    actors = args.actors or max(2, ncpu - max(1, ncpu // 8))
     cfg = ExtractConfig(
         seed=args.seed, pattern=args.pattern, num_parts=args.num_parts,
         extract_batch_size=args.batch_size,
-        extract_concurrency=(actors, actors),
         read_num_blocks=args.read_blocks,
         keep_units=args.keep_units,
         stop_file=args.stop_file,

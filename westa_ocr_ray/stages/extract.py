@@ -1,22 +1,32 @@
-"""Extraction stage: the stateful model, run as a Ray Data actor pool.
+"""Extraction stage: the model, run as tasks of the fused phase-1 chain.
 
-One instance per actor; construction cost (masters broadcast fetch,
-"model" setup) is paid once per actor, not per batch — the reference's
-one-client-many-calls shape (GeminiClient, app/gemini.py:32-35) with the
-deterministic simulation branch (gemini.py:62-75) as the semantic
-anchor: output is a pure function of (unit payload, config, masters).
+One instance is built on the driver and passed to ``map_batches``; Ray
+Data treats a callable object as a function, so the instance ships
+pickled inside each task (read → explode → prepare → ExtractModel →
+stage write) and runs on the warm task-worker pool. The operator is
+still named ``MapBatches(ExtractModel)``. This is the reference's
+one-client-many-calls shape (GeminiClient, app/gemini.py:32-35: a lazily
+built client that costs nothing to construct) with the deterministic
+simulation branch (gemini.py:62-75) as the semantic anchor: output is a
+pure function of (unit payload, config, masters).
+
+When an actor pool is the right choice again: a model whose
+construction costs more than an actor start. An actor never runs on a
+warm task worker and its process exits with its pool, so every run
+pays a fresh Python process plus imports per actor — about 2 s on a
+4-vCPU VM. Constructing ExtractModel only sorts ~20 master keys. Stages
+with real per-worker state keep their actor pools: the relops
+``Joiner`` hash table, the similarity/dedup broadcast matrices.
 
 Usage:
-    masters_ref = ray.put(master_key_list)          # broadcast once
-    ds.map_batches(ExtractModel,
-                   fn_constructor_kwargs={"masters": masters_ref},
-                   batch_format="pyarrow", batch_size=64,
-                   concurrency=(2, pool), num_cpus=1)
+    model = ExtractModel(masters=master_key_list)   # built once, on the driver
+    ds.map_batches(model, batch_format="pyarrow", batch_size=64,
+                   num_cpus=1)                     # concurrency=N caps tasks
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import pyarrow as pa
 
@@ -26,31 +36,22 @@ MODEL_VERSION = "sim-ocr-v1"  # recorded in lineage; analog of meta.model (gemin
 
 
 class ExtractModel:
-    def __init__(self, masters: Union[Sequence[str], "object", None] = None,
+    def __init__(self, masters: Optional[Sequence[str]] = None,
                  stage_dir: Optional[str] = None,
                  chaos_crash_marker: Optional[str] = None,
                  stage_fs=None) -> None:
         # fault-injection seam (ExtractConfig.chaos_crash_marker): when
-        # set, the first batch hard-kills this actor's process once.
+        # set, the first batch hard-kills its worker process once.
         self.chaos_crash_marker = chaos_crash_marker
-        # accept a plain list or a ray.ObjectRef (broadcast small side, J1)
-        try:
-            import ray
-
-            if isinstance(masters, ray.ObjectRef):
-                masters = ray.get(masters)
-        except ImportError:  # pure-python unit tests
-            pass
+        # broadcast small side (J1): tiny, so it ships inside the instance
         self.masters: List[str] = sorted(masters) if masters else []
-        # "model load": nothing heavy in the simulation, but the shape is
-        # real — any compiled state lives here, once per actor.
-        # stage_dir: when set, this actor also performs the map side of
+        # stage_dir: when set, this task also performs the map side of
         # the external shuffle (writes its output as a per-partition
         # row-grouped stage file and returns the tiny manifest instead) —
         # fusing staging here avoids a separate task stage, its extra
         # worker processes, and an object-store round trip.
         # stage_fs: optional pyarrow.fs.FileSystem (resolved once on the
-        # driver from a stage_root URI, pickled into this constructor)
+        # driver from a stage_root URI, pickled with this instance)
         # for shared/remote staging — see stages/staging.py.
         self.stage_dir = stage_dir
         self.stage_fs = stage_fs

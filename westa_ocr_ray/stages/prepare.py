@@ -4,7 +4,7 @@ per-page work units (reference FileFetcher.fetch app/file_fetcher.py:106-133
 re-serialization).
 
 Text-ish rows pass through untouched (page_idx stays 0). Media rows
-fan out to one row per page — the unit of work for the OCR actor pool,
+fan out to one row per page — the unit of work for the OCR model,
 mirroring the reference's page-task fan-out (app/worker.py:284-286) so
 a 40-page pdf never serializes one worker.
 

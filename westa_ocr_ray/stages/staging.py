@@ -6,7 +6,7 @@ Storage seam (VERDICT r4 item 3): every stage-file IO — write, list,
 read, wipe — can run through an explicit ``pyarrow.fs.FileSystem``
 instead of the local OS. ``resolve_stage_fs`` turns a ``stage_root``
 URI into a (filesystem, path) pair ONCE on the driver; the filesystem
-object then ships (pickled) into the extract actors and part reducers,
+object then ships (pickled) into the extract tasks and part reducers,
 so multi-node clusters can point ``stage_root`` at shared storage
 (``s3://…``, ``hdfs://…``, or any scheme registered via
 ``register_stage_fs``) without the workers needing local visibility of
