@@ -8,6 +8,7 @@ import os
 import shutil
 
 import pyarrow.compute as pc
+import pytest
 
 from westa_ocr_ray import fixtures
 from westa_ocr_ray.config import ExtractConfig
@@ -590,3 +591,180 @@ def test_stage_write_list_read_roundtrip_on_fs(tmp_path):
     staging.wipe_stage_dir("fsstage", fs=fs)
     assert staging.list_stage_files("fsstage", fs=fs) == []
     staging.wipe_stage_dir("fsstage", fs=fs)  # idempotent on missing
+
+
+def _smoke_unit_slices(n):
+    """The smoke corpus's extracted unit rows for CFG.num_parts
+    partitions, cut into ``n`` contiguous slices (one per stage file)."""
+    import pyarrow.parquet as pq
+
+    from westa_ocr_ray.stages import ExtractModel, make_explode, make_prepare
+
+    docs = pq.read_table(fixtures.ensure_corpus("smoke"))
+    units = ExtractModel(masters=fixtures.master_keys(CFG.seed, CFG.pattern))(
+        make_prepare(CFG.seed)(make_explode(CFG.num_parts)(docs)))
+    step = -(-units.num_rows // n)
+    return [units.slice(i * step, step) for i in range(n)]
+
+
+def _all_parts_batch():
+    import pyarrow as pa
+
+    return pa.table({"part": pa.array(range(CFG.num_parts), type=pa.int32())})
+
+
+def _committed(out_dir):
+    """extracted/ partition files by name, rows in doc_id order (the
+    row order within a partition follows the stage files' names)."""
+    import pyarrow.parquet as pq
+
+    return {os.path.basename(f): pq.read_table(f).sort_by("doc_id")
+            for f in sorted(glob.glob(os.path.join(out_dir, "extracted",
+                                                   "part-*.parquet")))}
+
+
+def test_part_reducer_opens_each_stage_file_once(tmp_path):
+    """A reduce task opens every stage file exactly once for its whole
+    run of partitions (not once per partition), through the stage
+    filesystem seam, and commits the same output as the OS path."""
+    from collections import Counter
+
+    import pyarrow.fs as pafs
+
+    from westa_ocr_ray.stages import make_part_reducer, staging
+
+    local = pafs.LocalFileSystem()
+    opens = Counter()
+
+    class CountingHandler(pafs.FileSystemHandler):
+        def open_input_file(self, path):
+            opens[os.path.basename(path)] += 1
+            return local.open_input_file(path)
+
+        def get_type_name(self):
+            return "counting"
+
+        def normalize_path(self, path):
+            return local.normalize_path(path)
+
+        def get_file_info(self, paths):
+            return local.get_file_info(paths)
+
+        def get_file_info_selector(self, selector):
+            return local.get_file_info(selector)
+
+        def create_dir(self, path, recursive):
+            local.create_dir(path, recursive=recursive)
+
+        def delete_dir(self, path):
+            local.delete_dir(path)
+
+        def delete_dir_contents(self, path, missing_dir_ok=False):
+            local.delete_dir_contents(path, missing_dir_ok=missing_dir_ok)
+
+        def delete_root_dir_contents(self):
+            raise NotImplementedError
+
+        def delete_file(self, path):
+            local.delete_file(path)
+
+        def move(self, src, dest):
+            local.move(src, dest)
+
+        def copy_file(self, src, dest):
+            local.copy_file(src, dest)
+
+        def open_input_stream(self, path):
+            return local.open_input_stream(path)
+
+        def open_output_stream(self, path, metadata):
+            return local.open_output_stream(path, metadata=metadata)
+
+        def open_append_stream(self, path, metadata):
+            return local.open_append_stream(path, metadata=metadata)
+
+    staging.register_stage_fs(
+        "countingtest",
+        lambda uri: (pafs.PyFileSystem(CountingHandler()),
+                     uri.split("://", 1)[1]))
+    try:
+        fs, stage = staging.resolve_stage_fs(f"countingtest://{tmp_path}/stage")
+    finally:
+        staging._FS_FACTORIES.pop("countingtest", None)
+    os_stage = str(tmp_path / "os_stage")
+    covered = set()
+    for t in _smoke_unit_slices(3):
+        covered |= set(staging.stage_write_table(t, stage, fs=fs)
+                       .column("part").to_pylist())
+        staging.stage_write_table(t, os_stage)
+    assert covered == set(range(CFG.num_parts))
+    files = staging.list_stage_files(stage, fs=fs)
+    assert len(files) == 3
+
+    out = str(tmp_path / "out_fs")
+    make_part_reducer(stage, out, stage_fs=fs)(_all_parts_batch())
+    assert opens == Counter({os.path.basename(f): 1 for f in files})
+
+    os_out = str(tmp_path / "out_os")
+    make_part_reducer(os_stage, os_out)(_all_parts_batch())
+    got, want = _committed(out), _committed(os_out)
+    assert len(want) == CFG.num_parts
+    assert got.keys() == want.keys()
+    assert all(got[k].equals(want[k]) for k in want)
+
+
+@pytest.mark.parametrize("fault", ["two_parts_one_row_group",
+                                   "truncated_footer"])
+def test_part_reducer_rejects_malformed_stage_file(tmp_path, fault):
+    """A stage file that breaks the one-partition-per-row-group contract,
+    or whose footer is cut short, fails the reduce task loudly before
+    it commits any partition of its run."""
+    import pyarrow.parquet as pq
+
+    from westa_ocr_ray.stages import make_part_reducer
+    from westa_ocr_ray.stages.staging import list_stage_files, stage_write_table
+
+    stage = str(tmp_path / "stage")
+    good, other = _smoke_unit_slices(2)
+    stage_write_table(good, stage)
+    bad = os.path.join(stage, "bad.parquet")
+    if fault == "two_parts_one_row_group":
+        two = other.filter(pc.is_in(other.column("part"),
+                                    value_set=pc.unique(other.column("part"))[:2]))
+        assert len(pc.unique(two.column("part"))) == 2
+        pq.write_table(two, bad)
+        assert pq.ParquetFile(bad).metadata.num_row_groups == 1
+    else:
+        whole = str(tmp_path / "whole")
+        stage_write_table(other, whole)
+        (written,) = list_stage_files(whole)
+        with open(written, "rb") as fh:
+            data = fh.read()
+        footer_len = int.from_bytes(data[-8:-4], "little")
+        with open(bad, "wb") as fh:
+            fh.write(data[:len(data) - 8 - footer_len // 2])
+
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="bad.parquet"):
+        make_part_reducer(stage, out)(_all_parts_batch())
+    assert glob.glob(os.path.join(out, "_markers", "*.done")) == []
+    assert glob.glob(os.path.join(out, "extracted", "part-*.parquet")) == []
+
+
+def test_run_metrics_count_stage_files(tmp_path):
+    """metrics["stage_files"] is the number of stage files phase 2
+    indexed — one per non-empty extract block — and 0 when phase 2
+    does not run."""
+    corpus = fixtures.ensure_corpus("smoke")
+    out = str(tmp_path / "out")
+    cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
+                        extract_concurrency=3, read_num_blocks=4)
+    m = run_extract(corpus, out, cfg)
+    assert m["parts_written"] == 8
+    with open(os.path.join(out, "metrics", "run-attempt0.json")) as fh:
+        assert json.load(fh)["stage_files"] == m["stage_files"] == 4
+
+    again = run_extract(corpus, out, cfg)
+    assert again["parts_skipped"] == 8
+    with open(os.path.join(out, "metrics", "run-attempt1.json")) as fh:
+        assert json.load(fh)["stage_files"] == again["stage_files"] == 0

@@ -35,13 +35,15 @@ class ExtractConfig:
     # staged-shuffle knobs: input block count controls stage-file count
     # (one stage file per block). reduce_concurrency caps the concurrent
     # reducers: phase 2 runs as ONE wave of min(parts left,
-    # reduce_concurrency, cluster CPUs) tasks, each reducing a
-    # contiguous run of partitions, so every stage file is opened once
-    # per reducer rather than once per partition. 16 beat 8 at the
-    # 6M-doc rehearsal (phase2 15.2s -> 9.7s, BASELINE.md §10x, measured
-    # with one task per partition); 256 parts with 16 reducers regressed
-    # there (32.3s — per-task stage-file open cost dominated), so
-    # num_parts stays 64.
+    # reduce_concurrency, cluster CPUs) plain Ray tasks, all submitted
+    # at once, each opening every stage file once and reducing a
+    # contiguous run of partitions through those handles, so the open
+    # matrix is reducers × stage files, not partitions × stage files
+    # (the run metrics' reduce_tasks × stage_files). 16 beat 8 at the
+    # 6M-doc rehearsal (phase2 15.2s -> 9.7s, BASELINE.md §10x,
+    # measured with one task per partition); 256 parts with 16
+    # reducers regressed there (32.3s — per-task stage-file open cost
+    # dominated), so num_parts stays 64.
     read_num_blocks: Optional[int] = None
     reduce_concurrency: int = 16
     # stage files are transient (wiped on resume): put them on fast local

@@ -12,6 +12,12 @@
       → [atomic per-partition write + markers + lineage]   # S3-S6, §4.4
 
 Everything streams with backpressure; nothing materializes the corpus.
+In run_extract the reduce side (phase 2) is not a Ray Data operator but
+one wave of plain Ray tasks, all submitted at once, each opening every
+stage file once and committing a contiguous run of partitions: its
+input is a short list of partition ids, so Ray Data's streaming and
+block sizing buy nothing there, and its start-one-task-first sizing
+delayed the other reducers (see _run_reduce_wave).
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import shutil
 import time
 from typing import Optional, Set
 
+import numpy as np
+import pyarrow as pa
 import ray
 import ray.data as rd
 
@@ -147,13 +155,49 @@ def _fire_commit_hooks(out_dir: str, hook) -> int:
 
 
 def _reduce_task_count(n_parts: int, reduce_concurrency: int) -> int:
-    """Phase-2 task count: one task per reducer slot, so the wave
-    opens every stage file once per slot rather than once per
+    """Phase-2 task count: one task per reducer slot. Each task opens
+    every stage file once (stages/reassemble.make_part_reducer), so the
+    wave opens every stage file once per slot rather than once per
     partition. Capped by the partitions left, ``reduce_concurrency``
     and the cluster's CPUs (``reduce_concurrency`` alone when Ray
     reports no CPU count)."""
     cpus = int(ray.cluster_resources().get("CPU", reduce_concurrency))
     return max(1, min(n_parts, reduce_concurrency, cpus))
+
+
+@ray.remote(max_retries=-1)
+def _reduce_run(reducer, parts: list) -> pa.Table:
+    """One phase-2 task: reduce one contiguous run of partitions.
+    Retried without limit on worker death (Ray Data's own default);
+    the reducer's markers make a retry skip what its failed try
+    committed."""
+    return reducer(pa.table({"part": pa.array(parts, type=pa.int32())}))
+
+
+def _run_reduce_wave(reducer, remaining: list, n_tasks: int) -> list:
+    """Submit one task per contiguous run of ``remaining``, all at once,
+    and return the committed partitions' marker rows.
+
+    Plain tasks, not a Ray Data dataset: Ray Data starts a task whose
+    output it has not sampled yet alone, sized at the target block size
+    against the object store, so the other reducers only started after
+    the first returned. The driver waits in short ``ray.wait`` slices
+    rather than one blocking get, so the main-thread SIGTERM handler
+    (run_extract) can touch the stop file while the reducers run. On
+    any error, the tasks still running are cancelled."""
+    refs = [_reduce_run.remote(reducer, run.tolist())
+            for run in np.array_split(np.asarray(remaining), n_tasks)]
+    pending = refs
+    try:
+        while pending:
+            _, pending = ray.wait(pending, num_returns=len(pending),
+                                  timeout=0.005)
+        tables = ray.get(refs)
+    except BaseException:
+        for ref in pending:
+            ray.cancel(ref)
+        raise
+    return pa.concat_tables(tables).to_pylist()
 
 
 def run_extract(input_path: str, out_dir: str,
@@ -174,7 +218,8 @@ def run_extract(input_path: str, out_dir: str,
     The doc_id exchange before reassembly is an external staged shuffle
     (see stages/reassemble.py): phase 1 streams extracted units into
     per-partition parquet fragments; phase 2 reduces each partition
-    independently and commits it with its marker + lineage. Stage files
+    independently and commits it with its marker + lineage, in one wave
+    of plain Ray tasks. Stage files
     from a crashed run are wiped — unfinished partitions recompute from
     the input (completed ones are skipped by their markers).
 
@@ -220,7 +265,8 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
         # partitions committed by a crashed earlier run whose hooks
         # never fired (or that ran without a hook)
         _fire_commit_hooks(out_dir, on_partition_commit)
-    from ..stages.staging import resolve_stage_fs, wipe_stage_dir
+    from ..stages.staging import (list_stage_files, resolve_stage_fs,
+                                  wipe_stage_dir)
 
     tag = hashlib.md5(os.path.abspath(out_dir).encode()).hexdigest()[:12]
     stage_fs = None
@@ -242,7 +288,7 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
         for stale in glob.glob(os.path.join(out_dir, sub, "*.tmp.*")):
             os.remove(stale)
     summary_rows = []
-    reduce_tasks = 0
+    reduce_tasks = stage_files = 0
     phase1_sec = phase2_sec = 0.0
     n_remaining = cfg.num_parts - len(skip)
     if n_remaining and not stop_requested():
@@ -258,25 +304,25 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
         with open(os.path.join(out_dir, "metrics",
                                f"stats-attempt{attempt}.txt"), "w") as fh:
             fh.write(manifest.stats())  # per-stage wall/cpu/memory breakdown
-        # phase 2: one wave of reduce tasks, one per reducer slot, each
-        # reducing a contiguous run of partitions (one block per task).
-        # A stop request landing between the phases drains here — the
-        # stage files are transient either way, so nothing is lost that
-        # a marker resume would not recompute.
+        # phase 2: one wave of plain Ray tasks (not Ray Data, which
+        # started the reducers one after another; see
+        # _run_reduce_wave), one per reducer slot, each opening every
+        # stage file once and reducing a contiguous run of
+        # partitions. stage_files, the other side of that tasks × files
+        # open matrix, is counted before the wipe. A stop request
+        # landing between the phases drains here — the stage files are
+        # transient either way, so nothing is lost that a marker resume
+        # would not recompute.
         remaining = sorted(set(range(cfg.num_parts)) - skip)
         if not stop_requested():
+            stage_files = len(list_stage_files(stage_dir, fs=stage_fs))
             reduce_tasks = _reduce_task_count(len(remaining),
                                               cfg.reduce_concurrency)
-            parts_ds = rd.from_items([{"part": p} for p in remaining],
-                                     override_num_blocks=reduce_tasks)
-            markers = parts_ds.map_batches(
-                make_part_reducer(stage_dir, out_dir, attempt=attempt,
-                                  keep_units=cfg.keep_units,
-                                  stop_file=cfg.stop_file,
-                                  stage_fs=stage_fs),
-                batch_format="pyarrow", batch_size=None,
-                concurrency=reduce_tasks)
-            summary_rows = markers.take_all()  # tiny: one row per partition
+            reducer = make_part_reducer(stage_dir, out_dir, attempt=attempt,
+                                        keep_units=cfg.keep_units,
+                                        stop_file=cfg.stop_file,
+                                        stage_fs=stage_fs)
+            summary_rows = _run_reduce_wave(reducer, remaining, reduce_tasks)
         phase2_sec = time.perf_counter() - t0 - phase1_sec
         wipe_stage_dir(stage_dir, fs=stage_fs)
         if on_partition_commit is not None:
@@ -298,6 +344,7 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
         "phase2_sec": round(phase2_sec, 3),
         "num_parts": cfg.num_parts,
         "reduce_tasks": reduce_tasks,
+        "stage_files": stage_files,
     }
     os.makedirs(os.path.join(out_dir, "metrics"), exist_ok=True)
     with open(os.path.join(out_dir, "metrics", f"run-attempt{attempt}.json"), "w") as fh:

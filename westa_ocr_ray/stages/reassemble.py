@@ -223,27 +223,61 @@ def _marker_table(markers: list) -> pa.Table:
 # constant factor in local mode (measured: slower at 32 CPUs than 8 on
 # this corpus — see BASELINE.md). Since the partition id is already a
 # column (`part`), the exchange can be a classic external shuffle
-# instead: map tasks append per-partition parquet fragments
-# (out/_stage/part-XXXXX/<uuid>.parquet), then one wave of
-# embarrassingly parallel reduce tasks — one per reducer slot, each
+# instead: each map task writes one stage file whose row groups are
+# its partitions' fragments (staging.stage_write_table), then one wave
+# of embarrassingly parallel reduce tasks — one per reducer slot, each
 # owning a contiguous run of partitions — reads each partition's
 # fragments, reassembles, and commits it. No barrier beyond the phase
 # boundary (which the marker protocol needs anyway), and both phases
 # stream/scale.
 
 
+def _index_stage_files(files: list, stage_fs) -> dict:
+    """Open each stage file once and index its row groups by partition:
+    part -> [(ParquetFile, row group)], in file then row-group order.
+
+    The stage writer puts exactly one partition in each row group
+    (staging.stage_write_table), so the ``part`` column's footer
+    statistics name it. A row group without statistics, or whose min
+    differs from its max, breaks that contract: raise ValueError
+    naming the file and row group rather than commit a wrong split.
+    Everything is indexed before any partition commits, so a malformed
+    file fails the task with nothing committed."""
+    index: dict = {}
+    for f in files:
+        try:
+            pf = pq.ParquetFile(f, filesystem=stage_fs)
+        except pa.ArrowInvalid as exc:
+            raise ValueError(f"stage file {f}: unreadable ({exc})") from exc
+        meta = pf.metadata
+        col = [meta.schema.column(i).path
+               for i in range(meta.num_columns)].index("part")
+        for rg in range(meta.num_row_groups):
+            stats = meta.row_group(rg).column(col).statistics
+            has = stats is not None and stats.has_min_max
+            if has and stats.min == stats.max:
+                index.setdefault(int(stats.min), []).append((pf, rg))
+                continue
+            found = f"parts {stats.min}..{stats.max}" if has else "no part statistics"
+            raise ValueError(f"stage file {f}: row group {rg} has {found}, "
+                             "not exactly one partition")
+    return index
+
+
 def make_part_reducer(stage_dir: str, out_dir: str, attempt: int = 0,
                       keep_units: bool = False,
                       stop_file: str = None,
                       stage_fs=None) -> Callable[[pa.Table], pa.Table]:
-    """Reduce a run of partitions (one batch = one task's block): list
-    the stage files and open them as one dataset ONCE per task, then
-    for each partition read its row groups (statistics-pruned — only
-    matching row groups are fetched), reassemble, commit. Reads and
-    commits stay per partition, so memory per read and the drain and
-    marker granularity do not grow with the run length. On a
-    multi-node cluster stage files would be bucketed per node-group;
-    the read pattern is unchanged.
+    """Reduce a run of partitions (one batch = one task's run): list
+    the stage files and open each ONCE per task, indexing its row
+    groups by partition from the ``part`` footer statistics (see
+    ``_index_stage_files``); the handles stay open until the task
+    ends. Then for each partition read just its row groups through
+    those handles, reassemble, commit. Only one partition is held in
+    memory at a time, and the drain and marker granularity stay per
+    partition, whatever the run length. On a multi-node cluster stage
+    files would be bucketed per node-group; the read pattern is
+    unchanged.
 
     Retry-idempotent: a partition whose ``_markers/part-XXXXX.done``
     already exists returns the stored marker without re-reading or
@@ -267,14 +301,11 @@ def make_part_reducer(stage_dir: str, out_dir: str, attempt: int = 0,
     through the same seam."""
 
     def reduce_parts(batch: pa.Table) -> pa.Table:
-        import pyarrow.dataset as pads
-
         from .staging import list_stage_files
 
         markers = []
-        files = list_stage_files(stage_dir, fs=stage_fs)
-        dset = (pads.dataset(files, format="parquet", filesystem=stage_fs)
-                if files else None)
+        index = _index_stage_files(list_stage_files(stage_dir, fs=stage_fs),
+                                   stage_fs)
         for part in batch.column("part").to_pylist():
             done = os.path.join(out_dir, "_markers", f"part-{part:05d}.done")
             if os.path.exists(done):
@@ -285,12 +316,11 @@ def make_part_reducer(stage_dir: str, out_dir: str, attempt: int = 0,
             if stop_file is not None and os.path.exists(stop_file):
                 break  # drain: leave this and later parts uncommitted
             t0 = time.perf_counter()
-            t = None
-            if dset is not None:
-                # use_threads=False: each reducer is one Ray task on one
-                # CPU — per-task arrow threadpools would nest-thrash
-                t = dset.to_table(filter=pads.field("part") == part,
-                                  use_threads=False)
+            # use_threads=False: each reducer is one Ray task on one
+            # CPU — per-task arrow threadpools would nest-thrash
+            pieces = [pf.read_row_group(rg, use_threads=False)
+                      for pf, rg in index.get(part, ())]
+            t = pa.concat_tables(pieces) if pieces else None
             if t is None or t.num_rows == 0:
                 result = RESULT_SCHEMA.empty_table()
                 units_in = 0

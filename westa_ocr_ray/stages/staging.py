@@ -70,8 +70,12 @@ def _stage_codec(stage_dir: str, fs) -> Optional[str]:
 
 def stage_write_table(t: pa.Table, stage_dir: str, fs=None) -> pa.Table:
     """Write one stage file for this table: rows sorted by `part`, one
-    row group per partition so reducers prune by parquet statistics.
-    Returns the (part, rows) manifest. ``fs``: optional
+    row group per partition. Exactly one partition per row group is a
+    contract, not a hint: the reducer indexes row groups by the `part`
+    footer statistics and raises ValueError on a row group that holds
+    none or several (stages/reassemble._index_stage_files). A very
+    large partition may span several row groups; each still holds that
+    one partition. Returns the (part, rows) manifest. ``fs``: optional
     pyarrow.fs.FileSystem for shared/remote staging (stage_dir is then
     a path WITHIN that filesystem)."""
     if t.num_rows == 0:
