@@ -570,3 +570,173 @@ def test_skyline_merge_layout_independent(ray_session):
         return set(map(tuple, merged[["doc_id", "nt", "nd"]].to_numpy()))
 
     assert run(1) == run(7) == run(31)
+
+
+# ------------------------- exchange (plain-task bucketed reduce) -------
+
+def _sorted(df, cols):
+    return df[cols].sort_values(cols, ignore_index=True)
+
+
+def test_exchange_skips_schema_less_empty_blocks():
+    import numpy as np
+    import ray
+    from ray.data.block import BlockAccessor
+
+    df = pd.DataFrame({"k": np.arange(80) % 7, "v": np.arange(80)})
+    # the filter empties whole blocks; a map stage over an empty block
+    # emits Ray Data's column-less empty block
+    ds = (rd.from_pandas(df).repartition(8)
+          .filter(lambda r: not 10 <= r["v"] < 50)
+          .map_batches(lambda d: d.assign(b=d["k"] % 4), batch_format="pandas")
+          .materialize())
+    blocks = [ray.get(r) for b in ds.iter_internal_ref_bundles()
+              for r in b.block_refs]
+    assert any("b" not in BlockAccessor.for_block(b).to_pandas().columns
+               for b in blocks)
+    got = relops.exchange(ds, "b", lambda g: g, 4).to_pandas()
+    kept = df[~df["v"].between(10, 49)].assign(b=lambda d: d["k"] % 4)
+    pd.testing.assert_frame_equal(_sorted(got, ["k", "v", "b"]),
+                                  _sorted(kept, ["k", "v", "b"]))
+
+    agg = (relops.partial_aggregate(rd.from_pandas(df).repartition(8)
+                                    .filter(lambda r: not 10 <= r["v"] < 50),
+                                    ["k"], {"s": ("sum", "v")}, num_buckets=4)
+           .to_pandas())
+    exp = kept.groupby("k", as_index=False).agg(s=("v", "sum"))
+    pd.testing.assert_frame_equal(_sorted(agg, ["k", "s"]), exp,
+                                  check_dtype=False)
+
+
+def test_exchange_all_empty_input_is_one_empty_block():
+    df = pd.DataFrame({"k": [1, 2, 3, 4], "v": [1, 2, 3, 4]})
+    empty = rd.from_pandas(df).repartition(4).filter(lambda r: r["k"] > 9)
+    for out in (relops.partial_aggregate(empty, ["k"], {"s": ("sum", "v")},
+                                         num_buckets=8),
+                relops.grouped_topk(empty, ["k"], ["v"], 2, num_buckets=8),
+                relops.hash_join(empty, rd.from_pandas(df), "k", "k",
+                                 num_buckets=8, left_cols=["k", "v"],
+                                 right_cols=["k", "v"])):
+        out = out.materialize()
+        assert out.count() == 0
+        assert out.num_blocks() <= 1
+
+
+def test_exchange_single_bucket():
+    import numpy as np
+
+    rng = np.random.RandomState(5)
+    df = pd.DataFrame({"k": rng.randint(0, 9, 300), "v": rng.randint(0, 99, 300),
+                       "uid": np.arange(300)})
+    src = rd.from_pandas(df).repartition(5)
+    agg = relops.partial_aggregate(src, ["k"], {"s": ("sum", "v"),
+                                                "n": ("count", None)},
+                                   num_buckets=1).to_pandas()
+    exp = df.groupby("k", as_index=False).agg(s=("v", "sum"), n=("v", "size"))
+    pd.testing.assert_frame_equal(_sorted(agg, ["k", "s", "n"]), exp,
+                                  check_dtype=False)
+
+    top = relops.grouped_topk(src, ["k"], ["v", "uid"], 2,
+                              ascending=[False, True], num_buckets=1).to_pandas()
+    exp_top = (df.sort_values(["k", "v", "uid"], ascending=[True, False, True])
+                 .groupby("k").head(2))
+    pd.testing.assert_frame_equal(_sorted(top, ["k", "v", "uid"]),
+                                  _sorted(exp_top, ["k", "v", "uid"]))
+
+    right = pd.DataFrame({"rk": [0, 3, 3, 8], "w": [1, 2, 3, 4]})
+    j = relops.hash_join(src, rd.from_pandas(right), "k", "rk",
+                         num_buckets=1).to_pandas()
+    exp_j = df.merge(right.rename(columns={"rk": "k"}), on="k")
+    pd.testing.assert_frame_equal(_sorted(j, ["k", "uid", "w"]),
+                                  _sorted(exp_j, ["k", "uid", "w"]),
+                                  check_dtype=False)
+
+
+def test_exchange_salted_hot_key_pairs_meet_once():
+    import numpy as np
+
+    left = pd.DataFrame({"k": [7] * 120 + list(range(30)),
+                         "x": np.arange(150)})
+    right = pd.DataFrame({"rk": [7, 7, 7, 4, 29], "y": [70, 71, 72, 40, 290]})
+    got = relops.hash_join(rd.from_pandas(left).repartition(3),
+                           rd.from_pandas(right), "k", "rk", num_buckets=8,
+                           hot_keys={7}, salt=4).to_pandas()
+    exp = left.merge(right.rename(columns={"rk": "k"}), on="k")
+    assert len(got) == len(exp)
+    pd.testing.assert_frame_equal(_sorted(got, ["k", "x", "y"]),
+                                  _sorted(exp, ["k", "x", "y"]),
+                                  check_dtype=False)
+
+
+def test_exchange_emits_no_block_for_empty_slots():
+    import numpy as np
+
+    df = pd.DataFrame({"v": np.arange(50), "b": 2})  # one bucket of four
+    out = relops.exchange(rd.from_pandas(df).repartition(5), "b",
+                          lambda g: g, 4)
+    assert out.num_blocks() == 1
+    pd.testing.assert_frame_equal(_sorted(out.to_pandas(), ["v", "b"]), df)
+
+
+def test_exchange_data_axis_opens_more_slots_than_cpus(monkeypatch):
+    import numpy as np
+    import ray
+
+    df = pd.DataFrame({"v": np.arange(320), "b": np.arange(320) % 16})
+    src = rd.from_pandas(df).repartition(4).materialize()
+    base = relops.exchange(src, "b", lambda g: g, 16)
+    monkeypatch.setattr(relops, "TARGET_BUCKET_BYTES", 1)
+    small = relops.exchange(src, "b", lambda g: g, 16)
+    # one slot per bucket now: more reduce outputs than cluster CPUs
+    assert small.num_blocks() == 16 > int(ray.cluster_resources()["CPU"])
+    assert base.num_blocks() <= int(ray.cluster_resources()["CPU"])
+    pd.testing.assert_frame_equal(_sorted(small.to_pandas(), ["v", "b"]),
+                                  _sorted(base.to_pandas(), ["v", "b"]))
+    agg = relops.partial_aggregate(src, ["b"], {"s": ("sum", "v")},
+                                   num_buckets=16).to_pandas()
+    exp = df.groupby("b", as_index=False).agg(s=("v", "sum"))
+    pd.testing.assert_frame_equal(_sorted(agg, ["b", "s"]), exp,
+                                  check_dtype=False)
+
+
+def test_hash_join_runs_no_sort_operator():
+    left = pd.DataFrame({"id": [1, 2, 3, 4], "x": list("abcd")})
+    right = pd.DataFrame({"rid": [2, 3, 3, 5], "y": [20, 30, 31, 50]})
+    stats = relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
+                             "id", "rid", num_buckets=4).materialize().stats()
+    assert "Sort" not in stats
+
+
+def test_exchange_interrupted_by_signal_cancels_reduce_tasks():
+    import signal
+    import time
+
+    import numpy as np
+    import ray
+
+    class Alarm(Exception):
+        pass
+
+    def on_alarm(signum, frame):
+        raise Alarm()
+
+    def slow(g):
+        time.sleep(30)
+        return g
+
+    ds = rd.from_pandas(pd.DataFrame({"b": np.arange(8) % 4})).materialize()
+    prev = signal.signal(signal.SIGALRM, on_alarm)
+    t0 = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(Alarm):
+            relops.exchange(ds, "b", slow, 4)
+        assert time.monotonic() - t0 < 5
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, prev)
+    deadline = time.monotonic() + 10
+    while (ray.available_resources().get("CPU", 0) < 4
+           and time.monotonic() < deadline):
+        time.sleep(0.1)
+    assert ray.available_resources().get("CPU", 0) == 4

@@ -31,7 +31,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relops import auto_buckets, hash_join, partial_aggregate, semi_anti_filter
+from .relops import (auto_buckets, exchange, hash_join, partial_aggregate,
+                     semi_anti_filter)
 
 _MERSENNE = (1 << 61) - 1
 _BUCKET_CAP = 200  # max docs inspected pairwise per LSH bucket / block
@@ -80,17 +81,21 @@ def _within_bucket_pairs(rows: rd.Dataset, bucket_keys: Sequence[str],
     """All within-bucket id pairs (doc_a < doc_b, cap per bucket), with
     optional per-side payload columns carried as ``<col>_a``/``<col>_b``.
 
-    One shuffle on a COARSE hash of the bucket key; buckets are expanded
-    to pairs with numpy inside the partition. (Ray's per-group
-    map_groups dispatch costs ~0.5 ms/bucket and almost every LSH bucket
-    is a singleton — grouping by the raw bucket key turns candidate
-    generation into pure dispatch overhead at 10^3+ buckets.)
+    One ``relops.exchange`` on a COARSE hash of the bucket key; each
+    coarse group is expanded to pairs with numpy inside its reduce task.
+    (Ray's per-group map_groups dispatch costs ~0.5 ms/bucket and almost
+    every LSH bucket is a singleton — grouping by the raw bucket key
+    turns candidate generation into pure dispatch overhead at 10^3+
+    buckets.)
 
     ``coarse`` defaults to the auto_buckets sizing rule (floor 64 = the
-    round-2 constant): one coarse group is one map_groups task, so the
-    group count must grow with cluster AND (via ``size_hint_bytes``,
-    typically the banded/blocked table's byte size) with data — a fixed
-    64 would put ~1/64 of the entire exploded table in one task."""
+    round-2 constant). One reduce task expands a slot's run of coarse
+    groups, and the exchange opens a slot per CPU or per
+    TARGET_BUCKET_BYTES of input, whichever gives more, up to
+    ``coarse``; so the group count must grow with cluster AND (via
+    ``size_hint_bytes``, typically the banded/blocked table's byte size)
+    with data — a fixed 64 would put ~1/64 of the entire exploded table
+    in one task. Runs ``rows`` when called."""
     if coarse is None:
         coarse = auto_buckets(floor=64, size_bytes=size_hint_bytes)
     bucket_keys = list(bucket_keys)
@@ -136,8 +141,8 @@ def _within_bucket_pairs(rows: rd.Dataset, bucket_keys: Sequence[str],
             out[c + "_b"] = np.concatenate(pay[c][1])
         return pd.DataFrame(out)
 
-    return (rows.map_batches(tag, batch_format="pandas")
-            .groupby("__cb").map_groups(expand, batch_format="pandas"))
+    return exchange(rows.map_batches(tag, batch_format="pandas"), "__cb",
+                    expand, coarse)
 
 
 # ---------------------------------------------------------------- exact
@@ -754,7 +759,7 @@ def ngram_jaccard_pairs(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = 
                         threshold_pct: int = 50, with_stats: bool = False,
                         size_hint_bytes: Optional[int] = None):
     """Blocked pairwise n-gram Jaccard: docs sharing a leading-token
-    block are compared exhaustively within the block (groupby shuffle on
+    block are compared exhaustively within the block (one exchange on
     the block key only). Blocks past the pathological cap are truncated;
     ``with_stats=True`` returns the dropped-pair counter alongside."""
 

@@ -37,6 +37,7 @@ import ray.data as rd
 
 from .. import fixtures
 from ..config import ExtractConfig
+from ..relops import gather
 from ..stages import ExtractModel, make_explode, make_part_reducer, make_prepare
 from ..stages.reassemble import reassemble_partition
 
@@ -181,22 +182,12 @@ def _run_reduce_wave(reducer, remaining: list, n_tasks: int) -> list:
     Plain tasks, not a Ray Data dataset: Ray Data starts a task whose
     output it has not sampled yet alone, sized at the target block size
     against the object store, so the other reducers only started after
-    the first returned. The driver waits in short ``ray.wait`` slices
-    rather than one blocking get, so the main-thread SIGTERM handler
-    (run_extract) can touch the stop file while the reducers run. On
-    any error, the tasks still running are cancelled."""
-    refs = [_reduce_run.remote(reducer, run.tolist())
-            for run in np.array_split(np.asarray(remaining), n_tasks)]
-    pending = refs
-    try:
-        while pending:
-            _, pending = ray.wait(pending, num_returns=len(pending),
-                                  timeout=0.005)
-        tables = ray.get(refs)
-    except BaseException:
-        for ref in pending:
-            ray.cancel(ref)
-        raise
+    the first returned. The driver waits through ``relops.gather``, so
+    the main-thread SIGTERM handler (run_extract) can touch the stop
+    file while the reducers run, and on any error the tasks still
+    running are cancelled."""
+    tables = gather([_reduce_run.remote(reducer, run.tolist())
+                     for run in np.array_split(np.asarray(remaining), n_tasks)])
     return pa.concat_tables(tables).to_pylist()
 
 

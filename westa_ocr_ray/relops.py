@@ -3,6 +3,15 @@
 These are the engine's general-purpose building blocks (SURVEY.md §2.4,
 §2.5): partial aggregation before the shuffle, broadcast joins for small
 sides, and an explicit partitioned hash join for large-large joins.
+
+The map sides are Ray Data operators; the bucketed reduce side that
+partial_aggregate, grouped_topk and hash_join share (and dedup's
+candidate-pair expansion) is ``exchange``: one wave of plain Ray tasks,
+one per reducer slot, each applying the per-bucket function to a
+contiguous run of buckets. On the small inputs of the query registry a
+Ray Data groupby/map_groups (a sort with a sampling pass) is mostly
+fixed cost; the exchange's output is a materialized Dataset, so it runs
+its upstream when it is called.
 """
 
 from __future__ import annotations
@@ -19,12 +28,13 @@ import ray.data as rd
 # --------------------------------------------------------------- sizing
 
 
-#: target bytes of (shuffled) data per bucket: one bucket is processed by
-#: ONE map_groups task, so this bounds per-task memory (SCALE.md
-#: §partitioning states the same rule for the extraction partition count
-#: P: ~1 GB of output per partition; buckets here see post-combine /
-#: key-projected rows, so a smaller target keeps slack for pandas
-#: overhead).
+#: target bytes of (shuffled) data per bucket and per exchange slot: one
+#: slot's run of buckets is processed by ONE reduce task (``exchange``
+#: opens a slot per this many input bytes once the cluster's CPUs are
+#: used), so this bounds per-task memory (SCALE.md §partitioning states
+#: the same rule for the extraction partition count P: ~1 GB of output
+#: per partition; buckets here see post-combine / key-projected rows, so
+#: a smaller target keeps slack for pandas overhead).
 TARGET_BUCKET_BYTES = 256 << 20
 
 
@@ -56,6 +66,10 @@ def auto_buckets(floor: int = 64, size_bytes: Optional[int] = None,
       from a lazy transformed Dataset, whose ``size_bytes()`` executes
       the plan), so one bucket's rows always fit a worker task.
 
+    ``exchange`` processes one slot's run of buckets per reduce task and
+    opens at most one slot per bucket, so the bucket count also caps
+    the reduce-task count.
+
     ``floor`` preserves each call site's round-2 constant as the
     minimum, keeping small-input behavior (and every CORRECTNESS oracle,
     which is bucket-count independent) unchanged."""
@@ -78,12 +92,12 @@ TARGET_BLOCK_BYTES = 64 << 20
 
 
 def compact_blocks(ds: rd.Dataset) -> rd.Dataset:
-    """Coalesce a MATERIALIZED dataset's fragmentation. Every bucketed
-    exchange (groupby/map_groups, hash_join, union) emits one block per
-    bucket regardless of size, so a chain of them on a modest input
-    accumulates hundreds of tiny blocks — and downstream all-to-all
-    costs scale with block COUNT, not bytes (a 5k-row chain measured
-    63 s → 17 s at 32 cpus from this compaction alone).
+    """Coalesce a MATERIALIZED dataset's fragmentation. A Ray Data
+    groupby/map_groups or a union emits blocks regardless of their size,
+    so a chain of them on a modest input accumulates hundreds of tiny
+    blocks — and downstream all-to-all costs scale with block COUNT,
+    not bytes (a 5k-row chain measured 63 s → 17 s at 32 cpus from this
+    compaction alone).
 
     Block target = max(2 blocks per cluster CPU, bytes / 64 MiB): at
     real data sizes blocks are already big, the condition never fires,
@@ -120,6 +134,103 @@ def input_size_bytes(*paths: str) -> int:
         elif os.path.exists(p):
             total += os.path.getsize(p)
     return total
+
+
+# ------------------------------------------------------------- exchange
+
+
+def gather(refs: list) -> list:
+    """``ray.get(refs)`` after waiting for them in 5 ms ``ray.wait``
+    slices. A bare ``ray.get`` holds off main-thread signal handlers
+    (run_extract's SIGTERM drain, a caller's SIGALRM time limit) until
+    it returns; a short wait does not. On any exception, including one
+    a signal handler raises, the tasks still pending are force-cancelled
+    before it propagates: a plain cancel lets a task run on until its
+    Python code next checks for interrupts, which a long native call
+    (or a sleep) defers. Killing a phase-2 reducer mid-commit is the
+    worker crash its marker protocol already covers."""
+    pending = list(refs)
+    try:
+        while pending:
+            _, pending = ray.wait(pending, num_returns=len(pending),
+                                  timeout=0.005)
+        return ray.get(refs)
+    except BaseException as exc:
+        for ref in pending:
+            ray.cancel(ref, force=True)
+        # a handler that raises inside ray.wait's native wait comes back
+        # as a SystemError caused by the handler's exception
+        if isinstance(exc, SystemError) and exc.__cause__ is not None:
+            raise exc.__cause__ from None
+        raise
+
+
+@ray.remote
+def _exchange_split(block, bucket_col: str, num_buckets: int, n: int):
+    """Exchange map task: cut one block into ``n`` slot pieces, bucket
+    ``b`` going to slot ``b * n // num_buckets`` (a contiguous run of
+    buckets per slot), rows keeping their block order."""
+    from ray.data.block import BlockAccessor
+
+    df = BlockAccessor.for_block(block).to_pandas()
+    if bucket_col not in df.columns:  # Ray Data's schema-less empty block
+        pieces = [pd.DataFrame()] * n
+    else:
+        slot = df[bucket_col].to_numpy().astype(np.int64) * n // num_buckets
+        order = np.argsort(slot, kind="stable")
+        cuts = np.searchsorted(slot[order], np.arange(n + 1))
+        pieces = [df.iloc[order[lo:hi]] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return pieces[0] if n == 1 else pieces
+
+
+@ray.remote(num_returns=2)
+def _exchange_reduce(fn, bucket_col: str, *pieces):
+    """Exchange reduce task: ``fn`` once per bucket of one slot, in
+    bucket order, on a fresh-index frame that still holds
+    ``bucket_col`` (the map_groups contract). Returns the concatenated
+    output and its row count, so the driver can drop an empty slot
+    without fetching it."""
+    frames = [p for p in pieces if len(p)]
+    if not frames:
+        return pd.DataFrame(), 0
+    df = pd.concat(frames, ignore_index=True)
+    out = pd.concat([fn(g.reset_index(drop=True))
+                     for _, g in df.groupby(bucket_col, sort=True)],
+                    ignore_index=True)
+    return out, len(out)
+
+
+def exchange(ds: rd.Dataset, bucket_col: str, fn, num_buckets: int) -> rd.Dataset:
+    """Bucketed exchange as plain Ray tasks: ``fn`` applied to the rows
+    of each bucket (``ds[bucket_col]`` in ``[0, num_buckets)``), the
+    results as one materialized Dataset of pandas blocks — what
+    ``ds.groupby(bucket_col).map_groups(fn, batch_format="pandas")``
+    returns, without Ray Data's sort and its sampling pass.
+
+    Runs ``ds`` when called. Slot count: the cluster's CPUs, or one slot
+    per TARGET_BUCKET_BYTES of input when that is more, never more than
+    ``num_buckets``. One split task per input block sends each bucket to
+    its slot; one reduce task per slot runs ``fn`` over its buckets. A
+    slot whose output is empty emits no block (an all-empty result is
+    one empty block). The driver waits through ``gather``, so signal
+    handlers run, and an exception raised while it waits (an interrupt,
+    a handler's) cancels the reduce tasks still running."""
+    blocks, nbytes = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        blocks += bundle.block_refs
+        nbytes += bundle.size_bytes()
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    n = max(1, min(num_buckets, max(cpus, -(-nbytes // TARGET_BUCKET_BYTES))))
+    split = _exchange_split.options(num_returns=n)
+    pieces = [split.remote(b, bucket_col, num_buckets, n) for b in blocks]
+    if n == 1:
+        pieces = [[p] for p in pieces]
+    outs, counts = zip(*(_exchange_reduce.remote(fn, bucket_col,
+                                                 *[p[s] for p in pieces])
+                         for s in range(n)))
+    rows = gather(list(counts))
+    return rd.from_pandas_refs([o for o, r in zip(outs, rows) if r]
+                               or [outs[0]])
 
 
 # ------------------------------------------------------------------ agg
@@ -170,19 +281,8 @@ def partial_aggregate(ds: rd.Dataset, keys: Sequence[str],
         return (df.drop(columns="__bucket")
                   .groupby(keys, sort=False, as_index=False).agg(**merge_ops))
 
-    # The bucketed groupby is a sort whose cost scales with the block
-    # MATRIX (input blocks × buckets), not bytes: a fragmented partial
-    # table (hundreds of tiny blocks after a long chain) pays seconds
-    # of pure scheduling. The partials are sketch-sized by design
-    # (|keys| × |blocks| rows), so materialize+compact is cheap here —
-    # and compact_blocks' size guard leaves genuinely large partial
-    # tables (high-cardinality keys at corpus scale) untouched.
-    # Measured 5-7 s → 3.5-3.8 s on the snapshot-diff chain at 32 cpus
-    # (same-window interleaved A/B, both reps); the groupby was already
-    # a barrier, so streaming semantics are unchanged.
-    partials = compact_blocks(
-        ds.map_batches(combine, batch_format="pandas").materialize())
-    return partials.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return exchange(ds.map_batches(combine, batch_format="pandas"),
+                    "__bucket", merge, num_buckets)
 
 
 def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
@@ -235,8 +335,8 @@ def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
                     ).astype("int64")
         return df[df["rk"] <= k]
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("__b").map_groups(final, batch_format="pandas"))
+    return exchange(ds.map_batches(partial, batch_format="pandas"),
+                    "__b", final, num_buckets)
 
 
 # ---------------------------------------------------------------- joins
@@ -269,8 +369,11 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
               bucket_fn=None,
               size_hint_bytes: Optional[int] = None) -> rd.Dataset:
     """Partitioned hash join for two large sides: bucket both inputs by
-    hash(key) % B, co-locate buckets with a single groupby shuffle, and
-    merge bucket-locally. (SCALE.md §joins 'both sides large' pattern.)
+    hash(key) % B, co-locate buckets with one ``exchange`` over the union
+    of the tagged sides, and merge bucket-locally. (SCALE.md §joins
+    'both sides large' pattern.) The join runs its inputs when called
+    and returns a materialized Dataset with at most one block per
+    reducer slot.
 
     Skew: a hot key maps every one of its rows to ONE bucket no matter
     how large num_buckets is. Pass the known hot keys (from a cheap
@@ -402,12 +505,7 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
         merged = lhs.merge(rhs, on=left_on, how=how)
         return bucket_fn(merged) if bucket_fn is not None else merged
 
-    # NOT compacted like partial_aggregate's partials: a same-window
-    # A/B on the minhash verify chain read 8.6/7.0 s before vs
-    # 9.1/7.5 s with a materialize+compact here — join inputs carry
-    # real payload columns, so the extra object-store round trip costs
-    # more than the block-count saving buys
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    return exchange(both, "__bucket", join_bucket, num_buckets)
 
 
 def semi_anti_filter_scalable(ds: rd.Dataset, key: str, keys: rd.Dataset,
