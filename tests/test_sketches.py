@@ -1,10 +1,13 @@
-"""HyperLogLog sketch tests: error bound vs exact distinct, merge
-associativity, determinism."""
+"""Sketch tests: error bounds vs exact answers, merge associativity,
+determinism, and the shared tree-merge (bucket-count invariance, empty
+inputs)."""
 
 import numpy as np
 import pandas as pd
+import pytest
 import ray.data as rd
 
+from westa_ocr_ray import sketches
 from westa_ocr_ray.sketches import HyperLogLog, approx_distinct
 
 
@@ -103,20 +106,81 @@ def test_count_min_never_underestimates_and_is_tight_for_heavy_keys():
     assert grid.sum() == 4 * n
 
 
-def test_count_min_premerge_identical_to_flat():
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
+#: the seven tree-merged sketches, each reduced to a comparable value
+#: (hot keys as a sorted list: their order follows merge order)
+TREE_MERGED = {
+    "approx_distinct": lambda ds: sketches.approx_distinct(ds, "v"),
+    "heavy_hitters": lambda ds: sketches.heavy_hitters(ds, "v", k=40),
+    "bloom_from_dataset": lambda ds: sketches.bloom_from_dataset(
+        ds, "v", m_bits=1 << 16),
+    "count_min_build": lambda ds: sketches.count_min_build(
+        ds, "v", width=256, depth=3),
+    "detect_hot_keys": lambda ds: sorted(
+        sketches.detect_hot_keys(ds, "v", 16)),
+    "heavy_hitters_exact": lambda ds: sketches.heavy_hitters_exact(
+        ds, "v", k=40),
+    "hll_register_table": lambda ds: sketches.hll_register_table(ds, "v"),
+}
 
-    from westa_ocr_ray import sketches
 
-    vals = [f"k{i % 37}" for i in range(1500)]
+def _assert_same(name, a, b):
+    if isinstance(a, pd.DataFrame):
+        pd.testing.assert_frame_equal(a, b, obj=name)
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), name
+    else:
+        assert a == b, name
+
+
+def test_count_min_premerge_identical_to_flat(monkeypatch):
+    """Every tree-merged sketch gives the same result at the default
+    bucket count, at 2 buckets, and from a flat merge of the per-batch
+    rows. 31 distinct values stay under every Misra-Gries capacity
+    (k = 40 here, ≥ 64 in detect_hot_keys), so no summary is ever cut
+    and the MG merges are exact too."""
+    vals = ["hot"] * 600 + [f"k{i % 30}" for i in range(900)]
+    vals = list(np.random.RandomState(2).permutation(vals))
     ds = rd.from_pandas(pd.DataFrame({"v": vals})).repartition(6)
-    g1 = sketches.count_min_build(ds, "v", width=256, depth=3,
-                                  premerge_buckets=2)
-    g2 = sketches.count_min_build(ds, "v", width=256, depth=3,
-                                  premerge_buckets=64)
-    assert np.array_equal(g1, g2)
+
+    default = {name: fn(ds) for name, fn in TREE_MERGED.items()}
+    assert default["detect_hot_keys"] == ["hot"]
+    assert default["heavy_hitters"]["min_count"].iloc[0] == 600
+
+    monkeypatch.setattr(sketches, "PREMERGE_BUCKETS", 2)
+    for name, fn in TREE_MERGED.items():
+        _assert_same(name, default[name], fn(ds))
+
+    def flat_merge(ds, col, sketch, merge, payload_col):
+        rows = ds.map_batches(sketch, batch_format="pandas").to_pandas()
+        assert len(rows) == 6  # one sketch row per block
+        return merge(rows).iloc[0]
+
+    monkeypatch.setattr(sketches, "_tree_merge", flat_merge)
+    for name, fn in TREE_MERGED.items():
+        _assert_same(name, default[name], fn(ds))
+
+
+@pytest.mark.parametrize("name", sorted(TREE_MERGED))
+def test_tree_merged_sketch_of_empty_input(name):
+    """An empty frame and blocks filtered to nothing both give the
+    result of an empty column: nothing counted, no bit or cell set."""
+    df = pd.DataFrame({"v": [f"k{i}" for i in range(40)]})
+    inputs = [rd.from_pandas(pd.DataFrame({"v": pd.Series([], dtype=object)})),
+              rd.from_pandas(df).repartition(4).filter(lambda r: False)]
+    for ds in inputs:
+        got = TREE_MERGED[name](ds)
+        if name == "approx_distinct":
+            assert got == 0
+        elif name in ("heavy_hitters", "heavy_hitters_exact"):
+            assert got.shape == (0, 2) and got.columns[0] == "v"
+        elif name == "bloom_from_dataset":
+            assert got == bytes((1 << 16) // 8)
+        elif name == "count_min_build":
+            assert np.array_equal(got, np.zeros((3, 256), dtype=np.int64))
+        elif name == "detect_hot_keys":
+            assert got == []
+        else:
+            assert len(got) == 4096 and not got["register"].any()
 
 
 def test_heavy_hitters_exact_matches_truth_any_layout():

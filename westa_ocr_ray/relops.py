@@ -5,13 +5,13 @@ These are the engine's general-purpose building blocks (SURVEY.md §2.4,
 sides, and an explicit partitioned hash join for large-large joins.
 
 The map sides are Ray Data operators; the bucketed reduce side that
-partial_aggregate, grouped_topk and hash_join share (and dedup's
-candidate-pair expansion) is ``exchange``: one wave of plain Ray tasks,
-one per reducer slot, each applying the per-bucket function to a
-contiguous run of buckets. On the small inputs of the query registry a
-Ray Data groupby/map_groups (a sort with a sampling pass) is mostly
-fixed cost; the exchange's output is a materialized Dataset, so it runs
-its upstream when it is called.
+partial_aggregate, grouped_topk, hash_join and global_value_rank share
+(and dedup's candidate-pair expansion and the sketches' tree-merge) is
+``exchange``: one wave of plain Ray tasks, one per reducer slot, each
+applying the per-bucket function to a contiguous run of buckets. On the
+small inputs of the query registry a Ray Data groupby/map_groups (a sort
+with a sampling pass) is mostly fixed cost; the exchange's output is a
+materialized Dataset, so it runs its upstream when it is called.
 """
 
 from __future__ import annotations
@@ -627,7 +627,8 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
     ``row_number() OVER (ORDER BY v [DESC], id)`` exactly — all-integer
     and block-layout independent. The input is consumed three times, so
     the narrow (id, value) projection is materialized once (the
-    bm25/per_doc trade). Returns (id_col, value_col, rank)."""
+    bm25/per_doc trade). Returns a materialized Dataset of (id_col,
+    value_col, rank): the placement ``exchange`` runs when called."""
     proj = ds.map_batches(lambda df: df[[id_col, value_col]],
                           batch_format="pandas").materialize()
 
@@ -667,8 +668,9 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
                       + int(o[int(df["__bin"].iloc[0])]))
         return df[[id_col, value_col, "rank"]]
 
-    return (proj.map_batches(binned, batch_format="pandas")
-            .groupby("__bin").map_groups(rank_bin, batch_format="pandas"))
+    # bins lie in [0, num_bins) by construction of `width`
+    return exchange(proj.map_batches(binned, batch_format="pandas"),
+                    "__bin", rank_bin, num_bins)
 
 
 def ntile_from_rank(rank: np.ndarray, n: int, tiles: int) -> np.ndarray:
@@ -730,13 +732,12 @@ def exact_order_statistic(ds: rd.Dataset, value_col: str, k: int,
     return int(vals["v"][j])
 
 
-def grouped_quantile_thresholds(ds: rd.Dataset, group_col: str,
-                                value_col: str, q_num: int, q_den: int,
-                                bin_width: int = 64,
-                                num_buckets: Optional[int] = None) -> dict:
-    """EXACT per-group q-quantile value (the value at ascending rank
-    ceil(q * n_g) within each group) of an integer column — the grouped
-    generalization of exact_order_statistic, same two bounded passes:
+def _grouped_rank_value(ds: rd.Dataset, group_col: str, value_col: str,
+                        target_rank, bin_width: int,
+                        num_buckets: Optional[int]) -> dict:
+    """EXACT per-group value at ascending rank ``target_rank(n_g)``
+    (1-based, duplicates counted) of an integer column, in two bounded
+    passes — the grouped generalization of exact_order_statistic:
 
     1. grouped histogram: (group, value // bin_width) counts — the
        driver sees #groups × bins rows, independent of row count;
@@ -744,11 +745,8 @@ def grouped_quantile_thresholds(ds: rd.Dataset, group_col: str,
        per-group bin map broadcasts via ray.put): (group, value) counts
        for ≤ bin_width values per group cross the wire.
 
-    Group count must be driver-small (languages, sources, event types —
-    the per-group QUANTILE table is the output); per-group row counts
-    are unbounded and never materialize anywhere. Returns
-    {group: threshold}."""
-    import ray
+    Group count must be driver-small; per-group row counts are unbounded
+    and never materialize anywhere. Returns {group: value}."""
 
     def binned(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -763,19 +761,19 @@ def grouped_quantile_thresholds(ds: rd.Dataset, group_col: str,
     rank_bin, residual = {}, {}
     for g, sub in hist.groupby("g", sort=False):
         cum = sub["cnt"].cumsum().to_numpy()
-        n_g = int(cum[-1])
-        k = (n_g * q_num + q_den - 1) // q_den  # ceil(q * n), 1-based
-        i = int(np.searchsorted(cum, max(k, 1)))
+        r = target_rank(int(cum[-1]))
+        i = int(np.searchsorted(cum, r))
         rank_bin[g] = int(sub["bin"].iloc[i])
-        residual[g] = max(k, 1) - (int(cum[i - 1]) if i else 0)
+        residual[g] = r - (int(cum[i - 1]) if i else 0)
     bin_ref = ray.put(rank_bin)
 
     def in_bin(df: pd.DataFrame) -> pd.DataFrame:
         bins = ray.get(bin_ref)
         g = df[group_col].to_numpy()
         v = df[value_col].to_numpy(dtype=np.int64)
-        want = np.fromiter((bins.get(x, -1) for x in g), dtype=np.int64,
-                           count=len(g))
+        # a group with no bin matches no value's bin
+        want = np.fromiter((bins.get(x, -(1 << 62)) for x in g),
+                           dtype=np.int64, count=len(g))
         m = v // bin_width == want
         return pd.DataFrame({"g": g[m], "v": v[m]})
 
@@ -790,6 +788,21 @@ def grouped_quantile_thresholds(ds: rd.Dataset, group_col: str,
     return out
 
 
+def grouped_quantile_thresholds(ds: rd.Dataset, group_col: str,
+                                value_col: str, q_num: int, q_den: int,
+                                bin_width: int = 64,
+                                num_buckets: Optional[int] = None) -> dict:
+    """EXACT per-group q-quantile value (the value at ascending rank
+    ceil(q * n_g) within each group) of an integer column, in the two
+    bounded passes of ``_grouped_rank_value``. The per-group QUANTILE
+    table is the output (languages, sources, event types). Returns
+    {group: threshold}."""
+    return _grouped_rank_value(
+        ds, group_col, value_col,
+        lambda n: max((n * q_num + q_den - 1) // q_den, 1),  # ceil(q * n)
+        bin_width, num_buckets)
+
+
 def grouped_percentile_filter(ds: rd.Dataset, group_col: str,
                               value_col: str, q_num: int, q_den: int,
                               bin_width: int = 64,
@@ -801,8 +814,6 @@ def grouped_percentile_filter(ds: rd.Dataset, group_col: str,
     of every language", CCNet-style perplexity tails), with no global
     sort and nothing group-sized on any worker. One streaming filter
     pass after the two bounded threshold passes above."""
-    import ray
-
     thr = grouped_quantile_thresholds(ds, group_col, value_col, q_num,
                                       q_den, bin_width, num_buckets)
     thr_ref = ray.put(thr)
@@ -827,55 +838,13 @@ def grouped_kth_from_top(ds: rd.Dataset, group_col: str, value_col: str,
     rank(x) <= k  ⟺  x >= (k-th largest value of the group), so one
     broadcast {group: threshold} map turns "top k with ties per group"
     into a map_batches filter with NO per-group sort and nothing
-    group-sized on any worker.
-
-    Same two bounded passes as grouped_quantile_thresholds (grouped
-    histogram -> exact pass inside each group's single rank-holding
-    bin); the only difference is the target rank arithmetic
-    (ascending rank max(n_g - k + 1, 1) instead of ceil(q * n_g))."""
-    import ray
-
+    group-sized on any worker. Same two bounded passes as
+    grouped_quantile_thresholds, at ascending rank max(n_g - k + 1, 1)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-
-    def binned(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "g": df[group_col].to_numpy(),
-            "bin": df[value_col].to_numpy(dtype=np.int64) // bin_width})
-
-    hist = (partial_aggregate(ds.map_batches(binned, batch_format="pandas"),
-                              ["g", "bin"], {"cnt": ("count", None)},
-                              num_buckets=num_buckets)
-            .to_pandas().sort_values(["g", "bin"], ignore_index=True))
-
-    rank_bin, residual = {}, {}
-    for g, sub in hist.groupby("g", sort=False):
-        cum = sub["cnt"].cumsum().to_numpy()
-        n_g = int(cum[-1])
-        kk = max(n_g - k + 1, 1)  # ascending rank of the k-th largest
-        i = int(np.searchsorted(cum, kk))
-        rank_bin[g] = int(sub["bin"].iloc[i])
-        residual[g] = kk - (int(cum[i - 1]) if i else 0)
-    bin_ref = ray.put(rank_bin)
-
-    def in_bin(df: pd.DataFrame) -> pd.DataFrame:
-        bins = ray.get(bin_ref)
-        g = df[group_col].to_numpy()
-        v = df[value_col].to_numpy(dtype=np.int64)
-        want = np.fromiter((bins.get(x, -(1 << 62)) for x in g),
-                           dtype=np.int64, count=len(g))
-        m = v // bin_width == want
-        return pd.DataFrame({"g": g[m], "v": v[m]})
-
-    vals = (partial_aggregate(ds.map_batches(in_bin, batch_format="pandas"),
-                              ["g", "v"], {"cnt": ("count", None)},
-                              num_buckets=num_buckets)
-            .to_pandas().sort_values(["g", "v"], ignore_index=True))
-    out = {}
-    for g, sub in vals.groupby("g", sort=False):
-        j = int(np.searchsorted(sub["cnt"].cumsum().to_numpy(), residual[g]))
-        out[g] = int(sub["v"].iloc[j])
-    return out
+    return _grouped_rank_value(ds, group_col, value_col,
+                               lambda n: max(n - k + 1, 1),
+                               bin_width, num_buckets)
 
 
 def exact_median(ds: rd.Dataset, value_col: str, bin_width: int = 64,

@@ -1,9 +1,12 @@
 """Mergeable sketches for approximate aggregates at scale.
 
-The scale shape (SCALE.md §sketches): one serialized sketch per batch emitted
-from map_batches, merged in a tiny second stage — the all-to-all moves
-registers, never rows. The reference has no sketches (SURVEY.md §2.5);
-this is part of the training-data toolkit.
+The scale shape (SCALE.md §Sketches): one serialized sketch row per
+batch from map_batches, merged by ``_tree_merge`` in two levels — per
+bucket of PREMERGE_BUCKETS on ``relops.exchange``, then once on the
+driver — so the all-to-all moves registers, never rows, and the driver
+folds at most PREMERGE_BUCKETS rows whatever the block count. Each
+sketch is a per-batch kernel plus a merge. The reference has no
+sketches (SURVEY.md §2.5); this is part of the training-data toolkit.
 
 HyperLogLog per Flajolet et al. 2007, with the standard small-range
 (linear counting) correction. Hashing is pandas' 64-bit siphash
@@ -12,9 +15,18 @@ HyperLogLog per Flajolet et al. 2007, with the standard small-range
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pandas as pd
+import ray
 import ray.data as rd
+
+from .relops import exchange, partial_aggregate
+
+#: bucket count of the tree-merge's middle level: the driver merges at
+#: most this many sketch rows (VERDICT r2 #2: not one per input block)
+PREMERGE_BUCKETS = 64
 
 
 class HyperLogLog:
@@ -59,7 +71,7 @@ class HyperLogLog:
         return int(round(est))
 
 
-def _premerge_buckets(payload_col: str, n_buckets: int = 64):
+def _premerge_buckets(payload_col: str, n_buckets: int):
     """Deterministic bucket tag for sketch rows (md5 of the payload
     bytes — sketch batches are 1-row, so a within-batch round-robin
     would put every sketch in bucket 0; the content hash spreads them.
@@ -79,15 +91,47 @@ def _premerge_buckets(payload_col: str, n_buckets: int = 64):
     return tag
 
 
-def approx_distinct(ds: rd.Dataset, col: str, p: int = 12,
-                    premerge_buckets: int = 64) -> int:
+def _tree_merge(ds: rd.Dataset, col: str, sketch, merge,
+                payload_col: str) -> pd.Series:
+    """The one tree-merge under every sketch: ``sketch`` turns each batch
+    of ``ds`` into a one-row frame, rows are bucketed by a hash of
+    ``payload_col``, ``merge`` folds each bucket's rows into one row on
+    ``relops.exchange``, and the driver folds those ≤ PREMERGE_BUCKETS
+    rows with ``merge`` once more. ``merge`` takes any non-empty set of
+    sketch rows and returns one. Returns the merged row; an input with
+    no batches (the exchange then returns one column-less block) merges
+    the sketch of an empty ``col`` frame."""
+    n = PREMERGE_BUCKETS  # read on the driver: the tag runs on workers
+    tagged = (ds.map_batches(sketch, batch_format="pandas")
+              .map_batches(_premerge_buckets(payload_col, n),
+                           batch_format="pandas"))
+    parts = exchange(tagged, "__b", merge, n).to_pandas()
+    if parts.columns.empty:
+        parts = sketch(pd.DataFrame({col: []}))
+    return merge(parts).iloc[0]
+
+
+def _fold(raws, dtype, op) -> bytes:
+    """Element-wise ``op`` (max, or, add) over equal-size sketch buffers."""
+    raws = iter(raws)
+    acc = np.frombuffer(next(raws), dtype=dtype).copy()
+    for raw in raws:
+        op(acc, np.frombuffer(raw, dtype=dtype), out=acc)
+    return acc.tobytes()
+
+
+def _max_registers(df: pd.DataFrame) -> pd.DataFrame:
+    """HLL merge: register-wise max (associative and commutative, so the
+    tree-merged registers equal a flat merge's)."""
+    return pd.DataFrame({"registers": [_fold(df["registers"], np.uint8,
+                                             np.maximum)]})
+
+
+def approx_distinct(ds: rd.Dataset, col: str, p: int = 12) -> int:
     """Approximate COUNT(DISTINCT col): per-batch HLL registers (one
-    m-byte row per batch crosses the wire), tree-merged — a bucketed
-    pre-merge stage collapses the per-block sketches to ≤
-    ``premerge_buckets`` rows (register max is associative/commutative,
-    so the estimate is IDENTICAL to a flat merge), and the driver merges
-    only those. At 100 TB that is ~64 rows through the driver instead of
-    one per input block (VERDICT r2 #2)."""
+    m-byte row per batch crosses the wire), tree-merged. At 100 TB the
+    driver merges ≤ PREMERGE_BUCKETS rows instead of one per input
+    block (VERDICT r2 #2)."""
 
     def sketch(df: pd.DataFrame) -> pd.DataFrame:
         hll = HyperLogLog(p)
@@ -95,23 +139,10 @@ def approx_distinct(ds: rd.Dataset, col: str, p: int = 12,
                                                   index=False).to_numpy())
         return pd.DataFrame({"registers": [hll.registers.tobytes()]})
 
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        regs = np.zeros(1 << p, dtype=np.uint8)
-        for raw in df["registers"]:
-            np.maximum(regs, np.frombuffer(raw, dtype=np.uint8), out=regs)
-        return pd.DataFrame({"registers": [regs.tobytes()]})
-
-    parts = (ds.map_batches(sketch, batch_format="pandas")
-             .map_batches(_premerge_buckets("registers", premerge_buckets),
-                          batch_format="pandas")
-             .groupby("__b")
-             .map_groups(lambda df: merge_bucket(df.drop(columns="__b")),
-                         batch_format="pandas"))
     merged = HyperLogLog(p)
-    for row in parts.take_all():  # ≤ premerge_buckets rows
-        other = HyperLogLog(p)
-        other.registers = np.frombuffer(row["registers"], dtype=np.uint8).copy()
-        merged.merge(other)
+    merged.registers = np.frombuffer(
+        _tree_merge(ds, col, sketch, _max_registers, "registers")["registers"],
+        dtype=np.uint8)
     return merged.estimate()
 
 
@@ -132,41 +163,44 @@ def misra_gries_merge(summaries, k: int):
     return {key: c - cut for key, c in total.items() if c - cut > 0}
 
 
-def heavy_hitters(ds: rd.Dataset, col: str, k: int = 20,
-                  premerge_buckets: int = 64) -> pd.DataFrame:
+def _mg_batch(values: pd.Series, k: int) -> dict:
+    """One batch's Misra-Gries summary (JSON, keys stringified after
+    counting) and row count, as sketch-row columns."""
+    vc = values.value_counts()  # vectorized per-batch count, descending
+    if len(vc) >= k:
+        cut = int(vc.iloc[k - 1])
+        vc = (vc - cut)[vc - cut > 0]
+    summary = {str(key): int(c) for key, c in vc.items()}
+    return {"summary": [json.dumps(summary)], "n_rows": [len(values)]}
+
+
+def _mg_fold(df: pd.DataFrame, k: int) -> dict:
+    """Merge of ``_mg_batch`` rows (MG summaries are mergeable with the
+    n/k bound intact — Agarwal et al. 2012, "Mergeable Summaries" — so
+    the guarantee survives the tree)."""
+    merged = misra_gries_merge([json.loads(s) for s in df["summary"]], k)
+    return {"summary": [json.dumps(merged)],
+            "n_rows": [int(df["n_rows"].sum())]}
+
+
+def _mg_candidates(ds: rd.Dataset, col: str, k: int) -> tuple:
+    """Tree-merged Misra-Gries summary of ``col`` and the exact row
+    count, from one scan: (dict of stringified value -> lower-bound
+    count, n)."""
+    row = _tree_merge(ds, col,
+                      lambda df: pd.DataFrame(_mg_batch(df[col], k)),
+                      lambda df: pd.DataFrame(_mg_fold(df, k)), "summary")
+    return json.loads(row["summary"]), int(row["n_rows"])
+
+
+def heavy_hitters(ds: rd.Dataset, col: str, k: int = 20) -> pd.DataFrame:
     """Approximate heavy hitters over a column: one (k-1)-entry
     Misra-Gries summary per batch crosses the wire (never rows),
-    tree-merged — a bucketed pre-merge collapses per-block summaries to
-    ≤ ``premerge_buckets`` before the driver merge (MG summaries are
-    mergeable with the error bound intact — Agarwal et al. 2012,
-    "Mergeable Summaries" — so the n/k guarantee survives the tree).
-    Guarantee: any value with frequency > n/k appears in the output;
-    returned counts are lower bounds within n/k of truth. Candidate set
-    depends on block partitioning (the MG decrement order) —
-    approximate by design, gated by tests/test_sketches.py."""
-    import json
-    from collections import Counter
-
-    def sketch(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df[col].value_counts()  # vectorized per-batch count
-        if len(vc) >= k:
-            cut = int(vc.iloc[k - 1])  # value_counts is descending
-            vc = (vc - cut)[vc - cut > 0]
-        counts = {str(key): int(c) for key, c in vc.items()}
-        return pd.DataFrame({"summary": [json.dumps(dict(counts))]})
-
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        merged = misra_gries_merge([json.loads(s) for s in df["summary"]], k)
-        return pd.DataFrame({"summary": [json.dumps(merged)]})
-
-    parts_ds = (ds.map_batches(sketch, batch_format="pandas")
-                .map_batches(_premerge_buckets("summary", premerge_buckets),
-                             batch_format="pandas")
-                .groupby("__b")
-                .map_groups(lambda df: merge_bucket(df.drop(columns="__b")),
-                            batch_format="pandas"))
-    parts = [json.loads(row["summary"]) for row in parts_ds.take_all()]
-    merged = misra_gries_merge(parts, k)
+    tree-merged. Guarantee: any value with frequency > n/k appears in
+    the output; returned counts are lower bounds within n/k of truth.
+    Candidate set depends on block partitioning (the MG decrement
+    order) — approximate by design, gated by tests/test_sketches.py."""
+    merged, _ = _mg_candidates(ds, col, k)
     out = pd.DataFrame({col: list(merged.keys()),
                         "min_count": np.array(list(merged.values()),
                                               dtype=np.int64)})
@@ -190,12 +224,12 @@ def _bloom_indices(values: pd.Series, m_bits: int, k: int) -> np.ndarray:
 
 
 def bloom_from_dataset(ds: rd.Dataset, col: str, m_bits: int = 1 << 23,
-                       k: int = 4, premerge_buckets: int = 64) -> bytes:
+                       k: int = 4) -> bytes:
     """Distributed Bloom-filter build over a key column: per-batch
-    partial bitmaps, tree-merged (bitwise OR is associative/commutative,
-    same shape as the HLL pre-merge) so the driver ORs ≤
-    ``premerge_buckets`` bitmaps, never one per block. Returns the
-    packed bitmap bytes (m_bits/8; default 1 MiB)."""
+    partial bitmaps, tree-merged (bitwise OR is associative and
+    commutative) so the driver ORs ≤ PREMERGE_BUCKETS bitmaps, never one
+    per block. Returns the packed bitmap bytes (m_bits/8; default
+    1 MiB)."""
 
     def sketch(df: pd.DataFrame) -> pd.DataFrame:
         bits = np.zeros(m_bits // 8, dtype=np.uint8)
@@ -205,22 +239,11 @@ def bloom_from_dataset(ds: rd.Dataset, col: str, m_bits: int = 1 << 23,
                              np.uint8(1) << (idx % 8).astype(np.uint8))
         return pd.DataFrame({"bits": [bits.tobytes()]})
 
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        acc = np.zeros(m_bits // 8, dtype=np.uint8)
-        for raw in df["bits"]:
-            np.bitwise_or(acc, np.frombuffer(raw, dtype=np.uint8), out=acc)
-        return pd.DataFrame({"bits": [acc.tobytes()]})
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"bits": [_fold(df["bits"], np.uint8,
+                                            np.bitwise_or)]})
 
-    parts = (ds.map_batches(sketch, batch_format="pandas")
-             .map_batches(_premerge_buckets("bits", premerge_buckets),
-                          batch_format="pandas")
-             .groupby("__b")
-             .map_groups(lambda df: merge_bucket(df.drop(columns="__b")),
-                         batch_format="pandas"))
-    acc = np.zeros(m_bits // 8, dtype=np.uint8)
-    for row in parts.take_all():  # ≤ premerge_buckets rows
-        np.bitwise_or(acc, np.frombuffer(row["bits"], dtype=np.uint8), out=acc)
-    return acc.tobytes()
+    return _tree_merge(ds, col, sketch, merge, "bits")["bits"]
 
 
 def bloom_might_contain(values: pd.Series, bloom: bytes, m_bits: int,
@@ -257,41 +280,41 @@ def _cms_cells(values: pd.Series, width: int, depth: int) -> np.ndarray:
     return out[:, inv]
 
 
+def _cms_grid(values: pd.Series, width: int, depth: int) -> dict:
+    """One batch's (depth, width) int64 count-min grid, as sketch-row
+    columns."""
+    grid = np.zeros((depth, width), dtype=np.int64)
+    if len(values):
+        cells = _cms_cells(values, width, depth)
+        for d in range(depth):
+            np.add.at(grid[d], cells[d], 1)
+    return {"grid": [grid.tobytes()]}
+
+
+def _sum_grids(df: pd.DataFrame) -> dict:
+    """Merge of ``_cms_grid`` columns: cell-wise add (associative and
+    commutative, so the tree-merged grid is exact)."""
+    return {"grid": [_fold(df["grid"], np.int64, np.add)]}
+
+
 def count_min_build(ds: rd.Dataset, col: str, width: int = 2048,
-                    depth: int = 4, premerge_buckets: int = 64) -> np.ndarray:
+                    depth: int = 4) -> np.ndarray:
     """Count-min sketch of value frequencies (Cormode & Muthukrishnan
-    2005): per-batch (depth, width) int64 grids, tree-merged — cell-wise
-    ADD is associative/commutative, so the bucketed pre-merge stage
-    (same shape as approx_distinct's) collapses per-block grids to ≤
-    ``premerge_buckets`` rows and the driver sums only those. Point
-    query = min over rows; estimate is NEVER below the true count and
-    exceeds it by ≤ e·N/width with prob ≥ 1-e^-depth (guarantee-gated
-    in tests). Returns the merged (depth, width) grid."""
+    2005): per-batch (depth, width) int64 grids, tree-merged, so the
+    driver sums ≤ PREMERGE_BUCKETS grids. Point query = min over rows;
+    estimate is NEVER below the true count and exceeds it by ≤ e·N/width
+    with prob ≥ 1-e^-depth (guarantee-gated in tests). Returns the
+    merged (depth, width) grid."""
 
     def sketch(df: pd.DataFrame) -> pd.DataFrame:
-        grid = np.zeros((depth, width), dtype=np.int64)
-        if len(df):
-            cells = _cms_cells(df[col], width, depth)
-            for d in range(depth):
-                np.add.at(grid[d], cells[d], 1)
-        return pd.DataFrame({"grid": [grid.tobytes()]})
+        return pd.DataFrame(_cms_grid(df[col], width, depth))
 
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        acc = np.zeros(depth * width, dtype=np.int64)
-        for raw in df["grid"]:
-            acc += np.frombuffer(raw, dtype=np.int64)
-        return pd.DataFrame({"grid": [acc.tobytes()]})
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(_sum_grids(df))
 
-    parts = (ds.map_batches(sketch, batch_format="pandas")
-             .map_batches(_premerge_buckets("grid", premerge_buckets),
-                          batch_format="pandas")
-             .groupby("__b")
-             .map_groups(lambda df: merge_bucket(df.drop(columns="__b")),
-                         batch_format="pandas"))
-    total = np.zeros(depth * width, dtype=np.int64)
-    for row in parts.take_all():  # ≤ premerge_buckets rows
-        total += np.frombuffer(row["grid"], dtype=np.int64)
-    return total.reshape(depth, width)
+    grid = np.frombuffer(_tree_merge(ds, col, sketch, merge, "grid")["grid"],
+                         dtype=np.int64)
+    return grid.reshape(depth, width).copy()  # writable for the caller
 
 
 def count_min_query(grid: np.ndarray, values: pd.Series) -> np.ndarray:
@@ -304,12 +327,12 @@ def count_min_query(grid: np.ndarray, values: pd.Series) -> np.ndarray:
 
 def detect_hot_keys(ds: rd.Dataset, col: str, num_buckets: int,
                     factor: float = 4.0, width: int = 4096,
-                    depth: int = 4, premerge_buckets: int = 64) -> list:
+                    depth: int = 4) -> list:
     """Hot join keys in ONE fused distributed sketch pass — the skew
     pre-pass behind hash_join(auto_salt=True). Per batch: a Misra-Gries
     candidate summary, a count-min grid, and the row count ride one
-    emit; the bucketed pre-merge collapses them tree-wise so the driver
-    folds ≤ premerge_buckets rows regardless of block count.
+    sketch row, tree-merged so the driver folds ≤ PREMERGE_BUCKETS rows
+    regardless of block count.
 
     A key is hot when its estimated frequency exceeds
     ``factor · n / num_buckets`` (it would overload its single join
@@ -318,68 +341,38 @@ def detect_hot_keys(ds: rd.Dataset, col: str, num_buckets: int,
     undercounts, so no true hot key is missed (a near-threshold
     false positive just gets harmlessly salted). Returns the hot keys
     as STRINGS (hash_join compares key string forms)."""
-    import json
-
     k = max(64, int(np.ceil(num_buckets / max(factor, 1e-9))) * 2)
 
     def sketch(df: pd.DataFrame) -> pd.DataFrame:
-        sv = df[col].astype(str)
-        vc = sv.value_counts()
-        if len(vc) >= k:
-            cut = int(vc.iloc[k - 1])
-            vc = (vc - cut)[vc - cut > 0]
-        grid = np.zeros((depth, width), dtype=np.int64)
-        if len(df):
-            cells = _cms_cells(sv, width, depth)
-            for d in range(depth):
-                np.add.at(grid[d], cells[d], 1)
-        return pd.DataFrame({
-            "summary": [json.dumps({str(i): int(c) for i, c in vc.items()})],
-            "grid": [grid.tobytes()],
-            "n_rows": [len(df)]})
+        sv = df[col].astype(str)  # stringified BEFORE counting
+        return pd.DataFrame({**_mg_batch(sv, k),
+                             **_cms_grid(sv, width, depth)})
 
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        merged = misra_gries_merge([json.loads(s) for s in df["summary"]], k)
-        acc = np.zeros(depth * width, dtype=np.int64)
-        for raw in df["grid"]:
-            acc += np.frombuffer(raw, dtype=np.int64)
-        return pd.DataFrame({"summary": [json.dumps(merged)],
-                             "grid": [acc.tobytes()],
-                             "n_rows": [int(df["n_rows"].sum())]})
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({**_mg_fold(df, k), **_sum_grids(df)})
 
-    rows = (ds.map_batches(sketch, batch_format="pandas")
-            .map_batches(_premerge_buckets("grid", premerge_buckets),
-                         batch_format="pandas")
-            .groupby("__b")
-            .map_groups(lambda df: merge_bucket(df.drop(columns="__b")),
-                        batch_format="pandas")).take_all()
-    n = int(sum(r["n_rows"] for r in rows))
-    if n == 0:
+    row = _tree_merge(ds, col, sketch, merge, "grid")
+    n = int(row["n_rows"])
+    cand = list(json.loads(row["summary"]))
+    if n == 0 or not cand:
         return []
-    cand = list(misra_gries_merge(
-        [json.loads(r["summary"]) for r in rows], k).keys())
-    if not cand:
-        return []
-    grid = np.zeros(depth * width, dtype=np.int64)
-    for r in rows:
-        grid += np.frombuffer(r["grid"], dtype=np.int64)
-    est = count_min_query(grid.reshape(depth, width), pd.Series(cand))
+    grid = np.frombuffer(row["grid"], dtype=np.int64).reshape(depth, width)
+    est = count_min_query(grid, pd.Series(cand))
     thresh = factor * n / num_buckets
     return [c for c, e in zip(cand, est) if e > thresh]
 
 
 # ------------------------------------------- exact two-pass heavy hitters
 
-def heavy_hitters_exact(ds: rd.Dataset, col: str, k: int = 20,
-                        premerge_buckets: int = 64) -> pd.DataFrame:
+def heavy_hitters_exact(ds: rd.Dataset, col: str, k: int = 20) -> pd.DataFrame:
     """EXACT heavy hitters (every value with frequency strictly greater
     than n/k, with its exact count) in two bounded passes — the classic
     sketch-then-verify upgrade of ``heavy_hitters``:
 
-    1. the Misra-Gries candidate sweep above (one ≤(k-1)-entry summary
-       per batch crosses the wire; the MG guarantee says every true
-       heavy hitter survives the tree merge), which also yields the
-       exact total row count n from the same pass's partials;
+    1. ``heavy_hitters``' Misra-Gries candidate sweep (one ≤(k-1)-entry
+       summary per batch crosses the wire; the MG guarantee says every
+       true heavy hitter survives the tree merge), which also yields the
+       exact total row count n from the same sketch rows;
     2. an exact count restricted to the ≤k-1 broadcast candidates — a
        per-batch combiner emits ≤k-1 partial rows per block, so the
        second pass is another sketch-sized exchange, never a full
@@ -390,42 +383,14 @@ def heavy_hitters_exact(ds: rd.Dataset, col: str, k: int = 20,
     only affects which NON-hitters appear as candidates, and those are
     removed by the exact filter. Returns (col, cnt) sorted by
     (-cnt, col)."""
-    import json
-    from collections import Counter
-
-    # pass 1: MG candidates + exact n, fused into one scan (summary and
-    # row-count partials ride the same per-batch emit)
-    def sketch(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df[col].value_counts()  # vectorized per-batch count
-        if len(vc) >= k:
-            cut = int(vc.iloc[k - 1])  # value_counts is descending
-            vc = (vc - cut)[vc - cut > 0]
-        counts = {str(key): int(c) for key, c in vc.items()}
-        return pd.DataFrame({"summary": [json.dumps(dict(counts))],
-                             "n_rows": [len(df)]})
-
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        merged = misra_gries_merge([json.loads(s) for s in df["summary"]], k)
-        return pd.DataFrame({"summary": [json.dumps(merged)],
-                             "n_rows": [int(df["n_rows"].sum())]})
-
-    parts_ds = (ds.map_batches(sketch, batch_format="pandas")
-                .map_batches(_premerge_buckets("summary", premerge_buckets),
-                             batch_format="pandas")
-                .groupby("__b")
-                .map_groups(lambda df: merge_bucket(df.drop(columns="__b")),
-                            batch_format="pandas"))
-    rows = parts_ds.take_all()  # ≤ premerge_buckets rows
-    n_total = int(sum(r["n_rows"] for r in rows))
-    cand = set(misra_gries_merge([json.loads(r["summary"]) for r in rows],
-                                 k).keys())
+    merged, n_total = _mg_candidates(ds, col, k)  # pass 1
+    cand = set(merged)
     if not cand:
         return pd.DataFrame({col: pd.Series([], dtype=object),
                              "cnt": pd.Series([], dtype=np.int64)})
 
     # pass 2: exact counts of the candidates only (broadcast set — ≤k-1
     # entries, read once per task via ray.put)
-    import ray
     cand_ref = ray.put(cand)
 
     def count_cands(df: pd.DataFrame) -> pd.DataFrame:
@@ -438,7 +403,6 @@ def heavy_hitters_exact(ds: rd.Dataset, col: str, k: int = 20,
         return pd.DataFrame({col: g.index.to_numpy(),
                              "cnt": g.to_numpy(dtype=np.int64)})
 
-    from .relops import partial_aggregate
     exact = partial_aggregate(
         ds.map_batches(count_cands, batch_format="pandas"),
         [col], {"cnt": ("sum", "cnt")}).to_pandas()
@@ -475,15 +439,14 @@ def _md5_hll_parts(values, p: int) -> tuple:
     return idx, rho
 
 
-def hll_register_table(ds: rd.Dataset, col: str, p: int = 12,
-                       premerge_buckets: int = 64) -> pd.DataFrame:
+def hll_register_table(ds: rd.Dataset, col: str, p: int = 12) -> pd.DataFrame:
     """The HLL register table itself, made driver-visible and SQL-exact:
-    same distributed shape as ``approx_distinct`` (one m-byte register
-    row per batch, bucketed pre-merge, driver merges ≤premerge_buckets
-    rows) but with an md5-derived hash so DuckDB can recompute every
-    register bit-for-bit (queries.ORACLE_SQL['hll_user_registers']) —
-    the value check the estimate-only query can't have. Returns all
-    2^p rows (idx, register), zeros included."""
+    same distributed shape and merge as ``approx_distinct`` (one m-byte
+    register row per batch, tree-merged) but with an md5-derived hash so
+    DuckDB can recompute every register bit-for-bit
+    (queries.ORACLE_SQL['hll_user_registers']) — the value check the
+    estimate-only query can't have. Returns all 2^p rows (idx,
+    register), zeros included."""
 
     def sketch(df: pd.DataFrame) -> pd.DataFrame:
         regs = np.zeros(1 << p, dtype=np.uint8)
@@ -492,21 +455,8 @@ def hll_register_table(ds: rd.Dataset, col: str, p: int = 12,
             np.maximum.at(regs, idx, rho.astype(np.uint8))
         return pd.DataFrame({"registers": [regs.tobytes()]})
 
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        regs = np.zeros(1 << p, dtype=np.uint8)
-        for raw in df["registers"]:
-            np.maximum(regs, np.frombuffer(raw, dtype=np.uint8), out=regs)
-        return pd.DataFrame({"registers": [regs.tobytes()]})
-
-    parts = (ds.map_batches(sketch, batch_format="pandas")
-             .map_batches(_premerge_buckets("registers", premerge_buckets),
-                          batch_format="pandas")
-             .groupby("__b")
-             .map_groups(lambda df: merge_bucket(df.drop(columns="__b")),
-                         batch_format="pandas"))
-    regs = np.zeros(1 << p, dtype=np.uint8)
-    for row in parts.take_all():  # ≤ premerge_buckets rows
-        np.maximum(regs, np.frombuffer(row["registers"], dtype=np.uint8),
-                   out=regs)
+    regs = np.frombuffer(
+        _tree_merge(ds, col, sketch, _max_registers, "registers")["registers"],
+        dtype=np.uint8)
     return pd.DataFrame({"idx": np.arange(1 << p, dtype=np.int32),
                          "register": regs.astype(np.int32)})
