@@ -545,13 +545,14 @@ def test_skyline_block_matches_bruteforce():
 
 def test_skyline_merge_layout_independent(ray_session):
     """skyline(A ∪ B) == skyline(skyline(A) ∪ skyline(B)) — the
-    distributed merge relies on this; check the full query shape is
-    block-layout independent."""
+    distributed merge relies on this; check the engine's local-then-
+    merge step is block-layout independent and equals the one-frame
+    frontier."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
-    from westa_ocr_ray.queries import _skyline_block
+    from westa_ocr_ray.queries import _skyline_block, skyline
 
     rng = np.random.default_rng(33)
     df = pd.DataFrame({
@@ -559,17 +560,14 @@ def test_skyline_merge_layout_independent(ray_session):
         "nt": rng.integers(0, 30, size=200).astype("int64"),
         "nd": rng.integers(0, 30, size=200).astype("int64")})
 
-    def run(nblocks):
-        local = (rd.from_pandas(df).repartition(nblocks)
-                 .map_batches(_skyline_block, batch_format="pandas"))
-        merged = local.map_batches(
-            lambda d: d.assign(__g=np.zeros(len(d), dtype=np.int32)),
-            batch_format="pandas").groupby("__g").map_groups(
-            lambda d: _skyline_block(d.drop(columns="__g")),
-            batch_format="pandas").to_pandas()
-        return set(map(tuple, merged[["doc_id", "nt", "nd"]].to_numpy()))
+    def points(frame):
+        return set(map(tuple, frame[["doc_id", "nt", "nd"]].to_numpy()))
 
-    assert run(1) == run(7) == run(31)
+    def run(nblocks):
+        return points(skyline(rd.from_pandas(df).repartition(nblocks))
+                      .to_pandas())
+
+    assert run(1) == run(7) == run(31) == points(_skyline_block(df))
 
 
 # ------------------------- exchange (plain-task bucketed reduce) -------
@@ -606,6 +604,64 @@ def test_exchange_skips_schema_less_empty_blocks():
     exp = kept.groupby("k", as_index=False).agg(s=("v", "sum"))
     pd.testing.assert_frame_equal(_sorted(agg, ["k", "s"]), exp,
                                   check_dtype=False)
+
+
+KEY_COLUMNS = {
+    "int_in_range": [3, 0, 1, 2, 3, 0, 1, 1] * 10,
+    "int_negative_out_of_range": [-7, 9, 100, -1, 9, 2, -7, 4] * 10,
+    "string": ["en", "de", "fr", "en", "ja", "de", "en", "zh"] * 10,
+    "string_with_none": ["en", None, "fr", "en", None, "de", "en", "fr"] * 10,
+    # blocks without a null arrive as int64, the others as float64
+    "int_with_none": pd.array([3, 9, -2, 5] * 15 + [None, 3, 9, None] * 5,
+                              dtype="Int64"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEY_COLUMNS))
+def test_exchange_matches_groupby_map_groups(kind):
+    """exchange(ds, key, fn, B) is ds.groupby(key).map_groups(fn) for any
+    single key column: fn runs once per distinct key, nulls included."""
+    import numpy as np
+    import pyarrow as pa
+
+    df = pd.DataFrame({"k": KEY_COLUMNS[kind], "v": np.arange(80)})
+    one_block = rd.from_arrow(pa.Table.from_pandas(df))
+    src = one_block.repartition(5)
+
+    def fn(g):
+        return pd.DataFrame({"k": g["k"].iloc[:1], "n": [len(g)],
+                             "s": [int(g["v"].sum())]})
+
+    got = relops.exchange(src, "k", fn, 4).to_pandas()
+    # the reference runs on one Arrow block: Ray Data's sort cannot place
+    # a None key between the sampled string boundaries of several blocks
+    exp = (one_block.groupby("k").map_groups(fn, batch_format="pandas")
+           .to_pandas())
+    assert len(got) == df["k"].nunique(dropna=False)
+    pd.testing.assert_frame_equal(_sorted(got, ["k", "n", "s"]),
+                                  _sorted(exp, ["k", "n", "s"]))
+
+
+def test_only_extract_dataset_calls_map_groups():
+    """Every keyed reduce in the package runs on relops.exchange; the one
+    Ray Data groupby/map_groups left is extract_dataset's pyarrow-format,
+    RESULT_SCHEMA-typed reassembly."""
+    import ast
+    import pathlib
+
+    import westa_ocr_ray
+
+    root = pathlib.Path(westa_ocr_ray.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            sites += [(path.relative_to(root).as_posix(),
+                       getattr(top, "name", "<module>"))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "map_groups"]
+    assert sites == [("pipelines/extract.py", "extract_dataset")]
 
 
 def test_exchange_all_empty_input_is_one_empty_block():

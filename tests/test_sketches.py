@@ -173,6 +173,7 @@ def test_tree_merged_sketch_of_empty_input(name):
             assert got == 0
         elif name in ("heavy_hitters", "heavy_hitters_exact"):
             assert got.shape == (0, 2) and got.columns[0] == "v"
+            assert got.dtypes.tolist() == [object, np.int64]
         elif name == "bloom_from_dataset":
             assert got == bytes((1 << 16) // 8)
         elif name == "count_min_build":

@@ -31,8 +31,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relops import (auto_buckets, exchange, hash_join, partial_aggregate,
-                     semi_anti_filter)
+from .relops import (auto_buckets, exchange, grouped_topk, hash_join,
+                     partial_aggregate, semi_anti_filter)
 
 _MERSENNE = (1 << 61) - 1
 _BUCKET_CAP = 200  # max docs inspected pairwise per LSH bucket / block
@@ -1021,8 +1021,8 @@ def remove_duplicate_chunks(ds: rd.Dataset, id_col: str = "doc_id",
         out["n_chunks_kept"] = g.size().to_numpy(dtype=np.int64)
         return out
 
-    return (kept.map_batches(tag, batch_format="pandas")
-            .groupby("__b").map_groups(rebuild, batch_format="pandas"))
+    return exchange(kept.map_batches(tag, batch_format="pandas"), "__b",
+                    rebuild, num_buckets)
 
 
 def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
@@ -1115,17 +1115,15 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
         return pd.DataFrame(rows, columns=[id_col, "spans"])
 
     # spans is consumed TWICE (the affected-doc join + the untouched
-    # anti-join) — lazily that re-executes the whole explode → dup
-    # aggregate → Bloom semi-join → interval-merge chain; materialize
-    # the small result instead (one (id, interval-spec) row per
-    # AFFECTED doc, bounded by the duplicated-doc count, never
-    # corpus-sized). The window table itself deliberately stays lazy:
-    # at 100 TB it is ~one row per corpus token, and recomputing the
-    # cheap explode beats storing it.
-    spans = (marked.map_batches(tag, batch_format="pandas")
-             .groupby("__b").map_groups(to_intervals,
-                                        batch_format="pandas")
-             .materialize())
+    # anti-join); the exchange returns it materialized (one
+    # (id, interval-spec) row per AFFECTED doc, bounded by the
+    # duplicated-doc count, never corpus-sized), so the explode → dup
+    # aggregate → Bloom semi-join → interval-merge chain runs once. The
+    # window table itself deliberately stays lazy: at 100 TB it is ~one
+    # row per corpus token, and recomputing the cheap explode beats
+    # storing it.
+    spans = exchange(marked.map_batches(tag, batch_format="pandas"), "__b",
+                     to_intervals, num_buckets)
 
     def cut(df: pd.DataFrame) -> pd.DataFrame:
         out_id, out_tx, out_nr = [], [], []
@@ -1170,26 +1168,31 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
 # -------------------------------------------------- embedding near-dup
 
 
+def _cosine_pairs(df: pd.DataFrame, id_col: str, vec_col: str,
+                  threshold: float) -> pd.DataFrame:
+    """Every id pair (lo, hi) of ``df`` whose embeddings' cosine exceeds
+    ``threshold`` — the exact verify kernel of one blocking group."""
+    ids = df[id_col].to_numpy()
+    m = np.stack(df[vec_col].to_numpy()).astype(np.float64)
+    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    sims = m @ m.T
+    iu = np.triu_indices(len(ids), k=1)
+    mask = sims[iu] > threshold
+    a, b = ids[iu[0][mask]], ids[iu[1][mask]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return pd.DataFrame({"vec_id_a": lo.astype(np.int64),
+                         "vec_id_b": hi.astype(np.int64)})
+
+
 def embedding_near_dup_pairs(emb: rd.Dataset, id_col: str = "vec_id",
                              vec_col: str = "embedding", group_col: str = "label",
                              threshold: float = 0.4) -> rd.Dataset:
     """Embedding-cosine near-dup pairs within a partition key (group_col
     bounds the pairwise blow-up; at scale the group key would be an LSH
     bucket — see similarity.lsh_buckets). Returns (vec_id_a, vec_id_b)."""
-
-    def group_fn(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[id_col].to_numpy()
-        m = np.stack(df[vec_col].to_numpy()).astype(np.float64)
-        m /= np.linalg.norm(m, axis=1, keepdims=True)
-        sims = m @ m.T
-        iu = np.triu_indices(len(ids), k=1)
-        mask = sims[iu] > threshold
-        a, b = ids[iu[0][mask]], ids[iu[1][mask]]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pd.DataFrame({"vec_id_a": lo.astype(np.int64),
-                             "vec_id_b": hi.astype(np.int64)})
-
-    return emb.groupby(group_col).map_groups(group_fn, batch_format="pandas")
+    return exchange(emb, group_col,
+                    lambda df: _cosine_pairs(df, id_col, vec_col, threshold),
+                    auto_buckets())
 
 
 # ---------------------------------------------- decontamination
@@ -1513,20 +1516,9 @@ def embedding_near_dup_lsh(emb: rd.Dataset, threshold: float = 0.4,
                 vec_col: df[vec_col].to_numpy()}))
         return pd.concat(parts, ignore_index=True)
 
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[id_col].to_numpy()
-        m = np.stack(df[vec_col].to_numpy()).astype(np.float64)
-        m /= np.linalg.norm(m, axis=1, keepdims=True)
-        sims = m @ m.T
-        iu = np.triu_indices(len(ids), k=1)
-        mask = sims[iu] > threshold
-        a, b = ids[iu[0][mask]], ids[iu[1][mask]]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pd.DataFrame({"vec_id_a": lo.astype(np.int64),
-                             "vec_id_b": hi.astype(np.int64)})
-
-    pairs = (emb.map_batches(tag, batch_format="pandas")
-             .groupby("__tb").map_groups(verify, batch_format="pandas"))
+    pairs = exchange(emb.map_batches(tag, batch_format="pandas"), "__tb",
+                     lambda df: _cosine_pairs(df, id_col, vec_col, threshold),
+                     n_tables << n_planes)
     # cross-table duplicate pairs collapse in one bucketed distinct
     dist = partial_aggregate(pairs, ["vec_id_a", "vec_id_b"],
                              {"n": ("count", None)}, num_buckets=num_buckets)
@@ -1652,8 +1644,6 @@ def semantic_dedup(emb: rd.Dataset, n_clusters: int = 8,
     kernel, recall<1 documented there."""
     import ray
 
-    from .relops import grouped_topk
-
     # centroid pick: constant-group partial top-k (blocks emit their
     # own k smallest ids; one small final reduce) — never a global sort
     cand = emb.map_batches(
@@ -1707,8 +1697,7 @@ def semantic_dedup(emb: rd.Dataset, n_clusters: int = 8,
     # this into a semi filter + aggregates
     assigned = emb.map_batches(Assign, concurrency=(1, 4),
                                batch_format="pandas")
-    return assigned.groupby("cluster").map_groups(
-        keep_fn, batch_format="pandas")
+    return exchange(assigned, "cluster", keep_fn, n_clusters)
 
 
 def upsert_compact(snapshots: rd.Dataset, id_col: str = "doc_id",
@@ -1720,34 +1709,13 @@ def upsert_compact(snapshots: rd.Dataset, id_col: str = "doc_id",
     runs between training snapshots. Two bounded steps: per-batch
     latest-per-id partials (a batch contributes ≤ its distinct ids),
     then a bucketed exchange on hash(id) where each bucket keeps its
-    global latest. Ties on version break by a stable within-sort
-    order, so inputs must carry distinct versions per id (the CDC
-    contract); only winner rows cross the exchange."""
-    if num_buckets is None:
-        num_buckets = auto_buckets(floor=64)
-
-    def latest(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            df = df.copy()
-            df["__b"] = pd.Series([], dtype="int32")
-            return df
-        top = (df.sort_values([id_col, version_col],
-                              ascending=[True, False])
-               .drop_duplicates(subset=[id_col], keep="first"))
-        top = top.copy()
-        top["__b"] = (pd.util.hash_pandas_object(
-            top[id_col].astype(str), index=False).to_numpy()
-            % num_buckets).astype("int32")
-        return top
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.drop(columns="__b")
-                .sort_values([id_col, version_col],
-                             ascending=[True, False])
-                .drop_duplicates(subset=[id_col], keep="first"))
-
-    return (snapshots.map_batches(latest, batch_format="pandas")
-            .groupby("__b").map_groups(merge, batch_format="pandas"))
+    global latest — grouped_topk at k=1 on version desc. Inputs must
+    carry distinct versions per id (the CDC contract); only winner rows
+    cross the exchange."""
+    return (grouped_topk(snapshots, [id_col], [version_col], 1,
+                         ascending=False, num_buckets=num_buckets)
+            .map_batches(lambda df: df.drop(columns="rk"),
+                         batch_format="pandas"))
 
 
 def dedup_soft(ds: rd.Dataset, id_col: str = "doc_id",

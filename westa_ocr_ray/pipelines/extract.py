@@ -95,6 +95,7 @@ def build_extracted_units(docs: rd.Dataset, cfg: ExtractConfig,
 def extract_dataset(docs: rd.Dataset, cfg: ExtractConfig = ExtractConfig()) -> rd.Dataset:
     """In-memory variant: returns the RESULT_SCHEMA dataset (no files)."""
     units = build_extracted_units(docs, cfg)
+    # not relops.exchange: this reduce is pyarrow-format and RESULT_SCHEMA-typed
     return units.groupby("part").map_groups(reassemble_partition, batch_format="pyarrow")
 
 

@@ -41,8 +41,8 @@ import ray.data as rd
 from . import dedup, extractors, fixtures, multimodal, relops, search, similarity, text_analysis
 from .config import ExtractConfig
 from .pipelines.extract import extract_dataset, read_documents
-from .relops import (broadcast_join, grouped_topk, hash_join,
-                     partial_aggregate)
+from .relops import (auto_buckets, broadcast_join, exchange, grouped_topk,
+                     hash_join, partial_aggregate)
 
 
 #: serializes Dataset CONSTRUCTION (not execution) across driver
@@ -478,7 +478,7 @@ def range_join_balance_band(sf_dir: str) -> rd.Dataset:
     """Range (interval) join: customer–supplier pairs whose account
     balances differ by ≤ 1.0 — banded join: the smaller side replicates
     into adjacent bands (width = the range), the bigger side lands in
-    its own band, candidates meet in a band-keyed groupby and the exact
+    its own band, candidates meet in a band-keyed exchange and the exact
     predicate filters vectorized. No cross product ever materializes."""
     W = 1.0
     cust = rp(sf_dir, "customer", ["c_custkey", "c_acctbal"])
@@ -516,7 +516,7 @@ def range_join_balance_band(sf_dir: str) -> rd.Dataset:
         return (m[["c_custkey", "s_suppkey"]]
                 .drop_duplicates(ignore_index=True).astype("int64"))
 
-    return both.groupby("band").map_groups(band_pairs, batch_format="pandas")
+    return exchange(both, "band", band_pairs, auto_buckets())
 
 
 def asof_last_order_before_event(sf_dir: str) -> rd.Dataset:
@@ -559,7 +559,7 @@ def asof_last_order_before_event(sf_dir: str) -> rd.Dataset:
         return pd.DataFrame({"event_id": m["event_id"].astype("int64"),
                              "last_order_date": m["odate"].dt.strftime("%Y-%m-%d")})
 
-    return both.groupby("__b").map_groups(bucket_asof, batch_format="pandas")
+    return exchange(both, "__b", bucket_asof, B)
 
 
 # ------------------------------------------- streaming-shaped / window
@@ -623,7 +623,6 @@ def _bucketed_by_user(ev: rd.Dataset, fn, buckets: Optional[int] = None,
     per-key windowed/stateful semantics. Bucket count follows the
     auto_buckets sizing rule (floor 32 = the round-2 constant)."""
     if buckets is None:
-        from .relops import auto_buckets
         buckets = auto_buckets(floor=32)
     if sort_cols is None:
         sort_cols = ["user_id", "ts", "event_id"]
@@ -638,8 +637,8 @@ def _bucketed_by_user(ev: rd.Dataset, fn, buckets: Optional[int] = None,
                                                 ignore_index=True)
         return fn(df)
 
-    return (ev.map_batches(tag, batch_format="pandas")
-            .groupby("__b").map_groups(run, batch_format="pandas"))
+    return exchange(ev.map_batches(tag, batch_format="pandas"), "__b", run,
+                    buckets)
 
 
 LATE_WATERMARK_US = 120 * 10**6  # 2-minute allowed lateness
@@ -753,27 +752,13 @@ def events_window_dedup(sf_dir: str) -> rd.Dataset:
 
 
 def topk_orders_per_customer(sf_dir: str) -> rd.Dataset:
-    """Top-2 orders per customer by price — grouped top-k via bucketed
-    sort + head (no global sort)."""
+    """Top-2 orders per customer by (price desc, orderkey) — the bounded
+    two-stage grouped_topk (no global sort)."""
     orders = rp(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b"] = (df["o_custkey"] % 32).astype("int32")
-        return df
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__b").sort_values(
-            ["o_custkey", "o_totalprice", "o_orderkey"],
-            ascending=[True, False, True], ignore_index=True)
-        df["rk"] = df.groupby("o_custkey").cumcount() + 1
-        out = df[df["rk"] <= 2]
-        return pd.DataFrame({"o_custkey": out["o_custkey"],
-                             "o_orderkey": out["o_orderkey"],
-                             "rk": out["rk"].astype("int64")})
-
-    return (orders.map_batches(tag, batch_format="pandas")
-            .groupby("__b").map_groups(fn, batch_format="pandas"))
+    top = grouped_topk(orders, ["o_custkey"], ["o_totalprice", "o_orderkey"],
+                       2, ascending=[False, True])
+    return top.map_batches(lambda df: df[["o_custkey", "o_orderkey", "rk"]],
+                           batch_format="pandas")
 
 
 def distinct_event_types(sf_dir: str) -> rd.Dataset:
@@ -1370,8 +1355,9 @@ def q_phrase_search(sf_dir: str) -> rd.Dataset:
 
 def stratified_sample_by_lang(sf_dir: str, per_lang: int = 20) -> rd.Dataset:
     """Deterministic stratified sampling: first N docs per language by
-    content-hash order — reproducible on any cluster shape (the scalable
-    alternative to seeded random sampling)."""
+    content-hash order through grouped_topk — reproducible on any
+    cluster shape (the scalable alternative to seeded random
+    sampling)."""
     docs = rp(sf_dir, "documents", ["doc_id", "lang"])
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
@@ -1379,12 +1365,10 @@ def stratified_sample_by_lang(sf_dir: str, per_lang: int = 20) -> rd.Dataset:
         df["__h"] = [dedup.md5_hex(str(i)) for i in df["doc_id"]]
         return df
 
-    def take_n(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["__h", "doc_id"], ignore_index=True).head(per_lang)
-        return df[["doc_id", "lang"]]
-
-    return (docs.map_batches(tag, batch_format="pandas")
-            .groupby("lang").map_groups(take_n, batch_format="pandas"))
+    top = grouped_topk(docs.map_batches(tag, batch_format="pandas"),
+                       ["lang"], ["__h", "doc_id"], per_lang, ascending=True)
+    return top.map_batches(lambda df: df[["doc_id", "lang"]],
+                           batch_format="pandas")
 
 
 WEIGHTED_SAMPLE_K = 100
@@ -1515,8 +1499,8 @@ def top_distinctive_token(sf_dir: str) -> rd.Dataset:
     ranking (tf desc, document-frequency asc, token asc), fully
     distributed: the (doc, token, tf) table hash-joins the token→DF
     table ON TOKEN (at web scale the vocabulary is billions of tokens —
-    neither side is broadcast or pulled to the driver), then a bucketed
-    per-doc argmin picks the winner. The TF pass runs twice (once to
+    neither side is broadcast or pulled to the driver), then grouped_topk
+    at k=1 picks each doc's winner. The TF pass runs twice (once to
     derive DF, once into the join) — recompute beats holding the
     corpus-sized token table in memory."""
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
@@ -1540,25 +1524,17 @@ def top_distinctive_token(sf_dir: str) -> rd.Dataset:
                        left_cols=["doc_id", "token", "tf"],
                        right_cols=["token", "df"])
 
-    def tag(d: pd.DataFrame) -> pd.DataFrame:
-        d = d.copy()
-        d["__b"] = (pd.util.hash_pandas_object(d["doc_id"].astype(str),
-                                               index=False).to_numpy() % 32
-                    ).astype("int32")
-        return d
+    best = grouped_topk(joined, ["doc_id"], ["tf", "df", "token"], 1,
+                        ascending=[False, True, True])
 
     def pick(d: pd.DataFrame) -> pd.DataFrame:
-        d = d.sort_values(["doc_id", "tf", "df", "token"],
-                          ascending=[True, False, True, True])
-        best = d.drop_duplicates("doc_id", keep="first")
         # restore native id dtype (join None-filling upcasts to object;
         # the driver's value hash is type-sensitive)
-        return pd.DataFrame({"doc_id": best["doc_id"].to_numpy(),
-                             "top_token": best["token"].to_numpy()
+        return pd.DataFrame({"doc_id": d["doc_id"].to_numpy(),
+                             "top_token": d["token"].to_numpy()
                              }).infer_objects()
 
-    return (joined.map_batches(tag, batch_format="pandas")
-            .groupby("__b").map_groups(pick, batch_format="pandas"))
+    return best.map_batches(pick, batch_format="pandas")
 
 
 def order_priorities_concat(sf_dir: str) -> rd.Dataset:
@@ -1580,8 +1556,8 @@ def order_priorities_concat(sf_dir: str) -> rd.Dataset:
         return pd.DataFrame({"o_custkey": g.index.to_numpy(),
                              "priorities": g.to_numpy()})
 
-    return (orders.map_batches(tag, batch_format="pandas")
-            .groupby("__b").map_groups(concat, batch_format="pandas"))
+    return exchange(orders.map_batches(tag, batch_format="pandas"), "__b",
+                    concat, 32)
 
 
 def q_text_quality(sf_dir: str) -> rd.Dataset:
@@ -4079,16 +4055,25 @@ def _skyline_block(df: pd.DataFrame) -> pd.DataFrame:
     return df[keep]
 
 
+def skyline(points: rd.Dataset) -> rd.Dataset:
+    """Skyline of a Dataset of (nt, nd, ...) rows, local then merged:
+    each block reduces to its own frontier (skyline is idempotent under
+    union — skyline(A ∪ B) = skyline(skyline(A) ∪ skyline(B))), and the
+    local frontiers fold in one constant-key exchange."""
+    local = points.map_batches(
+        lambda df: _skyline_block(df).assign(__g=np.int32(0)),
+        batch_format="pandas")
+    return exchange(local, "__g",
+                    lambda df: _skyline_block(df.drop(columns="__g")), 1)
+
+
 def doc_skyline(sf_dir: str) -> rd.Dataset:
     """Pareto frontier (skyline) of the corpus over (token count,
     distinct-token count), maximizing both — the multi-criteria
-    selection shape ("longest AND most lexically diverse" exemplars).
-    Distributed as local-skyline-then-merge: each block reduces to its
-    own frontier (skyline is idempotent under union — skyline(A ∪ B) =
-    skyline(skyline(A) ∪ skyline(B))), and the tiny local frontiers
-    fold through one constant-group merge. Exact NOT EXISTS dominance
-    oracle; token rule (split on ' ', empties included) is identical
-    on both sides."""
+    selection shape ("longest AND most lexically diverse" exemplars),
+    distributed as ``skyline``'s local-then-merge. Exact NOT EXISTS
+    dominance oracle; token rule (split on ' ', empties included) is
+    identical on both sides."""
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
 
     def measures(df: pd.DataFrame) -> pd.DataFrame:
@@ -4099,16 +4084,7 @@ def doc_skyline(sf_dir: str) -> rd.Dataset:
             "nd": toks.map(lambda t: len(set(t)))
                        .to_numpy(dtype=np.int64)})
 
-    local = (docs.map_batches(measures, batch_format="pandas")
-             .map_batches(_skyline_block, batch_format="pandas"))
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__g=np.zeros(len(df), dtype=np.int32))
-
-    return (local.map_batches(tag, batch_format="pandas")
-            .groupby("__g")
-            .map_groups(lambda df: _skyline_block(df.drop(columns="__g")),
-                        batch_format="pandas"))
+    return skyline(docs.map_batches(measures, batch_format="pandas"))
 
 
 def grouped_mad(sf_dir: str) -> rd.Dataset:
@@ -4904,7 +4880,7 @@ def length_gini_by_lang(sf_dir: str) -> rd.Dataset:
     block is 2(cF + c(c+1)/2) - c(n+1), a pure integer. Distribution
     shape: ONE bucketed pass builds the counts table (bounded by
     |langs| × length domain, the exact_median histogram argument);
-    the per-lang fold runs in map_groups over that sketch-sized table.
+    the per-lang fold runs in one exchange over that sketch-sized table.
     Ratio is a floor division of non-negative integers (safe for
     DuckDB //). Returns (lang, n_docs, sum_len, gini_ppm)."""
     docs = rp(sf_dir, "documents", ["lang", "text"])
@@ -4938,7 +4914,7 @@ def length_gini_by_lang(sf_dir: str) -> rd.Dataset:
             "gini_ppm": np.array([(1_000_000 * num) // (n * s)],
                                  dtype=np.int64)})
 
-    return counts.groupby("lang").map_groups(gini, batch_format="pandas")
+    return exchange(counts, "lang", gini, auto_buckets())
 
 
 def event_transitions(sf_dir: str) -> rd.Dataset:
@@ -7766,7 +7742,7 @@ def vocab_coverage_by_lang(sf_dir: str) -> rd.Dataset:
     shape: (lang, token) counts via the bucketed combiner; the count
     HISTOGRAM (lang, c, m) collapses that to |langs| x |distinct count
     values| rows (the exact_median boundedness argument) and the fold
-    runs per-lang in map_groups over the sketch-sized table. Returns
+    runs per-lang in one exchange over the sketch-sized table. Returns
     (lang, total_tokens, vocab_size, n_tokens_90, boundary_count)."""
     docs = rp(sf_dir, "documents", ["lang", "text"])
 
@@ -7807,7 +7783,7 @@ def vocab_coverage_by_lang(sf_dir: str) -> rd.Dataset:
             "n_tokens_90": np.array([n90], dtype=np.int64),
             "boundary_count": np.array([int(c[b])], dtype=np.int64)})
 
-    return hist.groupby("lang").map_groups(fold, batch_format="pandas")
+    return exchange(hist, "lang", fold, auto_buckets())
 
 
 QUERIES["vocab_coverage_by_lang"] = vocab_coverage_by_lang
@@ -8174,8 +8150,7 @@ def events_cusum(sf_dir: str) -> rd.Dataset:
             "at_ts_us": np.array([df["t"].iloc[i]], dtype=np.int64),
             "cusum_abs": np.array([dev[i]], dtype=np.int64)})
 
-    cand = (tagged.groupby("__rb")
-            .map_groups(local_best, batch_format="pandas").to_pandas())
+    cand = exchange(tagged, "__rb", local_best, NB).to_pandas()
     best = cand.sort_values(["cusum_abs", "at_k"],
                             ascending=[False, True]).iloc[0]
     return rd.from_pandas(pd.DataFrame({
@@ -10337,8 +10312,6 @@ def scd2_intervals(sf_dir: str) -> rd.Dataset:
     delete and multi-interval docs all occur. Per-doc ordering runs in
     hash buckets with a vectorized groupby-shift; no per-row Python.
     Returns (doc_id, val, v_from, v_to, is_current)."""
-    from .relops import auto_buckets
-
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
 
     def log_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -10383,8 +10356,8 @@ def scd2_intervals(sf_dir: str) -> rd.Dataset:
             "is_current": (v_to == SCD_CURRENT).astype("int64")})
         return out[df["op"].to_numpy() == "upsert"]
 
-    return (log.map_batches(tag, batch_format="pandas")
-            .groupby("__b").map_groups(intervals, batch_format="pandas"))
+    return exchange(log.map_batches(tag, batch_format="pandas"), "__b",
+                    intervals, nb)
 
 
 QUERIES["scd2_intervals"] = scd2_intervals

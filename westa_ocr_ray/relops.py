@@ -4,14 +4,18 @@ These are the engine's general-purpose building blocks (SURVEY.md §2.4,
 §2.5): partial aggregation before the shuffle, broadcast joins for small
 sides, and an explicit partitioned hash join for large-large joins.
 
-The map sides are Ray Data operators; the bucketed reduce side that
-partial_aggregate, grouped_topk, hash_join and global_value_rank share
-(and dedup's candidate-pair expansion and the sketches' tree-merge) is
-``exchange``: one wave of plain Ray tasks, one per reducer slot, each
-applying the per-bucket function to a contiguous run of buckets. On the
-small inputs of the query registry a Ray Data groupby/map_groups (a sort
-with a sampling pass) is mostly fixed cost; the exchange's output is a
-materialized Dataset, so it runs its upstream when it is called.
+The map sides are Ray Data operators; every keyed reduce in the
+package (partial_aggregate, grouped_topk, hash_join, global_value_rank,
+dedup's candidate-pair expansion, the sketches' tree-merge and the
+per-key ordered logs of the query registry) is ``exchange``: one wave
+of plain Ray tasks, one per reducer slot, each applying the per-key
+function to a contiguous run of buckets. Any single key column works:
+integer keys bucket by value, others by hash. (The one exception is
+``pipelines.extract.extract_dataset``, whose reduce is pyarrow-format.)
+On the small inputs of the query registry a Ray Data groupby/map_groups
+(a sort with a sampling pass) is mostly fixed cost; the exchange's
+output is a materialized Dataset, so it runs its upstream when it is
+called.
 """
 
 from __future__ import annotations
@@ -92,9 +96,9 @@ TARGET_BLOCK_BYTES = 64 << 20
 
 
 def compact_blocks(ds: rd.Dataset) -> rd.Dataset:
-    """Coalesce a MATERIALIZED dataset's fragmentation. A Ray Data
-    groupby/map_groups or a union emits blocks regardless of their size,
-    so a chain of them on a modest input accumulates hundreds of tiny
+    """Coalesce a MATERIALIZED dataset's fragmentation. A union or a
+    filtering map stage emits blocks regardless of their size, so a
+    chain of them on a modest input accumulates hundreds of tiny
     blocks — and downstream all-to-all costs scale with block COUNT,
     not bytes (a 5k-row chain measured 63 s → 17 s at 32 cpus from this
     compaction alone).
@@ -165,18 +169,36 @@ def gather(refs: list) -> list:
         raise
 
 
+def _bucket_of(keys: pd.Series, num_buckets: int) -> np.ndarray:
+    """Each key's bucket in ``[0, num_buckets)``: an integer key modulo
+    ``num_buckets``, any other key's ``pd.util.hash_pandas_object``
+    hash modulo ``num_buckets`` (nulls included). A whole-valued float
+    counts as an integer, because an integer column arrives as float in
+    a block that holds a null, and a key must land in one slot whichever
+    block it comes from."""
+    v = keys.to_numpy()
+    if v.dtype.kind in "iu":
+        return (v % num_buckets).astype(np.int64)
+    b = (pd.util.hash_pandas_object(keys, index=False).to_numpy()
+         % num_buckets).astype(np.int64)
+    if v.dtype.kind == "f":
+        whole = (v == np.floor(v)) & (np.abs(v) < 2.0 ** 63)
+        b[whole] = v[whole].astype(np.int64) % num_buckets
+    return b
+
+
 @ray.remote
-def _exchange_split(block, bucket_col: str, num_buckets: int, n: int):
+def _exchange_split(block, key: str, num_buckets: int, n: int):
     """Exchange map task: cut one block into ``n`` slot pieces, bucket
     ``b`` going to slot ``b * n // num_buckets`` (a contiguous run of
     buckets per slot), rows keeping their block order."""
     from ray.data.block import BlockAccessor
 
     df = BlockAccessor.for_block(block).to_pandas()
-    if bucket_col not in df.columns:  # Ray Data's schema-less empty block
+    if key not in df.columns:  # Ray Data's schema-less empty block
         pieces = [pd.DataFrame()] * n
     else:
-        slot = df[bucket_col].to_numpy().astype(np.int64) * n // num_buckets
+        slot = _bucket_of(df[key], num_buckets) * n // num_buckets
         order = np.argsort(slot, kind="stable")
         cuts = np.searchsorted(slot[order], np.arange(n + 1))
         pieces = [df.iloc[order[lo:hi]] for lo, hi in zip(cuts[:-1], cuts[1:])]
@@ -184,33 +206,35 @@ def _exchange_split(block, bucket_col: str, num_buckets: int, n: int):
 
 
 @ray.remote(num_returns=2)
-def _exchange_reduce(fn, bucket_col: str, *pieces):
-    """Exchange reduce task: ``fn`` once per bucket of one slot, in
-    bucket order, on a fresh-index frame that still holds
-    ``bucket_col`` (the map_groups contract). Returns the concatenated
-    output and its row count, so the driver can drop an empty slot
-    without fetching it."""
+def _exchange_reduce(fn, key: str, *pieces):
+    """Exchange reduce task: ``fn`` once per distinct ``key`` value of
+    one slot (a null key is one more value), in key order, on a
+    fresh-index frame that still holds ``key`` (the map_groups
+    contract). Returns the concatenated output and its row count, so
+    the driver can drop an empty slot without fetching it."""
     frames = [p for p in pieces if len(p)]
     if not frames:
         return pd.DataFrame(), 0
     df = pd.concat(frames, ignore_index=True)
     out = pd.concat([fn(g.reset_index(drop=True))
-                     for _, g in df.groupby(bucket_col, sort=True)],
+                     for _, g in df.groupby(key, sort=True, dropna=False)],
                     ignore_index=True)
     return out, len(out)
 
 
-def exchange(ds: rd.Dataset, bucket_col: str, fn, num_buckets: int) -> rd.Dataset:
-    """Bucketed exchange as plain Ray tasks: ``fn`` applied to the rows
-    of each bucket (``ds[bucket_col]`` in ``[0, num_buckets)``), the
-    results as one materialized Dataset of pandas blocks — what
-    ``ds.groupby(bucket_col).map_groups(fn, batch_format="pandas")``
-    returns, without Ray Data's sort and its sampling pass.
+def exchange(ds: rd.Dataset, key: str, fn, num_buckets: int) -> rd.Dataset:
+    """Keyed reduce as plain Ray tasks: ``fn`` applied once to the rows
+    of each distinct ``ds[key]`` value, nulls included, the results as
+    one materialized Dataset of pandas blocks — what
+    ``ds.groupby(key).map_groups(fn, batch_format="pandas")`` returns,
+    without Ray Data's sort and its sampling pass.
 
-    Runs ``ds`` when called. Slot count: the cluster's CPUs, or one slot
-    per TARGET_BUCKET_BYTES of input when that is more, never more than
-    ``num_buckets``. One split task per input block sends each bucket to
-    its slot; one reduce task per slot runs ``fn`` over its buckets. A
+    A key's bucket is ``_bucket_of``: the key itself modulo
+    ``num_buckets`` for an integer key, its hash for any other. Runs
+    ``ds`` when called. Slot count: the cluster's CPUs, or one slot per
+    TARGET_BUCKET_BYTES of input when that is more, never more than
+    ``num_buckets``. One split task per input block sends each bucket
+    to its slot; one reduce task per slot runs ``fn`` over its keys. A
     slot whose output is empty emits no block (an all-empty result is
     one empty block). The driver waits through ``gather``, so signal
     handlers run, and an exception raised while it waits (an interrupt,
@@ -222,10 +246,10 @@ def exchange(ds: rd.Dataset, bucket_col: str, fn, num_buckets: int) -> rd.Datase
     cpus = int(ray.cluster_resources().get("CPU", 1))
     n = max(1, min(num_buckets, max(cpus, -(-nbytes // TARGET_BUCKET_BYTES))))
     split = _exchange_split.options(num_returns=n)
-    pieces = [split.remote(b, bucket_col, num_buckets, n) for b in blocks]
+    pieces = [split.remote(b, key, num_buckets, n) for b in blocks]
     if n == 1:
         pieces = [[p] for p in pieces]
-    outs, counts = zip(*(_exchange_reduce.remote(fn, bucket_col,
+    outs, counts = zip(*(_exchange_reduce.remote(fn, key,
                                                  *[p[s] for p in pieces])
                          for s in range(n)))
     rows = gather(list(counts))
@@ -685,37 +709,34 @@ def ntile_from_rank(rank: np.ndarray, n: int, tiles: int) -> np.ndarray:
                      r + (p - cut) // max(q, 1)) + 1).astype(np.int64)
 
 
-def exact_order_statistic(ds: rd.Dataset, value_col: str, k: int,
-                          bin_width: int = 64,
-                          num_buckets: Optional[int] = None) -> int:
-    """EXACT k-th smallest (1-based) value of an integer column in two
-    bounded distributed passes — the single-group generalization of the
-    grouped-median shape (queries.median_value_by_type), used for
-    quantile-threshold selection (perplexity filtering: "keep every doc
-    scoring at or below the p-quantile") with NO global sort:
+def _rank_value(ds: rd.Dataset, value_col: str, target_rank,
+                bin_width: int, num_buckets: Optional[int]) -> tuple:
+    """EXACT value at ascending rank ``target_rank(n)`` (1-based,
+    duplicates counted) of an integer column, plus the row count n, in
+    two bounded distributed passes with NO global sort:
 
     1. histogram pass: bucketed counts of value // bin_width — the
        driver sees only the bin table (≤ value-range / bin_width rows,
-       independent of row count);
+       independent of row count), whose total IS n;
     2. exact pass: per-value counts INSIDE the single rank-holding bin
        — ≤ bin_width distinct values cross the wire.
 
-    Raises ValueError when k is outside [1, row count]."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    Raises ValueError when the rank is outside [1, n]."""
 
     def binned(df: pd.DataFrame) -> pd.DataFrame:
         v = df[value_col].to_numpy(dtype=np.int64)
         return pd.DataFrame({"bin": v // bin_width})
 
-    hist = (partial_aggregate(ds.map_batches(binned, batch_format="pandas"),
-                              ["bin"], {"cnt": ("count", None)},
-                              num_buckets=num_buckets)
-            .to_pandas().sort_values("bin", ignore_index=True))
+    hist = partial_aggregate(ds.map_batches(binned, batch_format="pandas"),
+                             ["bin"], {"cnt": ("count", None)},
+                             num_buckets=num_buckets).to_pandas()
+    # an empty input's aggregate comes back columnless
+    n = int(hist["cnt"].sum()) if len(hist) else 0
+    k = target_rank(n)
+    if not 1 <= k <= n:
+        raise ValueError(f"rank {k} is outside [1, {n}] for {value_col!r}")
+    hist = hist.sort_values("bin", ignore_index=True)
     cum = hist["cnt"].cumsum().to_numpy()
-    n = int(cum[-1]) if len(cum) else 0
-    if k > n:
-        raise ValueError(f"k={k} exceeds row count {n}")
     i = int(np.searchsorted(cum, k))
     b = int(hist["bin"][i])
     below = int(cum[i - 1]) if i else 0
@@ -729,7 +750,23 @@ def exact_order_statistic(ds: rd.Dataset, value_col: str, k: int,
                               num_buckets=num_buckets)
             .to_pandas().sort_values("v", ignore_index=True))
     j = int(np.searchsorted(vals["cnt"].cumsum().to_numpy(), k - below))
-    return int(vals["v"][j])
+    return int(vals["v"][j]), n
+
+
+def exact_order_statistic(ds: rd.Dataset, value_col: str, k: int,
+                          bin_width: int = 64,
+                          num_buckets: Optional[int] = None) -> int:
+    """EXACT k-th smallest (1-based) value of an integer column in the
+    two bounded passes of ``_rank_value`` — the single-group
+    generalization of the grouped-median shape
+    (queries.median_value_by_type), used for quantile-threshold
+    selection (perplexity filtering: "keep every doc scoring at or below
+    the p-quantile") with NO global sort. Raises ValueError when k is
+    outside [1, row count]."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return _rank_value(ds, value_col, lambda n: k, bin_width,
+                       num_buckets)[0]
 
 
 def _grouped_rank_value(ds: rd.Dataset, group_col: str, value_col: str,
@@ -851,34 +888,8 @@ def exact_median(ds: rd.Dataset, value_col: str, bin_width: int = 64,
                  num_buckets: Optional[int] = None) -> tuple:
     """EXACT lower median (k = (n+1)//2, the mad_outliers / grouped-
     median rule) of an integer column, plus the row count, in the SAME
-    two bounded passes as exact_order_statistic — but without a
-    separate count() pass, because the histogram's total IS n. Returns
+    two bounded passes as exact_order_statistic — without a separate
+    count() pass, because the histogram's total IS n. Returns
     (median, n); raises ValueError on an empty column."""
-
-    def binned(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[value_col].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"bin": v // bin_width})
-
-    hist = partial_aggregate(ds.map_batches(binned, batch_format="pandas"),
-                             ["bin"], {"cnt": ("count", None)},
-                             num_buckets=num_buckets).to_pandas()
-    if hist.empty:  # empty input: the aggregate comes back columnless
-        raise ValueError("exact_median of an empty column")
-    hist = hist.sort_values("bin", ignore_index=True)
-    cum = hist["cnt"].cumsum().to_numpy()
-    n = int(cum[-1])
-    k = (n + 1) // 2
-    i = int(np.searchsorted(cum, k))
-    b = int(hist["bin"][i])
-    below = int(cum[i - 1]) if i else 0
-
-    def in_bin(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[value_col].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"v": v[v // bin_width == b]})
-
-    vals = (partial_aggregate(ds.map_batches(in_bin, batch_format="pandas"),
-                              ["v"], {"cnt": ("count", None)},
-                              num_buckets=num_buckets)
-            .to_pandas().sort_values("v", ignore_index=True))
-    j = int(np.searchsorted(vals["cnt"].cumsum().to_numpy(), k - below))
-    return int(vals["v"][j]), n
+    return _rank_value(ds, value_col, lambda n: (n + 1) // 2, bin_width,
+                       num_buckets)

@@ -31,7 +31,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relops import grouped_topk, partial_aggregate
+from .relops import exchange, grouped_topk, partial_aggregate
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -572,8 +572,8 @@ def phrase_search_from_index(index_dir: str, terms: Sequence[str],
             id_col: pd.Series(out_id, dtype=df[id_col].dtype),
             "n_matches": pd.Series(out_n, dtype=np.int64)})
 
-    return (occ.map_batches(tag, batch_format="pandas")
-            .groupby("__b").map_groups(per_doc, batch_format="pandas"))
+    return exchange(occ.map_batches(tag, batch_format="pandas"), "__b",
+                    per_doc, nb)
 
 
 def min_cover_window(pos_lists) -> Optional[int]:
@@ -667,8 +667,8 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
             "__g": pd.Series(np.zeros(len(out_id), dtype=np.int32)),
         })
 
-    cand = (occ.map_batches(tag, batch_format="pandas")
-            .groupby("__b").map_groups(per_doc, batch_format="pandas"))
+    cand = exchange(occ.map_batches(tag, batch_format="pandas"), "__b",
+                    per_doc, nb)
     top = grouped_topk(cand, ["__g"], ["width", id_col], k,
                        ascending=[True, True])
     return top.map_batches(

@@ -19,7 +19,7 @@ import pandas as pd
 import ray.data as rd
 
 from .dedup import md5_hex
-from .relops import auto_buckets, partial_aggregate
+from .relops import auto_buckets, exchange, partial_aggregate
 
 
 def shard_assign(ds: rd.Dataset, num_shards: int = 64,
@@ -114,8 +114,8 @@ def shuffle_rank(ds: rd.Dataset, id_col: str = "doc_id", seed: int = 42,
         df["rank"] = off + np.arange(len(df), dtype=np.int64)
         return df.drop(columns=["__sk", "__rb"])
 
-    return (ds.map_batches(tag, batch_format="pandas")
-            .groupby("__rb").map_groups(assign, batch_format="pandas"))
+    return exchange(ds.map_batches(tag, batch_format="pandas"), "__rb",
+                    assign, nb)
 
 
 def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
@@ -199,8 +199,8 @@ def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
         before = off + df["n_tok"].cumsum().to_numpy() - df["n_tok"].to_numpy()
         return df.loc[before < budget_tokens, [id_col, group_col, "n_tok"]]
 
-    return (tagged.map_batches(prune, batch_format="pandas")
-            .groupby("__grb").map_groups(assign, batch_format="pandas"))
+    return exchange(tagged.map_batches(prune, batch_format="pandas"),
+                    "__grb", assign, nb)
 
 
 def pack_stream(ds: rd.Dataset, seq_len: int = 1024,
@@ -262,8 +262,7 @@ def pack_stream(ds: rd.Dataset, seq_len: int = 1024,
                              "first_seq": start // seq_len,
                              "last_seq": (start + n - 1) // seq_len})
 
-    return (tagged.groupby("__rb")
-            .map_groups(assign, batch_format="pandas"))
+    return exchange(tagged, "__rb", assign, nb)
 
 
 def mixture_threshold_hex(weight: float) -> Optional[str]:

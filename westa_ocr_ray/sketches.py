@@ -201,7 +201,7 @@ def heavy_hitters(ds: rd.Dataset, col: str, k: int = 20) -> pd.DataFrame:
     Candidate set depends on block partitioning (the MG decrement
     order) — approximate by design, gated by tests/test_sketches.py."""
     merged, _ = _mg_candidates(ds, col, k)
-    out = pd.DataFrame({col: list(merged.keys()),
+    out = pd.DataFrame({col: pd.Series(list(merged.keys()), dtype=object),
                         "min_count": np.array(list(merged.values()),
                                               dtype=np.int64)})
     return out.sort_values(["min_count", col], ascending=[False, True],

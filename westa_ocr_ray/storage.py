@@ -186,6 +186,7 @@ def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
 
     import pandas as pd
 
+    from .relops import exchange
     from .shards import shard_assign
 
     marker = os.path.join(out_dir, "_SUCCESS")
@@ -216,10 +217,8 @@ def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
     if os.path.isdir(out_dir):  # crashed earlier export: start clean
         import shutil
         shutil.rmtree(out_dir)
-    manifest = (shard_assign(ds, num_shards, id_col)
-                .groupby("shard")
-                .map_groups(write_shard, batch_format="pandas")
-                .materialize())
+    manifest = exchange(shard_assign(ds, num_shards, id_col), "shard",
+                        write_shard, num_shards)
     with open(marker, "w") as f:
         f.write("ok\n")
     return manifest

@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relops import partial_aggregate
+from .relops import exchange, partial_aggregate
 
 STOPWORDS = ("the", "a", "data", "value", "row")
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")  # ASCII class: identical in RE2/DuckDB & Python
@@ -373,7 +373,7 @@ def pack_sequences_greedy(ds: rd.Dataset, id_col: str = "doc_id",
     budget gets its own pack (chunk it first with pack_sequences).
     Returns (bucket, doc_id, pack_idx, n_tokens). The greedy scan is an
     inherently sequential fold, so it runs per-bucket (one bounded
-    map_groups task each) rather than per-corpus.
+    exchange group each) rather than per-corpus.
 
     ``bucket_hash='md5'`` assigns buckets via md5('pg|'||id) instead of
     pandas' siphash — slower per row but SQL-reproducible, so the whole
@@ -420,8 +420,8 @@ def pack_sequences_greedy(ds: rd.Dataset, id_col: str = "doc_id",
                              "pack_idx": pack_idx,
                              "n_tokens": ns})
 
-    return (ds.map_batches(tag, batch_format="pandas")
-            .groupby("bucket").map_groups(pack, batch_format="pandas"))
+    return exchange(ds.map_batches(tag, batch_format="pandas"), "bucket",
+                    pack, buckets)
 
 
 def repetition_stats(ds: rd.Dataset, id_col: str = "doc_id",
