@@ -47,15 +47,15 @@ def test_clean_corpus_full_chain():
 
 
 def test_dedup_exact_keep_scalable_matches_broadcast():
-    # planted dup pair + dup triple among uniques; both paths must emit
-    # the identical first-wins survivor set with columns intact
+    # planted dup pair + dup triple among uniques; the anti-join must
+    # emit the first-wins survivor set with columns intact, with and
+    # without the schema hint
     rows = ([{"doc_id": i, "text": LONG} for i in (7, 2)]
             + [{"doc_id": i, "text": "triple " + LONG} for i in (9, 4, 6)]
             + [{"doc_id": 10 + i, "text": f"unique number {i} " + LONG}
                for i in range(5)])
-    a = dedup_exact_keep(_ds(rows), scalable=True,
-                         cols=["doc_id", "text"]).to_pandas()
-    b = dedup_exact_keep(_ds(rows), scalable=False).to_pandas()
+    a = dedup_exact_keep(_ds(rows), cols=["doc_id", "text"]).to_pandas()
+    b = dedup_exact_keep(_ds(rows)).to_pandas()
     assert sorted(a["doc_id"]) == sorted(b["doc_id"]) == [2, 4] + list(range(10, 15))
     assert sorted(a.columns) == sorted(b.columns) == ["doc_id", "text"]
 

@@ -65,10 +65,61 @@ def test_broadcast_join_and_semi_anti():
     small = pd.DataFrame({"k": [2, 4], "name": ["two", "four"]})
     j = relops.broadcast_join(big, small, on="k").to_pandas()
     assert sorted(j["name"]) == ["four", "two"]
-    semi = relops.semi_anti_filter(big, "k", {1, 3}).to_pandas()
+    keys = rd.from_pandas(pd.DataFrame({"k": [1, 3]}))
+    semi = relops.semi_anti_filter_scalable(big, "k", keys).to_pandas()
     assert sorted(semi["k"]) == [1, 3]
-    anti = relops.semi_anti_filter(big, "k", {1, 3}, anti=True).to_pandas()
+    anti = relops.semi_anti_filter_scalable(big, "k", keys,
+                                            anti=True).to_pandas()
     assert sorted(anti["k"]) == [2, 4]
+
+
+#: SQL for each join shape; ``l(k, v)`` and ``r(k, w)``
+_NULL_JOIN_SQL = {
+    "inner": "SELECT l.v, r.w FROM l JOIN r ON l.k = r.k",
+    "left": "SELECT l.v, r.w FROM l LEFT JOIN r ON l.k = r.k",
+    "semi": "SELECT v FROM l WHERE EXISTS (SELECT 1 FROM r WHERE r.k = l.k)",
+    "anti": ("SELECT v FROM l WHERE NOT EXISTS "
+             "(SELECT 1 FROM r WHERE r.k = l.k)"),
+}
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_join_null_keys_match_nothing_as_in_duckdb(how):
+    # a null key equals nothing, itself included: JOIN drops it, LEFT
+    # JOIN keeps its left row unmatched, EXISTS is false and NOT EXISTS
+    # true for it (anti is NOT EXISTS, not NOT IN)
+    import duckdb
+    import pyarrow as pa
+
+    sides = [([1, None, 3, 4], [None, 3]),   # a null on each side
+             ([1, 2, 3, 4], [None, 3]),      # right only
+             ([1, None, 3, 4], [2, 3])]      # left only
+    for lk, rk in sides:
+        l = pd.DataFrame({"k": pd.array(lk, dtype="Int64"),
+                          "v": [10, 20, 30, 40]})
+        r = pd.DataFrame({"k": pd.array(rk, dtype="Int64"), "w": [7, 8]})
+        con = duckdb.connect()
+        con.register("l", l)
+        con.register("r", r)
+        exp = sorted(con.execute(_NULL_JOIN_SQL[how]).fetchall())
+        # Int64 pandas blocks, Arrow blocks, and numpy pandas blocks, in
+        # which a column holding a null is float64 (3.0 must match 3)
+        for make in (rd.from_pandas,
+                     lambda df: rd.from_arrow(
+                         pa.Table.from_pandas(df, preserve_index=False)),
+                     lambda df: rd.from_pandas(df.assign(k=pd.Series(
+                         [None if pd.isna(x) else int(x) for x in df["k"]])))):
+            left, right = make(l), make(r)
+            if how in ("semi", "anti"):
+                got = relops.semi_anti_filter_scalable(
+                    left, "k", right, anti=how == "anti").to_pandas()
+                got = sorted((int(v),) for v in got["v"])
+            else:
+                got = relops.hash_join(left, right, "k", "k", how=how,
+                                       num_buckets=4).to_pandas()
+                got = sorted((int(v), None if pd.isna(w) else int(w))
+                             for v, w in zip(got["v"], got["w"]))
+            assert got == exp, (lk, rk, make)
 
 
 # ----------------------------- scalar functions (SURVEY.md §2.8) -------
@@ -129,6 +180,16 @@ def test_hash_join_salted_hot_key():
             .to_pandas())
     expl = left.merge(right.rename(columns={"rk": "k"}), on="k", how="left")
     assert len(gotl) == len(expl)
+
+    # semi/anti: each left row meets its key's replicas exactly once
+    hit = left["k"].isin(right["rk"])
+    for how, exps in (("semi", left[hit]), ("anti", left[~hit])):
+        gots = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
+                                 "k", "rk", num_buckets=16, how=how,
+                                 hot_keys={7}, salt=4)
+                .to_pandas().sort_values("x", ignore_index=True))
+        pd.testing.assert_frame_equal(gots, exps.reset_index(drop=True),
+                                      check_dtype=False)
 
 
 def test_hash_join_auto_salt_planted_hot_key():
@@ -277,20 +338,17 @@ def test_input_size_bytes():
 def test_semi_anti_filter_scalable_matches_broadcast():
     import numpy as np
 
-    big = rd.from_pandas(pd.DataFrame({"k": list(range(200)),
-                                       "v": np.arange(200) * 10}))
+    df = pd.DataFrame({"k": list(range(200)), "v": np.arange(200) * 10})
+    big = rd.from_pandas(df)
     keys = rd.from_pandas(pd.DataFrame(
         {"kk": [3, 7, 7, 42, 99, 150]}))  # dup key: must not multiply rows
-    key_set = {3, 7, 42, 99, 150}
+    hit = df["k"].isin([3, 7, 42, 99, 150])
 
     for anti in (False, True):
-        exp = (relops.semi_anti_filter(big, "k", key_set, anti=anti)
-               .to_pandas().sort_values("k", ignore_index=True))
-        # tiny filter (m_bits=256) forces MANY false positives: the
-        # exact-resolution join must still produce bit-exact output
+        exp = df[~hit if anti else hit].reset_index(drop=True)
         got = (relops.semi_anti_filter_scalable(big, "k", keys,
                                                 key_col="kk", anti=anti,
-                                                m_bits=256, num_buckets=4)
+                                                num_buckets=4)
                .to_pandas().sort_values("k", ignore_index=True))
         pd.testing.assert_frame_equal(got[["k", "v"]].astype("int64"),
                                       exp[["k", "v"]].astype("int64"))

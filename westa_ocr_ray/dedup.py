@@ -32,14 +32,10 @@ import pandas as pd
 import ray.data as rd
 
 from .relops import (auto_buckets, exchange, grouped_topk, hash_join,
-                     partial_aggregate, semi_anti_filter)
+                     partial_aggregate, semi_anti_filter_scalable)
 
 _MERSENNE = (1 << 61) - 1
 _BUCKET_CAP = 200  # max docs inspected pairwise per LSH bucket / block
-#: id-set size up to which a semi/anti side broadcasts (one Arrow
-#: array via ray.put) instead of going through the Bloom+join scalable
-#: path — the same routing idea as dedup_by_minhash's CC tiers
-_BROADCAST_IDS_MAX = 2_000_000
 
 
 def md5_hex(s: str) -> str:
@@ -172,8 +168,7 @@ def exact_dup_ids(ds: rd.Dataset, id_col: str = "doc_id",
     """Ids that LOSE first-wins exact dedup (every group member except
     the min-id keeper per content hash) — the scale-friendly complement
     of exact_dedup's keeper table: for web corpora |dups| << |corpus|,
-    so removal is an anti-join against this SMALL side (bloom prefilter
-    lets ~all unique docs skip the join entirely) instead of a
+    so removal is an anti-join against this SMALL side instead of a
     semi-join against a corpus-sized keeper set.
 
     Only (hash, id) pairs ever shuffle: the keeper table is filtered to
@@ -615,10 +610,10 @@ def dedup_by_minhash(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "te
 
     Clustering routes by the VERIFIED pair count (already known from the
     materialize): below ``small_pairs_threshold`` the pair set fits one
-    machine comfortably and driver union-find + a broadcast anti-join is
-    fastest; above it, the fully partitioned label-propagation CC runs
-    and the drop filter becomes a hash join — no driver materialization
-    on that path at all."""
+    machine comfortably and driver union-find is fastest; above it, the
+    fully partitioned label-propagation CC runs with no driver
+    materialization. Either way the non-minimum members anti-join out
+    of ``ds``."""
     pairs = minhash_lsh_pairs(ds, id_col=id_col, text_col=text_col,
                               jaccard_threshold=jaccard_threshold,
                               **kwargs).materialize()
@@ -626,25 +621,14 @@ def dedup_by_minhash(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "te
     if n_pairs == 0:
         return ds
     if n_pairs <= small_pairs_threshold:
-        clusters = cluster_pairs(pairs.to_pandas())
-        drop = set(clusters.loc[clusters["doc_id"] != clusters["cluster_id"],
-                                "doc_id"])
-        return semi_anti_filter(ds, id_col, drop, anti=True)
-
-    labels = connected_components_partitioned(pairs)
-
-    def non_keepers(df: pd.DataFrame) -> pd.DataFrame:
-        sub = df[df["doc_id"] != df["cluster_id"]]
-        return pd.DataFrame({id_col: sub["doc_id"], "__drop": True})
-
-    drop_ds = labels.map_batches(non_keepers, batch_format="pandas")
-    joined = hash_join(ds, drop_ds, id_col, id_col, how="left",
-                       right_cols=[id_col, "__drop"])
-
-    def keep(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["__drop"].isna()].drop(columns="__drop")
-
-    return joined.map_batches(keep, batch_format="pandas")
+        labels = rd.from_pandas(cluster_pairs(pairs.to_pandas()))
+    else:
+        labels = connected_components_partitioned(pairs)
+    drop = labels.map_batches(
+        lambda df: df.loc[df["doc_id"] != df["cluster_id"], ["doc_id"]],
+        batch_format="pandas")
+    return semi_anti_filter_scalable(ds, id_col, drop, key_col="doc_id",
+                                     anti=True)
 
 
 # -------------------------------------------------------------- simhash
@@ -957,15 +941,12 @@ def remove_duplicate_chunks(ds: rd.Dataset, id_col: str = "doc_id",
     Scale shape: the corpus text moves through exactly one explode →
     anti-join → bucketed reassembly chain. Duplicate detection shuffles
     only (id, md5) rows through two bucketed partial aggregates; the
-    duplicated-passage set (tiny vs the corpus) anti-joins back via the
-    bloom-prefiltered exact join, so ~every unique passage bypasses the
-    join entirely. Exact and SQL-expressible:
+    duplicated-passage set (tiny vs the corpus) anti-joins back in one
+    bucketed exchange. Exact and SQL-expressible:
     queries.ORACLE_SQL['dedup_passage'].
 
     Returns (id, text, n_chunks_kept) for docs with >= 1 surviving
     passage."""
-    from .relops import semi_anti_filter_scalable
-
     if num_buckets is None:
         num_buckets = auto_buckets(floor=64, size_bytes=size_hint_bytes)
 
@@ -997,12 +978,9 @@ def remove_duplicate_chunks(ds: rd.Dataset, id_col: str = "doc_id",
                              num_buckets=num_buckets)
            .map_batches(lambda df: df.loc[df["nd"] >= min_docs, ["ch"]],
                         batch_format="pandas"))
-    # dup is a groupby output (one row per hash) -> skip the join's
-    # global key-dedup exchange
     kept = semi_anti_filter_scalable(chunks, "ch", dup, key_col="ch",
                                      anti=True, num_buckets=num_buckets,
-                                     cols=[id_col, "pos", "ctext", "ch"],
-                                     keys_unique=True)
+                                     cols=[id_col, "pos", "ctext", "ch"])
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         df = df[[id_col, "pos", "ctext"]].copy()
@@ -1043,9 +1021,8 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
     token — the operator's inherent cost (the suffix-array formulation
     pays an equivalent sort); duplicate detection is one bucketed
     partial aggregate over window hashes, marked windows come back via
-    the Bloom-prefiltered semi-join (non-duplicated windows — almost
-    all of them — die in the Bloom pass without shuffling), intervals
-    reduce per doc in bucketed groups, and only (id, interval-spec)
+    a semi-join on the window hash, intervals reduce per doc in
+    bucketed groups, and only (id, interval-spec)
     rows for AFFECTED docs join back to the corpus. Docs shorter than
     window_tokens are untouched by construction.
 
@@ -1053,8 +1030,6 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
     fully-covered docs disappear (their text lives elsewhere in the
     corpus). Exact and SQL-expressible: queries.ORACLE_SQL
     ['dedup_substring']."""
-    from .relops import hash_join, semi_anti_filter_scalable
-
     if num_buckets is None:
         num_buckets = auto_buckets(floor=64, size_bytes=size_hint_bytes)
     W = window_tokens
@@ -1088,8 +1063,7 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
                         batch_format="pandas"))
     marked = semi_anti_filter_scalable(windows, "wh", dup, key_col="wh",
                                        num_buckets=num_buckets,
-                                       cols=[id_col, "pos", "wh"],
-                                       keys_unique=True)
+                                       cols=[id_col, "pos", "wh"])
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         df = df[[id_col, "pos"]].copy()
@@ -1115,7 +1089,7 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
     # anti-join); the exchange returns it materialized (one
     # (id, interval-spec) row per AFFECTED doc, bounded by the
     # duplicated-doc count, never corpus-sized), so the explode → dup
-    # aggregate → Bloom semi-join → interval-merge chain runs once. The
+    # aggregate → semi-join → interval-merge chain runs once. The
     # window table itself deliberately stays lazy: at 100 TB it is ~one
     # row per corpus token, and recomputing the cheap explode beats
     # storing it.
@@ -1150,19 +1124,9 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
                          left_cols=[id_col, text_col],
                          right_cols=[id_col, "spans"]
                          ).map_batches(cut, batch_format="pandas")
-    # untouched docs: spans is materialized and one row per AFFECTED
-    # doc — when that id set is broadcast-sized, the membership filter
-    # (one pc.is_in kernel per batch) replaces the Bloom+join anti
-    # stage entirely; past the threshold, route to the scalable twin
-    # (the dedup_by_minhash tiering pattern)
-    if n_affected <= _BROADCAST_IDS_MAX:
-        ids = [r[id_col] for r in spans.select_columns([id_col]).take_all()]
-        untouched = semi_anti_filter(ds, id_col, ids, anti=True)
-    else:
-        untouched = semi_anti_filter_scalable(
-            ds, id_col, spans, key_col=id_col, anti=True,
-            num_buckets=num_buckets, cols=[id_col, text_col],
-            keys_unique=True)
+    untouched = semi_anti_filter_scalable(ds, id_col, spans, anti=True,
+                                          num_buckets=num_buckets,
+                                          cols=[id_col, text_col])
     return untouched.map_batches(untouched_rows,
                                  batch_format="pandas").union(affected)
 
@@ -1247,24 +1211,15 @@ def decontaminate(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
     every corpus doc sharing >= 1 ``n``-token shingle with any benchmark
     doc. Exact and fully distributed, composed from the scale-path
     primitives:
-      corpus shingles --bloom-semi-join--> benchmark shingle set
+      corpus shingles --semi-join--> benchmark shingle set
         -> contaminated doc ids (bucketed distinct)
-        -> corpus --bloom-ANTI-join--> contaminated ids.
-    The benchmark side is tiny relative to the corpus (eval sets are
-    ~10^4-10^6 docs at 10^12-doc corpus scale), so its tree-merged Bloom
-    filter broadcasts once and ~all clean batches never enter a join;
-    only bloom-hit shingle rows reach the exact hash-join resolve.
+        -> corpus --ANTI-join--> contaminated ids.
+    Each join is one bucketed exchange over both sides.
     SQL-expressible: queries.ORACLE_SQL['decontaminate']."""
-    from .relops import semi_anti_filter_scalable
-
     cont_ids = contaminated_ids(ds, bench, n=n, id_col=id_col,
                                 text_col=text_col, num_buckets=num_buckets)
-    ds_cols = list(cols) if cols is not None else list(ds.schema().names)
-    # cont_ids is a groupby output — one row per id — so the anti-join
-    # can skip its global key-dedup exchange
     return semi_anti_filter_scalable(ds, id_col, cont_ids, anti=True,
-                                     num_buckets=num_buckets, cols=ds_cols,
-                                     keys_unique=True)
+                                     num_buckets=num_buckets, cols=cols)
 
 
 def contaminated_ids(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
@@ -1274,8 +1229,6 @@ def contaminated_ids(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
     benchmark doc — the contaminated SET decontaminate removes and
     prep_funnel labels (one row per id: the distinct is a bucketed
     partial aggregate, never a driver collection)."""
-    from .relops import semi_anti_filter_scalable
-
     doc_sh = shingle_table(ds, n, id_col, text_col)
     bench_sh = shingle_table(bench, n, id_col, text_col)
     hit = semi_anti_filter_scalable(doc_sh, "g", bench_sh, key_col="g",
@@ -1293,14 +1246,12 @@ def contamination_report(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
     the leakage report a training pipeline publishes alongside the
     cleaned corpus (bench docs with zero overlap included, count 0).
 
-    Same scale shape as decontaminate: the corpus side is bloom-
-    prefiltered against the (tiny) benchmark shingle set, so only
-    bloom-hit shingle rows reach the exact hash-join; (bench, corpus)
+    Same scale shape as decontaminate: the corpus shingles semi-join
+    the benchmark shingle set, and only the hit rows reach the hash
+    join with the benchmark doc ids; (bench, corpus)
     doc pairs are distinct-ed in a bucketed exchange before counting —
     a shingle shared many times still counts each doc pair once.
     SQL-expressible: queries.ORACLE_SQL['contamination_report']."""
-    from .relops import semi_anti_filter_scalable
-
     doc_sh = shingle_table(ds, n, id_col, text_col)
     bench_sh = shingle_table(bench, n, id_col, text_col).map_batches(
         lambda df: df.rename(columns={id_col: "bench_doc_id"}),
@@ -1426,22 +1377,19 @@ def drop_contained(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
     """Containment dedup: drop every doc whose full token sequence
     appears contiguously inside another (strictly longer, or equal with
     a smaller id) doc. Anti-joins containment_pairs' contained ids back
-    onto the corpus through the bloom-prefiltered exact path — the
-    dropped-id set is duplicate-sized, never corpus-sized."""
-    from .relops import semi_anti_filter_scalable
-
+    onto the corpus — the dropped-id set is duplicate-sized, never
+    corpus-sized."""
     pairs = containment_pairs(ds, n, id_col, text_col,
                               num_buckets=num_buckets)
     return semi_anti_filter_scalable(
         ds, id_col, pairs.select_columns(["contained_doc_id"]),
         key_col="contained_doc_id", anti=True, num_buckets=num_buckets,
-        cols=list(cols) if cols is not None else None)
+        cols=cols)
 
 
 def dedup_incremental(new_ds: rd.Dataset, base_ds: rd.Dataset,
                       id_col: str = "doc_id", text_col: str = "text",
-                      num_buckets: Optional[int] = None,
-                      checkpoint: bool = True) -> rd.Dataset:
+                      num_buckets: Optional[int] = None) -> rd.Dataset:
     """Incremental-snapshot dedup — the daily-ingest shape of a living
     corpus: drop from ``new_ds`` (today's crawl) every doc whose exact
     text already exists in ``base_ds`` (everything ingested so far),
@@ -1450,15 +1398,11 @@ def dedup_incremental(new_ds: rd.Dataset, base_ds: rd.Dataset,
 
     Scale shape: both sides reduce to (id, md5(text)) projections
     inside their first map — no text ever leaves a read task. The
-    new-vs-base membership test is the bloom-prefiltered EXACT
-    anti-join (relops.semi_anti_filter_scalable): ~all genuinely-new
-    docs resolve locally against the broadcast filter and only bloom
-    hits pay the partitioned join. The within-batch first-wins is one
-    bucketed (hash → min id) aggregate. Returns (text_hash, doc_id)
+    new-vs-base membership test is one hash-bucketed anti-join
+    (relops.semi_anti_filter_scalable). The within-batch first-wins is
+    one bucketed (hash → min id) aggregate. Returns (text_hash, doc_id)
     for the kept new docs; callers join text back by id when exporting.
     SQL twin: queries.ORACLE_SQL['dedup_incremental']."""
-    from .relops import semi_anti_filter_scalable
-
     def sign(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             id_col: df[id_col].to_numpy(),
@@ -1469,15 +1413,6 @@ def dedup_incremental(new_ds: rd.Dataset, base_ds: rd.Dataset,
 
     new_signed = new_ds.map_batches(sign, batch_format="pandas")
     base_hashes = base_ds.map_batches(sign_hash_only, batch_format="pandas")
-    if checkpoint:
-        # the anti-join consumes new_signed twice (certain/uncertain
-        # split) and base_hashes twice (bloom build + exact side); a
-        # lazy Dataset re-reads and re-hashes the corpus each time —
-        # materialize the small (id, hash) projections once (same
-        # rationale as prepare_training_data's checkpoints)
-        from .relops import compact_blocks
-        new_signed = compact_blocks(new_signed.materialize())
-        base_hashes = compact_blocks(base_hashes.materialize())
     fresh = semi_anti_filter_scalable(
         new_signed, "text_hash", base_hashes, anti=True,
         num_buckets=num_buckets, cols=[id_col, "text_hash"])
@@ -1721,8 +1656,6 @@ def dedup_soft(ds: rd.Dataset, id_col: str = "doc_id",
     Shape: (id, md5(text)) projection inside the read map, bucketed
     group count, one partitioned hash join carrying the weight back —
     only hash rows shuffle, texts never move."""
-    from .relops import hash_join
-
     def sign(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             id_col: df[id_col].to_numpy(),
@@ -1762,8 +1695,6 @@ def dedup_incremental_fuzzy(new_ds: rd.Dataset, base_ds: rd.Dataset,
     dedup_minhash); precision exact (every drop is Jaccard-verified).
     Base texts participate in signatures/joins but the base itself is
     never rewritten. Returns the kept new docs (id, text)."""
-    from .relops import semi_anti_filter_scalable
-
     def tag(prefix: str):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({
@@ -1786,11 +1717,7 @@ def dedup_incremental_fuzzy(new_ds: rd.Dataset, base_ds: rd.Dataset,
         hit = a.where(an, b)[cross].str[2:]
         return pd.DataFrame({"__hit": hit.to_numpy()})
 
-    # the anti-join consumes the hit set twice (bloom build + exact
-    # side); lazily that would re-run the ENTIRE LSH+verify pipeline —
-    # materialize the small hit-id table once
-    hits = pairs.map_batches(cross_new_ids,
-                             batch_format="pandas").materialize()
+    hits = pairs.map_batches(cross_new_ids, batch_format="pandas")
 
     def key_str(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()

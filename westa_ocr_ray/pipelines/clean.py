@@ -19,8 +19,7 @@ import pandas as pd
 import ray.data as rd
 
 from .. import dedup
-from ..relops import (compact_blocks, semi_anti_filter,
-                      semi_anti_filter_scalable)
+from ..relops import compact_blocks, semi_anti_filter_scalable
 from ..text_analysis import _WORD_RE, _repetition_batch, repetition_filter
 
 
@@ -37,31 +36,18 @@ def quality_filter(ds: rd.Dataset, text_col: str = "text",
 
 
 def dedup_exact_keep(ds: rd.Dataset, id_col: str = "doc_id",
-                     text_col: str = "text", scalable: bool = True,
+                     text_col: str = "text",
                      cols: Optional[Sequence[str]] = None) -> rd.Dataset:
     """Drop exact duplicates, keeping the min-id doc per content hash
-    (first-wins).
-
-    ``scalable=True`` (default) anti-joins against the DROPPED-id
-    dataset (dedup.exact_dup_ids) — the small side at any corpus size,
-    so the bloom prefilter lets ~every unique doc bypass the join and
-    nothing corpus-sized ever reaches the driver. ``scalable=False``
-    keeps the broadcast keeper-set variant (bounded by the keeper set
-    fitting one worker heap; fine for small corpora, impossible at
-    10^12 docs where keepers ≈ corpus).
+    (first-wins): an anti-join against the DROPPED-id dataset
+    (dedup.exact_dup_ids), so nothing corpus-sized ever reaches the
+    driver.
 
     ``cols`` is the schema hint forwarded to the anti-join so a lazy
     transformed input is not partially executed by a schema probe."""
-    if scalable:
-        dropped = dedup.exact_dup_ids(ds, id_col=id_col, text_col=text_col)
-        # dropped ids are unique by construction (each id loses at most
-        # one first-wins group) — skip the join's global key dedup
-        return semi_anti_filter_scalable(ds, id_col, dropped,
-                                         key_col=id_col, anti=True, cols=cols,
-                                         keys_unique=True)
-    keepers = dedup.exact_dedup(ds, id_col=id_col, text_col=text_col)
-    keep_ids = set(keepers.to_pandas()["keeper_doc_id"])
-    return semi_anti_filter(ds, id_col, keep_ids)
+    dropped = dedup.exact_dup_ids(ds, id_col=id_col, text_col=text_col)
+    return semi_anti_filter_scalable(ds, id_col, dropped, key_col=id_col,
+                                     anti=True, cols=cols)
 
 
 def clean_corpus(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "text",
@@ -144,10 +130,8 @@ def prep_funnel(ds: rd.Dataset, id_col: str = "doc_id",
     if checkpoint:  # labeled AND anti-joined
         dup = dup.materialize()
     dup_lab = dup.map_batches(label("exact_dup"), batch_format="pandas")
-    # dropped ids are unique (each id loses at most one first-wins group)
     s2 = semi_anti_filter_scalable(s1, id_col, dup, key_col=id_col,
-                                   anti=True, cols=[id_col, text_col],
-                                   keys_unique=True)
+                                   anti=True, cols=[id_col, text_col])
     s2 = s2.map_batches(r_tag, batch_format="pandas")
     if checkpoint:
         s2 = compact_blocks(s2.materialize())
@@ -167,10 +151,9 @@ def prep_funnel(ds: rd.Dataset, id_col: str = "doc_id",
     if checkpoint:
         cont = cont.materialize()
     cont_lab = cont.map_batches(label("contaminated"), batch_format="pandas")
-    # cont is a groupby output — one row per id
     kept = (semi_anti_filter_scalable(s3.select_columns([id_col]), id_col,
                                       cont, key_col=id_col, anti=True,
-                                      cols=[id_col], keys_unique=True)
+                                      cols=[id_col])
             .map_batches(label("kept"), batch_format="pandas"))
     return q_fail.union(dup_lab, r_fail, cont_lab, kept)
 
@@ -202,7 +185,7 @@ def prepare_training_data(ds: rd.Dataset, id_col: str = "doc_id",
     gates the default chain.
 
     Every stage is a streaming map or a derived-key shuffle: texts move
-    only through the decontamination anti-join's bloom-hit slice, and
+    only through the exact-dedup and decontamination anti-joins, and
     the driver never sees a corpus-sized collection. Exactly
     SQL-expressible when ``fuzzy=False`` — the driver gate is
     queries.ORACLE_SQL['training_prep'].
@@ -211,11 +194,12 @@ def prepare_training_data(ds: rd.Dataset, id_col: str = "doc_id",
     intermediates each anti-join stage consumes more than once (the
     quality-filtered input and the pre-decontamination survivors). A
     Ray Dataset is lazy, so WITHOUT the checkpoint every downstream
-    branch re-executes the whole upstream chain — the bloom anti-join
-    reads its input twice and its key side once, compounding to ~7 full
-    re-executions over the chain; with it, each stage runs once
-    (measured 138 s → ~25 s at sf0.1/32 cpus, the compaction half of
-    that win documented at relops.compact_blocks). The blocks live in
+    branch re-executes the whole upstream chain — each dedup stage
+    reads its input once for the dropped-id side and once for the
+    anti-join, compounding over the chain; with it, each stage runs once
+    (measured 138 s → ~25 s at sf0.1/32 cpus with the earlier
+    Bloom-prefiltered anti-join, the compaction half of that win
+    documented at relops.compact_blocks). The blocks live in
     the object store and spill to disk — the same durability point a
     production pipeline would write intermediate parquet at."""
     from .. import shards as shards_mod

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-import threading
 from typing import List, Optional
 
 import numpy as np
@@ -128,16 +127,6 @@ def j4_customer_order_counts(sf_dir: str) -> rd.Dataset:
         })
 
     return joined.map_batches(fill, batch_format="pandas")
-
-
-def j_native_supplier_nation(sf_dir: str) -> rd.Dataset:
-    """Ray-native hash-partitioned Dataset.join (ray>=2.46) — the
-    built-in alternative to relops.hash_join, exercised for parity."""
-    supp = rp(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-    nat = rp(sf_dir, "nation", ["n_nationkey", "n_name"])
-    joined = supp.join(nat, join_type="inner", num_partitions=8,
-                       on=("s_nationkey",), right_on=("n_nationkey",))
-    return joined.select_columns(["s_suppkey", "n_name"])
 
 
 def m9_status_filter(sf_dir: str) -> rd.Dataset:
@@ -1075,8 +1064,6 @@ def q_text_index_search(sf_dir: str) -> pd.DataFrame:
     build-once/query-many twin of sim_ann_ivf_index for text): the
     probe terms' postings come from ONLY their bucket partitions.
     Exact SQL oracle (tf = whitespace-token occurrences per doc)."""
-    import os
-
     from . import search
 
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
@@ -1928,11 +1915,9 @@ def q_pack_greedy(sf_dir: str) -> rd.Dataset:
 def q_semi_anti_bloom(sf_dir: str) -> rd.Dataset:
     """Events by BUILDING-segment customers — the semi-join (and, by
     symmetry, the resume anti-join) shape at unbounded key-side scale:
-    tree-merged Bloom prefilter resolves definite non-members locally,
-    only bloom-hits go through the exact partitioned hash join. m_bits
-    is set SMALL on purpose (double-digit FP rate on this key count) so
-    the exact-resolution stage is genuinely exercised and the
-    hash-checked output proves FPs never leak through."""
+    both sides hash-bucket on the key in one exchange and each bucket
+    keeps its events whose user is among its customer keys. (The name
+    is kept from the Bloom-prefiltered form this query first checked.)"""
     from .relops import semi_anti_filter_scalable
 
     ev = rp(sf_dir, "events", ["event_id", "user_id"])
@@ -1941,8 +1926,7 @@ def q_semi_anti_bloom(sf_dir: str) -> rd.Dataset:
         lambda t: t.filter(pa.compute.equal(t["c_mktsegment"], "BUILDING")),
         batch_format="pyarrow")
     kept = semi_anti_filter_scalable(ev, "user_id", keys,
-                                     key_col="c_custkey", anti=False,
-                                     m_bits=1 << 12)
+                                     key_col="c_custkey")
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"event_id": df["event_id"].astype("int64")})
@@ -1960,8 +1944,8 @@ def q_text_repetition(sf_dir: str) -> rd.Dataset:
 def q_decontaminate(sf_dir: str) -> rd.Dataset:
     """Benchmark decontamination: docs with doc_id %% 41 == 0 play the
     eval set; every other doc sharing a 4-token shingle with any of
-    them is dropped. Exact (bloom prefilter + hash-join resolve on the
-    shingle hits, then an anti-join on the contaminated ids)."""
+    them is dropped. Exact (a semi-join on the shingles, then an
+    anti-join on the contaminated ids)."""
     docs = rp(sf_dir, "documents", ["doc_id", "text", "n_chars"])
     pool = docs.map_batches(lambda df: df[df["doc_id"] % 41 != 0],
                             batch_format="pandas")
@@ -5340,7 +5324,6 @@ QUERIES = {
     # simple relational / scalar-function / windowing shapes
     "m3_regex_first_word": m3_regex_first_word,
     "m9_status_filter": m9_status_filter,
-    "j_native_supplier_nation": j_native_supplier_nation,
     "o3_topk_recent_events": o3_topk_recent_events,
     "dedup_simhash_pairs": q_dedup_simhash_pairs,
     "tokens_by_lang": q_tokens_by_lang,
@@ -5761,9 +5744,6 @@ ORACLE_SQL = {
         SELECT c_custkey, CAST(COUNT(o_orderkey) AS BIGINT) AS n_orders
         FROM customer LEFT JOIN orders ON c_custkey = o_custkey
         GROUP BY c_custkey""",
-    "j_native_supplier_nation": """
-        SELECT s_suppkey, n_name FROM supplier
-        JOIN nation ON s_nationkey = n_nationkey""",
     "m9_status_filter": """
         SELECT o_orderstatus, COUNT(*) AS n FROM orders
         WHERE o_orderstatus IN ('O','F') GROUP BY o_orderstatus""",
@@ -9400,15 +9380,10 @@ def embedding_prep(sf_dir: str) -> rd.Dataset:
                 "embedding": [np.asarray(v, dtype=np.float64).tolist()
                               for v in df["embedding"]]}),
             batch_format="pandas")
-    # semi join (not hash_join): a join's tag/union None-fill would
-    # also choke on the list column; the Bloom-prefiltered semi filter
-    # moves only vec_id keys. Kept ids are unique (a groupby output),
-    # so the key-dedup exchange is skipped.
     ke = semi_anti_filter_scalable(
         emb, "vec_id", kept.map_batches(
             lambda df: df[["vec_id"]], batch_format="pandas"),
-        cols=["vec_id", "embedding"],
-        keys_unique=True).materialize()   # consumed twice
+        cols=["vec_id", "embedding"])
 
     def qstack(df: pd.DataFrame) -> np.ndarray:
         # the embedding_quantize kernel (away-from-zero ROUND parity)
@@ -9981,8 +9956,8 @@ def incremental_agg(sf_dir: str) -> rd.Dataset:
     the new snapshot; equality proves the delta path. Scale shape: the
     base aggregate is one bucketed pass (already-materialized in the
     story), the diff moves (id, md5) rows (storage.snapshot_diff), the
-    affected texts come through Bloom-prefiltered semi filters (the
-    base corpus never re-shuffles), and the signed partials tree-merge.
+    affected texts come through semi-joins on the changed ids, and the
+    signed partials tree-merge.
     Returns (g, n_docs, sum_tokens)."""
     from .relops import semi_anti_filter_scalable
     from .storage import snapshot_diff
@@ -10017,10 +9992,10 @@ def incremental_agg(sf_dir: str) -> rd.Dataset:
 
     minus = semi_anti_filter_scalable(
         docs, "doc_id", status_ids("removed", "changed"),
-        cols=["doc_id", "text"], keys_unique=True)
+        cols=["doc_id", "text"])
     plus = semi_anti_filter_scalable(
         new, "doc_id", status_ids("added", "changed"),
-        cols=["doc_id", "text"], keys_unique=True)
+        cols=["doc_id", "text"])
 
     base_agg = docs.map_batches(parts(1), batch_format="pandas")
     deltas = (minus.map_batches(parts(-1), batch_format="pandas")
@@ -10107,9 +10082,8 @@ ORACLE_SQL["zorder_stats"] = f"""
 def q4_order_priority(sf_dir: str) -> rd.Dataset:
     """TPC-H Q4 shape (order-priority checking): orders in one quarter
     that HAVE at least one returned lineitem, counted per priority —
-    the EXISTS semi-join expressed as the Bloom-prefiltered exact semi
-    filter (only matching-orderkey KEYS move; lineitem itself never
-    shuffles) followed by a bounded priority aggregate."""
+    the EXISTS semi-join (only the returned lineitems' orderkeys move
+    from lineitem) followed by a bounded priority aggregate."""
     from .relops import semi_anti_filter_scalable
 
     orders = rp(sf_dir, "orders",
@@ -10361,8 +10335,8 @@ def fk_integrity(sf_dir: str) -> rd.Dataset:
     missing from orders), orphan orders (custkey missing from
     customer), non-positive lineitem quantities and negative order
     totals, each as ONE violation-count row. The orphan checks run as
-    Bloom-prefiltered exact ANTI joins (only candidate keys move, the
-    fact tables never shuffle); the range checks fold map-side.
+    ANTI joins against the projected key columns; the range checks
+    fold map-side.
     Returns (chk, n_violations) for every check, zeros included."""
     from .relops import semi_anti_filter_scalable
 
@@ -10378,14 +10352,12 @@ def fk_integrity(sf_dir: str) -> rd.Dataset:
         li, "l_orderkey",
         orders.map_batches(lambda df: df[["o_orderkey"]],
                            batch_format="pandas"),
-        key_col="o_orderkey", anti=True, cols=["l_orderkey"],
-        keys_unique=True)
+        key_col="o_orderkey", anti=True, cols=["l_orderkey"])
     orphan_ord = semi_anti_filter_scalable(
         orders, "o_custkey",
         cust.map_batches(lambda df: df[["c_custkey"]],
                          batch_format="pandas"),
-        key_col="c_custkey", anti=True, cols=["o_custkey"],
-        keys_unique=True)
+        key_col="c_custkey", anti=True, cols=["o_custkey"])
 
     def bad_qty(df: pd.DataFrame) -> pd.DataFrame:
         n = int((df["l_quantity"].to_numpy(dtype=np.float64) <= 0).sum())
@@ -11061,9 +11033,9 @@ def q13_order_distribution(sf_dir: str) -> rd.Dataset:
     """TPC-H Q13 shape (customer distribution): histogram of customers
     by their order count INCLUDING zero-order customers — the
     distribution-of-a-distribution double aggregate: per-customer
-    counts fold bucketed, zero-count customers come from the
-    Bloom-prefiltered exact ANTI join (customer never shuffles), and
-    the second aggregate is bounded by the count domain. Returns
+    counts fold bucketed, zero-count customers come from an ANTI join
+    against the orders' customer keys, and the second aggregate is
+    bounded by the count domain. Returns
     (c_count, custdist)."""
     from .relops import semi_anti_filter_scalable
 
@@ -11113,8 +11085,8 @@ def eval_prep(sf_dir: str) -> rd.Dataset:
     overlap → exact first-wins dedup inside the pool → prompt /
     continuation split (first half / rest of the tokens) → per-lang
     manifest with an id fold. Scale shape: the train side contributes
-    only prefix-HASH keys through the Bloom-prefiltered anti join (the
-    train corpus never shuffles), the dedup keeper set moves ids only,
+    only prefix-HASH keys to the anti join (the train texts never
+    shuffle), the dedup keeper set moves ids only,
     and the manifest is a bounded aggregate."""
     from .relops import semi_anti_filter_scalable
 
@@ -11136,7 +11108,7 @@ def eval_prep(sf_dir: str) -> rd.Dataset:
         batch_format="pandas")
     scrubbed = semi_anti_filter_scalable(
         pool, "h", train_keys, anti=True,
-        cols=["doc_id", "text", "lang", "h"]).materialize()
+        cols=["doc_id", "text", "lang", "h"])
 
     def text_hash(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -11155,7 +11127,7 @@ def eval_prep(sf_dir: str) -> rd.Dataset:
         batch_format="pandas")
     kept = semi_anti_filter_scalable(
         scrubbed, "doc_id", keepers,
-        cols=["doc_id", "text", "lang"], keys_unique=True)
+        cols=["doc_id", "text", "lang"])
 
     def split(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -11869,7 +11841,7 @@ def ivfpq_search(sf_dir: str) -> rd.Dataset:
     distance (two table lookups + one add per vector). Everything is
     the existing exact-integer machinery composed: the coarse pass is
     kmeans_lloyd_int over the full dimension, the candidate filter is
-    the Bloom-prefiltered semi join on vec_id, and the ADC stage is
+    the semi join on vec_id, and the ADC stage is
     ann_pq_search's fused scoring map. The generated oracle chains a
     prefixed coarse k-means replay, the probe-cell selection, both PQ
     subspace replays and the ADC ranking — one SQL statement replays
@@ -11917,8 +11889,7 @@ def ivfpq_search(sf_dir: str) -> rd.Dataset:
                           for v in df["embedding"]]}),
         batch_format="pandas")
     cand = semi_anti_filter_scalable(emb_l, "vec_id", cand_ids,
-                                     cols=["vec_id", "embedding"],
-                                     keys_unique=True)
+                                     cols=["vec_id", "embedding"])
 
     def half(lo: int, hi: int):
         def f(df: pd.DataFrame) -> pd.DataFrame:
@@ -13125,9 +13096,9 @@ def q22_idle_customers(sf_dir: str) -> rd.Dataset:
     (sum_cents, n over positive balances) broadcast into the filter;
     above-average compares by integer cross-multiply
     (cents * n > sum_cents) so engine and SQL agree exactly; the
-    no-recent-order test is the scalable Bloom-prefiltered anti-join
-    against the date-pruned orders' customer keys (no driver-side key
-    set)."""
+    no-recent-order test is an anti-join (NOT EXISTS) against the
+    date-pruned orders' customer keys. The oracle's NOT IN agrees with
+    it only because neither side holds a null key."""
     cust = rp(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
     stats = cust.map_batches(
         lambda df: (lambda c: pd.DataFrame({

@@ -24,8 +24,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
@@ -211,13 +209,17 @@ def _exchange_reduce(fn, key: str, *pieces):
     one slot (a null key is one more value), in key order, on a
     fresh-index frame that still holds ``key`` (the map_groups
     contract). Returns the concatenated output and its row count, so
-    the driver can drop an empty slot without fetching it."""
+    the driver can drop an empty slot without fetching it. Empty
+    per-key outputs are left out of the concat (one is kept when all
+    are empty): an empty frame's object columns would upcast the
+    slot's typed ones."""
     frames = [p for p in pieces if len(p)]
     if not frames:
         return pd.DataFrame(), 0
     df = pd.concat(frames, ignore_index=True)
-    out = pd.concat([fn(g.reset_index(drop=True))
-                     for _, g in df.groupby(key, sort=True, dropna=False)],
+    outs = [fn(g.reset_index(drop=True))
+            for _, g in df.groupby(key, sort=True, dropna=False)]
+    out = pd.concat([o for o in outs if len(o)] or outs[:1],
                     ignore_index=True)
     return out, len(out)
 
@@ -370,6 +372,17 @@ def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
 # ---------------------------------------------------------------- joins
 
 
+def _key_str(key: pd.Series) -> pd.Series:
+    """A join key's string form, a whole-valued float written as the
+    integer it holds ("3", not "3.0")."""
+    s = key.astype(str)
+    if key.dtype.kind == "f":
+        v = key.to_numpy()
+        whole = (v == np.floor(v)) & (np.abs(v) < 2.0 ** 63)
+        s[whole] = v[whole].astype(np.int64).astype(str)
+    return s
+
+
 def broadcast_join(ds: rd.Dataset, small: pd.DataFrame, on: Sequence[str] | str,
                    how: str = "inner") -> rd.Dataset:
     """Join against a small side without a shuffle (J1): the map
@@ -398,14 +411,24 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
     and returns a materialized Dataset with at most one block per
     reducer slot.
 
+    ``how``: a pandas merge mode (inner/left/right/outer), or ``semi`` /
+    ``anti``: the left rows whose key is (``semi``) or is not (``anti``)
+    among the bucket's right keys, left columns only. Those are SQL
+    ``EXISTS`` / ``NOT EXISTS``; the right side is projected to its key,
+    and a duplicate right key multiplies nothing. A null key matches
+    nothing, on either side: an inner join drops it, a left join keeps
+    its row unmatched, ``anti`` keeps it. (SQL ``NOT IN`` keeps no row
+    once the key side holds a null, so it agrees with ``anti`` only on
+    null-free keys.)
+
     Skew: a hot key maps every one of its rows to ONE bucket no matter
     how large num_buckets is. Pass the known hot keys (from a cheap
     count pass or domain knowledge) as ``hot_keys``: left-side hot rows
     spread deterministically over ``salt`` consecutive buckets and
     right-side hot rows replicate into all of them, so the hot key's
     work fans out ``salt``-wide while every pair still meets exactly
-    once. Inner/left joins only (a replicated right row would multiply
-    unmatched-right output under full/right semantics).
+    once. Inner/left/semi/anti joins only (a replicated right row would
+    multiply unmatched-right output under full/right semantics).
 
     Pass ``left_cols``/``right_cols`` when the input is a lazy pipeline:
     ``Dataset.schema()`` EXECUTES the upstream plan to infer names (an
@@ -432,16 +455,16 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
     summary rows) and salt whatever it finds. Opt-in because the
     pre-pass re-executes a lazy left input once (materialize the left
     first if its upstream is expensive). Ignored when ``hot_keys`` is
-    given explicitly; requires inner/left semantics like manual
-    salting.
+    given explicitly; requires the join modes manual salting does.
 
     num_buckets defaults to the auto_buckets sizing rule (floor 32 =
     the round-2 constant); pass ``size_hint_bytes`` when the bigger
     side's size is known so the bucket count also scales with data."""
     if num_buckets is None:
         num_buckets = auto_buckets(floor=32, size_bytes=size_hint_bytes)
-    if auto_salt and not hot_keys and not left_dedup_cols \
-            and how in ("inner", "left"):
+    filtering = how in ("semi", "anti")
+    saltable = filtering or how in ("inner", "left")
+    if auto_salt and not hot_keys and not left_dedup_cols and saltable:
         from .sketches import detect_hot_keys
         hot_keys = detect_hot_keys(left.select_columns([left_on]),
                                    left_on, num_buckets)
@@ -450,7 +473,7 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
     # buckets and hot-key pairs would meet (and emit) more than once
     salt = min(salt, num_buckets)
     if hot_keys:
-        assert how in ("inner", "left"), "salting supports inner/left joins"
+        assert saltable, "salting supports inner/left/semi/anti joins"
         assert not left_dedup_cols, "left_dedup_cols requires single-bucket keys"
     if left_dedup_cols:
         assert left_on in left_dedup_cols, \
@@ -459,7 +482,12 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
     dedup_cols = list(left_dedup_cols) if left_dedup_cols else None
 
     l_cols = list(left_cols) if left_cols is not None else list(left.schema().names)
-    r_cols = list(right_cols) if right_cols is not None else list(right.schema().names)
+    if filtering:
+        r_cols = [right_on]
+    elif right_cols is not None:
+        r_cols = list(right_cols)
+    else:
+        r_cols = list(right.schema().names)
     # rename right side: key → left key name, collisions → suffix
     r_rename = {right_on: left_on}
     for c in r_cols:
@@ -476,9 +504,9 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
             # included) and — crucially — gives identical buckets when
             # the same key arrives as int64 on one side and object on
             # the other (chained joins fill missing columns with None,
-            # which upcasts carried key columns to object). Float keys
-            # are not supported ("1" vs "1.0").
-            key_str = df[key].astype(str)
+            # which upcasts carried key columns to object), or as float
+            # on a side whose integer column holds a null
+            key_str = _key_str(df[key])
             base = pd.util.hash_pandas_object(key_str, index=False).to_numpy()
             if hot:
                 is_hot = key_str.isin(hot).to_numpy()
@@ -524,8 +552,13 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
         lhs = df.loc[df["__side"] == 0, keep_l]
         if dedup_cols:
             lhs = lhs.drop_duplicates(dedup_cols)
-        rhs = df.loc[df["__side"] == 1, keep_r]
-        merged = lhs.merge(rhs, on=left_on, how=how)
+        rhs = df.loc[(df["__side"] == 1) & df[left_on].notna(), keep_r]
+        if filtering:
+            hit = lhs[left_on].isin(rhs[left_on]).to_numpy()
+            # the right rows' None fill made the left columns object
+            merged = lhs[hit if how == "semi" else ~hit].infer_objects()
+        else:
+            merged = lhs.merge(rhs, on=left_on, how=how)
         return bucket_fn(merged) if bucket_fn is not None else merged
 
     return exchange(both, "__bucket", join_bucket, num_buckets)
@@ -534,96 +567,17 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
 def semi_anti_filter_scalable(ds: rd.Dataset, key: str, keys: rd.Dataset,
                               key_col: Optional[str] = None,
                               anti: bool = False,
-                              m_bits: int = 1 << 23, k: int = 4,
                               num_buckets: Optional[int] = None,
-                              cols: Optional[Sequence[str]] = None,
-                              keys_unique: bool = False) -> rd.Dataset:
-    """EXACT semi/anti join against a key DATASET of any size — the
-    scale path for semi_anti_filter, whose broadcast frozenset is
-    bounded by driver/worker memory (at 10^12 docs the resume anti-join
-    key set no longer broadcasts).
-
-    Two stages, both distributed:
-    1. a tree-merged Bloom filter of the key side (1 MiB default) is
-       ray.put once; every batch resolves its DEFINITE rows locally —
-       bloom-miss rows are certainly not in `keys` (kept for anti,
-       dropped for semi). With a few-percent FP rate, ~all of the
-       non-matching corpus never enters the join.
-    2. only the bloom-HIT rows (true matches + FPs) go through the
-       partitioned hash join for exact resolution.
-
-    Output = certain ∪ exactly-resolved; bit-exact vs semi_anti_filter
-    (tested side-by-side incl. a forced-FP tiny filter)."""
-    from .sketches import bloom_from_dataset, bloom_might_contain
-
-    key_col = key_col or key
-    # `cols` skips the schema probe for lazy TRANSFORMED inputs, where
-    # Dataset.schema() partially executes the upstream plan (the same
-    # hint mechanism as hash_join's left_cols/right_cols)
-    ds_cols = list(cols) if cols is not None else list(ds.schema().names)
-    keys = keys.select_columns([key_col]).materialize()  # reused 2x
-    if keys.count() == 0:  # metadata-only on a materialized dataset
-        # empty key side: anti keeps everything, semi keeps nothing
-        return ds if anti else ds.limit(0)
-    bloom = ray.put(bloom_from_dataset(keys, key_col, m_bits=m_bits, k=k))
-
-    def split(certain_side: bool):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            maybe = bloom_might_contain(df[key], ray.get(bloom), m_bits, k)
-            return df[~maybe] if certain_side else df[maybe]
-        return fn
-
-    uncertain = ds.map_batches(split(False), batch_format="pandas")
-    # GLOBAL key dedup before the left join — a key present in several
-    # right-side blocks would otherwise multiply matched left rows.
-    # ``keys_unique=True`` (caller guarantees one row per key — e.g. the
-    # key side is itself a groupby/distinct output) skips that bucketed
-    # exchange entirely: the mark column is added in-place, streaming.
-    if keys_unique:
-        marked = keys.map_batches(
-            lambda df: df.assign(__m=np.int64(1)), batch_format="pandas")
-    else:
-        marked = partial_aggregate(keys, [key_col], {"__m": ("count", None)},
-                                   num_buckets=num_buckets)
-    joined = hash_join(uncertain, marked, key, key_col, how="left",
-                       num_buckets=num_buckets,
-                       left_cols=ds_cols,
-                       right_cols=[key_col, "__m"])
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        hit = df["__m"].notna().to_numpy()
-        out = df[~hit] if anti else df[hit]
-        return out.drop(columns="__m").infer_objects()
-
-    resolved = joined.map_batches(resolve, batch_format="pandas")
-    if anti:
-        certain = ds.map_batches(split(True), batch_format="pandas")
-        return certain.union(resolved)
-    return resolved
-
-
-def semi_anti_filter(ds: rd.Dataset, key: str, key_set, anti: bool = False) -> rd.Dataset:
-    """Semi/anti join via a broadcast key set (M9 resume anti-join).
-    Bounded by the key set fitting the object store + one worker heap;
-    semi_anti_filter_scalable is the unbounded-key-side variant. The
-    membership test is one pc.is_in kernel per batch (the value set is
-    an Arrow array broadcast once), never a per-row Python loop."""
-    vals = list(frozenset(key_set))
-    if not vals:  # empty key side: anti keeps everything, semi nothing
-        return ds if anti else ds.limit(0)
-    ref = ray.put(pa.array(vals))
-
-    def fn(t: pa.Table) -> pa.Table:
-        vs = ray.get(ref)
-        col = t.column(key)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if vs.type != col.type:
-            vs = vs.cast(col.type)
-        mask = pc.is_in(col, value_set=vs)
-        return t.filter(pc.invert(mask) if anti else mask)
-
-    return ds.map_batches(fn, batch_format="pyarrow")
+                              cols: Optional[Sequence[str]] = None) -> rd.Dataset:
+    """The rows of ``ds`` whose ``key`` is (semi) or is not (``anti``)
+    among ``keys[key_col]`` (``key_col`` defaults to ``key``): SQL
+    ``EXISTS`` / ``NOT EXISTS``, so a null key matches nothing and anti
+    keeps its row. One ``hash_join(how="semi" | "anti")``; the key side
+    may hold duplicates and be of any size. ``cols`` names ``ds``'s
+    columns, so a lazy transformed input is not partially executed by a
+    schema probe (``hash_join``'s ``left_cols``)."""
+    return hash_join(ds, keys, key, key_col or key, num_buckets=num_buckets,
+                     how="anti" if anti else "semi", left_cols=cols)
 
 
 def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
@@ -680,15 +634,13 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
     offs = dict(zip(hist["__bin"].astype(int),
                     np.concatenate([[0], np.cumsum(
                         hist["n"].to_numpy(dtype=np.int64))[:-1]])))
-    oref = ray.put(offs)
 
     def rank_bin(df: pd.DataFrame) -> pd.DataFrame:
-        o = ray.get(oref)
         df = df.sort_values([value_col, id_col],
                             ascending=[not descending, True],
                             ignore_index=True)
         df["rank"] = (np.arange(1, len(df) + 1, dtype=np.int64)
-                      + int(o[int(df["__bin"].iloc[0])]))
+                      + int(offs[int(df["__bin"].iloc[0])]))
         return df[[id_col, value_col, "rank"]]
 
     # bins lie in [0, num_bins) by construction of `width`
@@ -778,8 +730,8 @@ def _grouped_rank_value(ds: rd.Dataset, group_col: str, value_col: str,
     1. grouped histogram: (group, value // bin_width) counts — the
        driver sees #groups × bins rows, independent of row count;
     2. exact pass inside each group's single rank-holding bin (the
-       per-group bin map broadcasts via ray.put): (group, value) counts
-       for ≤ bin_width values per group cross the wire.
+       filter's closure holds the per-group bin map): (group, value)
+       counts for ≤ bin_width values per group cross the wire.
 
     Group count must be driver-small; per-group row counts are unbounded
     and never materialize anywhere. Returns {group: value}."""
@@ -801,14 +753,12 @@ def _grouped_rank_value(ds: rd.Dataset, group_col: str, value_col: str,
         i = int(np.searchsorted(cum, r))
         rank_bin[g] = int(sub["bin"].iloc[i])
         residual[g] = r - (int(cum[i - 1]) if i else 0)
-    bin_ref = ray.put(rank_bin)
 
     def in_bin(df: pd.DataFrame) -> pd.DataFrame:
-        bins = ray.get(bin_ref)
         g = df[group_col].to_numpy()
         v = df[value_col].to_numpy(dtype=np.int64)
         # a group with no bin matches no value's bin
-        want = np.fromiter((bins.get(x, -(1 << 62)) for x in g),
+        want = np.fromiter((rank_bin.get(x, -(1 << 62)) for x in g),
                            dtype=np.int64, count=len(g))
         m = v // bin_width == want
         return pd.DataFrame({"g": g[m], "v": v[m]})
@@ -852,13 +802,11 @@ def grouped_percentile_filter(ds: rd.Dataset, group_col: str,
     pass after the two bounded threshold passes above."""
     thr = grouped_quantile_thresholds(ds, group_col, value_col, q_num,
                                       q_den, bin_width, num_buckets)
-    thr_ref = ray.put(thr)
 
     def flt(df: pd.DataFrame) -> pd.DataFrame:
-        t = ray.get(thr_ref)
         g = df[group_col].to_numpy()
         v = df[value_col].to_numpy(dtype=np.int64)
-        cut = np.fromiter((t[x] for x in g), dtype=np.int64, count=len(g))
+        cut = np.fromiter((thr[x] for x in g), dtype=np.int64, count=len(g))
         m = v >= cut if keep == "ge" else v <= cut
         return df[m]
 
