@@ -27,14 +27,23 @@ def test_partial_aggregate_matches_pandas():
 
 
 def test_hash_join_matches_pandas_merge():
-    left = pd.DataFrame({"id": [1, 2, 3, 4], "x": list("abcd")})
-    right = pd.DataFrame({"rid": [2, 3, 3, 5], "y": [20, 30, 31, 50]})
-    got = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                            "id", "rid", num_buckets=4)
-           .to_pandas().sort_values(["id", "y"], ignore_index=True))
-    exp = (left.merge(right.rename(columns={"rid": "id"}), on="id")
-               .sort_values(["id", "y"], ignore_index=True))
-    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+    import numpy as np
+
+    small = (pd.DataFrame({"id": [1, 2, 3, 4], "x": list("abcd")}),
+             pd.DataFrame({"rid": [2, 3, 3, 5], "y": [20, 30, 31, 50]}))
+    # a hot key: 120 left rows share key 7, split over three blocks
+    hot = (pd.DataFrame({"id": [7] * 120 + list(range(30)),
+                         "x": [f"x{i}" for i in range(150)]}),
+           pd.DataFrame({"rid": [7, 7, 7, 4, 29], "y": [70, 71, 72, 40, 290]}))
+    for (left, right), parts in ((small, 1), (hot, 3)):
+        got = (relops.hash_join(rd.from_pandas(left).repartition(parts),
+                                rd.from_pandas(right), "id", "rid",
+                                num_buckets=4)
+               .to_pandas().sort_values(["id", "x", "y"], ignore_index=True))
+        exp = (left.merge(right.rename(columns={"rid": "id"}), on="id")
+                   .sort_values(["id", "x", "y"], ignore_index=True))
+        assert len(got) == len(exp) == {1: 3, 3: 365}[parts]
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_hash_join_string_keys():
@@ -62,9 +71,6 @@ def test_hash_join_left_keeps_unmatched():
 
 def test_broadcast_join_and_semi_anti():
     big = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3, 4], "v": [10, 20, 30, 40]}))
-    small = pd.DataFrame({"k": [2, 4], "name": ["two", "four"]})
-    j = relops.broadcast_join(big, small, on="k").to_pandas()
-    assert sorted(j["name"]) == ["four", "two"]
     keys = rd.from_pandas(pd.DataFrame({"k": [1, 3]}))
     semi = relops.semi_anti_filter_scalable(big, "k", keys).to_pandas()
     assert sorted(semi["k"]) == [1, 3]
@@ -158,86 +164,6 @@ def test_csv_quote_and_masters_csv():
     assert csv == 'key,value\nk1,"v,1"'
 
 
-def test_hash_join_salted_hot_key():
-    import numpy as np
-
-    # 90% of left rows share one hot key
-    left = pd.DataFrame({"k": [7] * 180 + list(range(20)),
-                         "x": np.arange(200)})
-    right = pd.DataFrame({"rk": [7, 7, 3, 12], "y": [70, 71, 30, 120]})
-    exp = (left.merge(right.rename(columns={"rk": "k"}), on="k")
-               .sort_values(["k", "x", "y"], ignore_index=True))
-    got = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                            "k", "rk", num_buckets=16,
-                            hot_keys={7}, salt=4)
-           .to_pandas().sort_values(["k", "x", "y"], ignore_index=True))
-    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
-
-    # left join keeps unmatched-left rows exactly once
-    gotl = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                             "k", "rk", num_buckets=16, how="left",
-                             hot_keys={7}, salt=4)
-            .to_pandas())
-    expl = left.merge(right.rename(columns={"rk": "k"}), on="k", how="left")
-    assert len(gotl) == len(expl)
-
-    # semi/anti: each left row meets its key's replicas exactly once
-    hit = left["k"].isin(right["rk"])
-    for how, exps in (("semi", left[hit]), ("anti", left[~hit])):
-        gots = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                                 "k", "rk", num_buckets=16, how=how,
-                                 hot_keys={7}, salt=4)
-                .to_pandas().sort_values("x", ignore_index=True))
-        pd.testing.assert_frame_equal(gots, exps.reset_index(drop=True),
-                                      check_dtype=False)
-
-
-def test_hash_join_auto_salt_planted_hot_key():
-    """auto_salt detects a planted 50%-hot key via the fused MG+CMS
-    sketch pass, spreads its rows over `salt` buckets (bounded
-    per-bucket load), and the join output is unchanged vs the unsalted
-    oracle."""
-    import numpy as np
-
-    from westa_ocr_ray.sketches import detect_hot_keys
-
-    rng = np.random.RandomState(11)
-    n = 4000
-    ks = np.where(rng.rand(n) < 0.5, 7, rng.randint(100, 2000, size=n))
-    left = pd.DataFrame({"k": ks.astype(np.int64), "x": np.arange(n)})
-    right = pd.DataFrame({"rk": np.arange(0, 2000, dtype=np.int64),
-                          "y": np.arange(0, 2000) * 10})
-
-    num_buckets = 16
-    hot = detect_hot_keys(rd.from_pandas(left).repartition(8), "k",
-                          num_buckets)
-    assert "7" in hot  # the planted hot key is found
-    # nothing in the uniform tail is anywhere near factor*n/num_buckets
-    assert len(hot) == 1
-
-    # per-bucket load bound: replicate the join's bucket arithmetic —
-    # hot rows take base+{0..salt-1}, so the hot key's ~2000 rows land
-    # on `salt` distinct buckets instead of one
-    salt = 8
-    base = pd.util.hash_pandas_object(left["k"].astype(str),
-                                      index=False).to_numpy()
-    offs = np.where(left["k"].astype(str).isin(hot),
-                    np.arange(n, dtype=np.uint64) % np.uint64(salt),
-                    np.uint64(0))
-    loads = pd.Series((base + offs) % num_buckets).value_counts()
-    hot_total = int((left["k"] == 7).sum())
-    assert loads.max() < hot_total * 0.6  # was ~hot_total in one bucket
-
-    exp = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                            "k", "rk", num_buckets=num_buckets)
-           .to_pandas().sort_values(["k", "x"], ignore_index=True))
-    got = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                            "k", "rk", num_buckets=num_buckets,
-                            auto_salt=True, salt=salt)
-           .to_pandas().sort_values(["k", "x"], ignore_index=True))
-    pd.testing.assert_frame_equal(got[exp.columns], exp, check_dtype=False)
-
-
 def test_global_value_rank_exact_and_layout_independent():
     """global_value_rank == row_number() OVER (ORDER BY v DESC, id) on
     any block layout, including heavy ties and a degenerate all-equal
@@ -269,22 +195,6 @@ def test_global_value_rank_exact_and_layout_independent():
            .to_pandas().sort_values("rank", ignore_index=True))
     assert list(got["id"]) == list(range(50))
     assert list(got["rank"]) == list(range(1, 51))
-
-
-def test_hash_join_salt_clamped_to_num_buckets():
-    import numpy as np
-
-    # salt > num_buckets used to wrap hot-key replicas onto already-used
-    # buckets, making hot pairs meet (and emit) more than once
-    left = pd.DataFrame({"k": [7] * 50 + [1, 2, 3], "x": np.arange(53)})
-    right = pd.DataFrame({"rk": [7, 1], "y": [70, 10]})
-    exp = (left.merge(right.rename(columns={"rk": "k"}), on="k")
-               .sort_values(["k", "x", "y"], ignore_index=True))
-    got = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                            "k", "rk", num_buckets=4,
-                            hot_keys={7}, salt=16)
-           .to_pandas().sort_values(["k", "x", "y"], ignore_index=True))
-    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_hash_join_bucket_fn_fusion():
@@ -823,20 +733,116 @@ def test_exchange_single_bucket():
                                   check_dtype=False)
 
 
-def test_exchange_salted_hot_key_pairs_meet_once():
+def _schema_less(df: pd.DataFrame, parts: int) -> rd.Dataset:
+    """``df`` in ``parts`` blocks, every one of them Ray Data's
+    column-less empty block (a map stage over a block filtered to
+    nothing emits one)."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    ds = (rd.from_pandas(df).repartition(parts)
+          .filter(lambda r: False)
+          .map_batches(lambda d: d, batch_format="pandas")
+          .materialize())
+    blocks = [ray.get(r) for b in ds.iter_internal_ref_bundles()
+              for r in b.block_refs]
+    assert blocks and all(BlockAccessor.for_block(b).to_pandas().columns.empty
+                          for b in blocks)
+    return ds
+
+
+def test_exchange_two_inputs_matches_pandas_merge():
+    """exchange((a, b), key, fn, B, pre=(ta, tb)) calls fn(a_rows, b_rows)
+    once per key present in either input, each input with its own
+    columns, and an empty frame for the input that lacks the key (a
+    column-less one when none of that input's blocks held a row)."""
     import numpy as np
 
-    left = pd.DataFrame({"k": [7] * 120 + list(range(30)),
-                         "x": np.arange(150)})
-    right = pd.DataFrame({"rk": [7, 7, 7, 4, 29], "y": [70, 71, 72, 40, 290]})
-    got = relops.hash_join(rd.from_pandas(left).repartition(3),
-                           rd.from_pandas(right), "k", "rk", num_buckets=8,
-                           hot_keys={7}, salt=4).to_pandas()
-    exp = left.merge(right.rename(columns={"rk": "k"}), on="k")
-    assert len(got) == len(exp)
-    pd.testing.assert_frame_equal(_sorted(got, ["k", "x", "y"]),
-                                  _sorted(exp, ["k", "x", "y"]),
-                                  check_dtype=False)
+    left = pd.DataFrame({"k": [1, 2, 2, 3, 5, 8, 8], "x": np.arange(7)})
+    right = pd.DataFrame({"rk": [2, 3, 3, 4, 6, 8], "y": list("abcdef")})
+
+    def pair(lhs, rhs):  # runs in the reduce task: one key per call
+        assert len(set(lhs["k"]) | set(rhs.get("k", ()))) == 1
+        return lhs.merge(rhs.reindex(columns=["k", "y"]), on="k", how="outer")
+
+    def exp_of(r):
+        return left.merge(r, on="k", how="outer")
+
+    def sort(df):
+        return _sorted(df.astype({"k": "int64", "x": "float64"}),
+                       ["k", "x", "y"])
+
+    lhs = rd.from_pandas(left).repartition(3)
+    rhs = rd.from_pandas(right).repartition(2)
+    rename = lambda d: d.rename(columns={"rk": "k"})  # noqa: E731
+    got = relops.exchange((lhs, rhs), "k", pair, 4,
+                          pre=(None, rename)).to_pandas()
+    exp = exp_of(right.rename(columns={"rk": "k"}))
+    # 1 and 5 are left only, 4 and 6 right only
+    assert len(got) == len(exp) == 10
+    pd.testing.assert_frame_equal(sort(got), sort(exp), check_dtype=False)
+
+    got = relops.exchange((lhs, _schema_less(right, 2)), "k", pair, 4,
+                          pre=(None, rename)).to_pandas()
+    exp = exp_of(pd.DataFrame({"k": pd.Series([], dtype="int64"),
+                               "y": pd.Series([], dtype=object)}))
+    pd.testing.assert_frame_equal(sort(got), sort(exp), check_dtype=False)
+
+
+@pytest.mark.parametrize("materialized", [False, True])
+def test_exchange_pre_matches_map_batches_stage(materialized):
+    """pre=f runs f on each block inside the split task and gives what a
+    map_batches(f) stage in front of the exchange gives, on a lazy input
+    and on a materialized one (f filters three of the six blocks to
+    nothing)."""
+    import numpy as np
+
+    df = pd.DataFrame({"k": np.arange(200) % 13, "v": np.arange(200)})
+    src = rd.from_pandas(df).repartition(6)
+    src = (src.materialize() if materialized
+           else src.map_batches(lambda d: d, batch_format="pandas"))
+
+    def pre(d):
+        d = d[~d["v"].between(30, 140)]
+        return d.assign(b=d["k"] % 5)
+
+    def fn(g):
+        return pd.DataFrame({"b": g["b"].iloc[:1], "n": [len(g)],
+                             "s": [int(g["v"].sum())]})
+
+    got = relops.exchange(src, "b", fn, 4, pre=pre).to_pandas()
+    exp = relops.exchange(src.map_batches(pre, batch_format="pandas"),
+                          "b", fn, 4).to_pandas()
+    assert len(got) == 5
+    pd.testing.assert_frame_equal(_sorted(got, ["b", "n", "s"]),
+                                  _sorted(exp, ["b", "n", "s"]))
+
+
+def test_each_keyed_primitive_is_one_exchange_call():
+    """No package exchange call feeds it a map_batches or union stage:
+    a per-block step is the exchange's ``pre``, and a join's sides are
+    separate inputs."""
+    import ast
+    import pathlib
+
+    import westa_ocr_ray
+
+    root = pathlib.Path(westa_ocr_ray.__file__).parent
+    calls, bad = 0, []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if not (isinstance(node, ast.Call) and node.args and "exchange"
+                    == getattr(func, "id", getattr(func, "attr", None))):
+                continue
+            calls += 1
+            first = node.args[0]
+            for arg in first.elts if isinstance(first, ast.Tuple) else [first]:
+                if (isinstance(arg, ast.Call)
+                        and isinstance(arg.func, ast.Attribute)
+                        and arg.func.attr in ("map_batches", "union")):
+                    bad.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert calls >= 25 and bad == []
 
 
 def test_exchange_emits_no_block_for_empty_slots():

@@ -106,8 +106,7 @@ def test_count_min_never_underestimates_and_is_tight_for_heavy_keys():
     assert grid.sum() == 4 * n
 
 
-#: the seven tree-merged sketches, each reduced to a comparable value
-#: (hot keys as a sorted list: their order follows merge order)
+#: the six tree-merged sketches, each reduced to a comparable value
 TREE_MERGED = {
     "approx_distinct": lambda ds: sketches.approx_distinct(ds, "v"),
     "heavy_hitters": lambda ds: sketches.heavy_hitters(ds, "v", k=40),
@@ -115,8 +114,6 @@ TREE_MERGED = {
         ds, "v", m_bits=1 << 16),
     "count_min_build": lambda ds: sketches.count_min_build(
         ds, "v", width=256, depth=3),
-    "detect_hot_keys": lambda ds: sorted(
-        sketches.detect_hot_keys(ds, "v", 16)),
     "heavy_hitters_exact": lambda ds: sketches.heavy_hitters_exact(
         ds, "v", k=40),
     "hll_register_table": lambda ds: sketches.hll_register_table(ds, "v"),
@@ -135,15 +132,14 @@ def _assert_same(name, a, b):
 def test_count_min_premerge_identical_to_flat(monkeypatch):
     """Every tree-merged sketch gives the same result at the default
     bucket count, at 2 buckets, and from a flat merge of the per-batch
-    rows. 31 distinct values stay under every Misra-Gries capacity
-    (k = 40 here, ≥ 64 in detect_hot_keys), so no summary is ever cut
-    and the MG merges are exact too."""
+    rows. 31 distinct values stay under the Misra-Gries capacity
+    (k = 40), so no summary is ever cut and the MG merges are exact
+    too."""
     vals = ["hot"] * 600 + [f"k{i % 30}" for i in range(900)]
     vals = list(np.random.RandomState(2).permutation(vals))
     ds = rd.from_pandas(pd.DataFrame({"v": vals})).repartition(6)
 
     default = {name: fn(ds) for name, fn in TREE_MERGED.items()}
-    assert default["detect_hot_keys"] == ["hot"]
     assert default["heavy_hitters"]["min_count"].iloc[0] == 600
 
     monkeypatch.setattr(sketches, "PREMERGE_BUCKETS", 2)
@@ -178,8 +174,6 @@ def test_tree_merged_sketch_of_empty_input(name):
             assert got == bytes((1 << 16) // 8)
         elif name == "count_min_build":
             assert np.array_equal(got, np.zeros((3, 256), dtype=np.int64))
-        elif name == "detect_hot_keys":
-            assert got == []
         else:
             assert len(got) == 4096 and not got["register"].any()
 

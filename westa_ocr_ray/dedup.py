@@ -137,8 +137,7 @@ def _within_bucket_pairs(rows: rd.Dataset, bucket_keys: Sequence[str],
             out[c + "_b"] = np.concatenate(pay[c][1])
         return pd.DataFrame(out)
 
-    return exchange(rows.map_batches(tag, batch_format="pandas"), "__cb",
-                    expand, coarse)
+    return exchange(rows, "__cb", expand, coarse, pre=tag)
 
 
 # ---------------------------------------------------------------- exact
@@ -384,10 +383,7 @@ def minhash_lsh_pairs(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "t
         out = pd.DataFrame({"doc_a": df["doc_a"].to_numpy(),
                             "doc_b": df["doc_b"].to_numpy(),
                             "jaccard_pct": jac})
-        # join None-filling upcasts id columns to object; restore the
-        # native dtype (int64 ids stay int64 — the driver's value hash
-        # is type-sensitive), string ids pass through unchanged
-        return out[out["jaccard_pct"] >= thr].infer_objects()
+        return out[out["jaccard_pct"] >= thr]
 
     verified = wb.map_batches(verify, batch_format="pandas")
     if with_stats:
@@ -996,8 +992,7 @@ def remove_duplicate_chunks(ds: rd.Dataset, id_col: str = "doc_id",
         out["n_chunks_kept"] = g.size().to_numpy(dtype=np.int64)
         return out
 
-    return exchange(kept.map_batches(tag, batch_format="pandas"), "__b",
-                    rebuild, num_buckets)
+    return exchange(kept, "__b", rebuild, num_buckets, pre=tag)
 
 
 def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
@@ -1093,8 +1088,7 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
     # window table itself deliberately stays lazy: at 100 TB it is ~one
     # row per corpus token, and recomputing the cheap explode beats
     # storing it.
-    spans = exchange(marked.map_batches(tag, batch_format="pandas"), "__b",
-                     to_intervals, num_buckets)
+    spans = exchange(marked, "__b", to_intervals, num_buckets, pre=tag)
 
     def cut(df: pd.DataFrame) -> pd.DataFrame:
         out_id, out_tx, out_nr = [], [], []
@@ -1311,8 +1305,7 @@ def containment_pairs(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
     derived rows shuffle. Candidates distinct-ed in a bucketed
     exchange, then texts hash-join on and the exact check runs inside
     map_batches — nothing corpus- or pair-set-sized on the driver. A
-    pathologically hot first-shingle can be spread with hash_join's
-    ``hot_keys`` salting if profiling shows one.
+    pathologically hot first-shingle lands in one join bucket.
 
     Strictness (so mutually-equal texts don't annihilate): A is dropped
     for B only when B is strictly longer, or equal-length (⇒ equal
@@ -1365,7 +1358,7 @@ def containment_pairs(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
         return pd.DataFrame({
             "contained_doc_id": df["doc_a"].to_numpy()[keep],
             "container_doc_id": df["doc_b"].to_numpy()[keep],
-        }).infer_objects()  # join None-filling upcasts ids to object
+        })
 
     return wb.map_batches(verify, batch_format="pandas")
 
@@ -1453,9 +1446,9 @@ def embedding_near_dup_lsh(emb: rd.Dataset, threshold: float = 0.4,
                 vec_col: df[vec_col].to_numpy()}))
         return pd.concat(parts, ignore_index=True)
 
-    pairs = exchange(emb.map_batches(tag, batch_format="pandas"), "__tb",
+    pairs = exchange(emb, "__tb",
                      lambda df: _cosine_pairs(df, id_col, vec_col, threshold),
-                     n_tables << n_planes)
+                     n_tables << n_planes, pre=tag)
     # cross-table duplicate pairs collapse in one bucketed distinct
     dist = partial_aggregate(pairs, ["vec_id_a", "vec_id_b"],
                              {"n": ("count", None)}, num_buckets=num_buckets)
@@ -1621,8 +1614,7 @@ def semantic_dedup(emb: rd.Dataset, n_clusters: int = 8,
         return pd.DataFrame({id_col: ids[~dup].astype(np.int64),
                              "cluster": df["cluster"].to_numpy()[order][~dup]})
 
-    return exchange(emb.map_batches(assign, batch_format="pandas"),
-                    "cluster", keep_fn, n_clusters)
+    return exchange(emb, "cluster", keep_fn, n_clusters, pre=assign)
 
 
 def upsert_compact(snapshots: rd.Dataset, id_col: str = "doc_id",

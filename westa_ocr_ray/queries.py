@@ -22,8 +22,8 @@ Beyond the reference: dedup_* incl. planted-oracle minhash, SQL-exact
   counts, LM surprisal scoring, z-score normalization, fingerprints);
   sketches (HLL, histogram quantiles with exact oracle, Misra-Gries
   heavy hitters); mm_* (featurize / frame-sample / resize plumbing);
-  events windows/sessions; as-of + range + native + multi-way + salted
-  joins; grouped median; embedding centroids. Full table in README.md.
+  events windows/sessions; as-of + range + multi-way joins; grouped
+  median; embedding centroids. Full table in README.md.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import ray.data as rd
 from . import dedup, extractors, fixtures, multimodal, relops, search, similarity, text_analysis
 from .config import ExtractConfig
 from .pipelines.extract import extract_dataset, read_documents
-from .relops import (auto_buckets, broadcast_join, exchange, grouped_topk,
-                     hash_join, partial_aggregate)
+from .relops import (auto_buckets, exchange, grouped_topk, hash_join,
+                     partial_aggregate)
 
 
 #: serializes Dataset CONSTRUCTION (not execution) across driver
@@ -89,7 +89,8 @@ def g3_count_orders(sf_dir: str) -> pa.Table:
 
 def j1_region_revenue(sf_dir: str) -> rd.Dataset:
     """Broadcast dimension join (J1): customer→nation→region collapsed to
-    one small lookup, put in the object store once; orders stream."""
+    one small lookup that the orders map holds (Ray Data puts a map
+    stage's function in the object store once); orders stream."""
     cust = rp(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
     nat = rp(sf_dir, "nation", ["n_nationkey", "n_regionkey"]).to_pandas()
     reg = rp(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
@@ -98,13 +99,13 @@ def j1_region_revenue(sf_dir: str) -> rd.Dataset:
                [["c_custkey", "r_name"]]
                .rename(columns={"c_custkey": "o_custkey"}))
     orders = rp(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    joined = broadcast_join(orders, dim, on="o_custkey")
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.merge(dim, on="o_custkey")
         return pd.DataFrame({"r_name": df["r_name"],
                              "total_cents": _cents(df["o_totalprice"])})
 
-    return partial_aggregate(joined.map_batches(prep, batch_format="pandas"),
+    return partial_aggregate(orders.map_batches(prep, batch_format="pandas"),
                              ["r_name"],
                              {"n_orders": ("count", None),
                               "total_cents": ("sum", "total_cents")})
@@ -476,27 +477,17 @@ def range_join_balance_band(sf_dir: str) -> rd.Dataset:
     def tag_c(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"band": np.floor(df["c_acctbal"] / W).astype("int64"),
                              "c_custkey": df["c_custkey"].astype("int64"),
-                             "c_acctbal": df["c_acctbal"],
-                             "s_suppkey": -1, "s_acctbal": np.nan,
-                             "__s": np.int8(0)})
+                             "c_acctbal": df["c_acctbal"]})
 
     def tag_s(df: pd.DataFrame) -> pd.DataFrame:
         base = np.floor(df["s_acctbal"] / W).astype("int64")
-        out = []
-        for shift in (-1, 0, 1):  # replicate small side to adjacent bands
-            out.append(pd.DataFrame({"band": base + shift,
-                                     "c_custkey": -1, "c_acctbal": np.nan,
-                                     "s_suppkey": df["s_suppkey"].astype("int64"),
-                                     "s_acctbal": df["s_acctbal"],
-                                     "__s": np.int8(1)}))
-        return pd.concat(out, ignore_index=True)
+        return pd.concat([  # replicate small side to adjacent bands
+            pd.DataFrame({"band": base + shift,
+                          "s_suppkey": df["s_suppkey"].astype("int64"),
+                          "s_acctbal": df["s_acctbal"]})
+            for shift in (-1, 0, 1)], ignore_index=True)
 
-    both = cust.map_batches(tag_c, batch_format="pandas").union(
-        supp.map_batches(tag_s, batch_format="pandas"))
-
-    def band_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        c = df[df["__s"] == 0][["band", "c_custkey", "c_acctbal"]]
-        s = df[df["__s"] == 1][["band", "s_suppkey", "s_acctbal"]]
+    def band_pairs(c: pd.DataFrame, s: pd.DataFrame) -> pd.DataFrame:
         if c.empty or s.empty:
             return pd.DataFrame({"c_custkey": pd.Series([], dtype="int64"),
                                  "s_suppkey": pd.Series([], dtype="int64")})
@@ -505,7 +496,8 @@ def range_join_balance_band(sf_dir: str) -> rd.Dataset:
         return (m[["c_custkey", "s_suppkey"]]
                 .drop_duplicates(ignore_index=True).astype("int64"))
 
-    return exchange(both, "band", band_pairs, auto_buckets())
+    return exchange((cust, supp), "band", band_pairs, auto_buckets(),
+                    pre=(tag_c, tag_s))
 
 
 def asof_last_order_before_event(sf_dir: str) -> rd.Dataset:
@@ -520,35 +512,27 @@ def asof_last_order_before_event(sf_dir: str) -> rd.Dataset:
     def tag_e(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"event_id": df["event_id"],
                              "user_id": df["user_id"].astype("int64"),
-                             "ts": df["ts"], "odate": pd.NaT,
-                             "__b": (df["user_id"] % B).astype("int32"),
-                             "__s": np.int8(0)})
+                             "ts": df["ts"],
+                             "__b": (df["user_id"] % B).astype("int32")})
 
     def tag_o(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"event_id": -1,
-                             "user_id": df["o_custkey"].astype("int64"),
-                             "ts": pd.NaT, "odate": df["o_orderdate"],
-                             "__b": (df["o_custkey"] % B).astype("int32"),
-                             "__s": np.int8(1)})
+        return pd.DataFrame({"user_id": df["o_custkey"].astype("int64"),
+                             "odate": df["o_orderdate"],
+                             "__b": (df["o_custkey"] % B).astype("int32")})
 
-    both = ev.map_batches(tag_e, batch_format="pandas").union(
-        od.map_batches(tag_o, batch_format="pandas"))
-
-    def bucket_asof(df: pd.DataFrame) -> pd.DataFrame:
-        e = df[df["__s"] == 0][["event_id", "user_id", "ts"]].sort_values(
-            "ts", ignore_index=True)
-        o = df[df["__s"] == 1][["user_id", "odate"]].sort_values(
-            "odate", ignore_index=True)
+    def bucket_asof(e: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
         if e.empty or o.empty:
             return pd.DataFrame({"event_id": pd.Series([], dtype="int64"),
                                  "last_order_date": pd.Series([], dtype="object")})
+        e = e.drop(columns="__b").sort_values("ts", ignore_index=True)
+        o = o.drop(columns="__b").sort_values("odate", ignore_index=True)
         m = pd.merge_asof(e, o, left_on="ts", right_on="odate",
                           by="user_id", direction="backward")
         m = m.dropna(subset=["odate"])
         return pd.DataFrame({"event_id": m["event_id"].astype("int64"),
                              "last_order_date": m["odate"].dt.strftime("%Y-%m-%d")})
 
-    return exchange(both, "__b", bucket_asof, B)
+    return exchange((ev, od), "__b", bucket_asof, B, pre=(tag_e, tag_o))
 
 
 # ------------------------------------------- streaming-shaped / window
@@ -626,8 +610,7 @@ def _bucketed_by_user(ev: rd.Dataset, fn, buckets: Optional[int] = None,
                                                 ignore_index=True)
         return fn(df)
 
-    return exchange(ev.map_batches(tag, batch_format="pandas"), "__b", run,
-                    buckets)
+    return exchange(ev, "__b", run, buckets, pre=tag)
 
 
 LATE_WATERMARK_US = 120 * 10**6  # 2-minute allowed lateness
@@ -1515,11 +1498,8 @@ def top_distinctive_token(sf_dir: str) -> rd.Dataset:
                         ascending=[False, True, True])
 
     def pick(d: pd.DataFrame) -> pd.DataFrame:
-        # restore native id dtype (join None-filling upcasts to object;
-        # the driver's value hash is type-sensitive)
         return pd.DataFrame({"doc_id": d["doc_id"].to_numpy(),
-                             "top_token": d["token"].to_numpy()
-                             }).infer_objects()
+                             "top_token": d["token"].to_numpy()})
 
     return best.map_batches(pick, batch_format="pandas")
 
@@ -1543,8 +1523,7 @@ def order_priorities_concat(sf_dir: str) -> rd.Dataset:
         return pd.DataFrame({"o_custkey": g.index.to_numpy(),
                              "priorities": g.to_numpy()})
 
-    return exchange(orders.map_batches(tag, batch_format="pandas"), "__b",
-                    concat, 32)
+    return exchange(orders, "__b", concat, 32, pre=tag)
 
 
 def q_text_quality(sf_dir: str) -> rd.Dataset:
@@ -2478,11 +2457,8 @@ def _lm_doc_scores(docs: rd.Dataset) -> rd.Dataset:
                             "part_mn": df["tf"].to_numpy(dtype=np.int64)
                             * surprisal,
                             "part_n": df["tf"].to_numpy(dtype=np.int64)})
-        # infer_objects: join None-filling upcasts doc_id to object and
-        # the driver's value hash is type-sensitive
         return (out.groupby("doc_id", sort=False, as_index=False)
-                .agg(part_mn=("part_mn", "sum"), part_n=("part_n", "sum"))
-                .infer_objects())
+                .agg(part_mn=("part_mn", "sum"), part_n=("part_n", "sum")))
 
     joined = hash_join(tf, counts, "token", "token",
                        left_cols=["doc_id", "token", "tf"],
@@ -3736,8 +3712,6 @@ def topk_with_ties(sf_dir: str) -> rd.Dataset:
     threshold exactly in two bounded passes
     (relops.grouped_kth_from_top) and the selection is one broadcast-
     filter map — no per-group sort, group sizes never matter."""
-    import ray
-
     ev = rp(sf_dir, "events", ["event_id", "event_type", "value"])
     cents = ev.map_batches(
         lambda df: pd.DataFrame({"event_id": df["event_id"].to_numpy(),
@@ -3746,11 +3720,9 @@ def topk_with_ties(sf_dir: str) -> rd.Dataset:
         batch_format="pandas").materialize()
     thr = relops.grouped_kth_from_top(cents, "event_type", "v",
                                       TOPK_TIES_K)
-    thr_ref = ray.put(thr)
 
     def flt(df: pd.DataFrame) -> pd.DataFrame:
-        t = ray.get(thr_ref)
-        cut = np.fromiter((t[x] for x in df["event_type"]),
+        cut = np.fromiter((thr[x] for x in df["event_type"]),
                           dtype=np.int64, count=len(df))
         return df[df["v"].to_numpy(dtype=np.int64) >= cut]
 
@@ -4038,11 +4010,9 @@ def skyline(points: rd.Dataset) -> rd.Dataset:
     each block reduces to its own frontier (skyline is idempotent under
     union — skyline(A ∪ B) = skyline(skyline(A) ∪ skyline(B))), and the
     local frontiers fold in one constant-key exchange."""
-    local = points.map_batches(
-        lambda df: _skyline_block(df).assign(__g=np.int32(0)),
-        batch_format="pandas")
-    return exchange(local, "__g",
-                    lambda df: _skyline_block(df.drop(columns="__g")), 1)
+    return exchange(points, "__g",
+                    lambda df: _skyline_block(df.drop(columns="__g")), 1,
+                    pre=lambda df: _skyline_block(df).assign(__g=np.int32(0)))
 
 
 def doc_skyline(sf_dir: str) -> rd.Dataset:
@@ -4073,19 +4043,15 @@ def grouped_mad(sf_dir: str) -> rd.Dataset:
     cent-values, once on |v - median(group)| with the tiny per-group
     median map broadcast into the deviation pass. Four bounded
     exchanges total; no group ever assembles."""
-    import ray
-
     ev = rp(sf_dir, "events", ["event_type", "value"])
     cents = ev.map_batches(
         lambda df: pd.DataFrame({"event_type": df["event_type"].to_numpy(),
                                  "v": _cents(df["value"])}),
         batch_format="pandas").materialize()
     med = relops.grouped_quantile_thresholds(cents, "event_type", "v", 1, 2)
-    med_ref = ray.put(med)
 
     def devs(df: pd.DataFrame) -> pd.DataFrame:
-        m = ray.get(med_ref)
-        cut = np.fromiter((m[g] for g in df["event_type"]),
+        cut = np.fromiter((med[g] for g in df["event_type"]),
                           dtype=np.int64, count=len(df))
         return pd.DataFrame({
             "event_type": df["event_type"].to_numpy(),
@@ -7622,12 +7588,11 @@ def embedding_quantize(sf_dir: str) -> rd.Dataset:
     truncating // identical to numpy's floor //). Distribution shape:
     pass 1 tree-merges the per-dimension |q| max as a (dim, m) partial
     (one 64-row table per block, combiner-first); the d-entry scale
-    table broadcasts once via ray.put; pass 2 streams codes and emits
+    table broadcasts once, held by the codes map; pass 2 streams codes
+    and emits
     per-vector audit sums — at production scale it would write the int8
     code column itself, same plumbing. Returns
     (vec_id, code_sum, code_l1, sse_q)."""
-    import ray
-
     emb = rp(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def qstack(df: pd.DataFrame) -> np.ndarray:
@@ -7647,12 +7612,10 @@ def embedding_quantize(sf_dir: str) -> rd.Dataset:
     mx = partial_aggregate(
         emb.map_batches(dim_max, batch_format="pandas"),
         ["i"], {"m": ("max", "m")}).to_pandas()
-    qmax = np.zeros(int(mx["i"].max()) + 1, dtype=np.int64)
-    qmax[mx["i"].to_numpy()] = mx["m"].to_numpy()
-    mref = ray.put(qmax)
+    m = np.zeros(int(mx["i"].max()) + 1, dtype=np.int64)
+    m[mx["i"].to_numpy()] = mx["m"].to_numpy()
 
     def codes(df: pd.DataFrame) -> pd.DataFrame:
-        m = ray.get(mref)
         q = qstack(df)
         sgn = np.sign(q)
         aq = np.abs(q)
@@ -7872,11 +7835,9 @@ def hits_user_event(sf_dir: str) -> rd.Dataset:
     round verbatim (generated CTE chain, the kmeans/pagerank pattern).
     Distribution shape: hubs stay a Dataset keyed by user (partitioned
     hash_join edge<-hub each round); authorities are |event types| rows
-    — the classic small side — broadcast back via ray.put for the hub
-    update; per-round maxima are single-row folds. Returns
+    — the classic small side — broadcast back in the hub map's closure
+    for the hub update; per-round maxima are single-row folds. Returns
     (kind, node, score_ppm) for both sides after HITS_ROUNDS rounds."""
-    import ray
-
     ev = rp(sf_dir, "events", ["user_id", "event_type"])
     edges = partial_aggregate(ev, ["user_id", "event_type"],
                               {"c": ("count", None)}) \
@@ -7900,11 +7861,10 @@ def hits_user_event(sf_dir: str) -> rd.Dataset:
             ["event_type"], {"a": ("sum", "h")}).to_pandas()
         amax = int(ar["a"].max())
         ar["a"] = (ar["a"].astype(np.int64) * HITS_UNIT) // amax
-        aref = ray.put(dict(zip(ar["event_type"], ar["a"])))
+        amap = dict(zip(ar["event_type"], ar["a"]))
 
         # hub update: h(u) = sum_{(u,t)} a(t)  (small side broadcast)
-        def with_a(df: pd.DataFrame) -> pd.DataFrame:
-            amap = ray.get(aref)
+        def with_a(df: pd.DataFrame, amap=amap) -> pd.DataFrame:
             return pd.DataFrame({
                 "user_id": df["user_id"].astype(np.int64),
                 "h": df["event_type"].map(amap).astype(np.int64)})
@@ -8062,8 +8022,6 @@ def events_cusum(sf_dir: str) -> rd.Dataset:
     holds to ~1e9 events x 1e9 summed cents; past that the per-bucket
     fold switches to python ints (same rule as events_ks_drift).
     Returns one row (n_events, at_k, at_ts_us, cusum_abs)."""
-    import ray
-
     ev = rp(sf_dir, "events", ["event_id", "ts", "value"])
     NB = 64
 
@@ -8085,11 +8043,10 @@ def events_cusum(sf_dir: str) -> rd.Dataset:
         return df.assign(__rb=((df["t"].to_numpy() - mn) * NB
                                // span).astype(np.int64))
 
-    tagged = b.map_batches(tag, batch_format="pandas").materialize()
     sums = partial_aggregate(
-        tagged.map_batches(lambda df: df[["__rb", "cents"]]
-                           .assign(one=np.int64(1)),
-                           batch_format="pandas"),
+        b.map_batches(lambda df: tag(df)[["__rb", "cents"]]
+                      .assign(one=np.int64(1)),
+                      batch_format="pandas"),
         ["__rb"], {"s": ("sum", "cents"), "c": ("sum", "one")}
     ).to_pandas().sort_values("__rb")
     csum = np.zeros(NB, dtype=np.int64)
@@ -8100,24 +8057,22 @@ def events_cusum(sf_dir: str) -> rd.Dataset:
     n = int(ccnt.sum())
     off_s = np.concatenate([[0], np.cumsum(csum)[:-1]])
     off_c = np.concatenate([[0], np.cumsum(ccnt)[:-1]])
-    ref = ray.put((off_s, off_c, n, total))
 
     def local_best(df: pd.DataFrame) -> pd.DataFrame:
-        o_s, o_c, nn, tt = ray.get(ref)
         rb = int(df["__rb"].iloc[0])
         df = df.sort_values(["t", "eid"], ignore_index=True)
-        p = o_s[rb] + np.cumsum(df["cents"].to_numpy())
-        k = o_c[rb] + np.arange(1, len(df) + 1, dtype=np.int64)
-        assert abs(nn) * max(1, int(np.abs(p).max())) < (1 << 62), \
+        p = off_s[rb] + np.cumsum(df["cents"].to_numpy())
+        k = off_c[rb] + np.arange(1, len(df) + 1, dtype=np.int64)
+        assert abs(n) * max(1, int(np.abs(p).max())) < (1 << 62), \
             "int64 CUSUM envelope exceeded; switch to python ints"
-        dev = np.abs(nn * p - k * tt)
+        dev = np.abs(n * p - k * total)
         i = int(np.lexsort((k, -dev))[0])     # max dev, tie lowest k
         return pd.DataFrame({
             "at_k": np.array([k[i]], dtype=np.int64),
             "at_ts_us": np.array([df["t"].iloc[i]], dtype=np.int64),
             "cusum_abs": np.array([dev[i]], dtype=np.int64)})
 
-    cand = exchange(tagged, "__rb", local_best, NB).to_pandas()
+    cand = exchange(b, "__rb", local_best, NB, pre=tag).to_pandas()
     best = cand.sort_values(["cusum_abs", "at_k"],
                             ascending=[False, True]).iloc[0]
     return rd.from_pandas(pd.DataFrame({
@@ -8467,12 +8422,10 @@ def mmr_diversify(sf_dir: str) -> rd.Dataset:
     seed trick), excluded from candidates.
 
     Shape: candidates stay a Dataset throughout — rel computes once
-    in one map (query vector broadcast via ray.put), each round is a
+    in one map (the query vector held by its closure), each round is a
     constant-group partial top-1 (the driver sees ONE row per round)
     plus a broadcast maxsim update; K materializes of a (id, rel, ms,
     q) table. Returns (vec_id, pick_round, rel, maxsim, score)."""
-    import ray
-
     emb = rp(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def quant(df: pd.DataFrame) -> np.ndarray:
@@ -8490,7 +8443,7 @@ def mmr_diversify(sf_dir: str) -> rd.Dataset:
     qid = int(mn["mn"].iloc[0])
     qrow = emb.map_batches(lambda df: df[df["vec_id"] == qid],
                            batch_format="pandas").to_pandas()
-    qref = ray.put(quant(qrow)[0])
+    qvec = quant(qrow)[0]
 
     def base(df: pd.DataFrame) -> pd.DataFrame:
         m = df["vec_id"].to_numpy() != qid
@@ -8500,7 +8453,7 @@ def mmr_diversify(sf_dir: str) -> rd.Dataset:
                                  "ms": pd.Series([], dtype="int64"),
                                  "q": pd.Series([], dtype=object)})
         Q = quant(df[m])
-        rel = Q @ ray.get(qref)
+        rel = Q @ qvec
         return pd.DataFrame({
             "vec_id": df["vec_id"].to_numpy()[m].astype(np.int64),
             "rel": rel.astype(np.int64),
@@ -8526,19 +8479,19 @@ def mmr_diversify(sf_dir: str) -> rd.Dataset:
                       int(top["ms"].iloc[0]), int(top["score"].iloc[0])))
         if r == MMR_K:
             break
-        pref = ray.put(np.asarray(top["q"].iloc[0], dtype=np.int64))
+        pvec = np.asarray(top["q"].iloc[0], dtype=np.int64)
 
         # round 1's update REPLACES ms (the 0 init is only the oracle's
         # m0 placeholder; a max against it would clamp an all-negative
         # dot row to 0 and diverge — caught by the sf0.001 gate);
         # later rounds take the running max over the selected set
-        def upd(df: pd.DataFrame, _pid=pid, _pref=pref,
+        def upd(df: pd.DataFrame, _pid=pid, _pvec=pvec,
                 _first=(r == 1)) -> pd.DataFrame:
             d = df[df["vec_id"].to_numpy() != _pid]
             if not len(d):
                 return d
             dots = (np.stack(d["q"].to_numpy())
-                    @ ray.get(_pref)).astype(np.int64)
+                    @ _pvec).astype(np.int64)
             if not _first:
                 dots = np.maximum(d["ms"].to_numpy(np.int64), dots)
             return d.assign(ms=dots)
@@ -9364,8 +9317,6 @@ def embedding_prep(sf_dir: str) -> rd.Dataset:
     in one map, and the manifest is a bounded aggregate — the driver
     sees EP_SHARDS rows. Returns
     (shard, n_vecs, sum_code_l1, sum_sse_q)."""
-    import ray
-
     from .relops import semi_anti_filter_scalable
 
     kept = q_semantic_dedup(sf_dir)
@@ -9403,9 +9354,8 @@ def embedding_prep(sf_dir: str) -> rd.Dataset:
     mx = partial_aggregate(
         ke.map_batches(dim_max, batch_format="pandas"),
         ["i"], {"m": ("max", "m")}).to_pandas()
-    qmax = np.zeros(int(mx["i"].max()) + 1, dtype=np.int64)
-    qmax[mx["i"].to_numpy()] = mx["m"].to_numpy()
-    mref = ray.put(qmax)
+    m = np.zeros(int(mx["i"].max()) + 1, dtype=np.int64)
+    m[mx["i"].to_numpy()] = mx["m"].to_numpy()
 
     def audit(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -9414,7 +9364,6 @@ def embedding_prep(sf_dir: str) -> rd.Dataset:
                 "n_vecs": pd.Series([], dtype="int64"),
                 "sum_code_l1": pd.Series([], dtype="int64"),
                 "sum_sse_q": pd.Series([], dtype="int64")})
-        m = ray.get(mref)
         q = qstack(df)
         sgn, aq = np.sign(q), np.abs(q)
         safe = np.where(m == 0, 1, m)
@@ -9804,8 +9753,6 @@ def sparse_dot_topk(sf_dir: str) -> rd.Dataset:
     per-(doc, probe) partial sums; the final per-probe ranking is
     grouped_topk's bounded two stages. Returns
     (probe_id, doc_id, score, rank)."""
-    import ray
-
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
 
     def tok_counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -9829,19 +9776,17 @@ def sparse_dot_topk(sf_dir: str) -> rd.Dataset:
         batch_format="pandas").to_pandas()
     pvec = {int(p): dict(zip(g["token"], g["tf"].astype(int)))
             for p, g in probes.groupby("doc_id")}
-    bref = ray.put((weight, pvec))
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        w, pv = ray.get(bref)
         if not len(df):
             return pd.DataFrame({
                 "probe_id": pd.Series([], dtype="int64"),
                 "doc_id": pd.Series([], dtype="int64"),
                 "score": pd.Series([], dtype="int64")})
         tfv = df["tf"].to_numpy(dtype=np.int64)
-        wv = df["token"].map(w).to_numpy(dtype=np.int64)
+        wv = df["token"].map(weight).to_numpy(dtype=np.int64)
         frames = []
-        for p, vec in pv.items():
+        for p, vec in pvec.items():
             ptf = df["token"].map(vec).fillna(0).to_numpy(dtype=np.int64)
             s = tfv * wv * ptf
             frames.append(pd.DataFrame({
@@ -10299,8 +10244,7 @@ def scd2_intervals(sf_dir: str) -> rd.Dataset:
             "is_current": (v_to == SCD_CURRENT).astype("int64")})
         return out[df["op"].to_numpy() == "upsert"]
 
-    return exchange(log.map_batches(tag, batch_format="pandas"), "__b",
-                    intervals, nb)
+    return exchange(log, "__b", intervals, nb, pre=tag)
 
 
 QUERIES["scd2_intervals"] = scd2_intervals
@@ -11271,8 +11215,6 @@ def tokenized_export(sf_dir: str) -> rd.Dataset:
     import os
     import shutil as _shutil
 
-    import ray
-
     docs = rp(sf_dir, "documents", ["doc_id", "text", "lang"])
 
     def tok_counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -11289,7 +11231,6 @@ def tokenized_export(sf_dir: str) -> rd.Dataset:
     cnt = cnt.sort_values(["cnt", "token"], ascending=[False, True],
                           ignore_index=True).head(TOKV_SIZE)
     vocab = {t: i + 1 for i, t in enumerate(cnt["token"])}
-    vref = ray.put(vocab)
 
     st = os.stat(f"{sf_dir}/documents.parquet")
     key = dedup.md5_hex(
@@ -11301,8 +11242,7 @@ def tokenized_export(sf_dir: str) -> rd.Dataset:
             _shutil.rmtree(out_dir)
 
         def encode(df: pd.DataFrame) -> pd.DataFrame:
-            v = ray.get(vref)
-            ids = [[v.get(t, 0) for t in s.split(" ")]
+            ids = [[vocab.get(t, 0) for t in s.split(" ")]
                    for s in df["text"]]
             return pd.DataFrame({
                 "doc_id": df["doc_id"].to_numpy(dtype=np.int64),

@@ -1,21 +1,25 @@
 """Reusable relational operator patterns, Ray-Data-first.
 
 These are the engine's general-purpose building blocks (SURVEY.md §2.4,
-§2.5): partial aggregation before the shuffle, broadcast joins for small
-sides, and an explicit partitioned hash join for large-large joins.
+§2.5): partial aggregation before the shuffle and an explicit
+partitioned hash join.
 
-The map sides are Ray Data operators; every keyed reduce in the
-package (partial_aggregate, grouped_topk, hash_join, global_value_rank,
-dedup's candidate-pair expansion, the sketches' tree-merge and the
-per-key ordered logs of the query registry) is ``exchange``: one wave
-of plain Ray tasks, one per reducer slot, each applying the per-key
-function to a contiguous run of buckets. Any single key column works:
-integer keys bucket by value, others by hash. (The one exception is
-``pipelines.extract.extract_dataset``, whose reduce is pyarrow-format.)
-On the small inputs of the query registry a Ray Data groupby/map_groups
-(a sort with a sampling pass) is mostly fixed cost; the exchange's
-output is a materialized Dataset, so it runs its upstream when it is
-called.
+Every keyed reduce in the package (partial_aggregate, grouped_topk,
+hash_join, global_value_rank, dedup's candidate-pair expansion, the
+sketches' tree-merge and the per-key ordered logs of the query
+registry) is ONE ``exchange`` call: one wave of plain Ray tasks, a
+split task per input block that runs the caller's per-block step
+(``pre``: a combiner, a tag) and buckets its output, then a reduce
+task per slot that applies the per-key function to a contiguous run of
+buckets. A join passes its two sides as two inputs, each with its own
+tag. Any single key column works: integer keys bucket by value, others
+by hash. (The one exception is ``pipelines.extract.extract_dataset``,
+whose reduce is pyarrow-format.) On the small inputs of the query
+registry a Ray Data stage is mostly fixed cost (a groupby/map_groups
+adds a sort with a sampling pass, a map_batches stage its own executor
+run); the exchange's output is a materialized Dataset, so it runs its
+inputs when it is called and a chained primitive starts no Ray Data
+executor.
 """
 
 from __future__ import annotations
@@ -186,14 +190,19 @@ def _bucket_of(keys: pd.Series, num_buckets: int) -> np.ndarray:
 
 
 @ray.remote
-def _exchange_split(block, key: str, num_buckets: int, n: int):
-    """Exchange map task: cut one block into ``n`` slot pieces, bucket
-    ``b`` going to slot ``b * n // num_buckets`` (a contiguous run of
-    buckets per slot), rows keeping their block order."""
+def _exchange_split(block, key: str, num_buckets: int, n: int, pre):
+    """Exchange map task: run ``pre`` on one block, then cut it into
+    ``n`` slot pieces, bucket ``b`` going to slot ``b * n //
+    num_buckets`` (a contiguous run of buckets per slot), rows keeping
+    their block order. An empty block, Ray Data's schema-less one
+    included, skips ``pre`` (as ``map_batches`` does) and sends a
+    column-less piece to every slot."""
     from ray.data.block import BlockAccessor
 
     df = BlockAccessor.for_block(block).to_pandas()
-    if key not in df.columns:  # Ray Data's schema-less empty block
+    if len(df) and pre is not None:
+        df = pre(df)
+    if not len(df):
         pieces = [pd.DataFrame()] * n
     else:
         slot = _bucket_of(df[key], num_buckets) * n // num_buckets
@@ -204,54 +213,94 @@ def _exchange_split(block, key: str, num_buckets: int, n: int):
 
 
 @ray.remote(num_returns=2)
-def _exchange_reduce(fn, key: str, *pieces):
-    """Exchange reduce task: ``fn`` once per distinct ``key`` value of
-    one slot (a null key is one more value), in key order, on a
-    fresh-index frame that still holds ``key`` (the map_groups
-    contract). Returns the concatenated output and its row count, so
-    the driver can drop an empty slot without fetching it. Empty
-    per-key outputs are left out of the concat (one is kept when all
-    are empty): an empty frame's object columns would upcast the
-    slot's typed ones."""
-    frames = [p for p in pieces if len(p)]
-    if not frames:
+def _exchange_reduce(fn, key: str, sizes: list, *pieces):
+    """Exchange reduce task: concatenate each input's pieces (``sizes``
+    of them per input, in input order), then call ``fn(*frames)`` once
+    per distinct ``key`` value of the slot (a null key is one more
+    value), in key order. Each frame has a fresh index and still holds
+    ``key`` (the map_groups contract); an input without rows for that
+    key gets an empty frame, typed when any of its blocks had rows.
+    Returns the concatenated output and its row count, so the driver
+    can drop an empty slot without fetching it. Empty per-key outputs
+    are left out of the concat (one is kept when all are empty): an
+    empty frame's object columns would upcast the slot's typed ones."""
+    frames, at = [], 0
+    for size in sizes:
+        mine = pieces[at:at + size]
+        at += size
+        live = [p for p in mine if len(p)]
+        frames.append(pd.concat(live, ignore_index=True) if live else next(
+            (p for p in mine if len(p.columns)), pd.DataFrame()))
+    if not any(len(f) for f in frames):
         return pd.DataFrame(), 0
-    df = pd.concat(frames, ignore_index=True)
-    outs = [fn(g.reset_index(drop=True))
-            for _, g in df.groupby(key, sort=True, dropna=False)]
+    codes, keys = pd.factorize(
+        pd.concat([f[key] for f in frames if len(f)], ignore_index=True),
+        sort=True, use_na_sentinel=False)
+    runs, at = [], 0
+    for f in frames:  # each frame in key order, cut at each key's rows
+        c = codes[at:at + len(f)]
+        at += len(f)
+        order = np.argsort(c, kind="stable")
+        runs.append((f.take(order),
+                     np.searchsorted(c[order], np.arange(len(keys) + 1))))
+    outs = [fn(*(f.iloc[cut[g]:cut[g + 1]].reset_index(drop=True)
+                 for f, cut in runs))
+            for g in range(len(keys))]
     out = pd.concat([o for o in outs if len(o)] or outs[:1],
                     ignore_index=True)
     return out, len(out)
 
 
-def exchange(ds: rd.Dataset, key: str, fn, num_buckets: int) -> rd.Dataset:
+def exchange(ds, key: str, fn, num_buckets: int, pre=None) -> rd.Dataset:
     """Keyed reduce as plain Ray tasks: ``fn`` applied once to the rows
-    of each distinct ``ds[key]`` value, nulls included, the results as
-    one materialized Dataset of pandas blocks — what
-    ``ds.groupby(key).map_groups(fn, batch_format="pandas")`` returns,
-    without Ray Data's sort and its sampling pass.
+    of each distinct ``key`` value, nulls included, the results as one
+    materialized Dataset of pandas blocks — what
+    ``ds.map_batches(pre).groupby(key).map_groups(fn,
+    batch_format="pandas")`` returns, without Ray Data's sort, its
+    sampling pass or a stage for ``pre``.
+
+    ``pre`` is the input's per-block step (a tag, a projection, a
+    combiner): it runs on each non-empty block inside the split task,
+    before bucketing, and its output must hold ``key``. ``ds`` and
+    ``pre`` may be equal-length tuples, one entry per input (a None
+    entry, or ``pre=None``, runs no step). Each input is concatenated
+    on its own, and ``fn(*frames)`` is called for every key present in
+    any input, with an empty frame for an input that lacks it: a join
+    takes its sides as separate inputs, never a union padded to one
+    schema.
 
     A key's bucket is ``_bucket_of``: the key itself modulo
     ``num_buckets`` for an integer key, its hash for any other. Runs
-    ``ds`` when called. Slot count: the cluster's CPUs, or one slot per
-    TARGET_BUCKET_BYTES of input when that is more, never more than
-    ``num_buckets``. One split task per input block sends each bucket
-    to its slot; one reduce task per slot runs ``fn`` over its keys. A
-    slot whose output is empty emits no block (an all-empty result is
-    one empty block). The driver waits through ``gather``, so signal
-    handlers run, and an exception raised while it waits (an interrupt,
-    a handler's) cancels the reduce tasks still running."""
-    blocks, nbytes = [], 0
-    for bundle in ds.iter_internal_ref_bundles():
-        blocks += bundle.block_refs
-        nbytes += bundle.size_bytes()
+    the inputs when called. Slot count: the cluster's CPUs, or one slot
+    per TARGET_BUCKET_BYTES of input when that is more, never more than
+    ``num_buckets``. One split task per input block sends each bucket to
+    its slot; one reduce task per slot runs ``fn`` over its keys. ``pre``
+    and ``fn`` go into the object store once per call. Footprint: while
+    it runs, the exchange holds every input block, so for a lazy input
+    that is the rows the read produced, not ``pre``'s (often smaller)
+    output. A slot whose output is empty emits no block (an all-empty
+    result is one empty block). The driver waits through ``gather``, so
+    signal handlers run, and an exception raised while it waits (an
+    interrupt, a handler's) cancels the reduce tasks still running."""
+    inputs = ds if isinstance(ds, tuple) else (ds,)
+    pres = pre if isinstance(pre, tuple) else (pre,) * len(inputs)
+    blocks, nbytes = [[] for _ in inputs], 0
+    for mine, d in zip(blocks, inputs):
+        for bundle in d.iter_internal_ref_bundles():
+            mine += bundle.block_refs
+            nbytes += bundle.size_bytes()
     cpus = int(ray.cluster_resources().get("CPU", 1))
     n = max(1, min(num_buckets, max(cpus, -(-nbytes // TARGET_BUCKET_BYTES))))
     split = _exchange_split.options(num_returns=n)
-    pieces = [split.remote(b, key, num_buckets, n) for b in blocks]
+    # the driver holds each put until every task that reads it is done
+    pres = [None if p is None else ray.put(p) for p in pres]
+    pieces = [split.remote(b, key, num_buckets, n, p)
+              for mine, p in zip(blocks, pres) for b in mine]
     if n == 1:
         pieces = [[p] for p in pieces]
-    outs, counts = zip(*(_exchange_reduce.remote(fn, key,
+    fn = ray.put(fn)
+    sizes = [len(mine) for mine in blocks]
+    outs, counts = zip(*(_exchange_reduce.remote(fn, key, sizes,
                                                  *[p[s] for p in pieces])
                          for s in range(n)))
     rows = gather(list(counts))
@@ -310,8 +359,7 @@ def partial_aggregate(ds: rd.Dataset, keys: Sequence[str],
                   .groupby(keys, sort=False, as_index=False, dropna=False)
                   .agg(**merge_ops))
 
-    return exchange(ds.map_batches(combine, batch_format="pandas"),
-                    "__bucket", merge, num_buckets)
+    return exchange(ds, "__bucket", merge, num_buckets, pre=combine)
 
 
 def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
@@ -344,10 +392,6 @@ def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
     sort_asc = [True] * len(group_cols) + asc
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            df = df.copy()
-            df["__b"] = pd.Series([], dtype="int32")
-            return df
         top = (df.sort_values(sort_cols, ascending=sort_asc)
                  .groupby(group_cols, sort=False, dropna=False).head(k))
         top = top.copy()
@@ -365,8 +409,7 @@ def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
                     .cumcount() + 1).astype("int64")
         return df[df["rk"] <= k]
 
-    return exchange(ds.map_batches(partial, batch_format="pandas"),
-                    "__b", final, num_buckets)
+    return exchange(ds, "__b", final, num_buckets, pre=partial)
 
 
 # ---------------------------------------------------------------- joins
@@ -383,33 +426,20 @@ def _key_str(key: pd.Series) -> pd.Series:
     return s
 
 
-def broadcast_join(ds: rd.Dataset, small: pd.DataFrame, on: Sequence[str] | str,
-                   how: str = "inner") -> rd.Dataset:
-    """Join against a small side without a shuffle (J1): the map
-    function holds the small table, and Ray Data puts the function in
-    the object store ONCE per stage — never re-shipped per batch."""
-
-    def joiner(df: pd.DataFrame) -> pd.DataFrame:
-        return df.merge(small, on=on, how=how)
-
-    return ds.map_batches(joiner, batch_format="pandas")
-
-
 def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
               num_buckets: Optional[int] = None, how: str = "inner",
-              suffix: str = "_r",
               left_cols: Optional[Sequence[str]] = None,
               right_cols: Optional[Sequence[str]] = None,
-              hot_keys=None, salt: int = 8, auto_salt: bool = False,
               left_dedup_cols: Optional[Sequence[str]] = None,
               bucket_fn=None,
               size_hint_bytes: Optional[int] = None) -> rd.Dataset:
-    """Partitioned hash join for two large sides: bucket both inputs by
-    hash(key) % B, co-locate buckets with one ``exchange`` over the union
-    of the tagged sides, and merge bucket-locally. (SCALE.md §joins
-    'both sides large' pattern.) The join runs its inputs when called
-    and returns a materialized Dataset with at most one block per
-    reducer slot.
+    """Partitioned hash join for two large sides: one two-input
+    ``exchange`` buckets both sides by hash(key) % B, each side through
+    its own tag step, and merges each bucket's two sides locally.
+    (SCALE.md §joins 'both sides large' pattern.) The join runs its
+    inputs when called and returns a materialized Dataset with at most
+    one block per reducer slot. A right column whose name the left side
+    also has comes back with the suffix ``_r``.
 
     ``how``: a pandas merge mode (inner/left/right/outer), or ``semi`` /
     ``anti``: the left rows whose key is (``semi``) or is not (``anti``)
@@ -422,13 +452,7 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
     null-free keys.)
 
     Skew: a hot key maps every one of its rows to ONE bucket no matter
-    how large num_buckets is. Pass the known hot keys (from a cheap
-    count pass or domain knowledge) as ``hot_keys``: left-side hot rows
-    spread deterministically over ``salt`` consecutive buckets and
-    right-side hot rows replicate into all of them, so the hot key's
-    work fans out ``salt``-wide while every pair still meets exactly
-    once. Inner/left/semi/anti joins only (a replicated right row would
-    multiply unmatched-right output under full/right semantics).
+    how large num_buckets is (SCALE.md §joins).
 
     Pass ``left_cols``/``right_cols`` when the input is a lazy pipeline:
     ``Dataset.schema()`` EXECUTES the upstream plan to infer names (an
@@ -438,9 +462,7 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
     ``left_dedup_cols``: drop duplicate left rows on these columns
     INSIDE the join bucket — a free global dedup when the dedup key set
     includes the join key (all copies land in one bucket), saving the
-    separate aggregate shuffle a pre-join dedup would cost. Not valid
-    together with hot-key salting (salting splits a key's rows across
-    buckets).
+    separate aggregate shuffle a pre-join dedup would cost.
 
     ``bucket_fn``: optional post-merge transform applied to each joined
     bucket INSIDE the join task (fusion hook): map/partial-aggregate the
@@ -448,37 +470,15 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
     (and shuffle volume) over the join output. Receives and returns a
     pandas DataFrame.
 
-    ``auto_salt=True``: a skewed join key at 100 TB won't announce
-    itself, so instead of requiring the CALLER to know the hot keys,
-    run sketches.detect_hot_keys as a pre-pass over the LEFT side's key
-    column (one fused MG + count-min sketch scan; the driver folds ≤64
-    summary rows) and salt whatever it finds. Opt-in because the
-    pre-pass re-executes a lazy left input once (materialize the left
-    first if its upstream is expensive). Ignored when ``hot_keys`` is
-    given explicitly; requires the join modes manual salting does.
-
     num_buckets defaults to the auto_buckets sizing rule (floor 32 =
     the round-2 constant); pass ``size_hint_bytes`` when the bigger
     side's size is known so the bucket count also scales with data."""
     if num_buckets is None:
         num_buckets = auto_buckets(floor=32, size_bytes=size_hint_bytes)
     filtering = how in ("semi", "anti")
-    saltable = filtering or how in ("inner", "left")
-    if auto_salt and not hot_keys and not left_dedup_cols and saltable:
-        from .sketches import detect_hot_keys
-        hot_keys = detect_hot_keys(left.select_columns([left_on]),
-                                   left_on, num_buckets)
-    # salted right-side replicas land on `salt` CONSECUTIVE buckets; with
-    # salt > num_buckets the replicas would wrap onto already-used
-    # buckets and hot-key pairs would meet (and emit) more than once
-    salt = min(salt, num_buckets)
-    if hot_keys:
-        assert saltable, "salting supports inner/left/semi/anti joins"
-        assert not left_dedup_cols, "left_dedup_cols requires single-bucket keys"
     if left_dedup_cols:
         assert left_on in left_dedup_cols, \
             "in-bucket dedup is only global when the join key is part of it"
-    hot = frozenset(str(k) for k in (hot_keys or ()))
     dedup_cols = list(left_dedup_cols) if left_dedup_cols else None
 
     l_cols = list(left_cols) if left_cols is not None else list(left.schema().names)
@@ -488,80 +488,43 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
         r_cols = list(right_cols)
     else:
         r_cols = list(right.schema().names)
-    # rename right side: key → left key name, collisions → suffix
+    # rename right side: key → left key name, collisions → "_r"
     r_rename = {right_on: left_on}
     for c in r_cols:
         if c != right_on and c in l_cols:
-            r_rename[c] = c + suffix
-    r_out = [r_rename.get(c, c) for c in r_cols]
-    all_cols = l_cols + [c for c in r_out if c not in l_cols]
+            r_rename[c] = c + "_r"
+    r_keep = [r_rename.get(c, c) for c in r_cols]
+    r_keep = [c for c in r_keep if c == left_on or c not in l_cols]
 
-    def tag(side: int, key: str, rename: Optional[Dict[str, str]]):
+    def tag(cols: list, rename: Optional[Dict[str, str]]):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
             if rename:
                 df = df.rename(columns=rename)
             # hash the key's STRING form: works for any dtype (strings
-            # included) and — crucially — gives identical buckets when
-            # the same key arrives as int64 on one side and object on
-            # the other (chained joins fill missing columns with None,
-            # which upcasts carried key columns to object), or as float
-            # on a side whose integer column holds a null
-            key_str = _key_str(df[key])
-            base = pd.util.hash_pandas_object(key_str, index=False).to_numpy()
-            if hot:
-                is_hot = key_str.isin(hot).to_numpy()
-                if side == 0:
-                    # spread each hot LEFT row over `salt` buckets,
-                    # deterministically from its position within the batch
-                    offs = np.where(is_hot,
-                                    np.arange(len(df), dtype=np.uint64)
-                                    % np.uint64(salt), np.uint64(0))
-                    base = base + offs
-                elif is_hot.any():
-                    # replicate hot RIGHT rows into all `salt` buckets
-                    rep = df[is_hot]
-                    rep_base = base[is_hot]
-                    parts = [df.assign(__bucket=(base % num_buckets)
-                                       .astype("int32"))]
-                    for s in range(1, salt):
-                        parts.append(rep.assign(
-                            __bucket=((rep_base + np.uint64(s)) % num_buckets)
-                            .astype("int32")))
-                    df = pd.concat(parts, ignore_index=True)
-                    df["__side"] = np.int8(side)
-                    for c in all_cols:
-                        if c not in df.columns:
-                            df[c] = None
-                    return df[all_cols + ["__bucket", "__side"]]
-            df["__bucket"] = (base % num_buckets).astype("int32")
-            df["__side"] = np.int8(side)
-            for c in all_cols:
-                if c not in df.columns:
-                    df[c] = None
-            return df[all_cols + ["__bucket", "__side"]]
+            # included) and gives identical buckets when the same key
+            # arrives as int64 on one side and as float on a side whose
+            # integer column holds a null
+            h = pd.util.hash_pandas_object(_key_str(df[left_on]),
+                                           index=False).to_numpy()
+            return df[cols].assign(__bucket=(h % num_buckets).astype("int32"))
         return fn
 
-    l_tagged = left.map_batches(tag(0, left_on, None), batch_format="pandas")
-    r_tagged = right.map_batches(tag(1, left_on, r_rename), batch_format="pandas")
-    both = l_tagged.union(r_tagged)
-
-    keep_l = l_cols
-    keep_r = [c for c in r_out if c == left_on or c not in l_cols]
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        lhs = df.loc[df["__side"] == 0, keep_l]
+    def join_bucket(lhs: pd.DataFrame, rhs: pd.DataFrame) -> pd.DataFrame:
+        # reindex: a side with no rows anywhere arrives column-less
+        lhs = lhs.reindex(columns=l_cols)
         if dedup_cols:
             lhs = lhs.drop_duplicates(dedup_cols)
-        rhs = df.loc[(df["__side"] == 1) & df[left_on].notna(), keep_r]
+        rhs = rhs.reindex(columns=r_keep)
+        rhs = rhs[rhs[left_on].notna()]
         if filtering:
             hit = lhs[left_on].isin(rhs[left_on]).to_numpy()
-            # the right rows' None fill made the left columns object
-            merged = lhs[hit if how == "semi" else ~hit].infer_objects()
+            merged = lhs[hit if how == "semi" else ~hit]
         else:
             merged = lhs.merge(rhs, on=left_on, how=how)
         return bucket_fn(merged) if bucket_fn is not None else merged
 
-    return exchange(both, "__bucket", join_bucket, num_buckets)
+    return exchange((left, right), "__bucket", join_bucket, num_buckets,
+                    pre=(tag(l_cols, None), tag(r_keep, r_rename)))
 
 
 def semi_anti_filter_scalable(ds: rd.Dataset, key: str, keys: rd.Dataset,
@@ -644,8 +607,7 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
         return df[[id_col, value_col, "rank"]]
 
     # bins lie in [0, num_bins) by construction of `width`
-    return exchange(proj.map_batches(binned, batch_format="pandas"),
-                    "__bin", rank_bin, num_bins)
+    return exchange(proj, "__bin", rank_bin, num_bins, pre=binned)
 
 
 def ntile_from_rank(rank: np.ndarray, n: int, tiles: int) -> np.ndarray:

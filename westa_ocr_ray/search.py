@@ -572,8 +572,7 @@ def phrase_search_from_index(index_dir: str, terms: Sequence[str],
             id_col: pd.Series(out_id, dtype=df[id_col].dtype),
             "n_matches": pd.Series(out_n, dtype=np.int64)})
 
-    return exchange(occ.map_batches(tag, batch_format="pandas"), "__b",
-                    per_doc, nb)
+    return exchange(occ, "__b", per_doc, nb, pre=tag)
 
 
 def min_cover_window(pos_lists) -> Optional[int]:
@@ -667,8 +666,7 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
             "__g": pd.Series(np.zeros(len(out_id), dtype=np.int32)),
         })
 
-    cand = exchange(occ.map_batches(tag, batch_format="pandas"), "__b",
-                    per_doc, nb)
+    cand = exchange(occ, "__b", per_doc, nb, pre=tag)
     top = grouped_topk(cand, ["__g"], ["width", id_col], k,
                        ascending=[True, True])
     return top.map_batches(

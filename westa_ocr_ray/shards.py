@@ -74,8 +74,6 @@ def shuffle_rank(ds: rd.Dataset, id_col: str = "doc_id", seed: int = 42,
     — each curriculum stage in order, shuffled within the stage. The
     driver's count vector grows to (max_stage+1) × num_buckets, so the
     documented bound is stage values in the tens, not thousands."""
-    import ray
-
     nb = num_buckets if num_buckets is not None else min(auto_buckets(), 1 << 16)
 
     def key_bucket(df: pd.DataFrame) -> "tuple[list, np.ndarray]":
@@ -99,7 +97,6 @@ def shuffle_rank(ds: rd.Dataset, id_col: str = "doc_id", seed: int = 42,
     offsets = np.zeros(size, dtype=np.int64)
     offsets[counts["__rb"].to_numpy()] = counts["n"].to_numpy()
     offsets = np.concatenate([[0], np.cumsum(offsets)[:-1]])
-    off_ref = ray.put(offsets)
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -109,13 +106,12 @@ def shuffle_rank(ds: rd.Dataset, id_col: str = "doc_id", seed: int = 42,
         return df
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)[int(df["__rb"].iloc[0])]
+        off = offsets[int(df["__rb"].iloc[0])]
         df = df.sort_values(["__sk", id_col], ignore_index=True)
         df["rank"] = off + np.arange(len(df), dtype=np.int64)
         return df.drop(columns=["__sk", "__rb"])
 
-    return exchange(ds.map_batches(tag, batch_format="pandas"), "__rb",
-                    assign, nb)
+    return exchange(ds, "__rb", assign, nb, pre=tag)
 
 
 def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
@@ -147,8 +143,6 @@ def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
 
     Returns (id, group, n_tok) for the kept docs; callers join texts
     back by id (semi_anti_filter_scalable) when needed."""
-    import ray
-
     nb = num_buckets if num_buckets is not None else min(auto_buckets(), 1 << 12)
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
@@ -177,14 +171,12 @@ def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
     cum = sums.groupby(group_col, sort=False)["tok"].cumsum() - sums["tok"]
     offsets = {(g, int(b)): int(o) for g, b, o in
                zip(sums[group_col], sums["__rb"], cum)}
-    off_ref = ray.put(offsets)
 
     def prune(df: pd.DataFrame) -> pd.DataFrame:
         # buckets whose group offset already exceeds the budget can't
         # contribute a kept row — drop them before the exchange
-        off = ray.get(off_ref)
         keep = np.fromiter(
-            (off.get((g, int(b)), 0) < budget_tokens
+            (offsets.get((g, int(b)), 0) < budget_tokens
              for g, b in zip(df[group_col], df["__rb"])),
             dtype=bool, count=len(df))
         df = df[keep].copy()
@@ -193,14 +185,12 @@ def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
         return df
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref).get(
-            (df[group_col].iloc[0], int(df["__rb"].iloc[0])), 0)
+        off = offsets.get((df[group_col].iloc[0], int(df["__rb"].iloc[0])), 0)
         df = df.sort_values(["__sk", id_col], ignore_index=True)
         before = off + df["n_tok"].cumsum().to_numpy() - df["n_tok"].to_numpy()
         return df.loc[before < budget_tokens, [id_col, group_col, "n_tok"]]
 
-    return exchange(tagged.map_batches(prune, batch_format="pandas"),
-                    "__grb", assign, nb)
+    return exchange(tagged, "__grb", assign, nb, pre=prune)
 
 
 def pack_stream(ds: rd.Dataset, seq_len: int = 1024,
@@ -223,8 +213,6 @@ def pack_stream(ds: rd.Dataset, seq_len: int = 1024,
     (id, n_tok, key) projection moves; text never leaves the first
     map. SQL twin: queries.ORACLE_SQL['pack_stream'] (one windowed
     running sum)."""
-    import ray
-
     nb = num_buckets if num_buckets is not None else min(auto_buckets(), 1 << 12)
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
@@ -249,10 +237,9 @@ def pack_stream(ds: rd.Dataset, seq_len: int = 1024,
     offsets = np.zeros(size, dtype=np.int64)
     offsets[sums["__rb"].to_numpy()] = sums["tok"].to_numpy()
     offsets = np.concatenate([[0], np.cumsum(offsets)[:-1]])
-    off_ref = ray.put(offsets)
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)[int(df["__rb"].iloc[0])]
+        off = offsets[int(df["__rb"].iloc[0])]
         df = df.sort_values(["__sk", id_col], ignore_index=True)
         n = df["n_tok"].to_numpy()
         start = off + np.cumsum(n) - n

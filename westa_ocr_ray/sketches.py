@@ -1,11 +1,12 @@
 """Mergeable sketches for approximate aggregates at scale.
 
 The scale shape (SCALE.md §Sketches): one serialized sketch row per
-batch from map_batches, merged by ``_tree_merge`` in two levels — per
-bucket of PREMERGE_BUCKETS on ``relops.exchange``, then once on the
-driver — so the all-to-all moves registers, never rows, and the driver
-folds at most PREMERGE_BUCKETS rows whatever the block count. Each
-sketch is a per-batch kernel plus a merge. The reference has no
+block, computed in ``relops.exchange``'s split task and merged by
+``_tree_merge`` in two levels — per bucket of PREMERGE_BUCKETS on the
+exchange, then once on the driver — so the all-to-all moves
+registers, never rows, and the driver folds at most PREMERGE_BUCKETS
+rows whatever the block count. Each sketch is a per-block kernel plus
+a merge. The reference has no
 sketches (SURVEY.md §2.5); this is part of the training-data toolkit.
 
 HyperLogLog per Flajolet et al. 2007, with the standard small-range
@@ -19,7 +20,6 @@ import json
 
 import numpy as np
 import pandas as pd
-import ray
 import ray.data as rd
 
 from .relops import exchange, partial_aggregate
@@ -93,19 +93,19 @@ def _premerge_buckets(payload_col: str, n_buckets: int):
 
 def _tree_merge(ds: rd.Dataset, col: str, sketch, merge,
                 payload_col: str) -> pd.Series:
-    """The one tree-merge under every sketch: ``sketch`` turns each batch
-    of ``ds`` into a one-row frame, rows are bucketed by a hash of
-    ``payload_col``, ``merge`` folds each bucket's rows into one row on
-    ``relops.exchange``, and the driver folds those ≤ PREMERGE_BUCKETS
-    rows with ``merge`` once more. ``merge`` takes any non-empty set of
-    sketch rows and returns one. Returns the merged row; an input with
-    no batches (the exchange then returns one column-less block) merges
-    the sketch of an empty ``col`` frame."""
+    """The one tree-merge under every sketch, one ``relops.exchange``
+    call: its split task turns each non-empty block of ``ds`` into a
+    one-row frame with ``sketch`` and buckets it by a hash of
+    ``payload_col``, ``merge`` folds each bucket's rows into one row,
+    and the driver folds those ≤ PREMERGE_BUCKETS rows with ``merge``
+    once more. ``merge`` takes any non-empty set of sketch rows and
+    returns one. Returns the merged row; an input with no rows (the
+    exchange then returns one column-less block) merges the sketch of
+    an empty ``col`` frame."""
     n = PREMERGE_BUCKETS  # read on the driver: the tag runs on workers
-    tagged = (ds.map_batches(sketch, batch_format="pandas")
-              .map_batches(_premerge_buckets(payload_col, n),
-                           batch_format="pandas"))
-    parts = exchange(tagged, "__b", merge, n).to_pandas()
+    tag = _premerge_buckets(payload_col, n)
+    parts = exchange(ds, "__b", merge, n,
+                     pre=lambda df: tag(sketch(df))).to_pandas()
     if parts.columns.empty:
         parts = sketch(pd.DataFrame({col: []}))
     return merge(parts).iloc[0]
@@ -325,43 +325,6 @@ def count_min_query(grid: np.ndarray, values: pd.Series) -> np.ndarray:
                   axis=0)
 
 
-def detect_hot_keys(ds: rd.Dataset, col: str, num_buckets: int,
-                    factor: float = 4.0, width: int = 4096,
-                    depth: int = 4) -> list:
-    """Hot join keys in ONE fused distributed sketch pass — the skew
-    pre-pass behind hash_join(auto_salt=True). Per batch: a Misra-Gries
-    candidate summary, a count-min grid, and the row count ride one
-    sketch row, tree-merged so the driver folds ≤ PREMERGE_BUCKETS rows
-    regardless of block count.
-
-    A key is hot when its estimated frequency exceeds
-    ``factor · n / num_buckets`` (it would overload its single join
-    bucket by ≥ factor×). MG with k ≥ 2·num_buckets/factor guarantees
-    every such key survives as a candidate; the CMS estimate NEVER
-    undercounts, so no true hot key is missed (a near-threshold
-    false positive just gets harmlessly salted). Returns the hot keys
-    as STRINGS (hash_join compares key string forms)."""
-    k = max(64, int(np.ceil(num_buckets / max(factor, 1e-9))) * 2)
-
-    def sketch(df: pd.DataFrame) -> pd.DataFrame:
-        sv = df[col].astype(str)  # stringified BEFORE counting
-        return pd.DataFrame({**_mg_batch(sv, k),
-                             **_cms_grid(sv, width, depth)})
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({**_mg_fold(df, k), **_sum_grids(df)})
-
-    row = _tree_merge(ds, col, sketch, merge, "grid")
-    n = int(row["n_rows"])
-    cand = list(json.loads(row["summary"]))
-    if n == 0 or not cand:
-        return []
-    grid = np.frombuffer(row["grid"], dtype=np.int64).reshape(depth, width)
-    est = count_min_query(grid, pd.Series(cand))
-    thresh = factor * n / num_buckets
-    return [c for c, e in zip(cand, est) if e > thresh]
-
-
 # ------------------------------------------- exact two-pass heavy hitters
 
 def heavy_hitters_exact(ds: rd.Dataset, col: str, k: int = 20) -> pd.DataFrame:
@@ -390,15 +353,12 @@ def heavy_hitters_exact(ds: rd.Dataset, col: str, k: int = 20) -> pd.DataFrame:
                              "cnt": pd.Series([], dtype=np.int64)})
 
     # pass 2: exact counts of the candidates only (broadcast set — ≤k-1
-    # entries, read once per task via ray.put)
-    cand_ref = ray.put(cand)
-
+    # entries, held by the map's closure)
     def count_cands(df: pd.DataFrame) -> pd.DataFrame:
-        cs = ray.get(cand_ref)
         # candidates are STRINGIFIED (MG summaries are JSON keys), so
         # membership compares on the stringified column — a non-string
         # col (int ids) would otherwise silently match nothing
-        sub = df[df[col].astype(str).isin(cs)]
+        sub = df[df[col].astype(str).isin(cand)]
         g = sub.groupby(col, sort=False).size()
         return pd.DataFrame({col: g.index.to_numpy(),
                              "cnt": g.to_numpy(dtype=np.int64)})

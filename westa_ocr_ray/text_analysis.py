@@ -416,8 +416,7 @@ def pack_sequences_greedy(ds: rd.Dataset, id_col: str = "doc_id",
                              "pack_idx": pack_idx,
                              "n_tokens": ns})
 
-    return exchange(ds.map_batches(tag, batch_format="pandas"), "bucket",
-                    pack, buckets)
+    return exchange(ds, "bucket", pack, buckets, pre=tag)
 
 
 def repetition_stats(ds: rd.Dataset, id_col: str = "doc_id",
