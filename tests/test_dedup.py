@@ -142,8 +142,7 @@ def test_embedding_near_dup_pairs():
 
 def _assert_partitioned_cc_matches_union_find(edges: pd.DataFrame) -> None:
     exp = dedup.cluster_pairs(edges).sort_values("doc_id", ignore_index=True)
-    got = (dedup.connected_components_partitioned(rd.from_pandas(edges),
-                                                  num_buckets=4)
+    got = (dedup.connected_components_partitioned(rd.from_pandas(edges))
            .to_pandas().sort_values("doc_id", ignore_index=True))
     pd.testing.assert_frame_equal(
         got[["doc_id", "cluster_id"]].astype("int64"),
@@ -187,8 +186,7 @@ def test_connected_components_partitioned_string_ids():
     edges = pd.DataFrame(
         [("doc_a1", "doc_a2"), ("doc_a2", "doc_a3"), ("doc_b1", "doc_b2")],
         columns=["doc_a", "doc_b"])
-    got = (dedup.connected_components_partitioned(rd.from_pandas(edges),
-                                                  num_buckets=4)
+    got = (dedup.connected_components_partitioned(rd.from_pandas(edges))
            .to_pandas())
     by = got.set_index("doc_id")["cluster_id"]
     assert len(got) == 5
@@ -456,7 +454,7 @@ def test_upsert_compact_latest_version_wins():
         {"doc_id": 3, "text": "b", "version": 1},
     ]
     out = (dedup.upsert_compact(rd.from_pandas(pd.DataFrame(rows))
-                                .repartition(3), num_buckets=4)
+                                .repartition(3))
            .to_pandas().sort_values("doc_id", ignore_index=True))
     assert list(out["doc_id"]) == [1, 2, 3]
     assert list(out["text"]) == ["v2", "only", "b"]

@@ -100,7 +100,7 @@ def test_payload_dedup_collapses_identical_payloads():
         "kind": [r["kind"] for r in rows],
         "payload": pa.array([r["payload"] for r in rows], type=pa.binary()),
     })
-    out = (multimodal.payload_dedup(rd.from_arrow(t), num_buckets=4)
+    out = (multimodal.payload_dedup(rd.from_arrow(t))
            .to_pandas().sort_values(["kind", "keeper_ref"],
                                     ignore_index=True))
     assert len(out) == 3

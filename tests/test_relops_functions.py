@@ -37,8 +37,7 @@ def test_hash_join_matches_pandas_merge():
            pd.DataFrame({"rid": [7, 7, 7, 4, 29], "y": [70, 71, 72, 40, 290]}))
     for (left, right), parts in ((small, 1), (hot, 3)):
         got = (relops.hash_join(rd.from_pandas(left).repartition(parts),
-                                rd.from_pandas(right), "id", "rid",
-                                num_buckets=4)
+                                rd.from_pandas(right), "id", "rid")
                .to_pandas().sort_values(["id", "x", "y"], ignore_index=True))
         exp = (left.merge(right.rename(columns={"rid": "id"}), on="id")
                    .sort_values(["id", "x", "y"], ignore_index=True))
@@ -52,7 +51,7 @@ def test_hash_join_string_keys():
     right = pd.DataFrame({"t": ["pear", "fig", "fig", "kiwi"],
                           "y": [20, 40, 41, 90]})
     got = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                            "tok", "t", num_buckets=4)
+                            "tok", "t")
            .to_pandas().sort_values(["tok", "y"], ignore_index=True))
     exp = (left.merge(right.rename(columns={"t": "tok"}), on="tok")
                .sort_values(["tok", "y"], ignore_index=True))
@@ -121,8 +120,7 @@ def test_join_null_keys_match_nothing_as_in_duckdb(how):
                     left, "k", right, anti=how == "anti").to_pandas()
                 got = sorted((int(v),) for v in got["v"])
             else:
-                got = relops.hash_join(left, right, "k", "k", how=how,
-                                       num_buckets=4).to_pandas()
+                got = relops.hash_join(left, right, "k", "k", how=how).to_pandas()
                 got = sorted((int(v), None if pd.isna(w) else int(w))
                              for v, w in zip(got["v"], got["w"]))
             assert got == exp, (lk, rk, make)
@@ -208,41 +206,11 @@ def test_hash_join_bucket_fn_fusion():
         return df.groupby("id", as_index=False).agg(p=("p", "sum"))
 
     got = (relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                            "id", "rid", num_buckets=4, bucket_fn=agg)
+                            "id", "rid", bucket_fn=agg)
            .to_pandas().sort_values("id", ignore_index=True))
     exp = agg(left.merge(right.rename(columns={"rid": "id"}), on="id")) \
         .sort_values("id", ignore_index=True)
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
-
-
-def test_auto_buckets_sizing_rule():
-    import ray
-
-    # floor preserved on tiny inputs
-    assert relops.auto_buckets(floor=64, size_bytes=1) >= 64
-    # grows with data size: one bucket per TARGET_BUCKET_BYTES
-    big = relops.auto_buckets(floor=64,
-                              size_bytes=1000 * relops.TARGET_BUCKET_BYTES)
-    assert big >= 1000
-    # grows with cluster CPUs (test session: 4 CPUs → floor dominates,
-    # but the term must be present and non-zero)
-    assert relops.auto_buckets(floor=1) >= 4 * int(
-        ray.cluster_resources().get("CPU", 1))
-    # operators accept the default (None) and still compute correctly
-    df = pd.DataFrame({"k": ["a", "b", "a"], "v": [1, 2, 3]})
-    got = (relops.partial_aggregate(rd.from_pandas(df), ["k"],
-                                    {"s": ("sum", "v")})
-           .to_pandas().sort_values("k", ignore_index=True))
-    assert list(got["s"]) == [4, 2]
-
-
-def test_input_size_bytes():
-    import os
-
-    p = "/root/testdata/sf0.001/lineitem.parquet"
-    if os.path.exists(p):
-        assert relops.input_size_bytes(p) == os.path.getsize(p)
-    assert relops.input_size_bytes("/nonexistent/path") == 0
 
 
 def test_semi_anti_filter_scalable_matches_broadcast():
@@ -257,8 +225,7 @@ def test_semi_anti_filter_scalable_matches_broadcast():
     for anti in (False, True):
         exp = df[~hit if anti else hit].reset_index(drop=True)
         got = (relops.semi_anti_filter_scalable(big, "k", keys,
-                                                key_col="kk", anti=anti,
-                                                num_buckets=4)
+                                                key_col="kk", anti=anti)
                .to_pandas().sort_values("k", ignore_index=True))
         pd.testing.assert_frame_equal(got[["k", "v"]].astype("int64"),
                                       exp[["k", "v"]].astype("int64"))
@@ -274,8 +241,7 @@ def test_grouped_topk_matches_pandas():
     df.loc[df.index[:200], "g"] = 0                      # hot group
     df.loc[df.index[-30:], "g"] = None                   # null group
     out = (grouped_topk(rd.from_pandas(df).repartition(6), ["g"],
-                        ["v", "uid"], k=3, ascending=[False, True],
-                        num_buckets=4)
+                        ["v", "uid"], k=3, ascending=[False, True])
            .to_pandas().sort_values(["g", "rk"], ignore_index=True))
     exp = (df.sort_values(["g", "v", "uid"], ascending=[True, False, True])
              .groupby("g", dropna=False).head(3)
@@ -293,7 +259,7 @@ def test_grouped_topk_k_exceeds_group_size():
     df = pd.DataFrame({"g": ["a", "a", "b"], "v": [1, 2, 9],
                        "uid": [1, 2, 3]})
     out = grouped_topk(rd.from_pandas(df), ["g"], ["v", "uid"], k=5,
-                       ascending=[False, True], num_buckets=2).to_pandas()
+                       ascending=[False, True]).to_pandas()
     assert len(out) == 3 and set(out["rk"]) <= {1, 2}
 
 
@@ -331,8 +297,7 @@ def test_pagerank_int_matches_serial_iteration():
     # two triangles bridged by one edge (undirected, pass each once)
     pairs = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
     edges = pd.DataFrame(pairs, columns=["src", "dst"])
-    got = (graph.pagerank_int(rd.from_pandas(edges), n_iter=3,
-                              num_buckets=4)
+    got = (graph.pagerank_int(rd.from_pandas(edges), n_iter=3)
            .to_pandas().sort_values("node", ignore_index=True))
 
     # independent serial integer iteration
@@ -564,14 +529,14 @@ def test_exchange_skips_schema_less_empty_blocks():
               for r in b.block_refs]
     assert any("b" not in BlockAccessor.for_block(b).to_pandas().columns
                for b in blocks)
-    got = relops.exchange(ds, "b", lambda g: g, 4).to_pandas()
+    got = relops.exchange(ds, "b", lambda g: g).to_pandas()
     kept = df[~df["v"].between(10, 49)].assign(b=lambda d: d["k"] % 4)
     pd.testing.assert_frame_equal(_sorted(got, ["k", "v", "b"]),
                                   _sorted(kept, ["k", "v", "b"]))
 
     agg = (relops.partial_aggregate(rd.from_pandas(df).repartition(8)
                                     .filter(lambda r: not 10 <= r["v"] < 50),
-                                    ["k"], {"s": ("sum", "v")}, num_buckets=4)
+                                    ["k"], {"s": ("sum", "v")})
            .to_pandas())
     exp = kept.groupby("k", as_index=False).agg(s=("v", "sum"))
     pd.testing.assert_frame_equal(_sorted(agg, ["k", "s"]), exp,
@@ -591,8 +556,9 @@ KEY_COLUMNS = {
 
 @pytest.mark.parametrize("kind", sorted(KEY_COLUMNS))
 def test_exchange_matches_groupby_map_groups(kind):
-    """exchange(ds, key, fn, B) is ds.groupby(key).map_groups(fn) for any
-    single key column: fn runs once per distinct key, nulls included."""
+    """exchange(ds, key, per_key(key, fn)) is
+    ds.groupby(key).map_groups(fn) for any single key column: fn runs
+    once per distinct key, nulls included."""
     import numpy as np
     import pyarrow as pa
 
@@ -604,7 +570,7 @@ def test_exchange_matches_groupby_map_groups(kind):
         return pd.DataFrame({"k": g["k"].iloc[:1], "n": [len(g)],
                              "s": [int(g["v"].sum())]})
 
-    got = relops.exchange(src, "k", fn, 4).to_pandas()
+    got = relops.exchange(src, "k", relops.per_key("k", fn)).to_pandas()
     # the reference runs on one Arrow block: Ray Data's sort cannot place
     # a None key between the sampled string boundaries of several blocks
     exp = (one_block.groupby("k").map_groups(fn, batch_format="pandas")
@@ -692,41 +658,44 @@ def test_minhash_and_topk_create_no_actor():
 def test_exchange_all_empty_input_is_one_empty_block():
     df = pd.DataFrame({"k": [1, 2, 3, 4], "v": [1, 2, 3, 4]})
     empty = rd.from_pandas(df).repartition(4).filter(lambda r: r["k"] > 9)
-    for out in (relops.partial_aggregate(empty, ["k"], {"s": ("sum", "v")},
-                                         num_buckets=8),
-                relops.grouped_topk(empty, ["k"], ["v"], 2, num_buckets=8),
+    for out in (relops.partial_aggregate(empty, ["k"], {"s": ("sum", "v")}),
+                relops.grouped_topk(empty, ["k"], ["v"], 2),
                 relops.hash_join(empty, rd.from_pandas(df), "k", "k",
-                                 num_buckets=8, left_cols=["k", "v"],
+                                 left_cols=["k", "v"],
                                  right_cols=["k", "v"])):
         out = out.materialize()
         assert out.count() == 0
         assert out.num_blocks() <= 1
 
 
-def test_exchange_single_bucket():
+def test_exchange_single_bucket(monkeypatch):
+    """On a one-CPU cluster the exchange opens one slot: each split task
+    returns its block whole and one reduce task sees every key."""
     import numpy as np
+    import ray
 
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1})
     rng = np.random.RandomState(5)
     df = pd.DataFrame({"k": rng.randint(0, 9, 300), "v": rng.randint(0, 99, 300),
                        "uid": np.arange(300)})
     src = rd.from_pandas(df).repartition(5)
     agg = relops.partial_aggregate(src, ["k"], {"s": ("sum", "v"),
-                                                "n": ("count", None)},
-                                   num_buckets=1).to_pandas()
+                                                "n": ("count", None)})
+    assert agg.num_blocks() == 1
+    agg = agg.to_pandas()
     exp = df.groupby("k", as_index=False).agg(s=("v", "sum"), n=("v", "size"))
     pd.testing.assert_frame_equal(_sorted(agg, ["k", "s", "n"]), exp,
                                   check_dtype=False)
 
     top = relops.grouped_topk(src, ["k"], ["v", "uid"], 2,
-                              ascending=[False, True], num_buckets=1).to_pandas()
+                              ascending=[False, True]).to_pandas()
     exp_top = (df.sort_values(["k", "v", "uid"], ascending=[True, False, True])
                  .groupby("k").head(2))
     pd.testing.assert_frame_equal(_sorted(top, ["k", "v", "uid"]),
                                   _sorted(exp_top, ["k", "v", "uid"]))
 
     right = pd.DataFrame({"rk": [0, 3, 3, 8], "w": [1, 2, 3, 4]})
-    j = relops.hash_join(src, rd.from_pandas(right), "k", "rk",
-                         num_buckets=1).to_pandas()
+    j = relops.hash_join(src, rd.from_pandas(right), "k", "rk").to_pandas()
     exp_j = df.merge(right.rename(columns={"rk": "k"}), on="k")
     pd.testing.assert_frame_equal(_sorted(j, ["k", "uid", "w"]),
                                   _sorted(exp_j, ["k", "uid", "w"]),
@@ -752,10 +721,11 @@ def _schema_less(df: pd.DataFrame, parts: int) -> rd.Dataset:
 
 
 def test_exchange_two_inputs_matches_pandas_merge():
-    """exchange((a, b), key, fn, B, pre=(ta, tb)) calls fn(a_rows, b_rows)
-    once per key present in either input, each input with its own
-    columns, and an empty frame for the input that lacks the key (a
-    column-less one when none of that input's blocks held a row)."""
+    """exchange((a, b), key, per_key(key, fn), pre=(ta, tb)) calls
+    fn(a_rows, b_rows) once per key present in either input, each input
+    with its own columns, and an empty frame for the input that lacks
+    the key (a column-less one when none of that input's blocks held a
+    row)."""
     import numpy as np
 
     left = pd.DataFrame({"k": [1, 2, 2, 3, 5, 8, 8], "x": np.arange(7)})
@@ -775,14 +745,15 @@ def test_exchange_two_inputs_matches_pandas_merge():
     lhs = rd.from_pandas(left).repartition(3)
     rhs = rd.from_pandas(right).repartition(2)
     rename = lambda d: d.rename(columns={"rk": "k"})  # noqa: E731
-    got = relops.exchange((lhs, rhs), "k", pair, 4,
+    got = relops.exchange((lhs, rhs), "k", relops.per_key("k", pair),
                           pre=(None, rename)).to_pandas()
     exp = exp_of(right.rename(columns={"rk": "k"}))
     # 1 and 5 are left only, 4 and 6 right only
     assert len(got) == len(exp) == 10
     pd.testing.assert_frame_equal(sort(got), sort(exp), check_dtype=False)
 
-    got = relops.exchange((lhs, _schema_less(right, 2)), "k", pair, 4,
+    got = relops.exchange((lhs, _schema_less(right, 2)), "k",
+                          relops.per_key("k", pair),
                           pre=(None, rename)).to_pandas()
     exp = exp_of(pd.DataFrame({"k": pd.Series([], dtype="int64"),
                                "y": pd.Series([], dtype=object)}))
@@ -810,9 +781,10 @@ def test_exchange_pre_matches_map_batches_stage(materialized):
         return pd.DataFrame({"b": g["b"].iloc[:1], "n": [len(g)],
                              "s": [int(g["v"].sum())]})
 
-    got = relops.exchange(src, "b", fn, 4, pre=pre).to_pandas()
+    fn = relops.per_key("b", fn)
+    got = relops.exchange(src, "b", fn, pre=pre).to_pandas()
     exp = relops.exchange(src.map_batches(pre, batch_format="pandas"),
-                          "b", fn, 4).to_pandas()
+                          "b", fn).to_pandas()
     assert len(got) == 5
     pd.testing.assert_frame_equal(_sorted(got, ["b", "n", "s"]),
                                   _sorted(exp, ["b", "n", "s"]))
@@ -821,7 +793,8 @@ def test_exchange_pre_matches_map_batches_stage(materialized):
 def test_each_keyed_primitive_is_one_exchange_call():
     """No package exchange call feeds it a map_batches or union stage:
     a per-block step is the exchange's ``pre``, and a join's sides are
-    separate inputs."""
+    separate inputs. No call passes a bucket count either: the exchange
+    sizes its own slots, so a call is (ds, key, fn) plus ``pre``."""
     import ast
     import pathlib
 
@@ -836,6 +809,8 @@ def test_each_keyed_primitive_is_one_exchange_call():
                     == getattr(func, "id", getattr(func, "attr", None))):
                 continue
             calls += 1
+            if len(node.args) > 3 or any(k.arg != "pre" for k in node.keywords):
+                bad.append(f"{path.relative_to(root)}:{node.lineno}")
             first = node.args[0]
             for arg in first.elts if isinstance(first, ast.Tuple) else [first]:
                 if (isinstance(arg, ast.Call)
@@ -848,11 +823,75 @@ def test_each_keyed_primitive_is_one_exchange_call():
 def test_exchange_emits_no_block_for_empty_slots():
     import numpy as np
 
-    df = pd.DataFrame({"v": np.arange(50), "b": 2})  # one bucket of four
+    df = pd.DataFrame({"v": np.arange(50), "b": 2})  # one key, one slot
     out = relops.exchange(rd.from_pandas(df).repartition(5), "b",
-                          lambda g: g, 4)
+                          lambda g: g)
     assert out.num_blocks() == 1
     pd.testing.assert_frame_equal(_sorted(out.to_pandas(), ["v", "b"]), df)
+
+
+def _call_tagger():
+    """An exchange fn that tags each row of its call with one call id
+    and each row's input index (nested, so Ray pickles it by value)."""
+    def calls(*frames):
+        import uuid
+
+        cid = uuid.uuid4().hex
+        return pd.concat([f.assign(call=cid, side=j)
+                          for j, f in enumerate(frames) if len(f)],
+                         ignore_index=True)
+    return calls
+
+
+def test_exchange_fn_call_holds_whole_keys():
+    """fn runs once per slot with several keys, and every row of a key
+    is in that one call, whichever of the nine blocks it came from."""
+    import numpy as np
+
+    df = pd.DataFrame({"k": np.arange(900) % 37, "v": np.arange(900)})
+    out = relops.exchange(rd.from_pandas(df).repartition(9), "k",
+                          _call_tagger()).to_pandas()
+    assert 1 < out["call"].nunique() < df["k"].nunique()
+    assert (out.groupby("k")["call"].nunique() == 1).all()
+    pd.testing.assert_frame_equal(_sorted(out, ["k", "v"]),
+                                  _sorted(df, ["k", "v"]))
+
+
+def _key_blocks():
+    """(s, i) rows in six Arrow blocks; only the last holds a null i, so
+    i reaches the exchange as int64 from five blocks and as float64
+    from the sixth, which also holds keys the others hold."""
+    import numpy as np
+    import pyarrow as pa
+
+    n = 120
+    i = [None if 100 <= r < 110 else r % 4 for r in range(n)]
+    t = pa.table({"s": np.array(["en", "de", "fr"])[np.arange(n) % 3],
+                  "i": pa.array(i, type=pa.int64()), "v": np.arange(n)})
+    return rd.from_arrow(t).repartition(6), n
+
+
+def test_exchange_two_column_key_meets_across_int_and_float_blocks():
+    from ray.data.block import BlockAccessor
+    import ray
+
+    ds, n = _key_blocks()
+    kinds = {BlockAccessor.for_block(ray.get(r)).to_pandas()["i"].dtype.kind
+             for b in ds.iter_internal_ref_bundles() for r in b.block_refs}
+    assert kinds == {"i", "f"}
+    out = relops.exchange(ds, ["s", "i"], _call_tagger()).to_pandas()
+    assert len(out) == n and out["i"].isna().sum() == 10
+    assert (out.groupby(["s", "i"], dropna=False)["call"].nunique() == 1).all()
+
+    # the same key split over two inputs: int64 rows on one side, the
+    # float64 block on the other
+    rows = ds.to_pandas()
+    lhs = rd.from_pandas(rows[rows["v"] < 100].astype({"i": "int64"}))
+    rhs = rd.from_pandas(rows[rows["v"] >= 100].astype({"i": "float64"}))
+    out = relops.exchange((lhs, rhs), ["s", "i"], _call_tagger()).to_pandas()
+    assert len(out) == n and set(out["side"]) == {0, 1}
+    assert (out.groupby(["s", "i"], dropna=False)["call"].nunique() == 1).all()
+    assert out.loc[out["side"] == 1, "i"].notna().sum() == 10
 
 
 def test_exchange_data_axis_opens_more_slots_than_cpus(monkeypatch):
@@ -861,16 +900,17 @@ def test_exchange_data_axis_opens_more_slots_than_cpus(monkeypatch):
 
     df = pd.DataFrame({"v": np.arange(320), "b": np.arange(320) % 16})
     src = rd.from_pandas(df).repartition(4).materialize()
-    base = relops.exchange(src, "b", lambda g: g, 16)
-    monkeypatch.setattr(relops, "TARGET_BUCKET_BYTES", 1)
-    small = relops.exchange(src, "b", lambda g: g, 16)
-    # one slot per bucket now: more reduce outputs than cluster CPUs
-    assert small.num_blocks() == 16 > int(ray.cluster_resources()["CPU"])
-    assert base.num_blocks() <= int(ray.cluster_resources()["CPU"])
+    cpus = int(ray.cluster_resources()["CPU"])
+    base = relops.exchange(src, "b", lambda g: g)
+    # a slot per twelfth of the input's bytes: 12 or 13 slots, each
+    # holding one key or more of the 16
+    monkeypatch.setattr(relops, "TARGET_BUCKET_BYTES", src.size_bytes() // 12)
+    small = relops.exchange(src, "b", lambda g: g)
+    assert cpus < small.num_blocks() <= 13
+    assert base.num_blocks() <= cpus
     pd.testing.assert_frame_equal(_sorted(small.to_pandas(), ["v", "b"]),
                                   _sorted(base.to_pandas(), ["v", "b"]))
-    agg = relops.partial_aggregate(src, ["b"], {"s": ("sum", "v")},
-                                   num_buckets=16).to_pandas()
+    agg = relops.partial_aggregate(src, ["b"], {"s": ("sum", "v")}).to_pandas()
     exp = df.groupby("b", as_index=False).agg(s=("v", "sum"))
     pd.testing.assert_frame_equal(_sorted(agg, ["b", "s"]), exp,
                                   check_dtype=False)
@@ -880,7 +920,7 @@ def test_hash_join_runs_no_sort_operator():
     left = pd.DataFrame({"id": [1, 2, 3, 4], "x": list("abcd")})
     right = pd.DataFrame({"rid": [2, 3, 3, 5], "y": [20, 30, 31, 50]})
     stats = relops.hash_join(rd.from_pandas(left), rd.from_pandas(right),
-                             "id", "rid", num_buckets=4).materialize().stats()
+                             "id", "rid").materialize().stats()
     assert "Sort" not in stats
 
 
@@ -907,7 +947,7 @@ def test_exchange_interrupted_by_signal_cancels_reduce_tasks():
     try:
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         with pytest.raises(Alarm):
-            relops.exchange(ds, "b", slow, 4)
+            relops.exchange(ds, "b", slow)
         assert time.monotonic() - t0 < 5
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

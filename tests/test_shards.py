@@ -65,7 +65,7 @@ def test_shuffle_rank_matches_md5_order_any_layout():
     expected = {d: r for r, d in enumerate(exp["doc_id"])}
     for nblocks in (1, 7):
         ds = rd.from_pandas(df).repartition(nblocks)
-        out = shards.shuffle_rank(ds, seed=7, num_buckets=16).to_pandas()
+        out = shards.shuffle_rank(ds, seed=7).to_pandas()
         got = dict(zip(out["doc_id"], out["rank"]))
         assert got == expected  # a 0..n-1 permutation, layout-independent
         assert sorted(out.columns) == ["doc_id", "n_chars", "rank"]
@@ -73,8 +73,8 @@ def test_shuffle_rank_matches_md5_order_any_layout():
 
 def test_shuffle_rank_seed_changes_order():
     ds = rd.from_pandas(_docs(100))
-    a = shards.shuffle_rank(ds, seed=1, num_buckets=8).to_pandas()
-    b = shards.shuffle_rank(ds, seed=2, num_buckets=8).to_pandas()
+    a = shards.shuffle_rank(ds, seed=1).to_pandas()
+    b = shards.shuffle_rank(ds, seed=2).to_pandas()
     pa = dict(zip(a["doc_id"], a["rank"]))
     pb = dict(zip(b["doc_id"], b["rank"]))
     assert sorted(pa.values()) == list(range(100))
@@ -90,7 +90,7 @@ def test_curriculum_rank_stage_then_shuffle():
     exp = exp.sort_values(["stage", "k", "doc_id"], ignore_index=True)
     expected = {d: r for r, d in enumerate(exp["doc_id"])}
     out = shards.shuffle_rank(rd.from_pandas(df).repartition(5), seed=5,
-                              num_buckets=8, stage_col="stage").to_pandas()
+                              stage_col="stage").to_pandas()
     assert dict(zip(out["doc_id"], out["rank"])) == expected
     # every stage-0 rank precedes every stage-1 rank, etc.
     by_stage = out.groupby("stage")["rank"]
@@ -183,14 +183,15 @@ def test_token_budget_sample_matches_serial_reference():
     assert (per < 40 + got["n_tok"].max()).all() and (per > 0).all()
 
 
-def test_token_budget_sample_block_layout_invariant():
+def test_token_budget_sample_block_layout_invariant(monkeypatch):
     df = pd.DataFrame({
         "doc_id": range(50),
         "lang": ["en" if i % 2 else "de" for i in range(50)],
         "text": ["a b c d e"] * 50})
     a = shards.token_budget_sample(rd.from_pandas(df), budget_tokens=30)
+    monkeypatch.setattr(shards, "RANGE_BUCKETS", 5)
     b = shards.token_budget_sample(
-        rd.from_pandas(df).repartition(11), budget_tokens=30, num_buckets=5)
+        rd.from_pandas(df).repartition(11), budget_tokens=30)
     key = lambda d: sorted(map(tuple, d.to_pandas().to_numpy()))
     assert key(a) == key(b)
 
@@ -210,8 +211,7 @@ def test_pack_stream_matches_python_oracle():
         "doc_id": range(40),
         "text": [" ".join(f"w{i}_{j}" for j in range(1 + (i * 13) % 9))
                  for i in range(40)]})
-    out = (shards.pack_stream(rd.from_pandas(df), seq_len=8, seed=42,
-                              num_buckets=16)
+    out = (shards.pack_stream(rd.from_pandas(df), seq_len=8, seed=42)
            .to_pandas().sort_values("doc_id", ignore_index=True))
 
     order = sorted(range(40), key=lambda i: (md5_hex(f"42|{i}"), i))
@@ -234,11 +234,13 @@ def test_pack_stream_matches_python_oracle():
     assert covered.all()
 
 
-def test_pack_stream_independent_of_bucket_count():
+def test_pack_stream_independent_of_bucket_count(monkeypatch):
     df = pd.DataFrame({"doc_id": [f"d{i}" for i in range(30)],
                        "text": ["a b c"] * 30})
-    a = (shards.pack_stream(rd.from_pandas(df), seq_len=4, num_buckets=2)
+    monkeypatch.setattr(shards, "RANGE_BUCKETS", 2)
+    a = (shards.pack_stream(rd.from_pandas(df), seq_len=4)
          .to_pandas().sort_values("doc_id", ignore_index=True))
-    b = (shards.pack_stream(rd.from_pandas(df), seq_len=4, num_buckets=64)
+    monkeypatch.setattr(shards, "RANGE_BUCKETS", 64)
+    b = (shards.pack_stream(rd.from_pandas(df), seq_len=4)
          .to_pandas().sort_values("doc_id", ignore_index=True))
     pd.testing.assert_frame_equal(a, b)

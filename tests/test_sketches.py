@@ -65,25 +65,6 @@ def test_misra_gries_heavy_hitters_guarantee():
         assert true - n / k <= got[val] <= true
 
 
-def test_bloom_no_false_negatives_and_bounded_fp():
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from westa_ocr_ray import sketches
-
-    keys = pd.DataFrame({"k": [f"key_{i}" for i in range(2000)]})
-    bloom = sketches.bloom_from_dataset(
-        rd.from_pandas(keys).repartition(8), "k", m_bits=1 << 16, k=4)
-    # every inserted key must hit (no false negatives, ever)
-    hits = sketches.bloom_might_contain(keys["k"], bloom, 1 << 16, 4)
-    assert hits.all()
-    # absent keys: FP rate near the analytic (1-e^{-kn/m})^k ≈ 0.3%
-    absent = pd.Series([f"other_{i}" for i in range(5000)])
-    fp = sketches.bloom_might_contain(absent, bloom, 1 << 16, 4).mean()
-    assert fp < 0.02
-
-
 def test_count_min_never_underestimates_and_is_tight_for_heavy_keys():
     import pandas as pd
     import ray.data as rd
@@ -106,12 +87,10 @@ def test_count_min_never_underestimates_and_is_tight_for_heavy_keys():
     assert grid.sum() == 4 * n
 
 
-#: the six tree-merged sketches, each reduced to a comparable value
+#: the five tree-merged sketches, each reduced to a comparable value
 TREE_MERGED = {
     "approx_distinct": lambda ds: sketches.approx_distinct(ds, "v"),
     "heavy_hitters": lambda ds: sketches.heavy_hitters(ds, "v", k=40),
-    "bloom_from_dataset": lambda ds: sketches.bloom_from_dataset(
-        ds, "v", m_bits=1 << 16),
     "count_min_build": lambda ds: sketches.count_min_build(
         ds, "v", width=256, depth=3),
     "heavy_hitters_exact": lambda ds: sketches.heavy_hitters_exact(
@@ -159,7 +138,7 @@ def test_count_min_premerge_identical_to_flat(monkeypatch):
 @pytest.mark.parametrize("name", sorted(TREE_MERGED))
 def test_tree_merged_sketch_of_empty_input(name):
     """An empty frame and blocks filtered to nothing both give the
-    result of an empty column: nothing counted, no bit or cell set."""
+    result of an empty column: nothing counted, no cell set."""
     df = pd.DataFrame({"v": [f"k{i}" for i in range(40)]})
     inputs = [rd.from_pandas(pd.DataFrame({"v": pd.Series([], dtype=object)})),
               rd.from_pandas(df).repartition(4).filter(lambda r: False)]
@@ -170,8 +149,6 @@ def test_tree_merged_sketch_of_empty_input(name):
         elif name in ("heavy_hitters", "heavy_hitters_exact"):
             assert got.shape == (0, 2) and got.columns[0] == "v"
             assert got.dtypes.tolist() == [object, np.int64]
-        elif name == "bloom_from_dataset":
-            assert got == bytes((1 << 16) // 8)
         elif name == "count_min_build":
             assert np.array_equal(got, np.zeros((3, 256), dtype=np.int64))
         else:

@@ -78,8 +78,7 @@ def test_triangle_node_counts_known_graph():
     # feed reversed + duplicate rows: canonicalization must absorb both
     rev = e.rename(columns={"src": "dst", "dst": "src"})
     got = (graph.triangle_node_counts(
-        rd.from_pandas(pd.concat([e, rev, e], ignore_index=True)),
-        num_buckets=4)
+        rd.from_pandas(pd.concat([e, rev, e], ignore_index=True)))
         .to_pandas().sort_values("node", ignore_index=True))
     exp = pd.DataFrame({"node": [1, 2, 3, 4], "n_triangles": [3, 3, 3, 3]})
     pd.testing.assert_frame_equal(
@@ -146,8 +145,7 @@ def test_kcore_peel_chain_vs_clique():
           if a < b]
     tri_pendant = [(20, 21), (21, 22), (20, 22), (22, 23)]
     e = pd.DataFrame(path + k4 + tri_pendant, columns=["src", "dst"])
-    got = (graph.kcore_peel(rd.from_pandas(e), k=2, n_rounds=4,
-                            num_buckets=4)
+    got = (graph.kcore_peel(rd.from_pandas(e), k=2, n_rounds=4)
            .to_pandas().sort_values("node", ignore_index=True))
     exp = pd.DataFrame({"node": [10, 11, 12, 13, 20, 21, 22],
                         "deg": [3, 3, 3, 3, 2, 2, 2]})
@@ -514,7 +512,7 @@ def test_common_neighbor_counts_open_wedges_only():
     edges = rd.from_pandas(pd.DataFrame({
         "src": [1, 2, 1, 5, 6, 5],
         "dst": [2, 3, 4, 6, 7, 7]}))
-    out = (graph.common_neighbor_counts(edges, num_buckets=4)
+    out = (graph.common_neighbor_counts(edges)
            .to_pandas().sort_values(["a", "b"], ignore_index=True))
     assert list(map(tuple, out.to_numpy())) == [(1, 3, 1), (2, 4, 1)]
 
@@ -698,7 +696,7 @@ def test_resource_allocation_discounts_hubs():
     # (1,5)/(3,5) via the hub only → 333333
     edges = rd.from_pandas(pd.DataFrame({
         "src": [1, 2, 1, 3, 4], "dst": [2, 3, 4, 4, 5]}))
-    out = (graph.common_neighbor_counts(edges, num_buckets=4,
+    out = (graph.common_neighbor_counts(edges,
                                         weight_unit=10**6)
            .to_pandas().sort_values(["a", "b"], ignore_index=True))
     assert list(map(tuple, out.to_numpy())) == [

@@ -26,12 +26,13 @@ class ExtractConfig:
     local_interleave: bool = True
     skew_repartition: bool = False
     repartition_blocks: int = 64
-    extract_batch_size: int = 128   # small batches keep heavy pages from stalling a worker
+    # extract_dataset's batch rows (small batches keep heavy pages from
+    # stalling a worker); run_extract stages whole blocks instead
+    extract_batch_size: int = 128
     # cap on concurrent extract tasks (the reference's WORKER_COUNT);
     # None = as many as the cluster's CPUs allow. A cap above the input
     # block count buys nothing: each task takes one block.
     extract_concurrency: Optional[int] = None
-    extract_num_cpus: float = 1.0
     # staged-shuffle knobs: input block count controls stage-file count
     # (one stage file per block). reduce_concurrency caps the concurrent
     # reducers: phase 2 runs as ONE wave of min(parts left,

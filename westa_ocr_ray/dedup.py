@@ -31,8 +31,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relops import (auto_buckets, exchange, grouped_topk, hash_join,
-                     partial_aggregate, semi_anti_filter_scalable)
+from .relops import (exchange, grouped_topk, hash_join, partial_aggregate,
+                     per_key, semi_anti_filter_scalable)
 
 _MERSENNE = (1 << 61) - 1
 _BUCKET_CAP = 200  # max docs inspected pairwise per LSH bucket / block
@@ -72,40 +72,20 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 
 def _within_bucket_pairs(rows: rd.Dataset, bucket_keys: Sequence[str],
                          id_col: str, payload_cols: Sequence[str] = (),
-                         coarse: Optional[int] = None, cap: int = _BUCKET_CAP,
-                         size_hint_bytes: Optional[int] = None) -> rd.Dataset:
+                         cap: int = _BUCKET_CAP) -> rd.Dataset:
     """All within-bucket id pairs (doc_a < doc_b, cap per bucket), with
     optional per-side payload columns carried as ``<col>_a``/``<col>_b``.
 
-    One ``relops.exchange`` on a COARSE hash of the bucket key; each
-    coarse group is expanded to pairs with numpy inside its reduce task.
-    (Ray's per-group map_groups dispatch costs ~0.5 ms/bucket and almost
-    every LSH bucket is a singleton — grouping by the raw bucket key
-    turns candidate generation into pure dispatch overhead at 10^3+
-    buckets.)
-
-    ``coarse`` defaults to the auto_buckets sizing rule (floor 64 = the
-    round-2 constant). One reduce task expands a slot's run of coarse
-    groups, and the exchange opens a slot per CPU or per
-    TARGET_BUCKET_BYTES of input, whichever gives more, up to
-    ``coarse``; so the group count must grow with cluster AND (via
-    ``size_hint_bytes``, typically the banded/blocked table's byte size)
-    with data — a fixed 64 would put ~1/64 of the entire exploded table
-    in one task. Runs ``rows`` when called."""
-    if coarse is None:
-        coarse = auto_buckets(floor=64, size_bytes=size_hint_bytes)
+    One ``relops.exchange`` on the bucket key; each reduce slot expands
+    all of its buckets to pairs with numpy in one call. (Ray's per-group
+    map_groups dispatch costs ~0.5 ms/bucket and almost every LSH bucket
+    is a singleton — one call per bucket turns candidate generation into
+    pure dispatch overhead at 10^3+ buckets.) The exchange opens a slot
+    per CPU or per TARGET_BUCKET_BYTES of input, whichever gives more,
+    so a slot's share of the exploded table shrinks as the data grows.
+    Runs ``rows`` when called."""
     bucket_keys = list(bucket_keys)
     payload_cols = list(payload_cols)
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        h = np.zeros(len(df), dtype=np.uint64)
-        for k in bucket_keys:
-            h = h * np.uint64(1000003) + (
-                pd.util.hash_pandas_object(df[k], index=False)
-                .to_numpy().astype(np.uint64))
-        df["__cb"] = (h % np.uint64(coarse)).astype("int32")
-        return df
 
     def expand(df: pd.DataFrame) -> pd.DataFrame:
         df = (df.drop_duplicates(bucket_keys + [id_col])
@@ -137,7 +117,7 @@ def _within_bucket_pairs(rows: rd.Dataset, bucket_keys: Sequence[str],
             out[c + "_b"] = np.concatenate(pay[c][1])
         return pd.DataFrame(out)
 
-    return exchange(rows, "__cb", expand, coarse, pre=tag)
+    return exchange(rows, bucket_keys, expand)
 
 
 # ---------------------------------------------------------------- exact
@@ -162,8 +142,7 @@ def exact_dedup(ds: rd.Dataset, id_col: str = "doc_id",
 
 
 def exact_dup_ids(ds: rd.Dataset, id_col: str = "doc_id",
-                  text_col: str = "text",
-                  num_buckets: Optional[int] = None) -> rd.Dataset:
+                  text_col: str = "text") -> rd.Dataset:
     """Ids that LOSE first-wins exact dedup (every group member except
     the min-id keeper per content hash) — the scale-friendly complement
     of exact_dedup's keeper table: for web corpora |dups| << |corpus|,
@@ -183,13 +162,11 @@ def exact_dup_ids(ds: rd.Dataset, id_col: str = "doc_id",
     signed = ds.map_batches(sign, batch_format="pandas")
     keep = partial_aggregate(signed, ["text_hash"],
                              {"keeper_doc_id": ("min", id_col),
-                              "n_dups": ("count", None)},
-                             num_buckets=num_buckets)
+                              "n_dups": ("count", None)})
     multi = keep.map_batches(
         lambda df: df.loc[df["n_dups"] > 1, ["text_hash", "keeper_doc_id"]],
         batch_format="pandas")
     j = hash_join(signed, multi, "text_hash", "text_hash", how="inner",
-                  num_buckets=num_buckets,
                   left_cols=["text_hash", id_col],
                   right_cols=["text_hash", "keeper_doc_id"])
     return j.map_batches(
@@ -335,8 +312,7 @@ def _jaccard_pct_batch(a_texts, b_texts, shingle: int) -> np.ndarray:
 def minhash_lsh_pairs(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "text",
                       num_perm: int = 64, bands: int = 16, shingle: int = 3,
                       seed: int = 42, jaccard_threshold: float = 0.5,
-                      with_stats: bool = False,
-                      size_hint_bytes: Optional[int] = None):
+                      with_stats: bool = False):
     """Near-duplicate pairs via MinHash+LSH with exact-Jaccard verify —
     every stage distributed:
 
@@ -357,8 +333,7 @@ def minhash_lsh_pairs(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "t
     if with_stats:
         bands_ds = bands_ds.materialize()  # reused by the size counter
 
-    cand = _within_bucket_pairs(bands_ds, ["band_id", "band_hash"], id_col,
-                                size_hint_bytes=size_hint_bytes)
+    cand = _within_bucket_pairs(bands_ds, ["band_id", "band_hash"], id_col)
 
     # distributed verify: join each side's text on, Jaccard per batch.
     # The same pair surfaces from every band it shares; its copies all
@@ -425,8 +400,7 @@ def cluster_pairs(pairs: pd.DataFrame, a_col: str = "doc_a",
 
 def connected_components_partitioned(edges: rd.Dataset, a_col: str = "doc_a",
                                      b_col: str = "doc_b",
-                                     max_rounds: int = 50,
-                                     num_buckets: int = 32) -> rd.Dataset:
+                                     max_rounds: int = 50) -> rd.Dataset:
     """Connected components with NO broadcast side: the label table is a
     hash-partitioned Dataset joined onto the edges each round, so it
     scales past the point where a broadcast label table no longer fits
@@ -490,8 +464,8 @@ def connected_components_partitioned(edges: rd.Dataset, a_col: str = "doc_a",
         # the min original (1:1 in practice; see docstring)
         mapping = partial_aggregate(edges.map_batches(to_mapping,
                                                       batch_format="pandas"),
-                                    ["__h"], {"__orig": ("min", "__orig")},
-                                    num_buckets=num_buckets).materialize()
+                                    ["__h"], {"__orig": ("min", "__orig")}
+                                    ).materialize()
 
         def hash_edges(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({a_col: _h63(df[a_col]),
@@ -513,11 +487,9 @@ def connected_components_partitioned(edges: rd.Dataset, a_col: str = "doc_a",
     prev_sum = None
     for _ in range(max_rounds):
         wa = hash_join(edges, labels, a_col, "doc_id",
-                       num_buckets=num_buckets,
                        left_cols=[a_col, b_col],
                        right_cols=["doc_id", "label"])
         wb = hash_join(wa, labels, b_col, "doc_id",
-                       num_buckets=num_buckets,
                        left_cols=[a_col, b_col, "label"],
                        right_cols=["doc_id", "label"])
 
@@ -530,17 +502,14 @@ def connected_components_partitioned(edges: rd.Dataset, a_col: str = "doc_a",
             return out.groupby("doc_id", sort=False, as_index=False).min()
 
         # min over propagated labels AND the previous label (isolated-in-
-        # this-round nodes keep theirs). The repartition before
-        # materializing is load-bearing: Ray's sort keeps the input
-        # block count and unions concatenate block lists, so without it
-        # the label table's block count grows ~3× per round and the
-        # per-round wall time explodes (measured: 3 s → 77 s by round 4).
+        # this-round nodes keep theirs). The aggregate's exchange emits
+        # at most one block per slot, so the label table's block count
+        # stays bounded although the union concatenates block lists.
         upd = wb.map_batches(propagate, batch_format="pandas")
 
         # pointer jumping: node → its label's label (labels ⨝ labels on
         # label=doc_id); halves long propagation chains every round
         jump = hash_join(labels, labels, "label", "doc_id",
-                         num_buckets=num_buckets,
                          left_cols=["doc_id", "label"],
                          right_cols=["doc_id", "label"])
         jumped = jump.map_batches(
@@ -550,8 +519,7 @@ def connected_components_partitioned(edges: rd.Dataset, a_col: str = "doc_a",
 
         new_labels = (partial_aggregate(upd.union(labels).union(jumped),
                                         ["doc_id"],
-                                        {"label": ("min", "label")})
-                      .repartition(num_buckets).materialize())
+                                        {"label": ("min", "label")}))
 
         # convergence: labels only ever decrease, so an unchanged label
         # SUM means an unchanged label table — one scalar per round
@@ -575,7 +543,7 @@ def connected_components_partitioned(edges: rd.Dataset, a_col: str = "doc_a",
     # re-canonicalize each component to its MIN ORIGINAL id so the
     # representative matches the union-find path's first-wins choice
     # (min over hashes ≠ min over strings).
-    j1 = hash_join(out, mapping, "doc_id", "__h", num_buckets=num_buckets,
+    j1 = hash_join(out, mapping, "doc_id", "__h",
                    left_cols=["doc_id", "cluster_id"],
                    right_cols=["__h", "__orig"])
     j1 = j1.map_batches(
@@ -583,10 +551,8 @@ def connected_components_partitioned(edges: rd.Dataset, a_col: str = "doc_a",
                                  "cluster_id": df["cluster_id"].to_numpy()}),
         batch_format="pandas").materialize()  # feeds the rep agg AND the join
     reps = partial_aggregate(j1, ["cluster_id"],
-                             {"__rep": ("min", "__doc_orig")},
-                             num_buckets=num_buckets)
+                             {"__rep": ("min", "__doc_orig")})
     j2 = hash_join(j1, reps, "cluster_id", "cluster_id",
-                   num_buckets=num_buckets,
                    left_cols=["__doc_orig", "cluster_id"],
                    right_cols=["cluster_id", "__rep"])
     return j2.map_batches(
@@ -684,8 +650,7 @@ def simhash_table(ds: rd.Dataset, id_col: str = "doc_id",
 
 
 def simhash_near_pairs(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "text",
-                       max_hamming: int = 3, with_stats: bool = False,
-                       size_hint_bytes: Optional[int] = None):
+                       max_hamming: int = 3, with_stats: bool = False):
     """Near-dup pairs by SimHash: band the 64-bit fingerprint into four
     16-bit keys (any pair within hamming ≤ 3 of each other shares at
     least one band exactly — pigeonhole), bucket-groupby candidates,
@@ -710,8 +675,7 @@ def simhash_near_pairs(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "
         exploded = exploded.materialize()
 
     cand = _within_bucket_pairs(exploded, ["band_id", "band_val"], id_col,
-                                payload_cols=["simhash"],
-                                size_hint_bytes=size_hint_bytes)
+                                payload_cols=["simhash"])
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         ham = _popcount64(df["simhash_a"].to_numpy().astype(np.uint64)
@@ -733,8 +697,7 @@ def simhash_near_pairs(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "
 
 def ngram_jaccard_pairs(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = "text",
                         block_tokens: int = 2, shingle: int = 3,
-                        threshold_pct: int = 50, with_stats: bool = False,
-                        size_hint_bytes: Optional[int] = None):
+                        threshold_pct: int = 50, with_stats: bool = False):
     """Blocked pairwise n-gram Jaccard: docs sharing a leading-token
     block are compared exhaustively within the block (one exchange on
     the block key only). Blocks past the pathological cap are truncated;
@@ -750,8 +713,7 @@ def ngram_jaccard_pairs(ds: rd.Dataset, id_col: str = "doc_id", text_col: str = 
         blocked = blocked.materialize()
 
     cand = _within_bucket_pairs(blocked, ["block"], id_col,
-                                payload_cols=[text_col],
-                                size_hint_bytes=size_hint_bytes)
+                                payload_cols=[text_col])
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         pct = _jaccard_pct_batch(df[text_col + "_a"].to_numpy(),
@@ -793,8 +755,8 @@ def chunk_hash_table(ds: rd.Dataset, id_col: str = "doc_id",
 
 
 def chunk_star_edges(ds: rd.Dataset, id_col: str = "doc_id",
-                     text_col: str = "text", chunk_tokens: int = 10,
-                     num_buckets: Optional[int] = None) -> rd.Dataset:
+                     text_col: str = "text",
+                     chunk_tokens: int = 10) -> rd.Dataset:
     """Hub-and-spoke (star) edge encoding of each chunk-sharing group:
     the group's smallest id is the hub and every other member gets ONE
     hub-member edge — the O(n)-edge form of "these n docs share this
@@ -809,8 +771,7 @@ def chunk_star_edges(ds: rd.Dataset, id_col: str = "doc_id",
     # (measured 51 s -> 21-29 s on ra_linkpred at sf0.1, same window)
     ch = chunk_hash_table(ds, id_col, text_col, chunk_tokens) \
         .materialize()
-    hubs = partial_aggregate(ch, ["ch"], {"hub": ("min", id_col)},
-                             num_buckets=num_buckets)
+    hubs = partial_aggregate(ch, ["ch"], {"hub": ("min", id_col)})
 
     def spokes(df: pd.DataFrame) -> pd.DataFrame:
         d = df[df[id_col].to_numpy() != df["hub"].to_numpy()]
@@ -819,23 +780,21 @@ def chunk_star_edges(ds: rd.Dataset, id_col: str = "doc_id",
             "doc_b": d[id_col].astype(np.int64).to_numpy()})
 
     j = hash_join(ch, hubs, "ch", "ch", left_cols=[id_col, "ch"],
-                  right_cols=["ch", "hub"], num_buckets=num_buckets,
+                  right_cols=["ch", "hub"],
                   bucket_fn=spokes)
     return partial_aggregate(j, ["doc_a", "doc_b"],
-                             {"_c": ("count", None)},
-                             num_buckets=num_buckets) \
+                             {"_c": ("count", None)}) \
         .drop_columns(["_c"])
 
 
 def shared_chunk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
                        text_col: str = "text",
-                       chunk_tokens: int = 10, with_stats: bool = False,
-                       size_hint_bytes: Optional[int] = None):
+                       chunk_tokens: int = 10, with_stats: bool = False):
     """Substring-level duplication signal (the coarse shape of
     suffix-array training-data dedup): docs are cut into NON-overlapping
     ``chunk_tokens``-token chunks, chunks hash, and docs sharing ≥1
     chunk hash pair up with the shared-chunk count. Only (id, hash)
-    rows shuffle; pair expansion reuses the coarse-bucket path.
+    rows shuffle; pair expansion reuses the bucket-pair exchange.
     Returns (doc_a, doc_b, n_shared_chunks), exact and SQL-expressible
     (queries.ORACLE_SQL['dedup_shared_chunks']). Like the other pair
     generators, a chunk hash shared by more than _BUCKET_CAP docs is
@@ -845,8 +804,7 @@ def shared_chunk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
     chunks = chunk_hash_table(ds, id_col, text_col, chunk_tokens)
     if with_stats:
         chunks = chunks.materialize()  # reused by the size counter
-    cand = _within_bucket_pairs(chunks, ["ch"], id_col,
-                                size_hint_bytes=size_hint_bytes)
+    cand = _within_bucket_pairs(chunks, ["ch"], id_col)
     out = partial_aggregate(cand, ["doc_a", "doc_b"],
                             {"n_shared_chunks": ("count", None)})
     if with_stats:
@@ -857,8 +815,7 @@ def shared_chunk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
 
 def cdc_chunk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
                     text_col: str = "text", modulus: int = 16,
-                    min_tokens: int = 8, with_stats: bool = False,
-                    size_hint_bytes: Optional[int] = None):
+                    min_tokens: int = 8, with_stats: bool = False):
     """CONTENT-DEFINED chunking dedup (the Rabin-boundary variant of
     shared_chunk_pairs, at token granularity): a chunk boundary falls
     after any token whose md5 TOP-32 bits (first 8 hex chars)
@@ -871,7 +828,7 @@ def cdc_chunk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
     hashed (a stateless emit filter — trivial chunks like a single
     stop-word would otherwise pair unrelated docs and overflow the
     candidate cap). Only (id, hash) rows shuffle; pair expansion
-    reuses the coarse-bucket path. Exact and SQL-expressible
+    reuses the bucket-pair exchange. Exact and SQL-expressible
     (queries.ORACLE_SQL['dedup_cdc']); ``with_stats=True`` returns the
     dropped-pair counter alongside. Returns
     (doc_a, doc_b, n_shared_chunks)."""
@@ -907,8 +864,7 @@ def cdc_chunk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
     chunks = ds.map_batches(chunk, batch_format="pandas")
     if with_stats:
         chunks = chunks.materialize()  # reused by the size counter
-    cand = _within_bucket_pairs(chunks, ["ch"], id_col,
-                                size_hint_bytes=size_hint_bytes)
+    cand = _within_bucket_pairs(chunks, ["ch"], id_col)
     out = partial_aggregate(cand, ["doc_a", "doc_b"],
                             {"n_shared_chunks": ("count", None)})
     if with_stats:
@@ -919,9 +875,8 @@ def cdc_chunk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
 
 def remove_duplicate_chunks(ds: rd.Dataset, id_col: str = "doc_id",
                             text_col: str = "text",
-                            chunk_tokens: int = 10, min_docs: int = 2,
-                            num_buckets: Optional[int] = None,
-                            size_hint_bytes: Optional[int] = None) -> rd.Dataset:
+                            chunk_tokens: int = 10,
+                            min_docs: int = 2) -> rd.Dataset:
     """Duplicate-PASSAGE removal with document reassembly — the
     "remove the duplicated text, keep the rest of the doc" form of
     substring dedup used on web corpora (Lee et al. 2107.06499 §4
@@ -943,8 +898,6 @@ def remove_duplicate_chunks(ds: rd.Dataset, id_col: str = "doc_id",
 
     Returns (id, text, n_chunks_kept) for docs with >= 1 surviving
     passage."""
-    if num_buckets is None:
-        num_buckets = auto_buckets(floor=64, size_bytes=size_hint_bytes)
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         ids: List = []
@@ -968,22 +921,14 @@ def remove_duplicate_chunks(ds: rd.Dataset, id_col: str = "doc_id",
     # cross-doc duplication, then passages by distinct-doc count
     per_doc = partial_aggregate(
         chunks.select_columns([id_col, "ch"]), [id_col, "ch"],
-        {"__n": ("count", None)}, num_buckets=num_buckets)
+        {"__n": ("count", None)})
     dup = (partial_aggregate(per_doc.select_columns(["ch"]), ["ch"],
-                             {"nd": ("count", None)},
-                             num_buckets=num_buckets)
+                             {"nd": ("count", None)})
            .map_batches(lambda df: df.loc[df["nd"] >= min_docs, ["ch"]],
                         batch_format="pandas"))
     kept = semi_anti_filter_scalable(chunks, "ch", dup, key_col="ch",
-                                     anti=True, num_buckets=num_buckets,
+                                     anti=True,
                                      cols=[id_col, "pos", "ctext", "ch"])
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[[id_col, "pos", "ctext"]].copy()
-        df["__b"] = (pd.util.hash_pandas_object(
-            df[id_col].astype(str), index=False).to_numpy()
-            % num_buckets).astype("int32")
-        return df
 
     def rebuild(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([id_col, "pos"], ignore_index=True)
@@ -992,14 +937,14 @@ def remove_duplicate_chunks(ds: rd.Dataset, id_col: str = "doc_id",
         out["n_chunks_kept"] = g.size().to_numpy(dtype=np.int64)
         return out
 
-    return exchange(kept, "__b", rebuild, num_buckets, pre=tag)
+    return exchange(kept, id_col, rebuild,
+                    pre=lambda df: df[[id_col, "pos", "ctext"]])
 
 
 def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
                            text_col: str = "text",
-                           window_tokens: int = 8, min_count: int = 2,
-                           num_buckets: Optional[int] = None,
-                           size_hint_bytes: Optional[int] = None) -> rd.Dataset:
+                           window_tokens: int = 8,
+                           min_count: int = 2) -> rd.Dataset:
     """SLIDING-window exact-substring span removal — the true
     ExactSubstr semantics of Lee et al. 2107.06499 §4 (reference has no
     analog; this is engine-native mass), where remove_duplicate_chunks
@@ -1025,8 +970,6 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
     fully-covered docs disappear (their text lives elsewhere in the
     corpus). Exact and SQL-expressible: queries.ORACLE_SQL
     ['dedup_substring']."""
-    if num_buckets is None:
-        num_buckets = auto_buckets(floor=64, size_bytes=size_hint_bytes)
     W = window_tokens
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
@@ -1052,20 +995,11 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
 
     windows = ds.map_batches(explode, batch_format="pandas")
     dup = (partial_aggregate(windows.select_columns(["wh"]), ["wh"],
-                             {"nocc": ("count", None)},
-                             num_buckets=num_buckets)
+                             {"nocc": ("count", None)})
            .map_batches(lambda df: df.loc[df["nocc"] >= min_count, ["wh"]],
                         batch_format="pandas"))
     marked = semi_anti_filter_scalable(windows, "wh", dup, key_col="wh",
-                                       num_buckets=num_buckets,
                                        cols=[id_col, "pos", "wh"])
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[[id_col, "pos"]].copy()
-        df["__b"] = (pd.util.hash_pandas_object(
-            df[id_col].astype(str), index=False).to_numpy()
-            % num_buckets).astype("int32")
-        return df
 
     def to_intervals(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -1088,7 +1022,8 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
     # window table itself deliberately stays lazy: at 100 TB it is ~one
     # row per corpus token, and recomputing the cheap explode beats
     # storing it.
-    spans = exchange(marked, "__b", to_intervals, num_buckets, pre=tag)
+    spans = exchange(marked, id_col, to_intervals,
+                     pre=lambda df: df[[id_col, "pos"]])
 
     def cut(df: pd.DataFrame) -> pd.DataFrame:
         out_id, out_tx, out_nr = [], [], []
@@ -1114,12 +1049,10 @@ def remove_duplicate_spans(ds: rd.Dataset, id_col: str = "doc_id",
     if n_affected == 0:  # no window repeats; spans is one column-less block
         return ds.map_batches(untouched_rows, batch_format="pandas")
     affected = hash_join(ds, spans, id_col, id_col,
-                         num_buckets=num_buckets,
                          left_cols=[id_col, text_col],
                          right_cols=[id_col, "spans"]
                          ).map_batches(cut, batch_format="pandas")
     untouched = semi_anti_filter_scalable(ds, id_col, spans, anti=True,
-                                          num_buckets=num_buckets,
                                           cols=[id_col, text_col])
     return untouched.map_batches(untouched_rows,
                                  batch_format="pandas").union(affected)
@@ -1150,9 +1083,8 @@ def embedding_near_dup_pairs(emb: rd.Dataset, id_col: str = "vec_id",
     """Embedding-cosine near-dup pairs within a partition key (group_col
     bounds the pairwise blow-up; at scale the group key would be an LSH
     bucket — see similarity.lsh_buckets). Returns (vec_id_a, vec_id_b)."""
-    return exchange(emb, group_col,
-                    lambda df: _cosine_pairs(df, id_col, vec_col, threshold),
-                    auto_buckets())
+    return exchange(emb, group_col, per_key(
+        group_col, lambda df: _cosine_pairs(df, id_col, vec_col, threshold)))
 
 
 # ---------------------------------------------- decontamination
@@ -1198,7 +1130,6 @@ def shingle_table(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
 
 def decontaminate(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
                   id_col: str = "doc_id", text_col: str = "text",
-                  num_buckets: Optional[int] = None,
                   cols: Optional[Sequence[str]] = None) -> rd.Dataset:
     """Benchmark decontamination (the n-gram-overlap filter training
     pipelines run against eval sets, a la GPT-3 appx C / PaLM): drop
@@ -1211,14 +1142,14 @@ def decontaminate(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
     Each join is one bucketed exchange over both sides.
     SQL-expressible: queries.ORACLE_SQL['decontaminate']."""
     cont_ids = contaminated_ids(ds, bench, n=n, id_col=id_col,
-                                text_col=text_col, num_buckets=num_buckets)
+                                text_col=text_col)
     return semi_anti_filter_scalable(ds, id_col, cont_ids, anti=True,
-                                     num_buckets=num_buckets, cols=cols)
+                                     cols=cols)
 
 
 def contaminated_ids(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
-                     id_col: str = "doc_id", text_col: str = "text",
-                     num_buckets: Optional[int] = None) -> rd.Dataset:
+                     id_col: str = "doc_id",
+                     text_col: str = "text") -> rd.Dataset:
     """Ids of corpus docs sharing >= 1 ``n``-token shingle with any
     benchmark doc — the contaminated SET decontaminate removes and
     prep_funnel labels (one row per id: the distinct is a bucketed
@@ -1226,15 +1157,15 @@ def contaminated_ids(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
     doc_sh = shingle_table(ds, n, id_col, text_col)
     bench_sh = shingle_table(bench, n, id_col, text_col)
     hit = semi_anti_filter_scalable(doc_sh, "g", bench_sh, key_col="g",
-                                    anti=False, num_buckets=num_buckets,
+                                    anti=False,
                                     cols=[id_col, "g"])
-    return partial_aggregate(hit, [id_col], {"__n": ("count", None)},
-                             num_buckets=num_buckets).select_columns([id_col])
+    return partial_aggregate(hit, [id_col], {"__n": ("count", None)}) \
+        .select_columns([id_col])
 
 
 def contamination_report(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
-                         id_col: str = "doc_id", text_col: str = "text",
-                         num_buckets: Optional[int] = None) -> rd.Dataset:
+                         id_col: str = "doc_id",
+                         text_col: str = "text") -> rd.Dataset:
     """The AUDIT twin of decontaminate: for every benchmark doc, how
     many corpus docs share at least one ``n``-token shingle with it —
     the leakage report a training pipeline publishes alongside the
@@ -1251,25 +1182,24 @@ def contamination_report(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
         lambda df: df.rename(columns={id_col: "bench_doc_id"}),
         batch_format="pandas")
     hit = semi_anti_filter_scalable(doc_sh, "g", bench_sh, key_col="g",
-                                    anti=False, num_buckets=num_buckets,
+                                    anti=False,
                                     cols=[id_col, "g"])
-    pairs = hash_join(hit, bench_sh, "g", "g", num_buckets=num_buckets,
+    pairs = hash_join(hit, bench_sh, "g", "g",
                       left_cols=[id_col, "g"],
                       right_cols=["bench_doc_id", "g"])
     distinct_pairs = partial_aggregate(
         pairs.select_columns(["bench_doc_id", id_col]),
-        ["bench_doc_id", id_col], {"__n": ("count", None)},
-        num_buckets=num_buckets)
+        ["bench_doc_id", id_col], {"__n": ("count", None)})
     counts = partial_aggregate(
         distinct_pairs.select_columns(["bench_doc_id"]), ["bench_doc_id"],
-        {"n_contaminated": ("count", None)}, num_buckets=num_buckets)
+        {"n_contaminated": ("count", None)})
     bench_ids = partial_aggregate(
         bench.select_columns([id_col]).map_batches(
             lambda df: df.rename(columns={id_col: "bench_doc_id"}),
             batch_format="pandas"),
-        ["bench_doc_id"], {"__b": ("count", None)}, num_buckets=num_buckets)
+        ["bench_doc_id"], {"__b": ("count", None)})
     out = hash_join(bench_ids, counts, "bench_doc_id", "bench_doc_id",
-                    how="left", num_buckets=num_buckets,
+                    how="left",
                     left_cols=["bench_doc_id", "__b"],
                     right_cols=["bench_doc_id", "n_contaminated"])
 
@@ -1290,8 +1220,7 @@ def contamination_report(ds: rd.Dataset, bench: rd.Dataset, n: int = 4,
 
 
 def containment_pairs(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
-                      text_col: str = "text",
-                      num_buckets: Optional[int] = None) -> rd.Dataset:
+                      text_col: str = "text") -> rd.Dataset:
     """EXACT substring-containment duplicate pairs: doc A is contained
     in doc B when A's whole token sequence appears contiguously inside
     B's (the precise complement of shared_chunk_pairs' coarse
@@ -1333,14 +1262,14 @@ def containment_pairs(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
         out = df.loc[df["doc_a"] != df["doc_b"], ["doc_a", "doc_b"]]
         return out.drop_duplicates()
 
-    dcand = hash_join(afirst, bsh, "g", "g", num_buckets=num_buckets,
+    dcand = hash_join(afirst, bsh, "g", "g",
                       left_cols=["doc_a", "g"], right_cols=["doc_b", "g"],
                       bucket_fn=distinct_pairs)
     texts = ds.select_columns([id_col, text_col])
-    wa = hash_join(dcand, texts, "doc_a", id_col, num_buckets=num_buckets,
+    wa = hash_join(dcand, texts, "doc_a", id_col,
                    left_cols=["doc_a", "doc_b"],
                    right_cols=[id_col, text_col])
-    wb = hash_join(wa, texts, "doc_b", id_col, num_buckets=num_buckets,
+    wb = hash_join(wa, texts, "doc_b", id_col,
                    left_cols=["doc_a", "doc_b", text_col],
                    right_cols=[id_col, text_col])
     ta, tb = text_col, text_col + "_r"
@@ -1365,24 +1294,22 @@ def containment_pairs(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
 
 def drop_contained(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
                    text_col: str = "text",
-                   cols: Optional[Sequence[str]] = None,
-                   num_buckets: Optional[int] = None) -> rd.Dataset:
+                   cols: Optional[Sequence[str]] = None) -> rd.Dataset:
     """Containment dedup: drop every doc whose full token sequence
     appears contiguously inside another (strictly longer, or equal with
     a smaller id) doc. Anti-joins containment_pairs' contained ids back
     onto the corpus — the dropped-id set is duplicate-sized, never
     corpus-sized."""
-    pairs = containment_pairs(ds, n, id_col, text_col,
-                              num_buckets=num_buckets)
+    pairs = containment_pairs(ds, n, id_col, text_col)
     return semi_anti_filter_scalable(
         ds, id_col, pairs.select_columns(["contained_doc_id"]),
-        key_col="contained_doc_id", anti=True, num_buckets=num_buckets,
+        key_col="contained_doc_id", anti=True,
         cols=cols)
 
 
 def dedup_incremental(new_ds: rd.Dataset, base_ds: rd.Dataset,
-                      id_col: str = "doc_id", text_col: str = "text",
-                      num_buckets: Optional[int] = None) -> rd.Dataset:
+                      id_col: str = "doc_id",
+                      text_col: str = "text") -> rd.Dataset:
     """Incremental-snapshot dedup — the daily-ingest shape of a living
     corpus: drop from ``new_ds`` (today's crawl) every doc whose exact
     text already exists in ``base_ds`` (everything ingested so far),
@@ -1408,17 +1335,15 @@ def dedup_incremental(new_ds: rd.Dataset, base_ds: rd.Dataset,
     base_hashes = base_ds.map_batches(sign_hash_only, batch_format="pandas")
     fresh = semi_anti_filter_scalable(
         new_signed, "text_hash", base_hashes, anti=True,
-        num_buckets=num_buckets, cols=[id_col, "text_hash"])
+        cols=[id_col, "text_hash"])
     return partial_aggregate(fresh, ["text_hash"],
-                             {id_col: ("min", id_col)},
-                             num_buckets=num_buckets)
+                             {id_col: ("min", id_col)})
 
 
 def embedding_near_dup_lsh(emb: rd.Dataset, threshold: float = 0.4,
                            n_tables: int = 4, n_planes: int = 6,
                            seed: int = 42, id_col: str = "vec_id",
-                           vec_col: str = "embedding",
-                           num_buckets: Optional[int] = None) -> rd.Dataset:
+                           vec_col: str = "embedding") -> rd.Dataset:
     """Embedding-cosine near-dup pairs at corpus scale — the LSH-bucket
     blocking path embedding_near_dup_pairs' docstring points to:
     ``n_tables`` independent random-hyperplane sign signatures block the
@@ -1446,19 +1371,17 @@ def embedding_near_dup_lsh(emb: rd.Dataset, threshold: float = 0.4,
                 vec_col: df[vec_col].to_numpy()}))
         return pd.concat(parts, ignore_index=True)
 
-    pairs = exchange(emb, "__tb",
-                     lambda df: _cosine_pairs(df, id_col, vec_col, threshold),
-                     n_tables << n_planes, pre=tag)
+    pairs = exchange(emb, "__tb", per_key("__tb", lambda df: _cosine_pairs(
+        df, id_col, vec_col, threshold)), pre=tag)
     # cross-table duplicate pairs collapse in one bucketed distinct
     dist = partial_aggregate(pairs, ["vec_id_a", "vec_id_b"],
-                             {"n": ("count", None)}, num_buckets=num_buckets)
+                             {"n": ("count", None)})
     return dist.map_batches(lambda df: df[["vec_id_a", "vec_id_b"]],
                             batch_format="pandas")
 
 
 def self_overlap(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
-                 text_col: str = "text",
-                 num_buckets: Optional[int] = None) -> rd.Dataset:
+                 text_col: str = "text") -> rd.Dataset:
     """Memorization / self-overlap audit: for every doc, how many of
     its DISTINCT ``n``-token shingles also occur in at least one OTHER
     place in the corpus — the train-set self-overlap number a
@@ -1477,11 +1400,10 @@ def self_overlap(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
     sh = shingle_table(ds, n, id_col, text_col)
     # distinct (doc, shingle) — carry the within-doc multiplicity so
     # df can count OCCURRENCES (>=2 means 'not unique in the corpus')
-    dsh = partial_aggregate(sh, [id_col, "g"], {"occ": ("count", None)},
-                            num_buckets=num_buckets)
+    dsh = partial_aggregate(sh, [id_col, "g"], {"occ": ("count", None)})
     dfq = partial_aggregate(
         dsh.map_batches(lambda df: df[["g", "occ"]], batch_format="pandas"),
-        ["g"], {"df": ("sum", "occ")}, num_buckets=num_buckets)
+        ["g"], {"df": ("sum", "occ")})
 
     def agg(d: pd.DataFrame) -> pd.DataFrame:
         shared = (d["df"].to_numpy(np.int64) >= 2).astype(np.int64)
@@ -1494,16 +1416,14 @@ def self_overlap(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
 
     j = hash_join(dsh, dfq, "g", "g",
                   left_cols=[id_col, "g", "occ"], right_cols=["g", "df"],
-                  num_buckets=num_buckets, bucket_fn=agg)
+                  bucket_fn=agg)
     return partial_aggregate(j, [id_col],
                              {"n_shingles": ("sum", "n_shingles"),
-                              "n_shared": ("sum", "n_shared")},
-                             num_buckets=num_buckets)
+                              "n_shared": ("sum", "n_shared")})
 
 
 def ngram_novelty(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
-                  text_col: str = "text",
-                  num_buckets: Optional[int] = None) -> rd.Dataset:
+                  text_col: str = "text") -> rd.Dataset:
     """Novelty audit — self_overlap's forward-looking twin: for every
     doc, how many of its DISTINCT ``n``-token shingles occur FIRST in
     this doc (global first occurrence = min id over the whole corpus).
@@ -1521,12 +1441,11 @@ def ngram_novelty(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
     only, so Σ n_novel = |distinct shingles| exactly."""
 
     sh = shingle_table(ds, n, id_col, text_col)
-    dsh = partial_aggregate(sh, [id_col, "g"], {"_o": ("count", None)},
-                            num_buckets=num_buckets)
+    dsh = partial_aggregate(sh, [id_col, "g"], {"_o": ("count", None)})
     first = partial_aggregate(
         dsh.map_batches(lambda df: df[[id_col, "g"]],
                         batch_format="pandas"),
-        ["g"], {"first_id": ("min", id_col)}, num_buckets=num_buckets)
+        ["g"], {"first_id": ("min", id_col)})
 
     def agg(d: pd.DataFrame) -> pd.DataFrame:
         novel = (d["first_id"].to_numpy() == d[id_col].to_numpy()) \
@@ -1540,11 +1459,10 @@ def ngram_novelty(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
 
     j = hash_join(dsh, first, "g", "g",
                   left_cols=[id_col, "g"], right_cols=["g", "first_id"],
-                  num_buckets=num_buckets, bucket_fn=agg)
+                  bucket_fn=agg)
     return partial_aggregate(j, [id_col],
                              {"n_shingles": ("sum", "n_shingles"),
-                              "n_novel": ("sum", "n_novel")},
-                             num_buckets=num_buckets)
+                              "n_novel": ("sum", "n_novel")})
 
 
 def semantic_dedup(emb: rd.Dataset, n_clusters: int = 8,
@@ -1577,7 +1495,7 @@ def semantic_dedup(emb: rd.Dataset, n_clusters: int = 8,
     cand = emb.map_batches(
         lambda df: df.assign(__g=np.int32(0)), batch_format="pandas")
     cent = (grouped_topk(cand, ["__g"], [id_col], k=n_clusters,
-                         ascending=True, num_buckets=1)
+                         ascending=True)
             .to_pandas().sort_values(id_col, ignore_index=True))
     cmat = np.stack(cent[vec_col].to_numpy()).astype(np.float64)
     cmat /= np.linalg.norm(cmat, axis=1, keepdims=True)
@@ -1614,30 +1532,28 @@ def semantic_dedup(emb: rd.Dataset, n_clusters: int = 8,
         return pd.DataFrame({id_col: ids[~dup].astype(np.int64),
                              "cluster": df["cluster"].to_numpy()[order][~dup]})
 
-    return exchange(emb, "cluster", keep_fn, n_clusters, pre=assign)
+    return exchange(emb, "cluster", per_key("cluster", keep_fn), pre=assign)
 
 
 def upsert_compact(snapshots: rd.Dataset, id_col: str = "doc_id",
-                   version_col: str = "version",
-                   num_buckets: Optional[int] = None) -> rd.Dataset:
+                   version_col: str = "version") -> rd.Dataset:
     """CDC-style corpus compaction: given a union of snapshot rows
     (same id may appear under several versions), keep each id's
     HIGHEST-version row — the maintenance op a mutable 100 TB corpus
     runs between training snapshots. Two bounded steps: per-batch
     latest-per-id partials (a batch contributes ≤ its distinct ids),
-    then a bucketed exchange on hash(id) where each bucket keeps its
+    then an exchange on the id where each slot keeps each id's
     global latest — grouped_topk at k=1 on version desc. Inputs must
     carry distinct versions per id (the CDC contract); only winner rows
     cross the exchange."""
     return (grouped_topk(snapshots, [id_col], [version_col], 1,
-                         ascending=False, num_buckets=num_buckets)
+                         ascending=False)
             .map_batches(lambda df: df.drop(columns="rk"),
                          batch_format="pandas"))
 
 
 def dedup_soft(ds: rd.Dataset, id_col: str = "doc_id",
-               text_col: str = "text",
-               num_buckets: Optional[int] = None) -> rd.Dataset:
+               text_col: str = "text") -> rd.Dataset:
     """Soft deduplication: instead of DROPPING exact duplicates,
     down-weight them — every copy of a text repeated n times gets
     sampling weight 1/n (integer milli-units, floor), so the group's
@@ -1654,8 +1570,7 @@ def dedup_soft(ds: rd.Dataset, id_col: str = "doc_id",
             "h": [md5_hex(t) for t in df[text_col]]})
 
     signed = ds.map_batches(sign, batch_format="pandas")
-    counts = partial_aggregate(signed, ["h"], {"n": ("count", None)},
-                               num_buckets=num_buckets)
+    counts = partial_aggregate(signed, ["h"], {"n": ("count", None)})
 
     def weight(df: pd.DataFrame) -> pd.DataFrame:
         n = df["n"].to_numpy(np.int64)
@@ -1667,7 +1582,7 @@ def dedup_soft(ds: rd.Dataset, id_col: str = "doc_id",
 
     return hash_join(signed, counts, "h", "h",
                      left_cols=[id_col, "h"], right_cols=["h", "n"],
-                     num_buckets=num_buckets, bucket_fn=weight)
+                     bucket_fn=weight)
 
 
 def dedup_incremental_fuzzy(new_ds: rd.Dataset, base_ds: rd.Dataset,
@@ -1675,8 +1590,7 @@ def dedup_incremental_fuzzy(new_ds: rd.Dataset, base_ds: rd.Dataset,
                             text_col: str = "text",
                             jaccard_threshold: float = 0.8,
                             num_perm: int = 64, bands: int = 16,
-                            shingle: int = 3,
-                            num_buckets: Optional[int] = None) -> rd.Dataset:
+                            shingle: int = 3) -> rd.Dataset:
     """Fuzzy incremental dedup — the NEAR-duplicate companion of
     dedup_incremental: drop from today's snapshot every doc whose
     Jaccard against ANY already-ingested doc clears the threshold.
@@ -1719,7 +1633,6 @@ def dedup_incremental_fuzzy(new_ds: rd.Dataset, base_ds: rd.Dataset,
     keyed = new_ds.map_batches(key_str, batch_format="pandas")
     kept = semi_anti_filter_scalable(keyed, "__k", hits, anti=True,
                                      key_col="__hit",
-                                     num_buckets=num_buckets,
                                      cols=[id_col, text_col, "__k"])
     return kept.map_batches(lambda df: df.drop(columns="__k"),
                             batch_format="pandas")
@@ -1755,7 +1668,6 @@ def _ed_le1(a: str, b: str) -> int:
 
 def edit1_pairs(ds: rd.Dataset, id_col: str = "doc_id",
                 key_col: str = "title",
-                num_buckets: Optional[int] = None,
                 cap: int = _BUCKET_CAP) -> rd.Dataset:
     """EXACT edit-distance<=1 near-duplicate pairs over a SHORT string
     column (titles, URLs, product names) via FastSS deletion
@@ -1773,7 +1685,7 @@ def edit1_pairs(ds: rd.Dataset, id_col: str = "doc_id",
     Scale shape: the signature table is O(avg_key_len x rows) rows of
     (16-byte sig, id, key) — the standard FastSS space trade, which is
     why this operator is for SHORT keys, not document bodies (use the
-    MinHash/SimHash family for those). One coarse-bucket shuffle
+    MinHash/SimHash family for those). One exchange on the signature
     (`_within_bucket_pairs`), pair verify inside the partition, then a
     bucketed pair-dedup aggregate (a pair found under k shared
     signatures collapses to one row); nothing corpus-sized touches the
@@ -1820,8 +1732,7 @@ def edit1_pairs(ds: rd.Dataset, id_col: str = "doc_id",
     # distributively (dist is functionally determined by the pair, so
     # keying on it just rides along)
     uniq = partial_aggregate(verified, ["doc_a", "doc_b", "dist"],
-                             {"n_sigs": ("count", None)},
-                             num_buckets=num_buckets)
+                             {"n_sigs": ("count", None)})
     return uniq.map_batches(
         lambda df: df[["doc_a", "doc_b", "dist"]],
         batch_format="pandas")
@@ -1870,7 +1781,6 @@ def _deletion_closure(t: str, k: int) -> set:
 
 def editk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
                 key_col: str = "title", k: int = 1,
-                num_buckets: Optional[int] = None,
                 cap: int = _BUCKET_CAP) -> rd.Dataset:
     """EXACT edit-distance<=k near-duplicate pairs over a SHORT string
     column — the depth-parameterized FastSS (edit1_pairs' docstring has
@@ -1912,8 +1822,7 @@ def editk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
 
     verified = cands.map_batches(verify, batch_format="pandas")
     uniq = partial_aggregate(verified, ["doc_a", "doc_b", "dist"],
-                             {"n_sigs": ("count", None)},
-                             num_buckets=num_buckets)
+                             {"n_sigs": ("count", None)})
     return uniq.map_batches(
         lambda df: df[["doc_a", "doc_b", "dist"]],
         batch_format="pandas")

@@ -19,8 +19,7 @@ from .relops import hash_join, partial_aggregate
 
 
 def pagerank_int(edges: rd.Dataset, n_iter: int = 3,
-                 src_col: str = "src", dst_col: str = "dst",
-                 num_buckets: Optional[int] = None) -> rd.Dataset:
+                 src_col: str = "src", dst_col: str = "dst") -> rd.Dataset:
     """Integer-milli PageRank over an UNDIRECTED edge list (pass each
     pair once; it is symmetrized here). Per iteration: every node
     sends rank_mu // degree along each edge (one partitioned hash
@@ -45,12 +44,11 @@ def pagerank_int(edges: rd.Dataset, n_iter: int = 3,
     # symmetrized edges feed BOTH the degree aggregate and the edge
     # join; materialize once so the upstream pair derivation runs once
     e = edges.map_batches(sym, batch_format="pandas").materialize()
-    deg = partial_aggregate(e, ["src"], {"deg": ("count", None)},
-                            num_buckets=num_buckets).materialize()
+    deg = partial_aggregate(e, ["src"], {"deg": ("count", None)}).materialize()
     # (src, dst, deg(src)) — static across iterations, materialize once
     ed = hash_join(e, deg, "src", "src",
-                   left_cols=["src", "dst"], right_cols=["src", "deg"],
-                   num_buckets=num_buckets).materialize()
+                   left_cols=["src", "dst"],
+                   right_cols=["src", "deg"]).materialize()
 
     ranks = deg.map_batches(
         lambda df: pd.DataFrame({"node": df["src"].to_numpy(),
@@ -69,9 +67,8 @@ def pagerank_int(edges: rd.Dataset, n_iter: int = 3,
         j = hash_join(ed, ranks, "src", "node",
                       left_cols=["src", "dst", "deg"],
                       right_cols=["node", "rank_mu"],
-                      num_buckets=num_buckets, bucket_fn=contrib)
-        s = partial_aggregate(j, ["node"], {"s": ("sum", "s")},
-                              num_buckets=num_buckets)
+                      bucket_fn=contrib)
+        s = partial_aggregate(j, ["node"], {"s": ("sum", "s")})
         ranks = s.map_batches(
             lambda df: pd.DataFrame(
                 {"node": df["node"].to_numpy(),
@@ -81,8 +78,7 @@ def pagerank_int(edges: rd.Dataset, n_iter: int = 3,
 
 
 def kcore_peel(edges: rd.Dataset, k: int = 2, n_rounds: int = 4,
-               src_col: str = "src", dst_col: str = "dst",
-               num_buckets: Optional[int] = None) -> rd.Dataset:
+               src_col: str = "src", dst_col: str = "dst") -> rd.Dataset:
     """k-core peel over an undirected canonical edge list: each round
     recomputes degrees and drops every edge touching a node with
     degree < k — after enough rounds the survivors are exactly the
@@ -109,16 +105,14 @@ def kcore_peel(edges: rd.Dataset, k: int = 2, n_rounds: int = 4,
 
     e = partial_aggregate(
         edges.map_batches(canon, batch_format="pandas"),
-        ["a", "b"], {"_c": ("count", None)},
-        num_buckets=num_buckets).drop_columns(["_c"]).materialize()
+        ["a", "b"], {"_c": ("count", None)}).drop_columns(["_c"]).materialize()
 
     def degrees(ed: rd.Dataset) -> rd.Dataset:
         sym = ed.map_batches(
             lambda df: pd.DataFrame({"node": np.concatenate(
                 [df["a"].to_numpy(), df["b"].to_numpy()])}),
             batch_format="pandas")
-        return partial_aggregate(sym, ["node"], {"deg": ("count", None)},
-                                 num_buckets=num_buckets)
+        return partial_aggregate(sym, ["node"], {"deg": ("count", None)})
 
     for _ in range(n_rounds):
         # join degrees onto both endpoints; an edge survives iff both
@@ -127,14 +121,12 @@ def kcore_peel(edges: rd.Dataset, k: int = 2, n_rounds: int = 4,
         # replay all prior rounds)
         deg = degrees(e).materialize()
         ja = hash_join(e, deg, "a", "node", left_cols=["a", "b"],
-                       right_cols=["node", "deg"],
-                       num_buckets=num_buckets)
+                       right_cols=["node", "deg"])
         ja = ja.map_batches(
             lambda df: df[df["deg"] >= k][["a", "b"]],
             batch_format="pandas")
         jb = hash_join(ja, deg, "b", "node", left_cols=["a", "b"],
-                       right_cols=["node", "deg"],
-                       num_buckets=num_buckets)
+                       right_cols=["node", "deg"])
         e = jb.map_batches(
             lambda df: df[df["deg"] >= k][["a", "b"]],
             batch_format="pandas").materialize()
@@ -142,8 +134,7 @@ def kcore_peel(edges: rd.Dataset, k: int = 2, n_rounds: int = 4,
 
 
 def triangle_node_counts(edges: rd.Dataset, src_col: str = "src",
-                         dst_col: str = "dst",
-                         num_buckets: Optional[int] = None) -> rd.Dataset:
+                         dst_col: str = "dst") -> rd.Dataset:
     """EXACT per-node triangle participation counts (how many triangles
     each node sits in) — the local-clustering signal that separates a
     template hub from a genuine copy clique in a duplication graph.
@@ -171,15 +162,14 @@ def triangle_node_counts(edges: rd.Dataset, src_col: str = "src",
     # bucketed count (an edge's copies all hash to one bucket)
     e = partial_aggregate(
         edges.map_batches(canon, batch_format="pandas"),
-        ["a", "b"], {"_c": ("count", None)},
-        num_buckets=num_buckets).drop_columns(["_c"]).materialize()
+        ["a", "b"], {"_c": ("count", None)}).drop_columns(["_c"]).materialize()
 
     mid = e.map_batches(
         lambda df: pd.DataFrame({"b2": df["a"].to_numpy(),
                                  "c": df["b"].to_numpy()}),
         batch_format="pandas")
     wedges = hash_join(e, mid, "b", "b2", left_cols=["a", "b"],
-                       right_cols=["b2", "c"], num_buckets=num_buckets)
+                       right_cols=["b2", "c"])
 
     def ac_key(df: pd.DataFrame) -> pd.DataFrame:
         out = df.copy()
@@ -194,7 +184,7 @@ def triangle_node_counts(edges: rd.Dataset, src_col: str = "src",
                    + df["b"].astype("int64").astype(str))}),
         batch_format="pandas")
     tri = hash_join(wk, ek, "ac", "ac", left_cols=["a", "b", "c", "ac"],
-                    right_cols=["ac"], num_buckets=num_buckets)
+                    right_cols=["ac"])
 
     def explode_nodes(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"node": np.concatenate(
@@ -202,13 +192,11 @@ def triangle_node_counts(edges: rd.Dataset, src_col: str = "src",
 
     return partial_aggregate(
         tri.map_batches(explode_nodes, batch_format="pandas"),
-        ["node"], {"n_triangles": ("count", None)},
-        num_buckets=num_buckets)
+        ["node"], {"n_triangles": ("count", None)})
 
 
 def common_neighbor_counts(edges: rd.Dataset, src_col: str = "src",
                            dst_col: str = "dst",
-                           num_buckets: Optional[int] = None,
                            weight_unit: Optional[int] = None) -> rd.Dataset:
     """Common-neighbor link prediction over an undirected graph: for
     every NON-adjacent node pair at distance exactly 2, the number of
@@ -243,8 +231,7 @@ def common_neighbor_counts(edges: rd.Dataset, src_col: str = "src",
 
     e = partial_aggregate(
         edges.map_batches(canon, batch_format="pandas"),
-        ["a", "b"], {"_c": ("count", None)},
-        num_buckets=num_buckets).drop_columns(["_c"]).materialize()
+        ["a", "b"], {"_c": ("count", None)}).drop_columns(["_c"]).materialize()
 
     def sym(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -259,10 +246,10 @@ def common_neighbor_counts(edges: rd.Dataset, src_col: str = "src",
     if weight_unit is not None:
         deg = partial_aggregate(
             sa.map_batches(lambda df: df[["m"]], batch_format="pandas"),
-            ["m"], {"deg": ("count", None)}, num_buckets=num_buckets)
+            ["m"], {"deg": ("count", None)})
         sa = hash_join(
             sa, deg, "m", "m", left_cols=["m", "n"],
-            right_cols=["m", "deg"], num_buckets=num_buckets,
+            right_cols=["m", "deg"],
             bucket_fn=lambda df: df.assign(
                 w=weight_unit // df["deg"].to_numpy(np.int64))
             [["m", "n", "w"]])
@@ -279,11 +266,10 @@ def common_neighbor_counts(edges: rd.Dataset, src_col: str = "src",
                 .agg(n_common=("n_common", "sum")).infer_objects())
 
     wedges = hash_join(sa, sb, "m", "m2", left_cols=left_cols,
-                       right_cols=["m2", "c"], num_buckets=num_buckets,
+                       right_cols=["m2", "c"],
                        bucket_fn=wedge)
     cn = partial_aggregate(wedges, ["a", "c"],
-                           {"n_common": ("sum", "n_common")},
-                           num_buckets=num_buckets)
+                           {"n_common": ("sum", "n_common")})
 
     def ac_key(df: pd.DataFrame) -> pd.DataFrame:
         out = df.copy()
@@ -309,13 +295,12 @@ def common_neighbor_counts(edges: rd.Dataset, src_col: str = "src",
                      "ac", "ac", how="left",
                      left_cols=["a", "c", "n_common", "ac"],
                      right_cols=["ac", "_edge"],
-                     num_buckets=num_buckets, bucket_fn=open_only)
+                     bucket_fn=open_only)
 
 
 def weighted_pagerank_int(edges: rd.Dataset, n_iter: int = 3,
                           src_col: str = "src", dst_col: str = "dst",
-                          w_col: str = "w",
-                          num_buckets: Optional[int] = None) -> rd.Dataset:
+                          w_col: str = "w") -> rd.Dataset:
     """pagerank_int with EDGE WEIGHTS: each node sends
     (rank_mu * w_edge) // W_node along each edge (W_node = its total
     outgoing weight), so a 5-shared-chunk duplication pulls five times
@@ -334,12 +319,10 @@ def weighted_pagerank_int(edges: rd.Dataset, n_iter: int = 3,
                                  df[w_col].to_numpy(np.int64)])})
 
     e = edges.map_batches(sym, batch_format="pandas").materialize()
-    tw = partial_aggregate(e, ["src"], {"tw": ("sum", "w")},
-                           num_buckets=num_buckets).materialize()
+    tw = partial_aggregate(e, ["src"], {"tw": ("sum", "w")}).materialize()
     ed = hash_join(e, tw, "src", "src",
                    left_cols=["src", "dst", "w"],
-                   right_cols=["src", "tw"],
-                   num_buckets=num_buckets).materialize()
+                   right_cols=["src", "tw"]).materialize()
 
     ranks = tw.map_batches(
         lambda df: pd.DataFrame({"node": df["src"].to_numpy(),
@@ -359,9 +342,8 @@ def weighted_pagerank_int(edges: rd.Dataset, n_iter: int = 3,
         j = hash_join(ed, ranks, "src", "node",
                       left_cols=["src", "dst", "w", "tw"],
                       right_cols=["node", "rank_mu"],
-                      num_buckets=num_buckets, bucket_fn=contrib)
-        s = partial_aggregate(j, ["node"], {"s": ("sum", "s")},
-                              num_buckets=num_buckets)
+                      bucket_fn=contrib)
+        s = partial_aggregate(j, ["node"], {"s": ("sum", "s")})
         ranks = s.map_batches(
             lambda df: pd.DataFrame(
                 {"node": df["node"].to_numpy(),

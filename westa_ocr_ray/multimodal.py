@@ -196,8 +196,7 @@ def resize_media(media: rd.Dataset, factor: int = 2, max_runs: int = 4,
                              batch_format="pyarrow", batch_size=batch_size)
 
 
-def payload_dedup(media: rd.Dataset,
-                  num_buckets: "int | None" = None) -> rd.Dataset:
+def payload_dedup(media: rd.Dataset) -> rd.Dataset:
     """Exact media-payload dedup across refs: hash the binary payload
     INSIDE the map stage (bytes never reach the driver or the shuffle —
     only (ref, kind, hash, nbytes) rows move), then collapse each
@@ -228,8 +227,7 @@ def payload_dedup(media: rd.Dataset,
     agg = partial_aggregate(hashed, ["payload_sha", "kind"],
                             {"keeper_ref": ("min", "media_ref"),
                              "n_copies": ("count", None),
-                             "nbytes": ("min", "nbytes")},
-                            num_buckets=num_buckets)
+                             "nbytes": ("min", "nbytes")})
     return agg.map_batches(
         lambda df: df.astype({"n_copies": "int64", "nbytes": "int64"}),
         batch_format="pandas")

@@ -88,7 +88,6 @@ def build_extracted_units(docs: rd.Dataset, cfg: ExtractConfig,
         batch_format="pyarrow",
         batch_size=None if stage_dir is not None else cfg.extract_batch_size,
         concurrency=cfg.extract_concurrency,  # None: as many as CPUs allow
-        num_cpus=cfg.extract_num_cpus,
     )
 
 

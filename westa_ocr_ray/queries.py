@@ -40,8 +40,8 @@ import ray.data as rd
 from . import dedup, extractors, fixtures, multimodal, relops, search, similarity, text_analysis
 from .config import ExtractConfig
 from .pipelines.extract import extract_dataset, read_documents
-from .relops import (auto_buckets, exchange, grouped_topk, hash_join,
-                     partial_aggregate)
+from .relops import (exchange, grouped_topk, hash_join, partial_aggregate,
+                     per_key)
 
 
 #: serializes Dataset CONSTRUCTION (not execution) across driver
@@ -496,43 +496,40 @@ def range_join_balance_band(sf_dir: str) -> rd.Dataset:
         return (m[["c_custkey", "s_suppkey"]]
                 .drop_duplicates(ignore_index=True).astype("int64"))
 
-    return exchange((cust, supp), "band", band_pairs, auto_buckets(),
-                    pre=(tag_c, tag_s))
+    return exchange((cust, supp), "band", band_pairs, pre=(tag_c, tag_s))
 
 
 def asof_last_order_before_event(sf_dir: str) -> rd.Dataset:
     """As-of join: for each event, the user's most recent order date at
-    or before the event time — bucket both sides by the key, sort within
-    bucket, pd.merge_asof backward (SCALE.md §joins as-of pattern). Events
-    with no prior order drop (inner-asof, matching DuckDB ASOF JOIN)."""
-    B = 16
+    or before the event time — exchange both sides on the key, sort
+    within the slot, pd.merge_asof backward by key (SCALE.md §joins as-of
+    pattern). Events with no prior order drop (inner-asof, matching
+    DuckDB ASOF JOIN)."""
     ev = rp(sf_dir, "events", ["event_id", "user_id", "ts"])
     od = rp(sf_dir, "orders", ["o_custkey", "o_orderdate"])
 
     def tag_e(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"event_id": df["event_id"],
                              "user_id": df["user_id"].astype("int64"),
-                             "ts": df["ts"],
-                             "__b": (df["user_id"] % B).astype("int32")})
+                             "ts": df["ts"]})
 
     def tag_o(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"user_id": df["o_custkey"].astype("int64"),
-                             "odate": df["o_orderdate"],
-                             "__b": (df["o_custkey"] % B).astype("int32")})
+                             "odate": df["o_orderdate"]})
 
     def bucket_asof(e: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
         if e.empty or o.empty:
             return pd.DataFrame({"event_id": pd.Series([], dtype="int64"),
                                  "last_order_date": pd.Series([], dtype="object")})
-        e = e.drop(columns="__b").sort_values("ts", ignore_index=True)
-        o = o.drop(columns="__b").sort_values("odate", ignore_index=True)
+        e = e.sort_values("ts", ignore_index=True)
+        o = o.sort_values("odate", ignore_index=True)
         m = pd.merge_asof(e, o, left_on="ts", right_on="odate",
                           by="user_id", direction="backward")
         m = m.dropna(subset=["odate"])
         return pd.DataFrame({"event_id": m["event_id"].astype("int64"),
                              "last_order_date": m["odate"].dt.strftime("%Y-%m-%d")})
 
-    return exchange((ev, od), "__b", bucket_asof, B, pre=(tag_e, tag_o))
+    return exchange((ev, od), "user_id", bucket_asof, pre=(tag_e, tag_o))
 
 
 # ------------------------------------------- streaming-shaped / window
@@ -587,30 +584,18 @@ def events_rolling_sum3(sf_dir: str) -> rd.Dataset:
     return _bucketed_by_user(ev, fn)
 
 
-def _bucketed_by_user(ev: rd.Dataset, fn, buckets: Optional[int] = None,
+def _bucketed_by_user(ev: rd.Dataset, fn,
                       sort_cols: Optional[List[str]] = None) -> rd.Dataset:
-    """Partition events by user hash-bucket, apply fn per bucket with
-    rows sorted by ``sort_cols`` (default (user_id, ts, event_id) —
+    """Exchange events on user_id and apply fn to each slot's rows
+    sorted by ``sort_cols`` (default (user_id, ts, event_id) —
     EVENT-time order; pass (user_id, event_id) for ARRIVAL order, the
     watermark/late-data contract) — the ordered-log pattern for
-    per-key windowed/stateful semantics. Bucket count follows the
-    auto_buckets sizing rule (floor 32 = the round-2 constant)."""
-    if buckets is None:
-        buckets = auto_buckets(floor=32)
+    per-key windowed/stateful semantics. A slot holds every row of each
+    of its users, so fn groups by user_id itself."""
     if sort_cols is None:
         sort_cols = ["user_id", "ts", "event_id"]
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b"] = (df["user_id"] % buckets).astype("int32")
-        return df
-
-    def run(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__b").sort_values(sort_cols,
-                                                ignore_index=True)
-        return fn(df)
-
-    return exchange(ev, "__b", run, buckets, pre=tag)
+    return exchange(ev, "user_id", lambda df: fn(
+        df.sort_values(sort_cols, ignore_index=True)))
 
 
 LATE_WATERMARK_US = 120 * 10**6  # 2-minute allowed lateness
@@ -772,18 +757,9 @@ def q_dedup_prefix(sf_dir: str) -> rd.Dataset:
                                      n_tokens=4)
 
 
-def _doc_size_hint(sf_dir: str) -> int:
-    """Cheap data-axis input for the auto_buckets sizing rule: the
-    documents table's on-disk bytes (metadata only)."""
-    from .relops import input_size_bytes
-
-    return input_size_bytes(f"{sf_dir}/documents.parquet")
-
-
 def q_dedup_minhash(sf_dir: str) -> rd.Dataset:
     return dedup.minhash_lsh_pairs(rp(sf_dir, "documents", ["doc_id", "text"]),
-                                   jaccard_threshold=0.5,
-                                   size_hint_bytes=_doc_size_hint(sf_dir))
+                                   jaccard_threshold=0.5)
 
 
 def q_dedup_simhash(sf_dir: str) -> rd.Dataset:
@@ -792,13 +768,11 @@ def q_dedup_simhash(sf_dir: str) -> rd.Dataset:
 
 def q_dedup_simhash_pairs(sf_dir: str) -> rd.Dataset:
     return dedup.simhash_near_pairs(rp(sf_dir, "documents", ["doc_id", "text"]),
-                                    max_hamming=3,
-                                    size_hint_bytes=_doc_size_hint(sf_dir))
+                                    max_hamming=3)
 
 
 def q_dedup_ngram(sf_dir: str) -> rd.Dataset:
-    return dedup.ngram_jaccard_pairs(rp(sf_dir, "documents", ["doc_id", "text"]),
-                                     size_hint_bytes=_doc_size_hint(sf_dir))
+    return dedup.ngram_jaccard_pairs(rp(sf_dir, "documents", ["doc_id", "text"]))
 
 
 def q_dedup_minhash_planted(sf_dir: str) -> rd.Dataset:
@@ -830,8 +804,7 @@ def q_dedup_minhash_planted(sf_dir: str) -> rd.Dataset:
 def q_dedup_minhash_keep(sf_dir: str) -> rd.Dataset:
     """End-to-end fuzzy dedup: ids surviving MinHash-LSH + connected
     components first-wins removal."""
-    kept = dedup.dedup_by_minhash(rp(sf_dir, "documents", ["doc_id", "text"]),
-                                  size_hint_bytes=_doc_size_hint(sf_dir))
+    kept = dedup.dedup_by_minhash(rp(sf_dir, "documents", ["doc_id", "text"]))
     return kept.select_columns(["doc_id"])
 
 
@@ -855,8 +828,7 @@ def q_clean_corpus_fuzzy(sf_dir: str) -> rd.Dataset:
 
 
 def q_dedup_shared_chunks(sf_dir: str) -> rd.Dataset:
-    return dedup.shared_chunk_pairs(rp(sf_dir, "documents", ["doc_id", "text"]),
-                                    size_hint_bytes=_doc_size_hint(sf_dir))
+    return dedup.shared_chunk_pairs(rp(sf_dir, "documents", ["doc_id", "text"]))
 
 
 def q_pagerank_dups(sf_dir: str) -> rd.Dataset:
@@ -867,13 +839,11 @@ def q_pagerank_dups(sf_dir: str) -> rd.Dataset:
     from . import graph
 
     pairs = dedup.shared_chunk_pairs(
-        rp(sf_dir, "documents", ["doc_id", "text"]),
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        rp(sf_dir, "documents", ["doc_id", "text"]))
     # bucket count sized to the DERIVED pair graph (tiny — pairs of
     # near-dup docs), not the corpus the pairs came from
     ranks = graph.pagerank_int(pairs, n_iter=3,
-                               src_col="doc_a", dst_col="doc_b",
-                               num_buckets=8)
+                               src_col="doc_a", dst_col="doc_b")
     return ranks.map_batches(
         lambda df: df.astype({"node": "int64", "rank_mu": "int64"}),
         batch_format="pandas")
@@ -888,10 +858,9 @@ def q_dup_clusters(sf_dir: str) -> rd.Dataset:
     on both sides. This is the at-scale routing target of
     dedup_by_minhash, previously unit-tested only."""
     pairs = dedup.shared_chunk_pairs(
-        rp(sf_dir, "documents", ["doc_id", "text"]),
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        rp(sf_dir, "documents", ["doc_id", "text"]))
     labels = dedup.connected_components_partitioned(
-        pairs, a_col="doc_a", b_col="doc_b", num_buckets=8)
+        pairs, a_col="doc_a", b_col="doc_b")
     return labels.map_batches(
         lambda df: df.astype({"doc_id": "int64", "cluster_id": "int64"}),
         batch_format="pandas")
@@ -916,8 +885,7 @@ def q_dedup_cdc(sf_dir: str) -> rd.Dataset:
     SQL oracle replaying the boundary rule with a windowed prefix sum
     (dedup.cdc_chunk_pairs)."""
     return dedup.cdc_chunk_pairs(
-        rp(sf_dir, "documents", ["doc_id", "text"]),
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        rp(sf_dir, "documents", ["doc_id", "text"]))
 
 
 def q_dedup_passage(sf_dir: str) -> rd.Dataset:
@@ -928,8 +896,7 @@ def q_dedup_passage(sf_dir: str) -> rd.Dataset:
     text byte-for-byte."""
     return dedup.remove_duplicate_chunks(
         rp(sf_dir, "documents", ["doc_id", "text"]),
-        chunk_tokens=10, min_docs=2,
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        chunk_tokens=10, min_docs=2)
 
 
 def q_dedup_substring(sf_dir: str) -> rd.Dataset:
@@ -941,8 +908,7 @@ def q_dedup_substring(sf_dir: str) -> rd.Dataset:
     text byte-for-byte."""
     return dedup.remove_duplicate_spans(
         rp(sf_dir, "documents", ["doc_id", "text"]),
-        window_tokens=8, min_count=2,
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        window_tokens=8, min_count=2)
 
 
 def q_dedup_embedding(sf_dir: str) -> rd.Dataset:
@@ -1511,19 +1477,14 @@ def order_priorities_concat(sf_dir: str) -> rd.Dataset:
     orders = rp(sf_dir, "orders",
                 ["o_custkey", "o_orderkey", "o_orderdate", "o_orderpriority"])
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b"] = (df["o_custkey"] % 32).astype("int32")
-        return df
-
     def concat(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__b").sort_values(
-            ["o_custkey", "o_orderdate", "o_orderkey"], ignore_index=True)
+        df = df.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
+                            ignore_index=True)
         g = df.groupby("o_custkey", sort=True)["o_orderpriority"].agg("|".join)
         return pd.DataFrame({"o_custkey": g.index.to_numpy(),
                              "priorities": g.to_numpy()})
 
-    return exchange(orders, "__b", concat, 32, pre=tag)
+    return exchange(orders, "o_custkey", concat)
 
 
 def q_text_quality(sf_dir: str) -> rd.Dataset:
@@ -4009,10 +3970,8 @@ def skyline(points: rd.Dataset) -> rd.Dataset:
     """Skyline of a Dataset of (nt, nd, ...) rows, local then merged:
     each block reduces to its own frontier (skyline is idempotent under
     union — skyline(A ∪ B) = skyline(skyline(A) ∪ skyline(B))), and the
-    local frontiers fold in one constant-key exchange."""
-    return exchange(points, "__g",
-                    lambda df: _skyline_block(df.drop(columns="__g")), 1,
-                    pre=lambda df: _skyline_block(df).assign(__g=np.int32(0)))
+    local frontiers fold in one exchange on the empty key."""
+    return exchange(points, [], _skyline_block, pre=_skyline_block)
 
 
 def doc_skyline(sf_dir: str) -> rd.Dataset:
@@ -4449,11 +4408,10 @@ def triangle_degree(sf_dir: str) -> rd.Dataset:
     from . import graph
 
     pairs = dedup.shared_chunk_pairs(
-        rp(sf_dir, "documents", ["doc_id", "text"]),
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        rp(sf_dir, "documents", ["doc_id", "text"]))
     # bucket count sized to the derived pair graph, as pagerank_dups
     tri = graph.triangle_node_counts(pairs.select_columns(
-        ["doc_a", "doc_b"]), "doc_a", "doc_b", num_buckets=8)
+        ["doc_a", "doc_b"]), "doc_a", "doc_b")
     return tri.map_batches(
         lambda df: df.astype({"node": "int64", "n_triangles": "int64"})
         .rename(columns={"node": "doc_id"}),
@@ -4496,13 +4454,12 @@ def rrf_fusion(sf_dir: str) -> rd.Dataset:
     fused = partial_aggregate(
         ranked[0].union(ranked[1]).map_batches(contrib,
                                                batch_format="pandas"),
-        ["doc_id"], {"rrf_ppb": ("sum", "c"), "n_lists": ("count", None)},
-        num_buckets=8)
+        ["doc_id"], {"rrf_ppb": ("sum", "c"), "n_lists": ("count", None)})
     top = grouped_topk(
         fused.map_batches(lambda df: df.assign(__g=np.int32(0)),
                           batch_format="pandas"),
         ["__g"], ["rrf_ppb", "doc_id"], RRF_OUT_K,
-        ascending=[False, True], num_buckets=8)
+        ascending=[False, True])
     return top.map_batches(
         lambda df: df[["doc_id", "rrf_ppb", "n_lists", "rk"]]
         .rename(columns={"rk": "rank"})
@@ -4581,12 +4538,10 @@ def kcore_dups(sf_dir: str) -> rd.Dataset:
     from . import graph
 
     pairs = dedup.shared_chunk_pairs(
-        rp(sf_dir, "documents", ["doc_id", "text"]),
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        rp(sf_dir, "documents", ["doc_id", "text"]))
     core = graph.kcore_peel(pairs.select_columns(["doc_a", "doc_b"]),
                             k=KCORE_K, n_rounds=KCORE_ROUNDS,
-                            src_col="doc_a", dst_col="doc_b",
-                            num_buckets=8)
+                            src_col="doc_a", dst_col="doc_b")
     return core.map_batches(
         lambda df: df.astype({"node": "int64", "deg": "int64"})
         .rename(columns={"node": "doc_id"}),
@@ -4653,8 +4608,7 @@ def lexical_stats_by_source(sf_dir: str) -> rd.Dataset:
 
     per_type = partial_aggregate(
         docs.map_batches(toks, batch_format="pandas"),
-        ["source", "token"], {"c": ("count", None)},
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        ["source", "token"], {"c": ("count", None)})
     per_source = partial_aggregate(
         per_type.map_batches(
             lambda df: pd.DataFrame({
@@ -4704,8 +4658,7 @@ def source_overlap_jaccard(sf_dir: str) -> rd.Dataset:
 
     st = partial_aggregate(
         docs.map_batches(toks, batch_format="pandas"),
-        ["source", "token"], {"_c": ("count", None)},
-        size_hint_bytes=_doc_size_hint(sf_dir)) \
+        ["source", "token"], {"_c": ("count", None)}) \
         .drop_columns(["_c"]).materialize()  # feeds sizes AND pairs
 
     sizes = partial_aggregate(
@@ -4713,9 +4666,9 @@ def source_overlap_jaccard(sf_dir: str) -> rd.Dataset:
     sz = dict(zip(sizes["source"], sizes["n"]))
 
     pairs = dedup._within_bucket_pairs(
-        st, ["token"], "source", size_hint_bytes=_doc_size_hint(sf_dir))
+        st, ["token"], "source")
     inter = partial_aggregate(pairs, ["doc_a", "doc_b"],
-                              {"inter": ("count", None)}, num_buckets=8)
+                              {"inter": ("count", None)})
 
     def derive(df: pd.DataFrame) -> pd.DataFrame:
         na = df["doc_a"].map(sz).astype(np.int64)
@@ -4851,7 +4804,7 @@ def length_gini_by_lang(sf_dir: str) -> rd.Dataset:
             "gini_ppm": np.array([(1_000_000 * num) // (n * s)],
                                  dtype=np.int64)})
 
-    return exchange(counts, "lang", gini, auto_buckets())
+    return exchange(counts, "lang", per_key("lang", gini))
 
 
 def event_transitions(sf_dir: str) -> rd.Dataset:
@@ -4877,7 +4830,7 @@ def event_transitions(sf_dir: str) -> rd.Dataset:
 
     counts = partial_aggregate(
         _bucketed_by_user(ev, pairs), ["prev_type", "event_type"],
-        {"n": ("count", None)}, num_buckets=8).to_pandas()
+        {"n": ("count", None)}).to_pandas()
 
     tot = counts.groupby("prev_type")["n"].transform("sum")
     out = pd.DataFrame({
@@ -4928,8 +4881,7 @@ def token_pmi(sf_dir: str) -> rd.Dataset:
     bg_rows = docs.map_batches(bigrams, batch_format="pandas") \
         .materialize()  # feeds pair counts AND the bigram total
     pair = partial_aggregate(bg_rows, ["tok_a", "tok_b"],
-                             {"c_xy": ("count", None)},
-                             size_hint_bytes=_doc_size_hint(sf_dir))
+                             {"c_xy": ("count", None)})
     # B and the unigram table both count bigram SLOTS (first/second
     # position), which is the PMI normalization over the pair sample
     btot = int(partial_aggregate(
@@ -4943,21 +4895,20 @@ def token_pmi(sf_dir: str) -> rd.Dataset:
             lambda df: pd.DataFrame({"tok": np.concatenate(
                 [df["tok_a"].to_numpy(), df["tok_b"].to_numpy()])}),
             batch_format="pandas"),
-        ["tok"], {"c": ("count", None)},
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        ["tok"], {"c": ("count", None)})
 
     cand = pair.map_batches(
         lambda df: df[df["c_xy"] >= PMI_MIN_COUNT],
         batch_format="pandas")
     j = hash_join(cand, uni, "tok_a", "tok",
                   left_cols=["tok_a", "tok_b", "c_xy"],
-                  right_cols=["tok", "c"], num_buckets=8)
+                  right_cols=["tok", "c"])
     j = j.map_batches(lambda df: df[["tok_a", "tok_b", "c_xy", "c"]]
                       .rename(columns={"c": "c_x"}),
                       batch_format="pandas")
     j = hash_join(j, uni, "tok_b", "tok",
                   left_cols=["tok_a", "tok_b", "c_xy", "c_x"],
-                  right_cols=["tok", "c"], num_buckets=8)
+                  right_cols=["tok", "c"])
 
     def ratio(df: pd.DataFrame) -> pd.DataFrame:
         out = df[["tok_a", "tok_b", "c_xy", "c_x"]].copy()
@@ -4972,8 +4923,7 @@ def token_pmi(sf_dir: str) -> rd.Dataset:
 
     top = grouped_topk(j.map_batches(ratio, batch_format="pandas"),
                        ["__g"], ["ratio_ppm", "tok_a", "tok_b"],
-                       PMI_TOP_K, ascending=[False, True, True],
-                       num_buckets=8)
+                       PMI_TOP_K, ascending=[False, True, True])
     return top.map_batches(
         lambda df: df[["tok_a", "tok_b", "c_xy", "c_x", "c_y",
                        "ratio_ppm", "rk"]]
@@ -5052,7 +5002,7 @@ def dup_source_matrix(sf_dir: str) -> rd.Dataset:
 
     pairs = dedup._within_bucket_pairs(
         docs.map_batches(hashed, batch_format="pandas"), ["h"], "doc_id",
-        payload_cols=["source"], size_hint_bytes=_doc_size_hint(sf_dir))
+        payload_cols=["source"])
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
         sa = df["source_a"].to_numpy()
@@ -5063,8 +5013,7 @@ def dup_source_matrix(sf_dir: str) -> rd.Dataset:
 
     return partial_aggregate(
         pairs.map_batches(canon, batch_format="pandas"),
-        ["source_a", "source_b"], {"n_pairs": ("count", None)},
-        num_buckets=8)
+        ["source_a", "source_b"], {"n_pairs": ("count", None)})
 
 
 def kmeans_cluster_stats(sf_dir: str) -> rd.Dataset:
@@ -5075,8 +5024,7 @@ def kmeans_cluster_stats(sf_dir: str) -> rd.Dataset:
     oracle wraps the round-replaying k-means oracle in a GROUP BY."""
     return partial_aggregate(
         kmeans_embeddings(sf_dir), ["cluster"],
-        {"n_members": ("count", None), "inertia": ("sum", "dist2")},
-        num_buckets=8)
+        {"n_members": ("count", None), "inertia": ("sum", "dist2")})
 
 
 RFM_TILES = 5
@@ -5121,17 +5069,16 @@ def user_rfm(sf_dir: str) -> rd.Dataset:
             batch_format="pandas")
 
     j = hash_join(rfm, tiles("recency_us", "r_tile"),
-                  "user_id", "user_id", num_buckets=8,
+                  "user_id", "user_id",
                   left_cols=["user_id", "recency_us", "frequency",
                              "monetary_cents"],
                   right_cols=["user_id", "r_tile"])
     j = hash_join(j, tiles("frequency", "f_tile"), "user_id", "user_id",
-                  num_buckets=8,
                   left_cols=["user_id", "recency_us", "frequency",
                              "monetary_cents", "r_tile"],
                   right_cols=["user_id", "f_tile"])
     j = hash_join(j, tiles("monetary_cents", "m_tile"),
-                  "user_id", "user_id", num_buckets=8,
+                  "user_id", "user_id",
                   left_cols=["user_id", "recency_us", "frequency",
                              "monetary_cents", "r_tile", "f_tile"],
                   right_cols=["user_id", "m_tile"])
@@ -7713,7 +7660,7 @@ def vocab_coverage_by_lang(sf_dir: str) -> rd.Dataset:
             "n_tokens_90": np.array([n90], dtype=np.int64),
             "boundary_count": np.array([int(c[b])], dtype=np.int64)})
 
-    return exchange(hist, "lang", fold, auto_buckets())
+    return exchange(hist, "lang", per_key("lang", fold))
 
 
 QUERIES["vocab_coverage_by_lang"] = vocab_coverage_by_lang
@@ -8017,7 +7964,7 @@ def events_cusum(sf_dir: str) -> rd.Dataset:
     Ties break to the lowest k. Shape: NO global sort — order-preserving
     ts-range buckets (one bounds pass), per-bucket local prefix sums
     shifted by driver-prefix-summed bucket totals (the pack_stream
-    machinery: the driver folds num_buckets scalars, then one row per
+    machinery: the driver folds NB scalars, then one row per
     bucket). int64 envelope: n * max|P| must stay < 2^63 — asserted,
     holds to ~1e9 events x 1e9 summed cents; past that the per-bucket
     fold switches to python ints (same rule as events_ks_drift).
@@ -8072,7 +8019,8 @@ def events_cusum(sf_dir: str) -> rd.Dataset:
             "at_ts_us": np.array([df["t"].iloc[i]], dtype=np.int64),
             "cusum_abs": np.array([dev[i]], dtype=np.int64)})
 
-    cand = exchange(b, "__rb", local_best, NB, pre=tag).to_pandas()
+    cand = exchange(b, "__rb", per_key("__rb", local_best),
+                    pre=tag).to_pandas()
     best = cand.sort_values(["cusum_abs", "at_k"],
                             ascending=[False, True]).iloc[0]
     return rd.from_pandas(pd.DataFrame({
@@ -8256,9 +8204,8 @@ def linkpred_dups(sf_dir: str) -> rd.Dataset:
     from . import graph
 
     edges = dedup.chunk_star_edges(
-        rp(sf_dir, "documents", ["doc_id", "text"]), num_buckets=8)
-    cn = graph.common_neighbor_counts(edges, "doc_a", "doc_b",
-                                      num_buckets=8)
+        rp(sf_dir, "documents", ["doc_id", "text"]))
+    cn = graph.common_neighbor_counts(edges, "doc_a", "doc_b")
     return cn.map_batches(
         lambda df: df.rename(columns={"a": "doc_a", "b": "doc_b"}),
         batch_format="pandas")
@@ -8376,8 +8323,7 @@ def dedup_priority(sf_dir: str) -> rd.Dataset:
 
     g = partial_aggregate(
         docs.map_batches(keyed, batch_format="pandas"),
-        ["h"], {"n_copies": ("count", None), "mn": ("min", "comb")},
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        ["h"], {"n_copies": ("count", None), "mn": ("min", "comb")})
     return g.map_batches(
         lambda df: pd.DataFrame({
             "doc_id": (df["mn"].to_numpy(np.int64) % PRIO_BASE),
@@ -8470,8 +8416,7 @@ def mmr_diversify(sf_dir: str) -> rd.Dataset:
                 __g=np.int32(0)),
             batch_format="pandas")
         top = grouped_topk(scored, ["__g"], ["score", "vec_id"], 1,
-                           ascending=[False, True],
-                           num_buckets=8).to_pandas()
+                           ascending=[False, True]).to_pandas()
         if not len(top):     # fewer candidates than MMR_K: stop early,
             break            # exactly as the oracle's empty p{r} rounds
         pid = int(top["vec_id"].iloc[0])
@@ -8598,8 +8543,7 @@ def session_paths(sf_dir: str) -> rd.Dataset:
     top = grouped_topk(
         counts.map_batches(lambda df: df.assign(__g=np.int32(0)),
                            batch_format="pandas"),
-        ["__g"], ["n", "path"], SP_K, ascending=[False, True],
-        num_buckets=8)
+        ["__g"], ["n", "path"], SP_K, ascending=[False, True])
     return top.map_batches(
         lambda df: pd.DataFrame({"path": df["path"].to_numpy(),
                                  "n": df["n"].astype(np.int64),
@@ -8670,8 +8614,7 @@ def embedding_pq(sf_dir: str) -> rd.Dataset:
         k=PQ_K, n_rounds=KMEANS_ROUNDS)
     j = hash_join(a, b, "vec_id", "vec_id",
                   left_cols=["vec_id", "cluster", "dist2"],
-                  right_cols=["vec_id", "cluster", "dist2"],
-                  num_buckets=8)
+                  right_cols=["vec_id", "cluster", "dist2"])
     return j.map_batches(
         lambda df: pd.DataFrame({
             "vec_id": df["vec_id"].astype(np.int64),
@@ -8825,8 +8768,7 @@ def q5_local_supplier_volume(sf_dir: str) -> rd.Dataset:
                    bucket_fn=local_only)
     agg = partial_aggregate(j3, ["n_nationkey"],
                             {"n_lines": ("sum", "n_lines"),
-                             "revenue_e4": ("sum", "revenue_e4")},
-                            num_buckets=8)
+                             "revenue_e4": ("sum", "revenue_e4")})
     return agg.map_batches(
         lambda df: pd.DataFrame({
             "n_name": df["n_nationkey"].map(names),
@@ -8864,10 +8806,10 @@ def dup_cluster_stats(sf_dir: str) -> rd.Dataset:
     the dup_clusters recursive-CTE closure wrapped in the same two
     GROUP BYs. Returns (cluster_size, n_clusters)."""
     sizes = partial_aggregate(q_dup_clusters(sf_dir), ["cluster_id"],
-                              {"sz": ("count", None)}, num_buckets=8)
+                              {"sz": ("count", None)})
     hist = partial_aggregate(
         sizes.map_batches(lambda df: df[["sz"]], batch_format="pandas"),
-        ["sz"], {"n_clusters": ("count", None)}, num_buckets=8)
+        ["sz"], {"n_clusters": ("count", None)})
     return hist.map_batches(
         lambda df: df.astype({"sz": "int64", "n_clusters": "int64"})
         .rename(columns={"sz": "cluster_size"}),
@@ -8899,9 +8841,8 @@ def ra_linkpred(sf_dir: str) -> rd.Dataset:
     from . import graph
 
     edges = dedup.chunk_star_edges(
-        rp(sf_dir, "documents", ["doc_id", "text"]), num_buckets=8)
+        rp(sf_dir, "documents", ["doc_id", "text"]))
     cn = graph.common_neighbor_counts(edges, "doc_a", "doc_b",
-                                      num_buckets=8,
                                       weight_unit=RA_UNIT)
     return cn.map_batches(
         lambda df: df.rename(columns={"a": "doc_a", "b": "doc_b",
@@ -9036,11 +8977,10 @@ def tokenizer_fertility(sf_dir: str) -> rd.Dataset:
     j = hash_join(enc, langs, "doc_id", "doc_id",
                   left_cols=["doc_id", "n_words", "n_bpe_tokens"],
                   right_cols=["doc_id", "lang"],
-                  num_buckets=8, bucket_fn=pre)
+                  bucket_fn=pre)
     agg = partial_aggregate(j, ["lang"],
                             {"n_words": ("sum", "n_words"),
-                             "n_bpe_tokens": ("sum", "n_bpe_tokens")},
-                            num_buckets=8)
+                             "n_bpe_tokens": ("sum", "n_bpe_tokens")})
 
     def fin(df: pd.DataFrame) -> pd.DataFrame:
         w = df["n_words"].to_numpy(np.int64)
@@ -9105,12 +9045,12 @@ def q18_large_orders(sf_dir: str) -> rd.Dataset:
     j1 = hash_join(big, orders, "l_orderkey", "o_orderkey",
                    left_cols=["l_orderkey", "sum_qty"],
                    right_cols=["o_orderkey", "o_custkey",
-                               "o_totalprice"], num_buckets=8)
+                               "o_totalprice"])
     cust = rp(sf_dir, "customer", ["c_custkey", "c_name"])
     j2 = hash_join(j1, cust, "o_custkey", "c_custkey",
                    left_cols=["l_orderkey", "sum_qty", "o_custkey",
                               "o_totalprice"],
-                   right_cols=["c_custkey", "c_name"], num_buckets=8)
+                   right_cols=["c_custkey", "c_name"])
     return j2.map_batches(
         lambda df: pd.DataFrame({
             "c_name": df["c_name"].to_numpy(),
@@ -9156,9 +9096,9 @@ def langid_confusion(sf_dir: str) -> rd.Dataset:
     j = hash_join(pred, actual, "doc_id", "doc_id",
                   left_cols=["doc_id", "pred_lang"],
                   right_cols=["doc_id", "lang"],
-                  num_buckets=8, bucket_fn=pre)
+                  bucket_fn=pre)
     out = partial_aggregate(j, ["lang", "pred_lang"],
-                            {"n": ("sum", "n")}, num_buckets=8)
+                            {"n": ("sum", "n")})
     return out.map_batches(lambda df: df.astype({"n": "int64"}),
                            batch_format="pandas")
 
@@ -9247,7 +9187,7 @@ def ann_pq_search(sf_dir: str) -> rd.Dataset:
         scored.map_batches(lambda df: df.assign(__g=np.int32(0)),
                            batch_format="pandas"),
         ["__g"], ["adc_dist2", "vec_id"], PQ_SEARCH_K,
-        ascending=[True, True], num_buckets=8)
+        ascending=[True, True])
     return top.map_batches(
         lambda df: pd.DataFrame({
             "vec_id": df["vec_id"].astype(np.int64).to_numpy(),
@@ -9387,7 +9327,7 @@ def embedding_prep(sf_dir: str) -> rd.Dataset:
         ke.map_batches(audit, batch_format="pandas"),
         ["shard"], {"n_vecs": ("sum", "n_vecs"),
                     "sum_code_l1": ("sum", "sum_code_l1"),
-                    "sum_sse_q": ("sum", "sum_sse_q")}, num_buckets=8)
+                    "sum_sse_q": ("sum", "sum_sse_q")})
 
 
 QUERIES["embedding_prep"] = embedding_prep
@@ -10198,7 +10138,7 @@ def scd2_intervals(sf_dir: str) -> rd.Dataset:
     deletes %17==0 (minus the %10 overlap — SCD history wants
     single-op versions), v3 upserts %25==0, so deletes, re-opens after
     delete and multi-interval docs all occur. Per-doc ordering runs in
-    hash buckets with a vectorized groupby-shift; no per-row Python.
+    the exchange slots with a vectorized groupby-shift; no per-row Python.
     Returns (doc_id, val, v_from, v_to, is_current)."""
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
 
@@ -10223,17 +10163,8 @@ def scd2_intervals(sf_dir: str) -> rd.Dataset:
             "val": [dedup.md5_hex(t + " v3") for t in up3["text"]]})
         return pd.concat([v1, v2u, v2d, v3], ignore_index=True)
 
-    log = docs.map_batches(log_rows, batch_format="pandas")
-    nb = auto_buckets(floor=32)
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b"] = (df["doc_id"] % nb).astype("int32")
-        return df
-
     def intervals(df: pd.DataFrame) -> pd.DataFrame:
-        df = (df.drop(columns="__b")
-              .sort_values(["doc_id", "version"], ignore_index=True))
+        df = df.sort_values(["doc_id", "version"], ignore_index=True)
         nxt = df.groupby("doc_id")["version"].shift(-1)
         v_to = nxt.fillna(SCD_CURRENT).astype("int64")
         out = pd.DataFrame({
@@ -10244,7 +10175,7 @@ def scd2_intervals(sf_dir: str) -> rd.Dataset:
             "is_current": (v_to == SCD_CURRENT).astype("int64")})
         return out[df["op"].to_numpy() == "upsert"]
 
-    return exchange(log, "__b", intervals, nb, pre=tag)
+    return exchange(docs, "doc_id", intervals, pre=log_rows)
 
 
 QUERIES["scd2_intervals"] = scd2_intervals
@@ -11183,8 +11114,7 @@ def weighted_pagerank_dups(sf_dir: str) -> rd.Dataset:
     from . import graph
 
     pairs = dedup.shared_chunk_pairs(
-        rp(sf_dir, "documents", ["doc_id", "text"]),
-        size_hint_bytes=_doc_size_hint(sf_dir))
+        rp(sf_dir, "documents", ["doc_id", "text"]))
     out = graph.weighted_pagerank_int(
         pairs, n_iter=3, src_col="doc_a", dst_col="doc_b",
         w_col="n_shared_chunks")
@@ -11870,7 +11800,7 @@ def ivfpq_search(sf_dir: str) -> rd.Dataset:
         scored.map_batches(lambda df: df.assign(__g=np.int32(0)),
                            batch_format="pandas"),
         ["__g"], ["adc_dist2", "vec_id"], PQ_SEARCH_K,
-        ascending=[True, True], num_buckets=8)
+        ascending=[True, True])
     return top.map_batches(
         lambda df: pd.DataFrame({
             "vec_id": df["vec_id"].astype(np.int64).to_numpy(),
@@ -12599,8 +12529,7 @@ def dedup_simhash_radius(sf_dir: str) -> rd.Dataset:
     banded = sims.map_batches(bands, batch_format="pandas")
     pairs = dedup._within_bucket_pairs(
         banded, ["combo", "k1", "k2"], "doc_id",
-        payload_cols=["simhash"],
-        size_hint_bytes=_doc_size_hint(sf_dir) * 6)
+        payload_cols=["simhash"])
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):

@@ -9,17 +9,19 @@ hash_join, global_value_rank, dedup's candidate-pair expansion, the
 sketches' tree-merge and the per-key ordered logs of the query
 registry) is ONE ``exchange`` call: one wave of plain Ray tasks, a
 split task per input block that runs the caller's per-block step
-(``pre``: a combiner, a tag) and buckets its output, then a reduce
-task per slot that applies the per-key function to a contiguous run of
-buckets. A join passes its two sides as two inputs, each with its own
-tag. Any single key column works: integer keys bucket by value, others
-by hash. (The one exception is ``pipelines.extract.extract_dataset``,
-whose reduce is pyarrow-format.) On the small inputs of the query
-registry a Ray Data stage is mostly fixed cost (a groupby/map_groups
-adds a sort with a sampling pass, a map_batches stage its own executor
-run); the exchange's output is a materialized Dataset, so it runs its
-inputs when it is called and a chained primitive starts no Ray Data
-executor.
+(``pre``: a combiner, a projection) and sends each row to the slot of
+its key, then a reduce task per slot that calls the caller's ``fn``
+once on every row of the slot. The exchange owns the bucketing: a
+caller passes its real key (one column or several) and an ``fn`` that
+handles several whole keys at once, usually one vectorized pandas
+groupby. A caller whose ``fn`` must see one key at a time wraps it in
+``per_key``. A join passes its two sides as two inputs. (The one
+exception is ``pipelines.extract.extract_dataset``, whose reduce is
+pyarrow-format.) On the small inputs of the query registry a Ray Data
+stage is mostly fixed cost (a groupby/map_groups adds a sort with a
+sampling pass, a map_batches stage its own executor run); the
+exchange's output is a materialized Dataset, so it runs its inputs when
+it is called and a chained primitive starts no Ray Data executor.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ import ray.data as rd
 # --------------------------------------------------------------- sizing
 
 
-#: target bytes of (shuffled) data per bucket and per exchange slot: one
-#: slot's run of buckets is processed by ONE reduce task (``exchange``
-#: opens a slot per this many input bytes once the cluster's CPUs are
-#: used), so this bounds per-task memory (SCALE.md §partitioning states
-#: the same rule for the extraction partition count P: ~1 GB of output
-#: per partition; buckets here see post-combine / key-projected rows, so
-#: a smaller target keeps slack for pandas overhead).
+#: target bytes of input per exchange slot: one slot's rows are
+#: processed by ONE reduce task (``exchange`` opens a slot per this many
+#: input bytes once the cluster's CPUs are used), so this bounds
+#: per-task memory (SCALE.md §partitioning states the same rule for the
+#: extraction partition count P: ~1 GB of output per partition; slots
+#: here see post-combine / key-projected rows, so a smaller target keeps
+#: slack for pandas overhead).
 TARGET_BUCKET_BYTES = 256 << 20
 
 
@@ -58,41 +60,8 @@ import threading as _threading
 DATASET_CONSTRUCTION_LOCK = _threading.Lock()
 
 
-def auto_buckets(floor: int = 64, size_bytes: Optional[int] = None,
-                 per_cpu: int = 4,
-                 target_bytes: int = TARGET_BUCKET_BYTES) -> int:
-    """Bucket-count sizing rule for the bucketed exchanges below
-    (VERDICT r2 #1: fixed fan-in constants don't scale).
-
-    Two scaling axes, take the max:
-    - cluster axis: ``per_cpu`` buckets per cluster CPU, so the bucketed
-      stage keeps every core busy and grows with cluster size;
-    - data axis: ``size_bytes / target_bytes`` when the caller knows the
-      input size (cheap for parquet inputs — file bytes; NOT derivable
-      from a lazy transformed Dataset, whose ``size_bytes()`` executes
-      the plan), so one bucket's rows always fit a worker task.
-
-    ``exchange`` processes one slot's run of buckets per reduce task and
-    opens at most one slot per bucket, so the bucket count also caps
-    the reduce-task count.
-
-    ``floor`` preserves each call site's round-2 constant as the
-    minimum, keeping small-input behavior (and every CORRECTNESS oracle,
-    which is bucket-count independent) unchanged."""
-    n = floor
-    try:
-        if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", 0))
-            n = max(n, per_cpu * cpus)
-    except Exception:
-        pass
-    if size_bytes:
-        n = max(n, -(-int(size_bytes) // target_bytes))
-    return n
-
-
 #: target bytes per BLOCK for checkpoint compaction (below); smaller
-#: than a shuffle bucket because blocks are the streaming/scheduling
+#: than an exchange slot because blocks are the streaming/scheduling
 #: unit and want to outnumber cores.
 TARGET_BLOCK_BYTES = 64 << 20
 
@@ -126,22 +95,6 @@ def compact_blocks(ds: rd.Dataset) -> rd.Dataset:
     return ds
 
 
-def input_size_bytes(*paths: str) -> int:
-    """Total on-disk bytes of parquet files/dirs — the cheap data-size
-    hint for auto_buckets (metadata only, no read)."""
-    import os
-
-    total = 0
-    for p in paths:
-        if os.path.isdir(p):
-            for root, _dirs, files in os.walk(p):
-                total += sum(os.path.getsize(os.path.join(root, f))
-                             for f in files if f.endswith(".parquet"))
-        elif os.path.exists(p):
-            total += os.path.getsize(p)
-    return total
-
-
 # ------------------------------------------------------------- exchange
 
 
@@ -171,32 +124,51 @@ def gather(refs: list) -> list:
         raise
 
 
-def _bucket_of(keys: pd.Series, num_buckets: int) -> np.ndarray:
-    """Each key's bucket in ``[0, num_buckets)``: an integer key modulo
-    ``num_buckets``, any other key's ``pd.util.hash_pandas_object``
-    hash modulo ``num_buckets`` (nulls included). A whole-valued float
-    counts as an integer, because an integer column arrives as float in
-    a block that holds a null, and a key must land in one slot whichever
-    block it comes from."""
-    v = keys.to_numpy()
-    if v.dtype.kind in "iu":
-        return (v % num_buckets).astype(np.int64)
-    b = (pd.util.hash_pandas_object(keys, index=False).to_numpy()
-         % num_buckets).astype(np.int64)
-    if v.dtype.kind == "f":
-        whole = (v == np.floor(v)) & (np.abs(v) < 2.0 ** 63)
-        b[whole] = v[whole].astype(np.int64) % num_buckets
-    return b
+#: folds one key column's value into the running row hash of
+#: ``_bucket_of`` (uint64 arithmetic, wrapping)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_cols(key) -> list:
+    return [key] if isinstance(key, str) else list(key)
+
+
+def _bucket_of(df: pd.DataFrame, key: list, n: int) -> np.ndarray:
+    """Each row's slot in ``[0, n)`` for the key columns ``key``. An
+    integer column, a float column's whole values or a datetime's
+    nanoseconds contribute the value itself; any other value its
+    ``pd.util.hash_pandas_object`` hash, and a null the constant 0. The
+    columns fold into one uint64 (``h * _MIX + value``), taken modulo
+    ``n``, so a one-column non-negative integer key lands in slot
+    ``key % n``. A key lands in one slot whichever block or input it
+    comes from: an integer column arrives as float in a block that holds
+    a null, and a null may arrive as None, NaN or NaT."""
+    h = np.zeros(len(df), dtype=np.uint64)
+    for c in key:
+        s = df[c]
+        v = s.to_numpy()
+        if v.dtype.kind in "Mm":  # the instant, whatever the unit
+            v = v.astype(v.dtype.kind + "8[ns]").view(np.int64)
+        if v.dtype.kind in "iub":
+            part = v.astype(np.uint64)
+        else:
+            part = pd.util.hash_pandas_object(s, index=False).to_numpy()
+            if v.dtype.kind == "f":
+                whole = (v == np.floor(v)) & (np.abs(v) < 2.0 ** 63)
+                part[whole] = v[whole].astype(np.int64).astype(np.uint64)
+        if s.hasnans:
+            part[s.isna().to_numpy()] = 0
+        h = h * _MIX + part
+    return (h % np.uint64(n)).astype(np.int64)
 
 
 @ray.remote
-def _exchange_split(block, key: str, num_buckets: int, n: int, pre):
+def _exchange_split(block, key: list, n: int, pre):
     """Exchange map task: run ``pre`` on one block, then cut it into
-    ``n`` slot pieces, bucket ``b`` going to slot ``b * n //
-    num_buckets`` (a contiguous run of buckets per slot), rows keeping
-    their block order. An empty block, Ray Data's schema-less one
-    included, skips ``pre`` (as ``map_batches`` does) and sends a
-    column-less piece to every slot."""
+    ``n`` slot pieces by ``_bucket_of``, rows keeping their block order.
+    An empty block, Ray Data's schema-less one included, skips ``pre``
+    (as ``map_batches`` does) and sends a column-less piece to every
+    slot."""
     from ray.data.block import BlockAccessor
 
     df = BlockAccessor.for_block(block).to_pandas()
@@ -205,7 +177,7 @@ def _exchange_split(block, key: str, num_buckets: int, n: int, pre):
     if not len(df):
         pieces = [pd.DataFrame()] * n
     else:
-        slot = _bucket_of(df[key], num_buckets) * n // num_buckets
+        slot = _bucket_of(df, key, n)
         order = np.argsort(slot, kind="stable")
         cuts = np.searchsorted(slot[order], np.arange(n + 1))
         pieces = [df.iloc[order[lo:hi]] for lo, hi in zip(cuts[:-1], cuts[1:])]
@@ -213,17 +185,13 @@ def _exchange_split(block, key: str, num_buckets: int, n: int, pre):
 
 
 @ray.remote(num_returns=2)
-def _exchange_reduce(fn, key: str, sizes: list, *pieces):
+def _exchange_reduce(fn, sizes: list, *pieces):
     """Exchange reduce task: concatenate each input's pieces (``sizes``
-    of them per input, in input order), then call ``fn(*frames)`` once
-    per distinct ``key`` value of the slot (a null key is one more
-    value), in key order. Each frame has a fresh index and still holds
-    ``key`` (the map_groups contract); an input without rows for that
-    key gets an empty frame, typed when any of its blocks had rows.
-    Returns the concatenated output and its row count, so the driver
-    can drop an empty slot without fetching it. Empty per-key outputs
-    are left out of the concat (one is kept when all are empty): an
-    empty frame's object columns would upcast the slot's typed ones."""
+    of them per input, in input order) into one frame with a fresh
+    index, then call ``fn(*frames)`` once if any frame has rows. An
+    input without rows in this slot gets an empty frame, typed when any
+    of its blocks had rows. Returns the output and its row count, so the
+    driver can drop an empty slot without fetching it."""
     frames, at = [], 0
     for size in sizes:
         mine = pieces[at:at + size]
@@ -233,55 +201,46 @@ def _exchange_reduce(fn, key: str, sizes: list, *pieces):
             (p for p in mine if len(p.columns)), pd.DataFrame()))
     if not any(len(f) for f in frames):
         return pd.DataFrame(), 0
-    codes, keys = pd.factorize(
-        pd.concat([f[key] for f in frames if len(f)], ignore_index=True),
-        sort=True, use_na_sentinel=False)
-    runs, at = [], 0
-    for f in frames:  # each frame in key order, cut at each key's rows
-        c = codes[at:at + len(f)]
-        at += len(f)
-        order = np.argsort(c, kind="stable")
-        runs.append((f.take(order),
-                     np.searchsorted(c[order], np.arange(len(keys) + 1))))
-    outs = [fn(*(f.iloc[cut[g]:cut[g + 1]].reset_index(drop=True)
-                 for f, cut in runs))
-            for g in range(len(keys))]
-    out = pd.concat([o for o in outs if len(o)] or outs[:1],
-                    ignore_index=True)
+    out = fn(*frames)
     return out, len(out)
 
 
-def exchange(ds, key: str, fn, num_buckets: int, pre=None) -> rd.Dataset:
-    """Keyed reduce as plain Ray tasks: ``fn`` applied once to the rows
-    of each distinct ``key`` value, nulls included, the results as one
-    materialized Dataset of pandas blocks — what
-    ``ds.map_batches(pre).groupby(key).map_groups(fn,
+def exchange(ds, key, fn, pre=None) -> rd.Dataset:
+    """Keyed reduce as plain Ray tasks: every row of ``ds`` goes to the
+    slot of its ``key`` (a column name or a list of names; the empty
+    list sends every row to one slot, a global reduce), and each
+    slot with rows calls ``fn(*frames)`` ONCE, the call holding every
+    row of each of its keys, nulls included. ``fn`` handles several
+    keys at a time (one vectorized groupby by ``key``, say); wrapped in
+    ``per_key`` it runs once per distinct key, and the exchange returns
+    what ``ds.map_batches(pre).groupby(key).map_groups(fn,
     batch_format="pandas")`` returns, without Ray Data's sort, its
-    sampling pass or a stage for ``pre``.
+    sampling pass or a stage for ``pre``. The results come back as one
+    materialized Dataset of pandas blocks.
 
-    ``pre`` is the input's per-block step (a tag, a projection, a
-    combiner): it runs on each non-empty block inside the split task,
-    before bucketing, and its output must hold ``key``. ``ds`` and
-    ``pre`` may be equal-length tuples, one entry per input (a None
-    entry, or ``pre=None``, runs no step). Each input is concatenated
-    on its own, and ``fn(*frames)`` is called for every key present in
-    any input, with an empty frame for an input that lacks it: a join
-    takes its sides as separate inputs, never a union padded to one
+    ``pre`` is the input's per-block step (a projection, a combiner):
+    it runs on each non-empty block inside the split task, before
+    bucketing, and its output must hold ``key``. ``ds`` and ``pre`` may
+    be equal-length tuples, one entry per input (a None entry, or
+    ``pre=None``, runs no step). Each input is concatenated on its own,
+    with an empty frame for an input that has no rows in the slot: a
+    join takes its sides as separate inputs, never a union padded to one
     schema.
 
-    A key's bucket is ``_bucket_of``: the key itself modulo
-    ``num_buckets`` for an integer key, its hash for any other. Runs
+    The exchange owns the bucketing (``_bucket_of``: integer values by
+    value, others by hash, a null the same wherever it arrives). Runs
     the inputs when called. Slot count: the cluster's CPUs, or one slot
-    per TARGET_BUCKET_BYTES of input when that is more, never more than
-    ``num_buckets``. One split task per input block sends each bucket to
-    its slot; one reduce task per slot runs ``fn`` over its keys. ``pre``
-    and ``fn`` go into the object store once per call. Footprint: while
-    it runs, the exchange holds every input block, so for a lazy input
-    that is the rows the read produced, not ``pre``'s (often smaller)
-    output. A slot whose output is empty emits no block (an all-empty
-    result is one empty block). The driver waits through ``gather``, so
-    signal handlers run, and an exception raised while it waits (an
-    interrupt, a handler's) cancels the reduce tasks still running."""
+    per TARGET_BUCKET_BYTES of input when that is more. One split task
+    per input block sends each row to its slot; one reduce task per slot
+    runs ``fn``. ``pre`` and ``fn`` go into the object store once per
+    call. Footprint: while it runs, the exchange holds every input block,
+    so for a lazy input that is the rows the read produced, not
+    ``pre``'s (often smaller) output. A slot whose output is empty emits
+    no block (an all-empty result is one empty block). The driver waits
+    through ``gather``, so signal handlers run, and an exception raised
+    while it waits (an interrupt, a handler's) cancels the reduce tasks
+    still running."""
+    key = _key_cols(key)
     inputs = ds if isinstance(ds, tuple) else (ds,)
     pres = pre if isinstance(pre, tuple) else (pre,) * len(inputs)
     blocks, nbytes = [[] for _ in inputs], 0
@@ -290,17 +249,17 @@ def exchange(ds, key: str, fn, num_buckets: int, pre=None) -> rd.Dataset:
             mine += bundle.block_refs
             nbytes += bundle.size_bytes()
     cpus = int(ray.cluster_resources().get("CPU", 1))
-    n = max(1, min(num_buckets, max(cpus, -(-nbytes // TARGET_BUCKET_BYTES))))
+    n = max(1, cpus, -(-nbytes // TARGET_BUCKET_BYTES))
     split = _exchange_split.options(num_returns=n)
     # the driver holds each put until every task that reads it is done
     pres = [None if p is None else ray.put(p) for p in pres]
-    pieces = [split.remote(b, key, num_buckets, n, p)
+    pieces = [split.remote(b, key, n, p)
               for mine, p in zip(blocks, pres) for b in mine]
     if n == 1:
         pieces = [[p] for p in pieces]
     fn = ray.put(fn)
     sizes = [len(mine) for mine in blocks]
-    outs, counts = zip(*(_exchange_reduce.remote(fn, key, sizes,
+    outs, counts = zip(*(_exchange_reduce.remote(fn, sizes,
                                                  *[p[s] for p in pieces])
                          for s in range(n)))
     rows = gather(list(counts))
@@ -308,33 +267,59 @@ def exchange(ds, key: str, fn, num_buckets: int, pre=None) -> rd.Dataset:
                                or [outs[0]])
 
 
+def per_key(key, fn):
+    """``exchange``'s ``fn`` that calls ``fn(*frames)`` once per
+    distinct ``key`` value of the slot (a column name or a list; a null
+    is one more value), in key order, as ``groupby(key, sort=True,
+    dropna=False)`` orders groups. Each frame has a fresh index and
+    still holds ``key`` (the map_groups contract); an input without
+    rows for that key gets an empty frame. Empty outputs are left out of
+    the concat (one is kept when all are empty): an empty frame's object
+    columns would upcast the slot's typed ones. For a reduce whose
+    grouping is part of its result: a file per key, a per-key sequential
+    scan."""
+    key = _key_cols(key)
+
+    def each(*frames):
+        codes = (pd.concat([f[key] for f in frames if len(f)],
+                           ignore_index=True)
+                 .groupby(key, sort=True, dropna=False).ngroup().to_numpy())
+        groups = int(codes.max()) + 1
+        runs, at = [], 0
+        for f in frames:  # each frame in key order, cut at each key's rows
+            c = codes[at:at + len(f)]
+            at += len(f)
+            order = np.argsort(c, kind="stable")
+            runs.append((f.take(order),
+                         np.searchsorted(c[order], np.arange(groups + 1))))
+        outs = [fn(*(f.iloc[cut[g]:cut[g + 1]].reset_index(drop=True)
+                     for f, cut in runs))
+                for g in range(groups)]
+        return pd.concat([o for o in outs if len(o)] or outs[:1],
+                         ignore_index=True)
+
+    return each
+
+
 # ------------------------------------------------------------------ agg
 
 
 def partial_aggregate(ds: rd.Dataset, keys: Sequence[str],
-                      aggs: Dict[str, Tuple[str, str]],
-                      num_buckets: Optional[int] = None,
-                      size_hint_bytes: Optional[int] = None) -> rd.Dataset:
+                      aggs: Dict[str, Tuple[str, str]]) -> rd.Dataset:
     """groupby with a per-batch combiner (SURVEY.md §2.5 G4): aggregate
     inside map_batches first — one row per key per batch — then shuffle
-    only the partials, hash-bucketed. ``aggs``: out_col -> (op, in_col)
-    with op in sum/count/min/max. count(in_col=None) counts rows. A null
-    key is one more group, as in SQL GROUP BY.
+    only the partials. ``aggs``: out_col -> (op, in_col) with op in
+    sum/count/min/max. count(in_col=None) counts rows. A null key is one
+    more group, as in SQL GROUP BY.
 
     Two scale decisions here:
     - the all-to-all moves |keys| × |blocks| partial rows, not every
       input row;
-    - the exchange is keyed on hash(keys) % num_buckets and the final
-      combine is a vectorized pandas groupby per bucket. (Ray's native
+    - the exchange is keyed on ``keys`` and the final combine is one
+      vectorized pandas groupby per slot. (Ray's native
       groupby().aggregate() pays per-key overhead in the reduce — ~60x
       slower at 10^5+ distinct keys in ray 2.49; measured in BASELINE.md.)
-
-    num_buckets defaults to the auto_buckets sizing rule (floor 64 = the
-    round-2 constant); pass ``size_hint_bytes`` when the input size is
-    known so the bucket count also scales with data.
     """
-    if num_buckets is None:
-        num_buckets = auto_buckets(floor=64, size_bytes=size_hint_bytes)
     keys = list(keys)
 
     first_ops = {}
@@ -347,26 +332,19 @@ def partial_aggregate(ds: rd.Dataset, keys: Sequence[str],
                  for out, (op, _c) in aggs.items()}
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby(keys, sort=False, as_index=False, dropna=False)
-               .agg(**first_ops))
-        g["__bucket"] = (pd.util.hash_pandas_object(
-            g[keys].apply(lambda c: c.astype(str)) if len(keys) > 1 else g[keys[0]].astype(str),
-            index=False).to_numpy() % num_buckets).astype("int32")
-        return g
+        return (df.groupby(keys, sort=False, as_index=False, dropna=False)
+                  .agg(**first_ops))
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.drop(columns="__bucket")
-                  .groupby(keys, sort=False, as_index=False, dropna=False)
+        return (df.groupby(keys, sort=False, as_index=False, dropna=False)
                   .agg(**merge_ops))
 
-    return exchange(ds, "__bucket", merge, num_buckets, pre=combine)
+    return exchange(ds, keys, merge, pre=combine)
 
 
 def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
                  order_cols: Sequence[str], k: int,
-                 ascending: "bool | Sequence[bool]" = False,
-                 num_buckets: Optional[int] = None,
-                 size_hint_bytes: Optional[int] = None) -> rd.Dataset:
+                 ascending: "bool | Sequence[bool]" = False) -> rd.Dataset:
     """Top-k rows per group WITHOUT a global sort (the per-group quota
     shape of training-data curation: "keep the N best docs per
     language"). Two bounded stages:
@@ -374,7 +352,7 @@ def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
     1. every input block emits its own per-group top-k — a block
        contributes ≤ groups_in_block × k rows, so the shuffle moves
        candidates, never the corpus;
-    2. candidates hash-bucket on the group key and each bucket takes the
+    2. candidates exchange on the group key and each slot takes the
        final per-group top-k (≤ blocks × k rows per group reach one
        task — bounded by the block count, not the group's size, which
        is what makes a skewed hot group safe).
@@ -384,75 +362,55 @@ def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
     end in a unique column so ranks are deterministic under any block
     layout."""
     group_cols, order_cols = list(group_cols), list(order_cols)
-    if num_buckets is None:
-        num_buckets = auto_buckets(floor=64, size_bytes=size_hint_bytes)
     asc = ([ascending] * len(order_cols) if isinstance(ascending, bool)
            else list(ascending))
     sort_cols = group_cols + order_cols
     sort_asc = [True] * len(group_cols) + asc
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        top = (df.sort_values(sort_cols, ascending=sort_asc)
-                 .groupby(group_cols, sort=False, dropna=False).head(k))
-        top = top.copy()
-        top["__b"] = (pd.util.hash_pandas_object(
-            top[group_cols].apply(lambda c: c.astype(str))
-            if len(group_cols) > 1 else top[group_cols[0]].astype(str),
-            index=False).to_numpy() % num_buckets).astype("int32")
-        return top
+        return (df.sort_values(sort_cols, ascending=sort_asc)
+                  .groupby(group_cols, sort=False, dropna=False).head(k))
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
-        df = (df.drop(columns="__b")
-                .sort_values(sort_cols, ascending=sort_asc,
-                             ignore_index=True))
+        df = df.sort_values(sort_cols, ascending=sort_asc, ignore_index=True)
         df["rk"] = (df.groupby(group_cols, sort=False, dropna=False)
                     .cumcount() + 1).astype("int64")
         return df[df["rk"] <= k]
 
-    return exchange(ds, "__b", final, num_buckets, pre=partial)
+    return exchange(ds, group_cols, final, pre=partial)
 
 
 # ---------------------------------------------------------------- joins
 
 
-def _key_str(key: pd.Series) -> pd.Series:
-    """A join key's string form, a whole-valued float written as the
-    integer it holds ("3", not "3.0")."""
-    s = key.astype(str)
-    if key.dtype.kind == "f":
-        v = key.to_numpy()
-        whole = (v == np.floor(v)) & (np.abs(v) < 2.0 ** 63)
-        s[whole] = v[whole].astype(np.int64).astype(str)
-    return s
-
-
 def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
-              num_buckets: Optional[int] = None, how: str = "inner",
+              how: str = "inner",
               left_cols: Optional[Sequence[str]] = None,
               right_cols: Optional[Sequence[str]] = None,
               left_dedup_cols: Optional[Sequence[str]] = None,
-              bucket_fn=None,
-              size_hint_bytes: Optional[int] = None) -> rd.Dataset:
+              bucket_fn=None) -> rd.Dataset:
     """Partitioned hash join for two large sides: one two-input
-    ``exchange`` buckets both sides by hash(key) % B, each side through
-    its own tag step, and merges each bucket's two sides locally.
-    (SCALE.md §joins 'both sides large' pattern.) The join runs its
-    inputs when called and returns a materialized Dataset with at most
-    one block per reducer slot. A right column whose name the left side
-    also has comes back with the suffix ``_r``.
+    ``exchange`` on the join key, each side through its own projection
+    step, and each slot's two sides merged locally. (SCALE.md §joins
+    'both sides large' pattern.) The join runs its inputs when called
+    and returns a materialized Dataset with at most one block per
+    reducer slot. A right column whose name the left side also has comes
+    back with the suffix ``_r``.
 
     ``how``: a pandas merge mode (inner/left/right/outer), or ``semi`` /
     ``anti``: the left rows whose key is (``semi``) or is not (``anti``)
-    among the bucket's right keys, left columns only. Those are SQL
+    among the slot's right keys, left columns only. Those are SQL
     ``EXISTS`` / ``NOT EXISTS``; the right side is projected to its key,
     and a duplicate right key multiplies nothing. A null key matches
     nothing, on either side: an inner join drops it, a left join keeps
     its row unmatched, ``anti`` keeps it. (SQL ``NOT IN`` keeps no row
     once the key side holds a null, so it agrees with ``anti`` only on
-    null-free keys.)
+    null-free keys.) A key that is int64 on one side and float on the
+    other (an integer column with a null) meets its match: the exchange
+    buckets whole floats by value.
 
-    Skew: a hot key maps every one of its rows to ONE bucket no matter
-    how large num_buckets is (SCALE.md §joins).
+    Skew: a hot key maps every one of its rows to ONE slot, however
+    many slots the exchange opens (SCALE.md §joins).
 
     Pass ``left_cols``/``right_cols`` when the input is a lazy pipeline:
     ``Dataset.schema()`` EXECUTES the upstream plan to infer names (an
@@ -460,25 +418,19 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
     without the hints run their inputs once per probe.
 
     ``left_dedup_cols``: drop duplicate left rows on these columns
-    INSIDE the join bucket — a free global dedup when the dedup key set
-    includes the join key (all copies land in one bucket), saving the
+    INSIDE the join slot — a free global dedup when the dedup key set
+    includes the join key (all copies land in one slot), saving the
     separate aggregate shuffle a pre-join dedup would cost.
 
     ``bucket_fn``: optional post-merge transform applied to each joined
-    bucket INSIDE the join task (fusion hook): map/partial-aggregate the
-    joined rows before they ever leave the bucket, saving a full pass
+    slot INSIDE the join task (fusion hook): map/partial-aggregate the
+    joined rows before they ever leave the slot, saving a full pass
     (and shuffle volume) over the join output. Receives and returns a
-    pandas DataFrame.
-
-    num_buckets defaults to the auto_buckets sizing rule (floor 32 =
-    the round-2 constant); pass ``size_hint_bytes`` when the bigger
-    side's size is known so the bucket count also scales with data."""
-    if num_buckets is None:
-        num_buckets = auto_buckets(floor=32, size_bytes=size_hint_bytes)
+    pandas DataFrame."""
     filtering = how in ("semi", "anti")
     if left_dedup_cols:
         assert left_on in left_dedup_cols, \
-            "in-bucket dedup is only global when the join key is part of it"
+            "in-slot dedup is only global when the join key is part of it"
     dedup_cols = list(left_dedup_cols) if left_dedup_cols else None
 
     l_cols = list(left_cols) if left_cols is not None else list(left.schema().names)
@@ -496,21 +448,8 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
     r_keep = [r_rename.get(c, c) for c in r_cols]
     r_keep = [c for c in r_keep if c == left_on or c not in l_cols]
 
-    def tag(cols: list, rename: Optional[Dict[str, str]]):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            if rename:
-                df = df.rename(columns=rename)
-            # hash the key's STRING form: works for any dtype (strings
-            # included) and gives identical buckets when the same key
-            # arrives as int64 on one side and as float on a side whose
-            # integer column holds a null
-            h = pd.util.hash_pandas_object(_key_str(df[left_on]),
-                                           index=False).to_numpy()
-            return df[cols].assign(__bucket=(h % num_buckets).astype("int32"))
-        return fn
-
-    def join_bucket(lhs: pd.DataFrame, rhs: pd.DataFrame) -> pd.DataFrame:
-        # reindex: a side with no rows anywhere arrives column-less
+    def join_slot(lhs: pd.DataFrame, rhs: pd.DataFrame) -> pd.DataFrame:
+        # reindex: a side with no rows in the slot may arrive column-less
         lhs = lhs.reindex(columns=l_cols)
         if dedup_cols:
             lhs = lhs.drop_duplicates(dedup_cols)
@@ -523,14 +462,14 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, left_on: str, right_on: str,
             merged = lhs.merge(rhs, on=left_on, how=how)
         return bucket_fn(merged) if bucket_fn is not None else merged
 
-    return exchange((left, right), "__bucket", join_bucket, num_buckets,
-                    pre=(tag(l_cols, None), tag(r_keep, r_rename)))
+    return exchange((left, right), left_on, join_slot,
+                    pre=(lambda df: df[l_cols],
+                         lambda df: df.rename(columns=r_rename)[r_keep]))
 
 
 def semi_anti_filter_scalable(ds: rd.Dataset, key: str, keys: rd.Dataset,
                               key_col: Optional[str] = None,
                               anti: bool = False,
-                              num_buckets: Optional[int] = None,
                               cols: Optional[Sequence[str]] = None) -> rd.Dataset:
     """The rows of ``ds`` whose ``key`` is (semi) or is not (``anti``)
     among ``keys[key_col]`` (``key_col`` defaults to ``key``): SQL
@@ -539,13 +478,13 @@ def semi_anti_filter_scalable(ds: rd.Dataset, key: str, keys: rd.Dataset,
     may hold duplicates and be of any size. ``cols`` names ``ds``'s
     columns, so a lazy transformed input is not partially executed by a
     schema probe (``hash_join``'s ``left_cols``)."""
-    return hash_join(ds, keys, key, key_col or key, num_buckets=num_buckets,
+    return hash_join(ds, keys, key, key_col or key,
                      how="anti" if anti else "semi", left_cols=cols)
 
 
 def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
-                      descending: bool = True, num_bins: int = 1024,
-                      num_buckets: Optional[int] = None) -> rd.Dataset:
+                      descending: bool = True,
+                      num_bins: int = 1024) -> rd.Dataset:
     """EXACT global ORDER-BY ranking over an INTEGER value column with
     NO global sort — the distributed ORDER BY operator (classic
     range-partition sort with an exact histogram partitioner):
@@ -553,7 +492,7 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
     1. bounds pass: global (min, max) of the value — one partial row
        per block through the constant-group aggregate;
     2. histogram pass: per-bin counts (bin = (v - min) // width) via
-       the bucketed partial aggregate — ≤ num_bins rows reach the
+       the partial aggregate — ≤ num_bins rows reach the
        driver, prefix-summed into per-bin rank offsets in rank order;
     3. placement pass: rows exchange on their BIN only (each bin's rows
        meet in one task — ~n/num_bins rows for non-degenerate
@@ -575,8 +514,8 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
     bounds = partial_aggregate(
         proj.map_batches(lambda df: df.assign(__g=np.int32(0)),
                          batch_format="pandas"),
-        ["__g"], {"mn": ("min", value_col), "mx": ("max", value_col)},
-        num_buckets=num_buckets).to_pandas()
+        ["__g"], {"mn": ("min", value_col), "mx": ("max", value_col)}
+    ).to_pandas()
     if not len(bounds):
         return proj.map_batches(
             lambda df: df.assign(rank=np.int64(0)).iloc[:0],
@@ -590,8 +529,7 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
 
     hist = partial_aggregate(
         proj.map_batches(binned, batch_format="pandas"),
-        ["__bin"], {"n": ("count", None)},
-        num_buckets=num_buckets).to_pandas()
+        ["__bin"], {"n": ("count", None)}).to_pandas()
     hist = hist.sort_values("__bin", ascending=not descending,
                             ignore_index=True)
     offs = dict(zip(hist["__bin"].astype(int),
@@ -606,8 +544,7 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
                       + int(offs[int(df["__bin"].iloc[0])]))
         return df[[id_col, value_col, "rank"]]
 
-    # bins lie in [0, num_bins) by construction of `width`
-    return exchange(proj, "__bin", rank_bin, num_bins, pre=binned)
+    return exchange(proj, "__bin", per_key("__bin", rank_bin), pre=binned)
 
 
 def ntile_from_rank(rank: np.ndarray, n: int, tiles: int) -> np.ndarray:
@@ -623,12 +560,12 @@ def ntile_from_rank(rank: np.ndarray, n: int, tiles: int) -> np.ndarray:
 
 
 def _rank_value(ds: rd.Dataset, value_col: str, target_rank,
-                bin_width: int, num_buckets: Optional[int]) -> tuple:
+                bin_width: int) -> tuple:
     """EXACT value at ascending rank ``target_rank(n)`` (1-based,
     duplicates counted) of an integer column, plus the row count n, in
     two bounded distributed passes with NO global sort:
 
-    1. histogram pass: bucketed counts of value // bin_width — the
+    1. histogram pass: aggregated counts of value // bin_width — the
        driver sees only the bin table (≤ value-range / bin_width rows,
        independent of row count), whose total IS n;
     2. exact pass: per-value counts INSIDE the single rank-holding bin
@@ -641,8 +578,7 @@ def _rank_value(ds: rd.Dataset, value_col: str, target_rank,
         return pd.DataFrame({"bin": v // bin_width})
 
     hist = partial_aggregate(ds.map_batches(binned, batch_format="pandas"),
-                             ["bin"], {"cnt": ("count", None)},
-                             num_buckets=num_buckets).to_pandas()
+                             ["bin"], {"cnt": ("count", None)}).to_pandas()
     # an empty input's aggregate comes back columnless
     n = int(hist["cnt"].sum()) if len(hist) else 0
     k = target_rank(n)
@@ -659,16 +595,14 @@ def _rank_value(ds: rd.Dataset, value_col: str, target_rank,
         return pd.DataFrame({"v": v[v // bin_width == b]})
 
     vals = (partial_aggregate(ds.map_batches(in_bin, batch_format="pandas"),
-                              ["v"], {"cnt": ("count", None)},
-                              num_buckets=num_buckets)
+                              ["v"], {"cnt": ("count", None)})
             .to_pandas().sort_values("v", ignore_index=True))
     j = int(np.searchsorted(vals["cnt"].cumsum().to_numpy(), k - below))
     return int(vals["v"][j]), n
 
 
 def exact_order_statistic(ds: rd.Dataset, value_col: str, k: int,
-                          bin_width: int = 64,
-                          num_buckets: Optional[int] = None) -> int:
+                          bin_width: int = 64) -> int:
     """EXACT k-th smallest (1-based) value of an integer column in the
     two bounded passes of ``_rank_value`` — the single-group
     generalization of the grouped-median shape
@@ -678,13 +612,11 @@ def exact_order_statistic(ds: rd.Dataset, value_col: str, k: int,
     outside [1, row count]."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _rank_value(ds, value_col, lambda n: k, bin_width,
-                       num_buckets)[0]
+    return _rank_value(ds, value_col, lambda n: k, bin_width)[0]
 
 
 def _grouped_rank_value(ds: rd.Dataset, group_col: str, value_col: str,
-                        target_rank, bin_width: int,
-                        num_buckets: Optional[int]) -> dict:
+                        target_rank, bin_width: int) -> dict:
     """EXACT per-group value at ascending rank ``target_rank(n_g)``
     (1-based, duplicates counted) of an integer column, in two bounded
     passes — the grouped generalization of exact_order_statistic:
@@ -704,8 +636,7 @@ def _grouped_rank_value(ds: rd.Dataset, group_col: str, value_col: str,
             "bin": df[value_col].to_numpy(dtype=np.int64) // bin_width})
 
     hist = (partial_aggregate(ds.map_batches(binned, batch_format="pandas"),
-                              ["g", "bin"], {"cnt": ("count", None)},
-                              num_buckets=num_buckets)
+                              ["g", "bin"], {"cnt": ("count", None)})
             .to_pandas().sort_values(["g", "bin"], ignore_index=True))
 
     rank_bin, residual = {}, {}
@@ -726,8 +657,7 @@ def _grouped_rank_value(ds: rd.Dataset, group_col: str, value_col: str,
         return pd.DataFrame({"g": g[m], "v": v[m]})
 
     vals = (partial_aggregate(ds.map_batches(in_bin, batch_format="pandas"),
-                              ["g", "v"], {"cnt": ("count", None)},
-                              num_buckets=num_buckets)
+                              ["g", "v"], {"cnt": ("count", None)})
             .to_pandas().sort_values(["g", "v"], ignore_index=True))
     out = {}
     for g, sub in vals.groupby("g", sort=False):
@@ -738,8 +668,7 @@ def _grouped_rank_value(ds: rd.Dataset, group_col: str, value_col: str,
 
 def grouped_quantile_thresholds(ds: rd.Dataset, group_col: str,
                                 value_col: str, q_num: int, q_den: int,
-                                bin_width: int = 64,
-                                num_buckets: Optional[int] = None) -> dict:
+                                bin_width: int = 64) -> dict:
     """EXACT per-group q-quantile value (the value at ascending rank
     ceil(q * n_g) within each group) of an integer column, in the two
     bounded passes of ``_grouped_rank_value``. The per-group QUANTILE
@@ -748,13 +677,12 @@ def grouped_quantile_thresholds(ds: rd.Dataset, group_col: str,
     return _grouped_rank_value(
         ds, group_col, value_col,
         lambda n: max((n * q_num + q_den - 1) // q_den, 1),  # ceil(q * n)
-        bin_width, num_buckets)
+        bin_width)
 
 
 def grouped_percentile_filter(ds: rd.Dataset, group_col: str,
                               value_col: str, q_num: int, q_den: int,
                               bin_width: int = 64,
-                              num_buckets: Optional[int] = None,
                               keep: str = "ge") -> rd.Dataset:
     """Keep each group's rows at or above (``keep='ge'``; ``'le'`` for
     at-or-below) the group's exact q-quantile value — the per-language
@@ -763,7 +691,7 @@ def grouped_percentile_filter(ds: rd.Dataset, group_col: str,
     sort and nothing group-sized on any worker. One streaming filter
     pass after the two bounded threshold passes above."""
     thr = grouped_quantile_thresholds(ds, group_col, value_col, q_num,
-                                      q_den, bin_width, num_buckets)
+                                      q_den, bin_width)
 
     def flt(df: pd.DataFrame) -> pd.DataFrame:
         g = df[group_col].to_numpy()
@@ -776,8 +704,7 @@ def grouped_percentile_filter(ds: rd.Dataset, group_col: str,
 
 
 def grouped_kth_from_top(ds: rd.Dataset, group_col: str, value_col: str,
-                         k: int, bin_width: int = 64,
-                         num_buckets: Optional[int] = None) -> dict:
+                         k: int, bin_width: int = 64) -> dict:
     """EXACT per-group k-th LARGEST value (duplicates counted; groups
     with fewer than k rows yield their minimum) of an integer column —
     the threshold that makes RANK()-with-ties top-k a streaming filter:
@@ -790,15 +717,14 @@ def grouped_kth_from_top(ds: rd.Dataset, group_col: str, value_col: str,
         raise ValueError(f"k must be >= 1, got {k}")
     return _grouped_rank_value(ds, group_col, value_col,
                                lambda n: max(n - k + 1, 1),
-                               bin_width, num_buckets)
+                               bin_width)
 
 
-def exact_median(ds: rd.Dataset, value_col: str, bin_width: int = 64,
-                 num_buckets: Optional[int] = None) -> tuple:
+def exact_median(ds: rd.Dataset, value_col: str,
+                 bin_width: int = 64) -> tuple:
     """EXACT lower median (k = (n+1)//2, the mad_outliers / grouped-
     median rule) of an integer column, plus the row count, in the SAME
     two bounded passes as exact_order_statistic — without a separate
     count() pass, because the histogram's total IS n. Returns
     (median, n); raises ValueError on an empty column."""
-    return _rank_value(ds, value_col, lambda n: (n + 1) // 2, bin_width,
-                       num_buckets)
+    return _rank_value(ds, value_col, lambda n: (n + 1) // 2, bin_width)

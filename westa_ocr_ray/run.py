@@ -23,7 +23,6 @@ def main(argv=None) -> int:
     p.add_argument("--num-parts", type=int, default=64)
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init num_cpus (omit to auto/join existing)")
-    p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--read-blocks", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--pattern", default="A", help="masters pre-filter pattern")
@@ -56,7 +55,6 @@ def main(argv=None) -> int:
 
     cfg = ExtractConfig(
         seed=args.seed, pattern=args.pattern, num_parts=args.num_parts,
-        extract_batch_size=args.batch_size,
         read_num_blocks=args.read_blocks,
         keep_units=args.keep_units,
         stop_file=args.stop_file,

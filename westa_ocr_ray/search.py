@@ -39,8 +39,7 @@ BM25_B = 0.75
 
 def bm25_topk(ds: rd.Dataset, terms: Sequence[str], k: int = 50,
               k1: float = BM25_K1, b: float = BM25_B,
-              id_col: str = "doc_id", text_col: str = "text",
-              num_buckets: Optional[int] = None) -> rd.Dataset:
+              id_col: str = "doc_id", text_col: str = "text") -> rd.Dataset:
     """Top-k documents by BM25 score for a bag-of-terms query.
 
     Returns (doc_id, score_micro, rank): score_micro =
@@ -76,7 +75,7 @@ def bm25_topk(ds: rd.Dataset, terms: Sequence[str], k: int = 50,
     g = (partial_aggregate(
             per_doc.map_batches(lambda df: df.assign(__g=np.int32(0)),
                                 batch_format="pandas"),
-            ["__g"], aggs, num_buckets=num_buckets)
+            ["__g"], aggs)
          .to_pandas())  # exactly one row
     n_docs = int(g["n_docs"][0])
     avgdl = int(g["sum_dl"][0]) / n_docs
@@ -102,7 +101,7 @@ def bm25_topk(ds: rd.Dataset, terms: Sequence[str], k: int = 50,
 
     top = grouped_topk(per_doc.map_batches(score, batch_format="pandas"),
                        ["__g"], ["score_micro", id_col], k,
-                       ascending=[False, True], num_buckets=num_buckets)
+                       ascending=[False, True])
     return top.map_batches(
         lambda df: df[[id_col, "score_micro", "rk"]]
                      .rename(columns={"rk": "rank"}),
@@ -381,8 +380,7 @@ def text_index_postings(index_dir: str, terms: Sequence[str],
 def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
                     k1: float = BM25_K1, b: float = BM25_B,
                     id_col: str = "doc_id",
-                    num_buckets: int = 64,
-                    agg_buckets: Optional[int] = None) -> rd.Dataset:
+                    num_buckets: int = 64) -> rd.Dataset:
     """BM25 top-k answered FROM the persisted index — the build-once /
     query-many retrieval path: term postings come from only their
     bucket partitions, document lengths from the index-time doclen
@@ -427,8 +425,7 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
         aggs = {f"tf{i}": ("sum", f"tf{i}") for i in range(nt)}
         tfdoc = partial_aggregate(post.map_batches(pivot,
                                                    batch_format="pandas"),
-                                  [id_col], aggs,
-                                  num_buckets=agg_buckets).materialize()
+                                  [id_col], aggs).materialize()
         g = partial_aggregate(
             tfdoc.map_batches(
                 lambda df: pd.DataFrame(
@@ -436,8 +433,8 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
                      **{f"h{i}": (df[f"tf{i}"].to_numpy() > 0)
                         .astype(np.int64) for i in range(nt)}}),
                 batch_format="pandas"),
-            ["__g"], {f"df{i}": ("sum", f"h{i}") for i in range(nt)},
-            num_buckets=agg_buckets).to_pandas()
+            ["__g"], {f"df{i}": ("sum", f"h{i}") for i in range(nt)}
+        ).to_pandas()
         dfs = [int(g[f"df{i}"][0]) if len(g) else 0 for i in range(nt)]
 
     import math as _math
@@ -450,7 +447,6 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
         doclen = rd.read_parquet(_gen_paths(index_dir, "doclen"))
     if tfdoc is not None:
         scored_in = hash_join(doclen, tfdoc, id_col, id_col, how="left",
-                              num_buckets=agg_buckets,
                               left_cols=[id_col, "dl"],
                               right_cols=[id_col] + [f"tf{i}"
                                                      for i in range(nt)])
@@ -474,7 +470,7 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
 
     top = grouped_topk(scored_in.map_batches(score, batch_format="pandas"),
                        ["__g"], ["score_micro", id_col], k,
-                       ascending=[False, True], num_buckets=agg_buckets)
+                       ascending=[False, True])
     return top.map_batches(
         lambda df: df[[id_col, "score_micro", "rk"]]
                      .rename(columns={"rk": "rank"}),
@@ -521,7 +517,7 @@ def phrase_search_from_index(index_dir: str, terms: Sequence[str],
     Reads ONLY the phrase terms' bucket partitions across committed
     generations (a doc's occurrences live in one generation, so
     in-doc adjacency never crosses gen boundaries), co-locates each
-    doc's occurrence rows in a bucketed group, and intersects
+    doc's occurrence rows in one exchange slot, and intersects
     position lists: starts(t0) ∩ (pos(t1) - 1) ∩ ... ∩
     (pos(tm-1) - (m-1)), vectorized with np.isin per doc. Repeated
     phrase terms fall out naturally. Returns (id, n_matches) for docs
@@ -529,7 +525,7 @@ def phrase_search_from_index(index_dir: str, terms: Sequence[str],
     (queries.ORACLE_SQL['phrase_search'])."""
     import hashlib
 
-    from .relops import DATASET_CONSTRUCTION_LOCK, auto_buckets
+    from .relops import DATASET_CONSTRUCTION_LOCK
 
     terms = list(terms)
     want = sorted({int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
@@ -545,14 +541,6 @@ def phrase_search_from_index(index_dir: str, terms: Sequence[str],
     occ = occ.map_batches(lambda df: df.loc[df["token"].isin(tset),
                                             ["token", id_col, "pos"]],
                           batch_format="pandas")
-    nb = auto_buckets(floor=64)
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b"] = (pd.util.hash_pandas_object(
-            df[id_col].astype(str), index=False).to_numpy()
-            % nb).astype("int32")
-        return df
 
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         out_id, out_n = [], []
@@ -572,7 +560,7 @@ def phrase_search_from_index(index_dir: str, terms: Sequence[str],
             id_col: pd.Series(out_id, dtype=df[id_col].dtype),
             "n_matches": pd.Series(out_n, dtype=np.int64)})
 
-    return exchange(occ, "__b", per_doc, nb, pre=tag)
+    return exchange(occ, id_col, per_doc)
 
 
 def min_cover_window(pos_lists) -> Optional[int]:
@@ -618,13 +606,13 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
     the Lucene SpanNearQuery / 'slop' shape that sits between
     bag-of-words BM25 and the exact-phrase query. Same pruned-read
     plan as phrase_search_from_index (only the query terms' bucket
-    partitions are listed), per-doc occurrence rows co-locate in a
-    bucketed group where the sweep runs, and the final ranking is the
+    partitions are listed), per-doc occurrence rows co-locate in an
+    exchange slot where the sweep runs, and the final ranking is the
     constant-group bounded top-k (candidates never assemble globally).
     Returns (id, width, rank)."""
     import hashlib
 
-    from .relops import DATASET_CONSTRUCTION_LOCK, auto_buckets
+    from .relops import DATASET_CONSTRUCTION_LOCK
 
     terms = list(terms)
     want = sorted({int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
@@ -641,14 +629,6 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
     occ = occ.map_batches(lambda df: df.loc[df["token"].isin(tset),
                                             ["token", id_col, "pos"]],
                           batch_format="pandas")
-    nb = auto_buckets(floor=64)
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b"] = (pd.util.hash_pandas_object(
-            df[id_col].astype(str), index=False).to_numpy()
-            % nb).astype("int32")
-        return df
 
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         out_id, out_w = [], []
@@ -666,7 +646,7 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
             "__g": pd.Series(np.zeros(len(out_id), dtype=np.int32)),
         })
 
-    cand = exchange(occ, "__b", per_doc, nb, pre=tag)
+    cand = exchange(occ, id_col, per_doc)
     top = grouped_topk(cand, ["__g"], ["width", id_col], k,
                        ascending=[True, True])
     return top.map_batches(

@@ -19,7 +19,13 @@ import pandas as pd
 import ray.data as rd
 
 from .dedup import md5_hex
-from .relops import auto_buckets, exchange, partial_aggregate
+from .relops import exchange, partial_aggregate, per_key
+
+#: order-preserving md5 range buckets of the prefix-sum passes below
+#: (shuffle_rank, token_budget_sample, pack_stream): the driver
+#: prefix-sums this many counts per group, and the exchange sorts each
+#: bucket in its own call. The count does not change any output.
+RANGE_BUCKETS = 64
 
 
 def shard_assign(ds: rd.Dataset, num_shards: int = 64,
@@ -40,8 +46,7 @@ def shard_assign(ds: rd.Dataset, num_shards: int = 64,
 
 def shard_stats(ds: rd.Dataset, num_shards: int = 64,
                 id_col: str = "doc_id",
-                sum_cols: Sequence[str] = ("n_chars",),
-                num_buckets: Optional[int] = None) -> rd.Dataset:
+                sum_cols: Sequence[str] = ("n_chars",)) -> rd.Dataset:
     """Per-shard (shard, n_docs, sum_<c>...) — the manifest a trainer
     uses to size its readers. One bucketed partial aggregate; only
     num_shards rows ever reach the driver."""
@@ -50,11 +55,10 @@ def shard_stats(ds: rd.Dataset, num_shards: int = 64,
         aggs["sum_" + c] = ("sum", c)
     return partial_aggregate(shard_assign(ds, num_shards, id_col)
                              .select_columns(["shard", *sum_cols]),
-                             ["shard"], aggs, num_buckets=num_buckets)
+                             ["shard"], aggs)
 
 
 def shuffle_rank(ds: rd.Dataset, id_col: str = "doc_id", seed: int = 42,
-                 num_buckets: Optional[int] = None,
                  stage_col: Optional[str] = None) -> rd.Dataset:
     """Deterministic global training shuffle: adds ``rank`` — the row's
     0-based position in the corpus ordered by md5(seed|id) — the
@@ -65,23 +69,21 @@ def shuffle_rank(ds: rd.Dataset, id_col: str = "doc_id", seed: int = 42,
     Distributed order statistics with NO global sort: the md5 key is
     uniform, so its leading 16 bits are an order-preserving range
     partition. Pass 1 counts rows per range bucket (driver prefix-sums
-    ``num_buckets`` integers — nothing corpus-sized); pass 2 sorts each
+    RANGE_BUCKETS integers — nothing corpus-sized); pass 2 sorts each
     bucket locally and adds its offset. Payload rows move through
-    exactly one keyed exchange, same cost as any bucketed shuffle.
+    exactly one keyed exchange.
 
     ``stage_col`` names a SMALL non-negative integer column and turns
     this into curriculum ordering: rows ranked by (stage, md5-shuffle)
     — each curriculum stage in order, shuffled within the stage. The
-    driver's count vector grows to (max_stage+1) × num_buckets, so the
+    driver's count vector grows to (max_stage+1) × RANGE_BUCKETS, so the
     documented bound is stage values in the tens, not thousands."""
-    nb = num_buckets if num_buckets is not None else min(auto_buckets(), 1 << 16)
-
     def key_bucket(df: pd.DataFrame) -> "tuple[list, np.ndarray]":
         keys = [md5_hex(f"{seed}|{i}") for i in df[id_col]]
-        b = np.fromiter((int(kk[:4], 16) * nb >> 16 for kk in keys),
+        b = np.fromiter((int(kk[:4], 16) * RANGE_BUCKETS >> 16 for kk in keys),
                         dtype=np.int64, count=len(keys))
         if stage_col is not None:
-            b = df[stage_col].to_numpy(dtype=np.int64) * nb + b
+            b = df[stage_col].to_numpy(dtype=np.int64) * RANGE_BUCKETS + b
         return keys, b
 
     def count_batch(df: pd.DataFrame) -> pd.DataFrame:
@@ -91,9 +93,10 @@ def shuffle_rank(ds: rd.Dataset, id_col: str = "doc_id", seed: int = 42,
 
     counts = partial_aggregate(
         ds.map_batches(count_batch, batch_format="pandas"),
-        ["__rb"], {"n": ("sum", "n")}, num_buckets=min(nb, 64)).to_pandas()
+        ["__rb"], {"n": ("sum", "n")}).to_pandas()
     counts = counts.sort_values("__rb")
-    size = nb if not len(counts) else max(nb, int(counts["__rb"].max()) + 1)
+    size = max(RANGE_BUCKETS,
+               int(counts["__rb"].max()) + 1 if len(counts) else 0)
     offsets = np.zeros(size, dtype=np.int64)
     offsets[counts["__rb"].to_numpy()] = counts["n"].to_numpy()
     offsets = np.concatenate([[0], np.cumsum(offsets)[:-1]])
@@ -111,14 +114,13 @@ def shuffle_rank(ds: rd.Dataset, id_col: str = "doc_id", seed: int = 42,
         df["rank"] = off + np.arange(len(df), dtype=np.int64)
         return df.drop(columns=["__sk", "__rb"])
 
-    return exchange(ds, "__rb", assign, nb, pre=tag)
+    return exchange(ds, "__rb", per_key("__rb", assign), pre=tag)
 
 
 def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
                         group_col: str = "lang", id_col: str = "doc_id",
                         text_col: str = "text", tok_col: Optional[str] = None,
-                        seed: int = 7,
-                        num_buckets: Optional[int] = None) -> rd.Dataset:
+                        seed: int = 7) -> rd.Dataset:
     """Per-group TOKEN-budget selection: walk each group (language /
     source) in the deterministic md5 shuffle order and keep docs while
     the group's running token count is under ``budget_tokens`` — the
@@ -133,7 +135,7 @@ def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
     Distributed prefix sums with NO global sort (the shuffle_rank
     machinery): the md5 key's leading 16 bits are an order-preserving
     range partition. Pass 1 sums tokens per (group, range-bucket) —
-    the driver prefix-sums groups × num_buckets SCALARS (the same
+    the driver prefix-sums groups × RANGE_BUCKETS SCALARS (the same
     documented bound as shuffle_rank's stage variant); pass 2 drops
     every bucket past its group's budget BEFORE the exchange (work is
     bounded by the budget, not the corpus), locally sorts the rest and
@@ -143,8 +145,6 @@ def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
 
     Returns (id, group, n_tok) for the kept docs; callers join texts
     back by id (semi_anti_filter_scalable) when needed."""
-    nb = num_buckets if num_buckets is not None else min(auto_buckets(), 1 << 12)
-
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         if tok_col is not None:
             n_tok = df[tok_col].to_numpy(dtype=np.int64)
@@ -157,16 +157,16 @@ def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
             group_col: df[group_col].to_numpy(),
             "n_tok": n_tok,
             "__sk": pd.Series(keys, dtype=object),
-            "__rb": np.fromiter((int(k[:4], 16) * nb >> 16 for k in keys),
-                                dtype=np.int64, count=len(keys))})
+            "__rb": np.fromiter(
+                (int(k[:4], 16) * RANGE_BUCKETS >> 16 for k in keys),
+                dtype=np.int64, count=len(keys))})
 
     # small projection, consumed by both passes -> checkpoint it
     tagged = ds.map_batches(tag, batch_format="pandas").materialize()
 
     sums = partial_aggregate(
         tagged.select_columns([group_col, "__rb", "n_tok"]),
-        [group_col, "__rb"], {"tok": ("sum", "n_tok")},
-        num_buckets=min(nb, 64)).to_pandas()
+        [group_col, "__rb"], {"tok": ("sum", "n_tok")}).to_pandas()
     sums = sums.sort_values([group_col, "__rb"])
     cum = sums.groupby(group_col, sort=False)["tok"].cumsum() - sums["tok"]
     offsets = {(g, int(b)): int(o) for g, b, o in
@@ -179,10 +179,7 @@ def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
             (offsets.get((g, int(b)), 0) < budget_tokens
              for g, b in zip(df[group_col], df["__rb"])),
             dtype=bool, count=len(df))
-        df = df[keep].copy()
-        df["__grb"] = (df[group_col].astype(str) + "\x1f"
-                       + df["__rb"].astype(str))
-        return df
+        return df[keep]
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
         off = offsets.get((df[group_col].iloc[0], int(df["__rb"].iloc[0])), 0)
@@ -190,13 +187,13 @@ def token_budget_sample(ds: rd.Dataset, budget_tokens: int,
         before = off + df["n_tok"].cumsum().to_numpy() - df["n_tok"].to_numpy()
         return df.loc[before < budget_tokens, [id_col, group_col, "n_tok"]]
 
-    return exchange(tagged, "__grb", assign, nb, pre=prune)
+    return exchange(tagged, [group_col, "__rb"],
+                    per_key([group_col, "__rb"], assign), pre=prune)
 
 
 def pack_stream(ds: rd.Dataset, seq_len: int = 1024,
                 id_col: str = "doc_id", text_col: str = "text",
-                seed: int = 42,
-                num_buckets: Optional[int] = None) -> rd.Dataset:
+                seed: int = 42) -> rd.Dataset:
     """Cross-document LM stream packing: every document's tokens are
     concatenated — in the deterministic md5 shuffle order — into ONE
     global token stream, which is cut into fixed ``seq_len`` training
@@ -208,13 +205,11 @@ def pack_stream(ds: rd.Dataset, seq_len: int = 1024,
 
     Distributed prefix sums with NO global sort (the shuffle_rank
     machinery): pass 1 sums tokens per order-preserving md5 range
-    bucket — the driver prefix-sums ``num_buckets`` SCALARS — pass 2
+    bucket — the driver prefix-sums RANGE_BUCKETS SCALARS — pass 2
     sorts each bucket locally and applies offset + cumsum. Only the
     (id, n_tok, key) projection moves; text never leaves the first
     map. SQL twin: queries.ORACLE_SQL['pack_stream'] (one windowed
     running sum)."""
-    nb = num_buckets if num_buckets is not None else min(auto_buckets(), 1 << 12)
-
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         # len(split(' ')) == spaces + 1, fully vectorized
         n_tok = (df[text_col].str.count(" ") + 1).to_numpy(dtype=np.int64)
@@ -223,17 +218,17 @@ def pack_stream(ds: rd.Dataset, seq_len: int = 1024,
             id_col: df[id_col].to_numpy(),
             "n_tok": n_tok,
             "__sk": pd.Series(keys, dtype=object),
-            "__rb": np.fromiter((int(k[:4], 16) * nb >> 16 for k in keys),
-                                dtype=np.int64, count=len(keys))})
+            "__rb": np.fromiter(
+                (int(k[:4], 16) * RANGE_BUCKETS >> 16 for k in keys),
+                dtype=np.int64, count=len(keys))})
 
     # the projection feeds both the bucket-sum pass and the assign pass
     tagged = ds.map_batches(tag, batch_format="pandas").materialize()
 
     sums = partial_aggregate(
         tagged.select_columns(["__rb", "n_tok"]),
-        ["__rb"], {"tok": ("sum", "n_tok")},
-        num_buckets=min(nb, 64)).to_pandas().sort_values("__rb")
-    size = nb if not len(sums) else max(nb, int(sums["__rb"].max()) + 1)
+        ["__rb"], {"tok": ("sum", "n_tok")}).to_pandas().sort_values("__rb")
+    size = max(RANGE_BUCKETS, int(sums["__rb"].max()) + 1 if len(sums) else 0)
     offsets = np.zeros(size, dtype=np.int64)
     offsets[sums["__rb"].to_numpy()] = sums["tok"].to_numpy()
     offsets = np.concatenate([[0], np.cumsum(offsets)[:-1]])
@@ -249,7 +244,7 @@ def pack_stream(ds: rd.Dataset, seq_len: int = 1024,
                              "first_seq": start // seq_len,
                              "last_seq": (start + n - 1) // seq_len})
 
-    return exchange(tagged, "__rb", assign, nb)
+    return exchange(tagged, "__rb", per_key("__rb", assign))
 
 
 def mixture_threshold_hex(weight: float) -> Optional[str]:

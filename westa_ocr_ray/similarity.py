@@ -577,7 +577,7 @@ def kmeans_lloyd_int(emb: rd.Dataset, k: int = 8, n_rounds: int = 2,
                                      "__g": np.zeros(len(df),
                                                      dtype=np.int32)}),
             batch_format="pandas"),
-        ["__g"], [id_col], k, ascending=True, num_buckets=8)
+        ["__g"], [id_col], k, ascending=True)
         .to_pandas()[id_col].sort_values().to_numpy())
     seed_rows = emb.map_batches(
         lambda df: df[df[id_col].isin(seed_ids)],

@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relops import exchange, partial_aggregate
+from .relops import exchange, partial_aggregate, per_key
 
 #: bucket count of the tree-merge's middle level: the driver merges at
 #: most this many sketch rows (VERDICT r2 #2: not one per input block)
@@ -104,7 +104,7 @@ def _tree_merge(ds: rd.Dataset, col: str, sketch, merge,
     an empty ``col`` frame."""
     n = PREMERGE_BUCKETS  # read on the driver: the tag runs on workers
     tag = _premerge_buckets(payload_col, n)
-    parts = exchange(ds, "__b", merge, n,
+    parts = exchange(ds, "__b", per_key("__b", merge),
                      pre=lambda df: tag(sketch(df))).to_pandas()
     if parts.columns.empty:
         parts = sketch(pd.DataFrame({col: []}))
@@ -208,64 +208,13 @@ def heavy_hitters(ds: rd.Dataset, col: str, k: int = 20) -> pd.DataFrame:
                            ignore_index=True)
 
 
-# ------------------------------------------------------------ bloom
-
-def _bloom_indices(values: pd.Series, m_bits: int, k: int) -> np.ndarray:
-    """(n, k) bit indices via double hashing of the stringified key:
-    idx_i = (h1 + i*h2) mod m (Kirsch-Mitzenmacher)."""
-    h1 = pd.util.hash_pandas_object(values.astype(str),
-                                    index=False).to_numpy().astype(np.uint64)
-    # independent-ish second hash: multiply-xorshift mix of h1
-    h2 = (h1 * np.uint64(0x9E3779B97F4A7C15)) ^ (h1 >> np.uint64(29))
-    h2 |= np.uint64(1)  # odd, so strides cover the table
-    i = np.arange(k, dtype=np.uint64)
-    return ((h1[:, None] + i[None, :] * h2[:, None])
-            % np.uint64(m_bits)).astype(np.int64)
-
-
-def bloom_from_dataset(ds: rd.Dataset, col: str, m_bits: int = 1 << 23,
-                       k: int = 4) -> bytes:
-    """Distributed Bloom-filter build over a key column: per-batch
-    partial bitmaps, tree-merged (bitwise OR is associative and
-    commutative) so the driver ORs ≤ PREMERGE_BUCKETS bitmaps, never one
-    per block. Returns the packed bitmap bytes (m_bits/8; default
-    1 MiB)."""
-
-    def sketch(df: pd.DataFrame) -> pd.DataFrame:
-        bits = np.zeros(m_bits // 8, dtype=np.uint8)
-        if len(df):
-            idx = _bloom_indices(df[col], m_bits, k).reshape(-1)
-            np.bitwise_or.at(bits, idx // 8,
-                             np.uint8(1) << (idx % 8).astype(np.uint8))
-        return pd.DataFrame({"bits": [bits.tobytes()]})
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"bits": [_fold(df["bits"], np.uint8,
-                                            np.bitwise_or)]})
-
-    return _tree_merge(ds, col, sketch, merge, "bits")["bits"]
-
-
-def bloom_might_contain(values: pd.Series, bloom: bytes, m_bits: int,
-                        k: int = 4) -> np.ndarray:
-    """Vectorized membership test: True = maybe present (FP rate ≈
-    (1-e^{-kn/m})^k), False = DEFINITELY absent."""
-    if len(values) == 0:
-        return np.zeros(0, dtype=bool)
-    bits = np.frombuffer(bloom, dtype=np.uint8)
-    idx = _bloom_indices(values, m_bits, k)
-    hit = (bits[idx // 8] >> (idx % 8).astype(np.uint8)) & np.uint8(1)
-    return hit.all(axis=1).astype(bool)
-
-
 # --------------------------------------------------- count-min sketch
 
 def _cms_cells(values: pd.Series, width: int, depth: int) -> np.ndarray:
     """(depth, len) array of cell indices — row d uses md5('{d}|' + v),
-    so the rows are independent hash functions (same trick as the
-    Bloom filter's _bloom_indices). md5 runs once per UNIQUE value per
-    batch (the simhash pattern); DuckDB recomputes the same cells via
-    ('0x' || substr(md5(...), 1, 16))::UBIGINT % width."""
+    so the rows are independent hash functions. md5 runs once per
+    UNIQUE value per batch (the simhash pattern); DuckDB recomputes the
+    same cells via ('0x' || substr(md5(...), 1, 16))::UBIGINT % width."""
     import hashlib
 
     svals = values.astype(str).to_numpy()

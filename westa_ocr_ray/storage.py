@@ -186,7 +186,7 @@ def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
 
     import pandas as pd
 
-    from .relops import exchange
+    from .relops import exchange, per_key
     from .shards import shard_assign
 
     marker = os.path.join(out_dir, "_SUCCESS")
@@ -218,15 +218,14 @@ def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
         import shutil
         shutil.rmtree(out_dir)
     manifest = exchange(shard_assign(ds, num_shards, id_col), "shard",
-                        write_shard, num_shards)
+                        per_key("shard", write_shard))
     with open(marker, "w") as f:
         f.write("ok\n")
     return manifest
 
 
 def snapshot_diff(base: rd.Dataset, new: rd.Dataset,
-                  id_col: str = "doc_id", text_col: str = "text",
-                  num_buckets: Optional[int] = None) -> rd.Dataset:
+                  id_col: str = "doc_id", text_col: str = "text") -> rd.Dataset:
     """Corpus-version diff (the dataset-versioning audit between two
     snapshots): per doc, 'added' (new only), 'removed' (base only),
     'changed' (both, text differs) or 'unchanged'. The full-outer-join
@@ -254,8 +253,7 @@ def snapshot_diff(base: rd.Dataset, new: rd.Dataset,
     both = (base.map_batches(tagger("a"), batch_format="pandas")
             .union(new.map_batches(tagger("b"), batch_format="pandas")))
     folded = partial_aggregate(both, [id_col],
-                               {"ha": ("max", "ha"), "hb": ("max", "hb")},
-                               num_buckets=num_buckets)
+                               {"ha": ("max", "ha"), "hb": ("max", "hb")})
 
     def classify(df: pd.DataFrame) -> pd.DataFrame:
         ha, hb = df["ha"].to_numpy(), df["hb"].to_numpy()

@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from .relops import exchange, partial_aggregate
+from .relops import exchange, partial_aggregate, per_key
 
 STOPWORDS = ("the", "a", "data", "value", "row")
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")  # ASCII class: identical in RE2/DuckDB & Python
@@ -359,7 +359,7 @@ def pack_sequences(ds: rd.Dataset, id_col: str = "doc_id",
 
 def pack_sequences_greedy(ds: rd.Dataset, id_col: str = "doc_id",
                           text_col: str = "text", budget: int = 256,
-                          buckets: int = None,
+                          buckets: int = 32,
                           bucket_hash: str = "pandas") -> rd.Dataset:
     """Cross-doc greedy token-budget packing — the stateful half of
     sequence preparation (pack_sequences chunks within docs; this packs
@@ -374,13 +374,8 @@ def pack_sequences_greedy(ds: rd.Dataset, id_col: str = "doc_id",
     ``bucket_hash='md5'`` assigns buckets via md5('pg|'||id) instead of
     pandas' siphash — slower per row but SQL-reproducible, so the whole
     greedy fold gets an exact recursive-CTE oracle
-    (queries.ORACLE_SQL['pack_greedy']). Pin ``buckets`` when using it:
-    the bucket count changes the packing, so an auto-sized default
-    would make the output depend on cluster shape."""
-    from .relops import auto_buckets
-
-    if buckets is None:
-        buckets = auto_buckets(floor=32)
+    (queries.ORACLE_SQL['pack_greedy']). The bucket count changes the
+    packing, so it is a fixed parameter, never sized from the cluster."""
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
         ids = df[id_col].astype(str)
@@ -416,7 +411,7 @@ def pack_sequences_greedy(ds: rd.Dataset, id_col: str = "doc_id",
                              "pack_idx": pack_idx,
                              "n_tokens": ns})
 
-    return exchange(ds, "bucket", pack, buckets, pre=tag)
+    return exchange(ds, "bucket", per_key("bucket", pack), pre=tag)
 
 
 def repetition_stats(ds: rd.Dataset, id_col: str = "doc_id",
@@ -502,8 +497,8 @@ def _repetition_batch(id_col: str, text_col: str,
     return fn
 
 
-def build_vocab(ds: rd.Dataset, top_v: int = 256, text_col: str = "text",
-                num_buckets=None) -> rd.Dataset:
+def build_vocab(ds: rd.Dataset, top_v: int = 256,
+                text_col: str = "text") -> rd.Dataset:
     """Global training-vocabulary build: the ``top_v`` most frequent
     tokens ranked by (count desc, token asc) — deterministic rank, no
     global sort. Per-batch token counting (one Counter pass) feeds the
@@ -526,8 +521,7 @@ def build_vocab(ds: rd.Dataset, top_v: int = 256, text_col: str = "text",
 
     counts = partial_aggregate(ds.map_batches(count_batch,
                                               batch_format="pandas"),
-                               ["token"], {"cnt": ("sum", "cnt")},
-                               num_buckets=num_buckets)
+                               ["token"], {"cnt": ("sum", "cnt")})
     top = grouped_topk(counts.map_batches(
         lambda df: df.assign(__g=np.int32(0)), batch_format="pandas"),
         ["__g"], ["cnt", "token"], top_v, ascending=[False, True])
@@ -616,8 +610,8 @@ def corpus_report(ds: rd.Dataset, lang_col: str = "lang",
 
 
 def vocab_encode(ds: rd.Dataset, top_v: int = 256, id_col: str = "doc_id",
-                 text_col: str = "text", vocab: "rd.Dataset | None" = None,
-                 num_buckets=None) -> rd.Dataset:
+                 text_col: str = "text",
+                 vocab: "rd.Dataset | None" = None) -> rd.Dataset:
     """Tokenizer application — the encode step a tokenized-dataset
     export runs after build_vocab trains the vocabulary: every doc's
     tokens map to vocab ids, OOV tokens are counted, and the
@@ -634,8 +628,7 @@ def vocab_encode(ds: rd.Dataset, top_v: int = 256, id_col: str = "doc_id",
     from .relops import hash_join, partial_aggregate as pagg
 
     if vocab is None:
-        vocab = build_vocab(ds, top_v=top_v, text_col=text_col,
-                            num_buckets=num_buckets)
+        vocab = build_vocab(ds, top_v=top_v, text_col=text_col)
 
     def doc_tf(df: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
@@ -665,12 +658,11 @@ def vocab_encode(ds: rd.Dataset, top_v: int = 256, id_col: str = "doc_id",
                      id_sum=("id_sum", "sum")).infer_objects())
 
     joined = hash_join(tf, vocab, "token", "token", how="left",
-                       num_buckets=num_buckets,
                        left_cols=[id_col, "token", "tf"],
                        right_cols=["token", "rk"], bucket_fn=enc)
     agg = pagg(joined, [id_col],
                {"n_tok": ("sum", "n_tok"), "in_cnt": ("sum", "in_cnt"),
-                "id_sum": ("sum", "id_sum")}, num_buckets=num_buckets)
+                "id_sum": ("sum", "id_sum")})
     return agg.map_batches(
         lambda df: pd.DataFrame({id_col: df[id_col].to_numpy(),
                                  "n_tok": df["n_tok"].to_numpy(np.int64),
@@ -784,8 +776,7 @@ def apply_bpe_merges(seq, merges) -> list:
 
 
 def bpe_train(ds: rd.Dataset, n_merges: int = BPE_TRAIN_MERGES,
-              text_col: str = "text",
-              num_buckets: "int | None" = None) -> pd.DataFrame:
+              text_col: str = "text") -> pd.DataFrame:
     """Distributed BPE tokenizer training (Sennrich et al. 2016) —
     the corpus-scale shape: ONE distributed pass builds the
     (word, freq) table (the corpus never moves again; BPE statistics
@@ -820,7 +811,7 @@ def bpe_train(ds: rd.Dataset, n_merges: int = BPE_TRAIN_MERGES,
         return pd.DataFrame({"word": uniq, "freq": counts.astype(np.int64)})
 
     words = pagg(ds.map_batches(wc, batch_format="pandas"), ["word"],
-                 {"freq": ("sum", "freq")}, num_buckets=num_buckets)
+                 {"freq": ("sum", "freq")})
     words = words.materialize()  # consumed once per merge round
 
     merges: list = []
@@ -847,12 +838,11 @@ def bpe_train(ds: rd.Dataset, n_merges: int = BPE_TRAIN_MERGES,
                                                     count=len(ks))})
 
         pc = pagg(words.map_batches(pair_counts, batch_format="pandas"),
-                  ["lhs", "rhs"], {"cnt": ("sum", "cnt")},
-                  num_buckets=num_buckets)
+                  ["lhs", "rhs"], {"cnt": ("sum", "cnt")})
 
         # global top-1 without another exchange: each (already
-        # key-disjoint) bucket emits its own best row, the driver
-        # reduces ≤ num_buckets candidates
+        # key-disjoint) block emits its own best row, the driver
+        # reduces ≤ one candidate per block
         def block_top(df: pd.DataFrame) -> pd.DataFrame:
             if not len(df):
                 return df
