@@ -1,8 +1,7 @@
 """Multimodal plumbing tests: binary columns, actor featurizer, frame
-sampling, and the gated real-decode stub."""
+sampling and resize."""
 
 import pyarrow as pa
-import pytest
 
 from westa_ocr_ray import extractors, fixtures, multimodal
 from westa_ocr_ray.pipelines.extract import read_documents
@@ -51,11 +50,6 @@ def test_frame_sample_keeps_every_nth_page():
     for r in sampled:
         assert (r["page_idx"] - 1) % 2 == 0
         assert len(extractors.parse_pages(r["payload"])) == 1
-
-
-def test_real_decode_is_gated_stub():
-    with pytest.raises(NotImplementedError):
-        multimodal.decode_image_real(b"anything")
 
 
 def test_resize_media_shrinks_and_reparses():

@@ -382,6 +382,136 @@ def test_extract_runs_without_actor_pool(tmp_path):
     assert not [c for c in new if "ExtractModel" in c], new
 
 
+# One warm run_extract, then a measured one, in a session sized like the
+# benchmark's (4 CPUs, 256 MiB object store). Prints the measured run's
+# extract tasks as [start_us, dur_us] pairs from ray.timeline().
+_PHASE1_TIMELINE_SCRIPT = """
+import json, sys, time
+import ray
+ray.init(num_cpus=4, object_store_memory=256 << 20, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from westa_ocr_ray.config import ExtractConfig
+from westa_ocr_ray.pipelines.extract import run_extract
+corpus, out = sys.argv[1], sys.argv[2]
+cfg = ExtractConfig(num_parts=8, stage_root=None)
+run_extract(corpus, out + "/warm", cfg)
+t0 = time.time() * 1e6
+m = run_extract(corpus, out + "/measured", cfg)
+tasks, deadline = [], time.monotonic() + 30
+while len(tasks) < m["stage_files"] and time.monotonic() < deadline:
+    time.sleep(0.5)  # task events reach the GCS about once a second
+    tasks = sorted([e["ts"], e["dur"]] for e in ray.timeline()
+                   if e.get("ph") == "X" and e["ts"] >= t0
+                   and e["name"].endswith("_map_task")
+                   and "MapBatches(ExtractModel)" in e.get("cat", ""))
+print(json.dumps(tasks))
+"""
+
+
+def test_phase1_extract_tasks_start_together(tmp_path):
+    """The staged extract stage starts as many tasks as there are CPUs
+    at once: the task that starts second does not wait for the first to
+    return. Ray Data's default estimate for an unsampled task's pending
+    output, 256 MiB, would let one task run alone on a 256 MiB object
+    store."""
+    import subprocess
+    import sys
+
+    corpus = fixtures.ensure_corpus("correctness")  # 8 files: 8 blocks
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PHASE1_TIMELINE_SCRIPT, corpus, str(tmp_path)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    tasks = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(tasks) == 8, tasks
+    (first_start, first_dur), (second_start, _) = tasks[0], tasks[1]
+    assert second_start < first_start + first_dur, tasks
+
+
+def test_staged_chain_drops_pending_output_estimate(tmp_path):
+    """Guard on the private Ray Data setting the staged chain relies on
+    (pinned Ray 2.49): with ``_max_num_blocks_in_streaming_gen_buffer``
+    None on an op's context, an op with no output samples has no
+    pending-output estimate; with the default it has one. Only the
+    staged chain's own context carries the setting."""
+    from types import SimpleNamespace
+
+    from ray.data import DataContext
+    from ray.data._internal.execution.interfaces.op_runtime_metrics import (
+        OpRuntimeMetrics)
+
+    from westa_ocr_ray.pipelines.extract import (
+        build_extracted_units, extract_dataset, read_documents)
+
+    def pending_estimate(ctx):
+        metrics = OpRuntimeMetrics(SimpleNamespace(data_context=ctx))
+        return metrics.obj_store_mem_max_pending_output_per_task
+
+    ctx = DataContext.get_current().copy()
+    assert ctx._max_num_blocks_in_streaming_gen_buffer is not None
+    assert pending_estimate(ctx) is not None
+    ctx._max_num_blocks_in_streaming_gen_buffer = None
+    assert pending_estimate(ctx) is None
+
+    corpus = fixtures.ensure_corpus("smoke")
+    staged = build_extracted_units(read_documents(corpus), CFG,
+                                   stage_dir=str(tmp_path / "stage"))
+    assert staged.context._max_num_blocks_in_streaming_gen_buffer is None
+    assert DataContext.get_current()._max_num_blocks_in_streaming_gen_buffer is not None
+    in_memory = extract_dataset(read_documents(corpus), CFG)
+    assert in_memory.context._max_num_blocks_in_streaming_gen_buffer is not None
+
+
+def test_graceful_drain_stop_file_mid_phase1(tmp_path):
+    """A stop request landing while the extract tasks run: phase 1
+    finishes, nothing commits, the stage files are wiped, and a re-run
+    without the stop file equals an uninterrupted run."""
+    import threading
+    import time
+
+    corpus = fixtures.ensure_corpus("smoke")
+    full_dir = str(tmp_path / "full")
+    run_extract(corpus, full_dir, CFG)
+    full = _result_key(read_extracted(full_dir))
+
+    out = str(tmp_path / "stopped")
+    stop = str(tmp_path / "STOP")
+    # default extract_concurrency: every extract task is in flight
+    cfg = ExtractConfig(num_parts=8, stop_file=stop, stage_root=None)
+    stage = os.path.join(out, "_stage")
+
+    def watch():
+        deadline = time.monotonic() + 120
+        while (not glob.glob(os.path.join(stage, "*.parquet"))
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        with open(stop, "w") as fh:
+            fh.write("stop")
+
+    w = threading.Thread(target=watch, daemon=True)
+    w.start()
+    m1 = run_extract(corpus, out, cfg)
+    w.join(timeout=120)
+    assert not w.is_alive()
+    assert m1["stopped"] is True
+    assert m1["parts_written"] == 0 and m1["parts_drained"] == 8
+    assert m1["reduce_tasks"] == 0
+    assert not glob.glob(os.path.join(out, "extracted", "part-*"))
+    assert not glob.glob(os.path.join(out, "_markers", "part-*.done"))
+    assert not os.path.exists(stage)
+
+    os.remove(stop)
+    m2 = run_extract(corpus, out, cfg)
+    assert m2["stopped"] is False
+    assert m2["parts_skipped"] == 0 and m2["parts_written"] == 8
+    assert _result_key(read_extracted(out)) == full
+
+
 def test_graceful_drain_stop_file_mid_phase2(tmp_path):
     """Cooperative cancellation (VERDICT r4 item 2): the stop file
     appears mid-phase-2; the run commits the partitions it finished,

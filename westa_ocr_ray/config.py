@@ -30,8 +30,9 @@ class ExtractConfig:
     # stalling a worker); run_extract stages whole blocks instead
     extract_batch_size: int = 128
     # cap on concurrent extract tasks (the reference's WORKER_COUNT);
-    # None = as many as the cluster's CPUs allow. A cap above the input
-    # block count buys nothing: each task takes one block.
+    # None = as many as the cluster's CPUs allow, all started at once in
+    # run_extract whatever the object store size (build_extracted_units).
+    # A cap above the input block count buys nothing: one task per block.
     extract_concurrency: Optional[int] = None
     # staged-shuffle knobs: input block count controls stage-file count
     # (one stage file per block). reduce_concurrency caps the concurrent

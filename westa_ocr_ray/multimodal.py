@@ -3,9 +3,8 @@ columns with typed metadata, processed by map_batches stages that run
 as tasks: each stage is a callable built once on the driver.
 
 The container has no image/audio codecs (no PIL/ffmpeg), so the *decode
-kernels* are stubbed: `decode_image_real` raises NotImplementedError
-unless PIL is importable, and `MediaFeaturizer` falls back to a
-deterministic fake decode (parsing our synthetic page format). The
+kernels* are fakes: `MediaFeaturizer` and `MediaResizer` parse and
+rewrite our synthetic page format deterministically. The
 Ray-side plumbing — binary schema, small batch sizes for wide rows,
 stage signature, output layout — is real and tested.
 """
@@ -48,19 +47,6 @@ def media_table(docs: rd.Dataset, seed: int = fixtures.DEFAULT_SEED) -> rd.Datas
                          "payload": pa.array(payloads, type=pa.binary())})
 
     return docs.map_batches(fn, batch_format="pyarrow", batch_size=64)
-
-
-def decode_image_real(payload: bytes):
-    """Real image decode — requires an image codec, absent here.
-    STUB (gated import): the scale path would decode + resize inside the
-    stage below, same signature."""
-    try:
-        from PIL import Image  # noqa: F401
-    except ImportError as exc:
-        raise NotImplementedError(
-            "image codec not available in this environment; "
-            "MediaFeaturizer uses the deterministic fake decode") from exc
-    raise NotImplementedError("real decode path not wired in this sandbox")
 
 
 class MediaFeaturizer:
@@ -146,11 +132,11 @@ def frame_sample_table(t: pa.Table, every_n: int = 2) -> pa.Table:
 class MediaResizer:
     """Resize/downscale stage — the image-resize analog on
     the synthetic page format (a real codec would decode → resize →
-    re-encode here with the same signature; see decode_image_real for
-    the gated real path). Deterministic transform: run coordinates are
-    scaled by 1/factor and each page keeps at most max_runs runs, then
-    the payload is re-serialized — output is a genuinely smaller binary
-    with the same schema, so downstream stages are exercised for real."""
+    re-encode here with the same signature). Deterministic transform:
+    run coordinates are scaled by 1/factor and each page keeps at most
+    max_runs runs, then the payload is re-serialized — output is a
+    genuinely smaller binary with the same schema, so downstream stages
+    are exercised for real."""
 
     def __init__(self, factor: int = 2, max_runs: int = 4) -> None:
         self.factor, self.max_runs = factor, max_runs

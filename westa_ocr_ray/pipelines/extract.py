@@ -12,12 +12,13 @@
       → [atomic per-partition write + markers + lineage]   # S3-S6, §4.4
 
 Everything streams with backpressure; nothing materializes the corpus.
-In run_extract the reduce side (phase 2) is not a Ray Data operator but
-one wave of plain Ray tasks, all submitted at once, each opening every
-stage file once and committing a contiguous run of partitions: its
-input is a short list of partition ids, so Ray Data's streaming and
-block sizing buy nothing there, and its start-one-task-first sizing
-delayed the other reducers (see _run_reduce_wave).
+In run_extract both phases start one task per free CPU at once. Phase 1 is
+one fused Ray Data stage whose only output is the tiny staging
+manifest, so it drops Ray Data's output reserve for unsampled tasks
+(see build_extracted_units). Phase 2 is one wave of plain Ray tasks,
+each opening every stage file once and committing a contiguous run of
+partitions: its input is a short list of partition ids, so Ray Data's
+streaming and block sizing buy nothing there (see _run_reduce_wave).
 """
 
 from __future__ import annotations
@@ -83,12 +84,20 @@ def build_extracted_units(docs: rd.Dataset, cfg: ExtractConfig,
                          stage_dir=stage_dir,
                          chaos_crash_marker=cfg.chaos_crash_marker,
                          stage_fs=stage_fs)
-    return ds.map_batches(
+    ds = ds.map_batches(
         model,
         batch_format="pyarrow",
         batch_size=None if stage_dir is not None else cfg.extract_batch_size,
         concurrency=cfg.extract_concurrency,  # None: as many as CPUs allow
     )
+    if stage_dir is not None:
+        # Until an op's first task returns, Ray Data prices each task's
+        # output at target_max_block_size × this buffer (256 MiB), which
+        # fills a small object store's op budget so one task runs alone.
+        # The manifest needs no such reserve. This is the context the
+        # read made for this chain; the global one keeps the default.
+        ds.context._max_num_blocks_in_streaming_gen_buffer = None
+    return ds
 
 
 def extract_dataset(docs: rd.Dataset, cfg: ExtractConfig = ExtractConfig()) -> rd.Dataset:
@@ -208,9 +217,9 @@ def run_extract(input_path: str, out_dir: str,
 
     The doc_id exchange before reassembly is an external staged shuffle
     (see stages/reassemble.py): phase 1 streams extracted units into
-    per-partition parquet fragments; phase 2 reduces each partition
-    independently and commits it with its marker + lineage, in one wave
-    of plain Ray tasks. Stage files
+    per-partition parquet fragments, all CPUs busy from the first task
+    on; phase 2 reduces each partition independently and commits it with
+    its marker + lineage, in one wave of plain Ray tasks. Stage files
     from a crashed run are wiped — unfinished partitions recompute from
     the input (completed ones are skipped by their markers).
 

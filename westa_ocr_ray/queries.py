@@ -12771,8 +12771,8 @@ def q15_top_supplier(sf_dir: str) -> rd.Dataset:
     partial_aggregate over the date-pruned lineitem (per-batch combine;
     only per-supplier partials shuffle); the MAX is a distributed
     Dataset.max over that small view (never a driver materialization
-    of the view itself), and the name lookup broadcasts the matching
-    suppliers only."""
+    of the view itself), and the name lookup fetches only the winners'
+    suppliers, filtered before the fetch."""
     lo, hi = Q15_FROM, Q15_TO
     li = rp(sf_dir, "lineitem",
             ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"]) \
@@ -12792,7 +12792,10 @@ def q15_top_supplier(sf_dir: str) -> rd.Dataset:
     top = rev.map_batches(
         lambda df: df[df["total_revenue_e4"] == best],
         batch_format="pandas").to_pandas()  # tiny: the tied winners
-    supp = rp(sf_dir, "supplier", ["s_suppkey", "s_name"]).to_pandas()
+    winners = pa.array(top["l_suppkey"], type=pa.int64())
+    supp = rp(sf_dir, "supplier", ["s_suppkey", "s_name"]).map_batches(
+        lambda t: t.filter(pa.compute.is_in(t["s_suppkey"], winners)),
+        batch_format="pyarrow").to_pandas()
     out = top.merge(supp, left_on="l_suppkey", right_on="s_suppkey") \
         [["s_suppkey", "s_name", "total_revenue_e4"]] \
         .sort_values("s_suppkey", ignore_index=True)
