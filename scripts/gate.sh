@@ -4,7 +4,9 @@
 #   2. query-vs-DuckDB oracle compare of EVERY ORACLE_SQL entry at the
 #      smoke and correctness tiers
 #   3. the full-corpus span-sequence gate at the correctness tier
-#   4. no Ray process (raylet, gcs_server, ray:: worker) outlives the
+#   4. the benchmark's selftest: every metric BENCHMARK.json names is
+#      still produced, and planted mismatches are caught
+#   5. no Ray process (raylet, gcs_server, ray:: worker) outlives the
 #      steps: each one must tear its session down
 # Exit nonzero on any failure.
 set -e
@@ -14,6 +16,7 @@ python -m pytest tests/ -x -q
 python scripts/check_queries.py /root/testdata/sf0.001
 python scripts/check_queries.py /root/testdata/sf0.01
 python scripts/full_gate.py correctness 8
+python3 perfbench/selftest.py
 ray_procs() {
     ps -eo pid=,comm= | awk '$2 ~ /^(raylet|gcs_server|ray::)/'
 }

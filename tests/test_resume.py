@@ -411,15 +411,16 @@ print(json.dumps(tasks))
 
 
 def test_phase1_extract_tasks_start_together(tmp_path):
-    """The staged extract stage starts as many tasks as there are CPUs
-    at once: the task that starts second does not wait for the first to
-    return. Ray Data's default estimate for an unsampled task's pending
-    output, 256 MiB, would let one task run alone on a 256 MiB object
-    store."""
+    """Phase 1 is one wave: on the 8-file corpus the staged extract
+    stage runs as many tasks as the session's 4 CPUs, and every one
+    starts before the first returns. Ray Data's default estimate for an
+    unsampled task's pending output, 256 MiB, would let one task run
+    alone on a 256 MiB object store; one block per file would leave a
+    second wave that starts on Ray Data's next 100 ms poll tick."""
     import subprocess
     import sys
 
-    corpus = fixtures.ensure_corpus("correctness")  # 8 files: 8 blocks
+    corpus = fixtures.ensure_corpus("correctness")  # 8 files, ~1.1 MB
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -428,9 +429,9 @@ def test_phase1_extract_tasks_start_together(tmp_path):
         cwd=root, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-3000:]
     tasks = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert len(tasks) == 8, tasks
-    (first_start, first_dur), (second_start, _) = tasks[0], tasks[1]
-    assert second_start < first_start + first_dur, tasks
+    assert len(tasks) == 4, tasks
+    first_end = min(start + dur for start, dur in tasks)
+    assert all(start < first_end for start, _ in tasks), tasks
 
 
 def test_staged_chain_drops_pending_output_estimate(tmp_path):
@@ -898,3 +899,87 @@ def test_run_metrics_count_stage_files(tmp_path):
     assert again["parts_skipped"] == 8
     with open(os.path.join(out, "metrics", "run-attempt1.json")) as fh:
         assert json.load(fh)["stage_files"] == again["stage_files"] == 0
+
+
+def test_phase1_num_blocks_is_whole_waves():
+    """The staged read's block count is a whole multiple of the extract
+    slots W = min(CPUs, extract_concurrency): W for a tiny input, k·W
+    for k·W·PHASE1_TASK_BYTES, never more waves than the input's files
+    fill, and an explicit read_num_blocks wins."""
+    from westa_ocr_ray.pipelines.extract import (PHASE1_TASK_BYTES,
+                                                 phase1_num_blocks)
+
+    many = 10 ** 6  # files: the byte rule alone decides
+    cfg = ExtractConfig()
+    assert phase1_num_blocks(0, 0, 4, cfg) == 4
+    assert phase1_num_blocks(300_000, 8, 4, cfg) == 4
+    for k in (1, 2, 5):
+        assert phase1_num_blocks(k * 4 * PHASE1_TASK_BYTES, many, 4, cfg) == 4 * k
+        assert phase1_num_blocks(k * 4 * PHASE1_TASK_BYTES + 1, many, 4, cfg) == 4 * (k + 1)
+
+    # the file count caps the waves: 8 files on 4 CPUs read in at most
+    # 2 waves, one file in one wave, 400k fragments of 256 MB in
+    # fragment-sized waves rather than 8 MiB ones
+    huge = 100 * PHASE1_TASK_BYTES
+    assert phase1_num_blocks(huge, 8, 4, cfg) == 8
+    assert phase1_num_blocks(huge, 9, 4, cfg) == 12
+    assert phase1_num_blocks(huge, 1, 4, cfg) == 4
+    assert phase1_num_blocks(400_000 * (256 << 20), 400_000, 3200, cfg) == 400_000
+    assert phase1_num_blocks(2 * 32 * PHASE1_TASK_BYTES, 64, 32, cfg) == 64
+
+    capped = ExtractConfig(extract_concurrency=3)
+    counts = {phase1_num_blocks(b, n, 4, capped)
+              for b in (0, 1, PHASE1_TASK_BYTES, 7 * PHASE1_TASK_BYTES,
+                        40 * PHASE1_TASK_BYTES)
+              for n in (1, 8, many)}
+    assert counts == {3, 9, 42}
+    # a cap above the CPU count does not widen the wave
+    assert phase1_num_blocks(1, 8, 4, ExtractConfig(extract_concurrency=16)) == 4
+
+    for b, n in ((0, 0), (40 * PHASE1_TASK_BYTES, many)):
+        assert phase1_num_blocks(b, n, 4, ExtractConfig(read_num_blocks=7)) == 7
+
+
+def test_phase1_default_count_needs_a_session(tmp_path, monkeypatch):
+    """With no Ray session up, run_extract leaves the read's block count
+    to Ray Data, which sizes it against the session it starts; with
+    one, it passes the whole-wave count for the session's CPUs."""
+    import westa_ocr_ray.pipelines.extract as ex
+
+    corpus = fixtures.ensure_corpus("smoke")
+    seen = []
+
+    def fake_read(path, num_blocks=None):
+        seen.append(num_blocks)
+        raise RuntimeError("stop after the read")
+
+    monkeypatch.setattr(ex, "read_documents", fake_read)
+    cfg = ExtractConfig(num_parts=2)
+    with pytest.raises(RuntimeError, match="stop after the read"):
+        run_extract(corpus, str(tmp_path / "up"), cfg)
+    monkeypatch.setattr(ex.ray, "is_initialized", lambda: False)
+    with pytest.raises(RuntimeError, match="stop after the read"):
+        run_extract(corpus, str(tmp_path / "down"), cfg)
+    assert seen == [4, None]
+
+
+def test_phase1_block_count_does_not_change_output(tmp_path):
+    """The same corpus through the default block count, 3 blocks and 8
+    blocks gives identical rows and identical marker totals."""
+    corpus = fixtures.ensure_corpus("correctness")
+    keys, totals = [], []
+    for n in (None, 3, 8):
+        out = str(tmp_path / f"blocks{n}")
+        m = run_extract(corpus, out, ExtractConfig(num_parts=8, read_num_blocks=n))
+        assert m["parts_written"] == 8
+        keys.append(_result_key(read_extracted(out)))
+        tot = {"rows": 0, "spans": 0, "errors": 0}
+        for path in glob.glob(os.path.join(out, "_markers", "part-*.done")):
+            with open(path) as fh:
+                marker = json.load(fh)
+            for k in tot:
+                tot[k] += marker[k]
+        totals.append(tot)
+    assert keys[0] == keys[1] == keys[2]
+    assert totals[0] == totals[1] == totals[2]
+    assert totals[0]["rows"] == len(keys[0])

@@ -61,6 +61,29 @@ def test_lance_branch_dispatch_and_schema(tmp_path, monkeypatch):
     assert back.count() == ds.count()
 
 
+def test_lance_branch_forwards_num_blocks(monkeypatch):
+    """The Lance read gets the block count the caller asked for, as
+    read_lance's override_num_blocks, so run_extract's phase-1 count
+    holds for Lance inputs too; no count leaves Lance's default."""
+    import ray.data as rd
+
+    from westa_ocr_ray.pipelines.extract import read_documents
+
+    calls = []
+
+    def fake_read_lance(uri, **kwargs):
+        calls.append(kwargs)
+        return "lance-dataset"
+
+    monkeypatch.setattr(storage, "HAVE_LANCE", True)
+    monkeypatch.setattr(rd, "read_lance", fake_read_lance, raising=False)
+
+    assert read_documents("/data/docs.lance", num_blocks=12) == "lance-dataset"
+    assert storage.read_table("/data/docs.lance") == "lance-dataset"
+    assert calls == [{"columns": None, "override_num_blocks": 12},
+                     {"columns": None}]
+
+
 def test_read_text_lines_as_documents(tmp_path):
     p = tmp_path / "docs.txt"
     p.write_text("hello   world\nsecond  doc here\nhello   world\n")

@@ -34,9 +34,14 @@ class ExtractConfig:
     # run_extract whatever the object store size (build_extracted_units).
     # A cap above the input block count buys nothing: one task per block.
     extract_concurrency: Optional[int] = None
-    # staged-shuffle knobs: input block count controls stage-file count
-    # (one stage file per block). reduce_concurrency caps the concurrent
-    # reducers: phase 2 runs as ONE wave of min(parts left,
+    # staged-shuffle knobs: read_num_blocks is run_extract's input block
+    # count, one phase-1 extract task and at most one stage file per
+    # block. None runs phase 1 in whole waves of the extract slots
+    # W = min(CPUs, extract_concurrency): one wave per W ×
+    # PHASE1_TASK_BYTES of input on disk, no more than ceil(input files
+    # / W) waves (pipelines/extract.phase1_num_blocks); with no Ray
+    # session up yet, Ray Data's default. reduce_concurrency caps the
+    # concurrent reducers: phase 2 runs as ONE wave of min(parts left,
     # reduce_concurrency, cluster CPUs) plain Ray tasks, all submitted
     # at once, each opening every stage file once and reducing a
     # contiguous run of partitions through those handles, so the open

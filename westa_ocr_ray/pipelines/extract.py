@@ -15,10 +15,14 @@ Everything streams with backpressure; nothing materializes the corpus.
 In run_extract both phases start one task per free CPU at once. Phase 1 is
 one fused Ray Data stage whose only output is the tiny staging
 manifest, so it drops Ray Data's output reserve for unsampled tasks
-(see build_extracted_units). Phase 2 is one wave of plain Ray tasks,
-each opening every stage file once and committing a contiguous run of
-partitions: its input is a short list of partition ids, so Ray Data's
-streaming and block sizing buy nothing there (see _run_reduce_wave).
+(see build_extracted_units). Its input block count is a whole multiple
+of the extract slots (see phase1_num_blocks): Ray Data starts a task
+beyond the first wave only once all running ones end or on a 100 ms
+poll tick, so a partial wave idles CPUs. Phase 2 is one wave of plain
+Ray tasks, each opening every stage file once and committing a
+contiguous run of partitions: its input is a short list of partition
+ids, so Ray Data's streaming and block sizing buy nothing there (see
+_run_reduce_wave).
 """
 
 from __future__ import annotations
@@ -41,6 +45,52 @@ from ..config import ExtractConfig
 from ..relops import gather
 from ..stages import ExtractModel, make_explode, make_part_reducer, make_prepare
 from ..stages.reassemble import reassemble_partition
+
+
+#: input bytes (on disk) per phase-1 extract task when run_extract picks
+#: the read's block count (phase1_num_blocks). It only decides inputs
+#: with fewer files than ~bytes / PHASE1_TASK_BYTES; any other input
+#: reads in whole waves of its file count. Fewer, larger tasks mean
+#: fewer stage files for every reducer to open; smaller ones less
+#: fetched payload in one task's memory (SCALE.md §Memory and
+#: backpressure).
+PHASE1_TASK_BYTES = 8 << 20
+
+
+def phase1_num_blocks(input_bytes: int, n_files: int, cpus: int,
+                      cfg: ExtractConfig) -> int:
+    """Block count of run_extract's staged read: ``cfg.read_num_blocks``
+    when set, else whole waves of the extract slots
+    ``W = min(cpus, cfg.extract_concurrency or cpus)``: one wave per
+    ``W × PHASE1_TASK_BYTES`` of input, but no more waves than the
+    input has files for, ``W × min(ceil(input_bytes / (W ×
+    PHASE1_TASK_BYTES)), ceil(n_files / W))``, at least one wave.
+
+    Whole waves because Ray Data 2.49's executor waits for every running
+    task or a 100 ms timeout before it starts more
+    (streaming_executor_state.process_completed_tasks): a block beyond
+    a whole wave starts on a later poll tick while CPUs sit idle."""
+    if cfg.read_num_blocks is not None:
+        return cfg.read_num_blocks
+    w = max(1, min(cpus, cfg.extract_concurrency or cpus))
+    waves = min(-(-input_bytes // (w * PHASE1_TASK_BYTES)), -(-n_files // w))
+    return w * max(1, waves)
+
+
+def _input_files(path: str) -> tuple:
+    """``(on-disk bytes, file count)`` of the files under ``path`` (a
+    file, directory or filesystem URI), listed once on the driver. Like
+    a Parquet dataset read, it skips names starting with ``.`` or ``_``
+    (a corpus's ``_DONE`` marker, a writer's tmp file)."""
+    import pyarrow.fs as pafs
+
+    fs, root = pafs.FileSystem.from_uri(path if "://" in path else os.path.abspath(path))
+    info = fs.get_file_info(root)
+    if info.type == pafs.FileType.File:
+        return info.size, 1
+    sizes = [i.size for i in fs.get_file_info(pafs.FileSelector(root, recursive=True))
+             if i.type == pafs.FileType.File and i.base_name[:1] not in "._"]
+    return sum(sizes), len(sizes)
 
 
 def read_documents(path: str, num_blocks: Optional[int] = None) -> rd.Dataset:
@@ -221,7 +271,11 @@ def run_extract(input_path: str, out_dir: str,
     on; phase 2 reduces each partition independently and commits it with
     its marker + lineage, in one wave of plain Ray tasks. Stage files
     from a crashed run are wiped — unfinished partitions recompute from
-    the input (completed ones are skipped by their markers).
+    the input (completed ones are skipped by their markers). Unless
+    ``cfg.read_num_blocks`` is set (or Ray is not started yet), phase 1
+    reads the input in whole waves of one block per extract slot,
+    ~``PHASE1_TASK_BYTES`` of input per task, and no more waves than
+    it takes to give every input file a block (see phase1_num_blocks).
 
     Cooperative cancellation (``cfg.stop_file``, reference
     app/worker.py:188,256,303-310 + admin stop app/admin.py:727-782):
@@ -292,7 +346,13 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
     phase1_sec = phase2_sec = 0.0
     n_remaining = cfg.num_parts - len(skip)
     if n_remaining and not stop_requested():
-        docs = read_documents(input_path, num_blocks=cfg.read_num_blocks)
+        # the wave width is the session's: with no session yet, Ray Data
+        # starts one at execution and picks the block count itself
+        num_blocks = cfg.read_num_blocks
+        if ray.is_initialized():
+            num_blocks = phase1_num_blocks(*_input_files(input_path),
+                                           int(ray.cluster_resources().get("CPU", 1)), cfg)
+        docs = read_documents(input_path, num_blocks=num_blocks)
         # phase 1: map-side shuffle files, written by the extract tasks
         # themselves (streams; no barrier, no extra worker pool)
         manifest = build_extracted_units(docs, cfg, skip_parts=skip,

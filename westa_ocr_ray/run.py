@@ -23,7 +23,11 @@ def main(argv=None) -> int:
     p.add_argument("--num-parts", type=int, default=64)
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init num_cpus (omit to auto/join existing)")
-    p.add_argument("--read-blocks", type=int, default=None)
+    p.add_argument("--read-blocks", type=int, default=None,
+                   help="input block count = phase-1 extract tasks (default: "
+                        "whole waves of the cluster's CPUs, one wave per "
+                        "8 MiB of input per CPU, no more waves than the "
+                        "input files fill)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--pattern", default="A", help="masters pre-filter pattern")
     p.add_argument("--keep-units", action="store_true",

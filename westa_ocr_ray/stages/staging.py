@@ -97,7 +97,10 @@ def stage_write_table(t: pa.Table, stage_dir: str, fs=None) -> pa.Table:
         fs.create_dir(stage_dir, recursive=True)
         tmp = stage_dir.rstrip("/") + "/." + fname
         sink = fs.open_output_stream(tmp)
-    writer = pq.ParquetWriter(sink, t.schema, compression=codec)
+    # statistics on `part` only: the reducer reads no other (and no
+    # dictionary: the columns are mostly unique text and payload refs)
+    writer = pq.ParquetWriter(sink, t.schema, compression=codec,
+                              use_dictionary=False, write_statistics=["part"])
     for i in range(len(uniq)):
         writer.write_table(t.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i])))
     writer.close()

@@ -23,14 +23,13 @@ except ImportError:
 def read_table(path: str, columns: Optional[list] = None,
                num_blocks: Optional[int] = None) -> rd.Dataset:
     """Read a logical Lance table (Lance if importable, else Parquet)."""
-    if HAVE_LANCE:
-        ds = rd.read_lance(path, columns=columns)
-        return ds
     kwargs = {}
-    if columns:
-        kwargs["columns"] = columns
     if num_blocks:
         kwargs["override_num_blocks"] = num_blocks
+    if HAVE_LANCE:
+        return rd.read_lance(path, columns=columns, **kwargs)
+    if columns:
+        kwargs["columns"] = columns
     return rd.read_parquet(path, **kwargs)
 
 
