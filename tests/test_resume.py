@@ -941,19 +941,19 @@ def test_phase1_num_blocks_is_whole_waves():
 
 
 def test_phase1_default_count_needs_a_session(tmp_path, monkeypatch):
-    """With no Ray session up, run_extract leaves the read's block count
-    to Ray Data, which sizes it against the session it starts; with
-    one, it passes the whole-wave count for the session's CPUs."""
+    """With no Ray session up, run_extract's documents read gets no
+    whole-wave count (read_table then sizes it by bytes); with one, it
+    gets the whole-wave count for the session's CPUs."""
     import westa_ocr_ray.pipelines.extract as ex
 
     corpus = fixtures.ensure_corpus("smoke")
     seen = []
 
-    def fake_read(path, num_blocks=None):
+    def fake_read(path, columns=None, num_blocks=None):
         seen.append(num_blocks)
         raise RuntimeError("stop after the read")
 
-    monkeypatch.setattr(ex, "read_documents", fake_read)
+    monkeypatch.setattr(ex, "read_table", fake_read)
     cfg = ExtractConfig(num_parts=2)
     with pytest.raises(RuntimeError, match="stop after the read"):
         run_extract(corpus, str(tmp_path / "up"), cfg)

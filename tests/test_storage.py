@@ -61,14 +61,18 @@ def test_lance_branch_dispatch_and_schema(tmp_path, monkeypatch):
     assert back.count() == ds.count()
 
 
-def test_lance_branch_forwards_num_blocks(monkeypatch):
-    """The Lance read gets the block count the caller asked for, as
-    read_lance's override_num_blocks, so run_extract's phase-1 count
-    holds for Lance inputs too; no count leaves Lance's default."""
+def test_lance_branch_forwards_num_blocks(tmp_path, monkeypatch):
+    """The Lance read gets its block count as read_lance's
+    override_num_blocks: the count the caller asked for, else the byte
+    rule's count for the table on disk (one block for a tiny table)."""
+    import pandas as pd
     import ray.data as rd
 
     from westa_ocr_ray.pipelines.extract import read_documents
 
+    table = tmp_path / "docs.lance"
+    table.mkdir()
+    pd.DataFrame({"doc_id": ["a", "b"]}).to_parquet(table / "data.parquet")
     calls = []
 
     def fake_read_lance(uri, **kwargs):
@@ -78,10 +82,101 @@ def test_lance_branch_forwards_num_blocks(monkeypatch):
     monkeypatch.setattr(storage, "HAVE_LANCE", True)
     monkeypatch.setattr(rd, "read_lance", fake_read_lance, raising=False)
 
-    assert read_documents("/data/docs.lance", num_blocks=12) == "lance-dataset"
-    assert storage.read_table("/data/docs.lance") == "lance-dataset"
+    assert read_documents(str(table), ExtractConfig(read_num_blocks=12)) == "lance-dataset"
+    assert storage.read_table(str(table)) == "lance-dataset"
     assert calls == [{"columns": None, "override_num_blocks": 12},
-                     {"columns": None}]
+                     {"columns": None, "override_num_blocks": 1}]
+
+
+def test_table_num_blocks_is_ray_rule_without_cpu_floor():
+    """Ray Data's read-size rule on on-disk bytes, minus its 2 × CPUs
+    floor: one block per MiB up to 200 blocks, then 128 MiB blocks."""
+    mib = 1 << 20
+    assert storage.table_num_blocks(0) == 1
+    assert storage.table_num_blocks(225_000) == 1        # sf0.001-sized
+    assert storage.table_num_blocks(10_800_000) == 11    # sf0.1 lineitem
+    assert storage.table_num_blocks(300_000_000) == 200
+    assert storage.table_num_blocks(200 * 128 * mib) == 200
+    assert storage.table_num_blocks(200 * 128 * mib + 1) == 201
+    tb100 = 100 * 10 ** 12
+    assert storage.table_num_blocks(tb100) == -(-tb100 // (128 * mib)) == 745_059
+
+
+def test_tiny_table_reads_as_one_block_and_count_wins(tmp_path):
+    """A table under 1 MiB is one block on a 4-CPU session (Ray Data's
+    default gives it 8); an explicit num_blocks still wins; a list of
+    files is sized by their summed bytes."""
+    import pandas as pd
+
+    df = pd.DataFrame({"k": range(1000), "v": [float(i) for i in range(1000)]})
+    paths = []
+    for i in range(3):
+        paths.append(str(tmp_path / f"part-{i}.parquet"))
+        df.to_parquet(paths[-1])
+    assert storage.input_files(str(tmp_path)) == storage.input_files(paths)
+    assert storage.input_files(paths)[1] == 3
+    assert storage.read_table(paths[0]).materialize().num_blocks() == 1
+    assert storage.read_table(paths).materialize().num_blocks() == 1
+    assert storage.read_table(paths[0], num_blocks=4).materialize().num_blocks() == 4
+    back = storage.read_table(str(tmp_path), columns=["k"]).to_pandas()
+    assert list(back.columns) == ["k"] and len(back) == 3000
+
+
+def test_documents_read_is_whole_waves_with_a_session():
+    """The documents read feeds the extract chain, so with a session up
+    it keeps whole waves of the extract slots (phase1_num_blocks), not
+    the table byte rule's one block."""
+    import ray
+
+    from westa_ocr_ray import fixtures
+    from westa_ocr_ray.pipelines.extract import read_documents
+
+    corpus = fixtures.ensure_corpus("smoke")
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert storage.read_table(corpus).materialize().num_blocks() == 1
+    assert read_documents(corpus).materialize().num_blocks() == cpus
+    capped = ExtractConfig(extract_concurrency=3)
+    assert read_documents(corpus, capped).materialize().num_blocks() == 3
+
+
+def test_block_count_does_not_change_query_results(monkeypatch):
+    """Registry queries read through read_table; at sf0.001 every table
+    is one block. The same queries with every table read as 8 blocks
+    (Ray Data's default on 4 CPUs) give identical normalized frames."""
+    import pandas as pd
+    from pandas.testing import assert_frame_equal
+
+    from test_driver_contract import SF
+    from westa_ocr_ray.queries import QUERIES
+
+    names = ["g1_lineitem_agg", "q10_returned_items", "q22_idle_customers",
+             "dedup_minhash_planted"]
+
+    def run_all() -> dict:
+        out = {}
+        for name in names:
+            df = QUERIES[name](SF).to_pandas()
+            cols = sorted(df.columns)
+            out[name] = df[cols].sort_values(cols, ignore_index=True)
+        return out
+
+    one = run_all()
+    monkeypatch.setattr(storage, "table_num_blocks", lambda input_bytes: 8)
+    eight = run_all()
+    for name in names:
+        assert len(one[name]) > 0, name
+        assert_frame_equal(one[name], eight[name], check_dtype=True)
+
+
+def test_read_parquet_only_in_storage():
+    """storage.read_table is the package's one read seam: one rule sizes
+    every read and every read holds the construction lock."""
+    import pathlib
+
+    pkg = pathlib.Path(storage.__file__).parent
+    hits = sorted(str(p.relative_to(pkg)) for p in pkg.rglob("*.py")
+                  if "rd.read_parquet(" in p.read_text())
+    assert hits == ["storage.py"]
 
 
 def test_read_text_lines_as_documents(tmp_path):
@@ -153,9 +248,8 @@ def test_ensure_corpus_lost_race_waits_for_winner(tmp_path):
                                   lost_race_wait_s=1.0) == d
 
 
-def test_read_csv_as_documents_and_partitioned_sink(tmp_path):
+def test_read_csv_as_documents(tmp_path):
     import pandas as pd
-    import ray.data as rd
 
     from westa_ocr_ray import storage
     from westa_ocr_ray.pipelines.extract import extract_dataset
@@ -170,16 +264,6 @@ def test_read_csv_as_documents_and_partitioned_sink(tmp_path):
     assert got["1"][0]["kind"] == "text" and got["1"][0]["text"] == "alpha beta"
     res = extract_dataset(docs)
     assert res.count() == 3
-
-    out = tmp_path / "parts"
-    tbl = rd.from_pandas(pd.DataFrame({
-        "k": ["a", "a", "b"], "v": [1, 2, 3]}))
-    storage.write_partitioned(tbl, str(out), by=["k"])
-    import glob
-    dirs = sorted(d.split("/")[-1] for d in glob.glob(str(out / "k=*")))
-    assert dirs == ["k=a", "k=b"]
-    back = rd.read_parquet(str(out)).to_pandas()
-    assert sorted(back["v"]) == [1, 2, 3]
 
 
 def test_export_jsonl_shards_roundtrip_and_resume(tmp_path):

@@ -40,10 +40,12 @@ class ExtractConfig:
     # W = min(CPUs, extract_concurrency): one wave per W ×
     # PHASE1_TASK_BYTES of input on disk, no more than ceil(input files
     # / W) waves (pipelines/extract.phase1_num_blocks); with no Ray
-    # session up yet, Ray Data's default. reduce_concurrency caps the
-    # concurrent reducers: phase 2 runs as ONE wave of min(parts left,
-    # reduce_concurrency, cluster CPUs) plain Ray tasks, all submitted
-    # at once, each opening every stage file once and reducing a
+    # session up yet, storage.read_table's byte rule. The same count
+    # sizes every documents read (pipelines/extract.read_documents).
+    # reduce_concurrency caps the concurrent reducers: phase 2 runs as
+    # ONE wave of min(parts left, reduce_concurrency, cluster CPUs)
+    # plain Ray tasks, all submitted at once, each opening every stage
+    # file once and reducing a
     # contiguous run of partitions through those handles, so the open
     # matrix is reducers × stage files, not partitions × stage files
     # (the run metrics' reduce_tasks × stage_files). 16 beat 8 at the

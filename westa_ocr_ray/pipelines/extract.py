@@ -45,6 +45,7 @@ from ..config import ExtractConfig
 from ..relops import gather
 from ..stages import ExtractModel, make_explode, make_part_reducer, make_prepare
 from ..stages.reassemble import reassemble_partition
+from ..storage import input_files, read_table
 
 
 #: input bytes (on disk) per phase-1 extract task when run_extract picks
@@ -77,28 +78,21 @@ def phase1_num_blocks(input_bytes: int, n_files: int, cpus: int,
     return w * max(1, waves)
 
 
-def _input_files(path: str) -> tuple:
-    """``(on-disk bytes, file count)`` of the files under ``path`` (a
-    file, directory or filesystem URI), listed once on the driver. Like
-    a Parquet dataset read, it skips names starting with ``.`` or ``_``
-    (a corpus's ``_DONE`` marker, a writer's tmp file)."""
-    import pyarrow.fs as pafs
-
-    fs, root = pafs.FileSystem.from_uri(path if "://" in path else os.path.abspath(path))
-    info = fs.get_file_info(root)
-    if info.type == pafs.FileType.File:
-        return info.size, 1
-    sizes = [i.size for i in fs.get_file_info(pafs.FileSelector(root, recursive=True))
-             if i.type == pafs.FileType.File and i.base_name[:1] not in "._"]
-    return sum(sizes), len(sizes)
-
-
-def read_documents(path: str, num_blocks: Optional[int] = None) -> rd.Dataset:
+def read_documents(path: str, cfg: ExtractConfig = ExtractConfig()) -> rd.Dataset:
     """Input source: the interleaved documents table
     (BASELINE.json.input_hint schema) through the Lance/Parquet storage
-    seam (storage.py; SURVEY.md §7)."""
-    from ..storage import read_table
+    seam (storage.py; SURVEY.md §7).
 
+    The read is sized for the extract chain it feeds, whose cost is per
+    byte (fetch, page split, model): with a Ray session up, its block
+    count is phase1_num_blocks for ``cfg`` and the session's CPUs,
+    whole waves of the extract slots. With no session there are no
+    slots to fill, so the read gets ``cfg.read_num_blocks`` when set,
+    else storage.read_table's byte rule (one block per MiB on disk)."""
+    num_blocks = cfg.read_num_blocks
+    if ray.is_initialized():
+        num_blocks = phase1_num_blocks(*input_files(path),
+                                       int(ray.cluster_resources().get("CPU", 1)), cfg)
     return read_table(path, num_blocks=num_blocks)
 
 
@@ -275,7 +269,8 @@ def run_extract(input_path: str, out_dir: str,
     ``cfg.read_num_blocks`` is set (or Ray is not started yet), phase 1
     reads the input in whole waves of one block per extract slot,
     ~``PHASE1_TASK_BYTES`` of input per task, and no more waves than
-    it takes to give every input file a block (see phase1_num_blocks).
+    it takes to give every input file a block (see read_documents and
+    phase1_num_blocks).
 
     Cooperative cancellation (``cfg.stop_file``, reference
     app/worker.py:188,256,303-310 + admin stop app/admin.py:727-782):
@@ -346,13 +341,7 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
     phase1_sec = phase2_sec = 0.0
     n_remaining = cfg.num_parts - len(skip)
     if n_remaining and not stop_requested():
-        # the wave width is the session's: with no session yet, Ray Data
-        # starts one at execution and picks the block count itself
-        num_blocks = cfg.read_num_blocks
-        if ray.is_initialized():
-            num_blocks = phase1_num_blocks(*_input_files(input_path),
-                                           int(ray.cluster_resources().get("CPU", 1)), cfg)
-        docs = read_documents(input_path, num_blocks=num_blocks)
+        docs = read_documents(input_path, cfg)
         # phase 1: map-side shuffle files, written by the extract tasks
         # themselves (streams; no barrier, no extra worker pool)
         manifest = build_extracted_units(docs, cfg, skip_parts=skip,
@@ -413,4 +402,4 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
 
 
 def read_extracted(out_dir: str) -> rd.Dataset:
-    return rd.read_parquet(os.path.join(out_dir, "extracted"))
+    return read_table(os.path.join(out_dir, "extracted"))

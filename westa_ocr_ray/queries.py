@@ -42,17 +42,11 @@ from .config import ExtractConfig
 from .pipelines.extract import extract_dataset, read_documents
 from .relops import (exchange, grouped_topk, hash_join, partial_aggregate,
                      per_key)
-
-
-#: serializes Dataset CONSTRUCTION (not execution) across driver
-#: threads — see relops.DATASET_CONSTRUCTION_LOCK (shared with the
-#: search module, which also constructs Datasets)
-_READ_LOCK = relops.DATASET_CONSTRUCTION_LOCK
+from .storage import DATASET_CONSTRUCTION_LOCK, read_table
 
 
 def rp(sf_dir: str, name: str, columns: Optional[List[str]] = None) -> rd.Dataset:
-    with _READ_LOCK:
-        return rd.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
+    return read_table(f"{sf_dir}/{name}.parquet", columns)
 
 
 def _cents(x: pd.Series) -> pd.Series:
@@ -3645,7 +3639,7 @@ def jsonl_roundtrip(sf_dir: str) -> rd.Dataset:
         rp(sf_dir, "documents", ["doc_id", "text", "lang"]), out,
         num_shards=16)
     files = sorted(_glob.glob(os.path.join(out, "shard=*", "*.jsonl")))
-    with _READ_LOCK:
+    with DATASET_CONSTRUCTION_LOCK:
         back = rd.read_json(files)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
@@ -4959,7 +4953,7 @@ def csv_roundtrip(sf_dir: str) -> rd.Dataset:
         with open(marker, "w") as f:
             f.write("")
     files = sorted(_glob.glob(os.path.join(out, "*.csv")))
-    with _READ_LOCK:
+    with DATASET_CONSTRUCTION_LOCK:
         back = rd.read_csv(files)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
@@ -10683,8 +10677,7 @@ def hive_roundtrip(sf_dir: str) -> rd.Dataset:
     if not files:   # corpus has no lang=es rows: the fold is all-zero
         return rd.from_pandas(pd.DataFrame(
             {"n": [0], "id_sum": [0], "fold": [0]}).astype("int64"))
-    with _READ_LOCK:
-        back = rd.read_parquet(files)
+    back = read_table(files)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         h = np.fromiter((int(dedup.md5_hex(t)[:8], 16) for t in df["text"]),
@@ -10761,8 +10754,7 @@ def range_partitioned_export(sf_dir: str) -> rd.Dataset:
         with open(marker, "w") as f:
             f.write("")
     files = sorted(_glob.glob(os.path.join(out, "part=*", "*.parquet")))
-    with _READ_LOCK:
-        back = rd.read_parquet(files)
+    back = read_table(files)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         v = df["n_chars"].to_numpy(dtype=np.int64)
@@ -11184,8 +11176,7 @@ def tokenized_export(sf_dir: str) -> rd.Dataset:
         with open(marker, "w") as f:
             f.write("")
     files = sorted(_glob.glob(os.path.join(out_dir, "*.parquet")))
-    with _READ_LOCK:
-        back = rd.read_parquet(files)
+    back = read_table(files)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         seqs = [np.asarray(x, dtype=np.int64) for x in df["ids"]]
@@ -11508,7 +11499,7 @@ ORACLE_SQL["daily_new_users"] = """
 def pushdown_filter_agg(sf_dir: str) -> rd.Dataset:
     """PREDICATE + PROJECTION PUSHDOWN at the parquet read — the
     'prune at the read' rule as a value-checked query: the quantity
-    predicate goes into read_parquet's Arrow filter (evaluated inside
+    predicate goes into the Parquet reader's Arrow filter (evaluated inside
     the reader against row-group statistics and pages — at 100 TB the
     skipped row groups never leave storage) and only two columns are
     projected; everything after is one constant-group fold. The
@@ -11517,11 +11508,9 @@ def pushdown_filter_agg(sf_dir: str) -> rd.Dataset:
     Returns (n_rows, qty_sum, price_cents_sum)."""
     import pyarrow.compute as pc
 
-    with _READ_LOCK:
-        ds = rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_quantity", "l_extendedprice"],
-            filter=(pc.field("l_quantity") < 10))
+    ds = read_table(f"{sf_dir}/lineitem.parquet",
+                    columns=["l_quantity", "l_extendedprice"],
+                    filter=(pc.field("l_quantity") < 10))
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         q = df["l_quantity"].to_numpy(dtype=np.float64)
@@ -11948,8 +11937,7 @@ def pruned_range_read(sf_dir: str) -> rd.Dataset:
         "id_sum": pd.Series([], dtype="int64"),
         "key_sum": pd.Series([], dtype="int64")})
     if files:
-        with _READ_LOCK:
-            back = rd.read_parquet(files)
+        back = read_table(files)
 
         def fold(df: pd.DataFrame) -> pd.DataFrame:
             v = df["n_chars"].to_numpy(dtype=np.int64)

@@ -46,20 +46,6 @@ import ray.data as rd
 TARGET_BUCKET_BYTES = 256 << 20
 
 
-#: serializes driver-side Dataset CONSTRUCTION across threads: ray's
-#: path resolution probes `from fsspec.implementations.http import
-#: HTTPFileSystem` on every read_parquet and only catches
-#: ModuleNotFoundError — with aiohttp absent the import always fails,
-#: and two threads importing the same failing module race Python's
-#: partial-module state into a bare ImportError. Callers of the
-#: registry (`__ray_entry__.queries()`) may run queries from several
-#: driver threads, so every module that constructs Datasets takes this
-#: one lock.
-import threading as _threading
-
-DATASET_CONSTRUCTION_LOCK = _threading.Lock()
-
-
 #: target bytes per BLOCK for checkpoint compaction (below); smaller
 #: than an exchange slot because blocks are the streaming/scheduling
 #: unit and want to outnumber cores.

@@ -32,6 +32,7 @@ import pandas as pd
 import ray.data as rd
 
 from .relops import exchange, grouped_topk, partial_aggregate
+from .storage import DATASET_CONSTRUCTION_LOCK, read_table
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -223,8 +224,6 @@ def _write_index_gen(ds: rd.Dataset, index_dir: str, gen: int,
     import json as _json
     import os
 
-    from .relops import DATASET_CONSTRUCTION_LOCK
-
     def postings(df: pd.DataFrame) -> pd.DataFrame:
         ex = (df.assign(token=df[text_col].str.split(" "))[[id_col, "token"]]
               .explode("token", ignore_index=True).dropna())
@@ -342,10 +341,7 @@ def text_index_lookup(index_dir: str, terms: Sequence[str],
                              id_col: pd.Series([], dtype=np.int64),
                              "tf": pd.Series([], dtype=np.int64)})
     tset = set(terms)
-    from .relops import DATASET_CONSTRUCTION_LOCK
-    with DATASET_CONSTRUCTION_LOCK:  # threaded-driver fsspec probe race
-        postings = rd.read_parquet(paths)
-    out = (postings
+    out = (read_table(paths)
            .map_batches(lambda df: df[df["token"].isin(tset)]
                         [["token", id_col, "tf"]],
                         batch_format="pandas")
@@ -362,19 +358,15 @@ def text_index_postings(index_dir: str, terms: Sequence[str],
     files exist. Reads committed generations only."""
     import hashlib
 
-    from .relops import DATASET_CONSTRUCTION_LOCK
-
     want = sorted({int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
                    % num_buckets for t in terms})
     paths = _gen_paths(index_dir, "postings", buckets=want)
     if not paths:
         return None
     tset = set(terms)
-    with DATASET_CONSTRUCTION_LOCK:
-        ds = rd.read_parquet(paths)
-    return ds.map_batches(lambda df: df[df["token"].isin(tset)]
-                          [["token", id_col, "tf"]],
-                          batch_format="pandas")
+    return read_table(paths).map_batches(
+        lambda df: df[df["token"].isin(tset)][["token", id_col, "tf"]],
+        batch_format="pandas")
 
 
 def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
@@ -442,9 +434,7 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
            for i in range(nt)]
     k1p1 = k1 + 1.0
 
-    from .relops import DATASET_CONSTRUCTION_LOCK, grouped_topk
-    with DATASET_CONSTRUCTION_LOCK:
-        doclen = rd.read_parquet(_gen_paths(index_dir, "doclen"))
+    doclen = read_table(_gen_paths(index_dir, "doclen"))
     if tfdoc is not None:
         scored_in = hash_join(doclen, tfdoc, id_col, id_col, how="left",
                               left_cols=[id_col, "dl"],
@@ -525,8 +515,6 @@ def phrase_search_from_index(index_dir: str, terms: Sequence[str],
     (queries.ORACLE_SQL['phrase_search'])."""
     import hashlib
 
-    from .relops import DATASET_CONSTRUCTION_LOCK
-
     terms = list(terms)
     want = sorted({int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
                    % num_buckets for t in terms})
@@ -536,11 +524,9 @@ def phrase_search_from_index(index_dir: str, terms: Sequence[str],
     if not paths:
         return rd.from_pandas(empty)
     tset = set(terms)
-    with DATASET_CONSTRUCTION_LOCK:
-        occ = rd.read_parquet(paths)
-    occ = occ.map_batches(lambda df: df.loc[df["token"].isin(tset),
-                                            ["token", id_col, "pos"]],
-                          batch_format="pandas")
+    occ = read_table(paths).map_batches(
+        lambda df: df.loc[df["token"].isin(tset), ["token", id_col, "pos"]],
+        batch_format="pandas")
 
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         out_id, out_n = [], []
@@ -612,8 +598,6 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
     Returns (id, width, rank)."""
     import hashlib
 
-    from .relops import DATASET_CONSTRUCTION_LOCK
-
     terms = list(terms)
     want = sorted({int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
                    % num_buckets for t in terms})
@@ -624,11 +608,9 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
     if not paths:
         return rd.from_pandas(empty)
     tset = set(terms)
-    with DATASET_CONSTRUCTION_LOCK:
-        occ = rd.read_parquet(paths)
-    occ = occ.map_batches(lambda df: df.loc[df["token"].isin(tset),
-                                            ["token", id_col, "pos"]],
-                          batch_format="pandas")
+    occ = read_table(paths).map_batches(
+        lambda df: df.loc[df["token"].isin(tset), ["token", id_col, "pos"]],
+        batch_format="pandas")
 
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         out_id, out_w = [], []

@@ -18,6 +18,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from .storage import read_table
+
 
 def _stack(df_col) -> np.ndarray:
     return np.stack(df_col.to_numpy()).astype(np.float64)
@@ -488,7 +490,7 @@ def ann_topk_from_index(index_dir: str, query_vecs: np.ndarray,
         return pd.DataFrame({"query_id": pd.Series([], dtype=np.int64),
                              "neighbor_id": pd.Series([], dtype=np.int64),
                              "rank": pd.Series([], dtype=np.int64)})
-    cand = rd.read_parquet(paths).map_batches(
+    cand = read_table(paths).map_batches(
         BatchTopK(qids, qmat, k, id_col, vec_col),
         batch_format="pandas", batch_size=4096)
     df = cand.to_pandas()

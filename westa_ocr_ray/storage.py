@@ -1,16 +1,28 @@
-"""Physical-storage seam (SURVEY.md §7): the logical table is the Lance
-table mandated by BASELINE.json.input_hint; this sandbox has no `lance`
-module, so the physical format falls back to Parquet with the identical
-logical schema. Swapping to Lance is contained to this file.
+"""Physical-storage seam (SURVEY.md §7) and the package's one table
+read: the logical table is the Lance table mandated by
+BASELINE.json.input_hint; where no `lance` module is installed, the
+physical format falls back to Parquet with the identical logical
+schema. Swapping to Lance is contained to this file.
+
+Every Parquet/Lance read in the package goes through ``read_table``,
+so one rule sizes every read (table_num_blocks): Ray Data's own rule
+applied to the on-disk bytes, without the floor of 2 × the cluster's
+CPUs that Ray Data 2.49 gives every read. A table under 1 MiB is one
+read task, not eight on 4 CPUs (SCALE.md §Read sizing). The extract
+pipeline's documents read picks its own count for the chain it feeds
+(pipelines/extract.read_documents).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import os
+import threading
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import pandas as pd
 import ray.data as rd
+from ray.data import DataContext
 
 try:  # pragma: no cover - lance absent in this environment
     import lance  # noqa: F401
@@ -20,17 +32,80 @@ except ImportError:
     HAVE_LANCE = False
 
 
-def read_table(path: str, columns: Optional[list] = None,
-               num_blocks: Optional[int] = None) -> rd.Dataset:
-    """Read a logical Lance table (Lance if importable, else Parquet)."""
-    kwargs = {}
-    if num_blocks:
-        kwargs["override_num_blocks"] = num_blocks
-    if HAVE_LANCE:
-        return rd.read_lance(path, columns=columns, **kwargs)
-    if columns:
-        kwargs["columns"] = columns
-    return rd.read_parquet(path, **kwargs)
+#: serializes driver-side Dataset CONSTRUCTION across threads: ray's
+#: path resolution probes `from fsspec.implementations.http import
+#: HTTPFileSystem` on every read_parquet and only catches
+#: ModuleNotFoundError — with aiohttp absent the import always fails,
+#: and two threads importing the same failing module race Python's
+#: partial-module state into a bare ImportError. Callers of the
+#: registry (`__ray_entry__.queries()`) may run queries from several
+#: driver threads, so read_table holds this lock, and so does every
+#: other Dataset read or write built from a path.
+DATASET_CONSTRUCTION_LOCK = threading.Lock()
+
+
+def input_files(path: Union[str, Sequence[str]]) -> tuple:
+    """``(on-disk bytes, file count)`` of the files under ``path`` (a
+    file, directory or filesystem URI, or a list of them), listed once
+    on the driver. Like a Parquet dataset read, it skips names under a
+    directory that start with ``.`` or ``_`` (a corpus's ``_DONE``
+    marker, a writer's tmp file)."""
+    import pyarrow.fs as pafs
+
+    total = count = 0
+    for p in [path] if isinstance(path, str) else path:
+        fs, root = pafs.FileSystem.from_uri(p if "://" in p else os.path.abspath(p))
+        info = fs.get_file_info(root)
+        if info.type == pafs.FileType.File:
+            sizes = [info.size]
+        else:
+            sizes = [i.size for i in fs.get_file_info(pafs.FileSelector(root, recursive=True))
+                     if i.type == pafs.FileType.File and i.base_name[:1] not in "._"]
+        total += sum(sizes)
+        count += len(sizes)
+    return total, count
+
+
+def table_num_blocks(input_bytes: int) -> int:
+    """Block count of a table read of ``input_bytes`` on disk: Ray Data
+    2.49's own rule (``_autodetect_parallelism``) without its
+    ``2 × CPUs`` floor, ``max(1, min(read_op_min_num_blocks,
+    ceil(b / target_min_block_size)), ceil(b / target_max_block_size))``
+    with the values of the current DataContext. One block per 1 MiB up
+    to 200 blocks, then blocks of at most 128 MiB: 1 block for 225 KB,
+    11 for 10.8 MB, 200 for 300 MB, 745,059 for 100 TB.
+
+    The floor costs a small table its fixed per-task cost many times
+    over: in a warm session of 4 logical CPUs (1-vCPU VM, 256 MiB
+    object store), draining the 117 KB, one-row-group sf0.001
+    ``lineitem`` through one identity map took 0.123 s as 8 blocks,
+    0.107 s as 4 and 0.060 s as 1 (median of 7)."""
+    ctx = DataContext.get_current()
+    n = min(ctx.read_op_min_num_blocks, -(-input_bytes // ctx.target_min_block_size))
+    if ctx.target_max_block_size is not None:
+        n = max(n, -(-input_bytes // ctx.target_max_block_size))
+    return max(1, n)
+
+
+def read_table(path: Union[str, Sequence[str]], columns: Optional[list] = None,
+               num_blocks: Optional[int] = None, filter=None) -> rd.Dataset:
+    """Read a logical Lance table (Lance if importable, else Parquet)
+    from a file, directory or URI, or a list of files.
+
+    The read has ``num_blocks`` blocks when given, else
+    table_num_blocks of the files' on-disk bytes. The rule needs no
+    Ray session, so a read built before one starts is sized the same.
+    ``filter`` (a pyarrow expression for Parquet) is pushed into the
+    reader. Holds DATASET_CONSTRUCTION_LOCK while it lists the files and
+    builds the Dataset."""
+    with DATASET_CONSTRUCTION_LOCK:
+        kwargs = {"override_num_blocks":
+                  num_blocks or table_num_blocks(input_files(path)[0])}
+        if filter is not None:
+            kwargs["filter"] = filter
+        if HAVE_LANCE:
+            return rd.read_lance(path, columns=columns, **kwargs)
+        return rd.read_parquet(path, columns=columns, **kwargs)
 
 
 def write_table(ds: rd.Dataset, path: str, **kwargs) -> None:
@@ -44,7 +119,12 @@ def read_text_lines_as_documents(path: str, id_prefix: str = "line") -> rd.Datas
     """Ingest plain text (one document per line, `ray.data.read_text`)
     into the engine's interleaved documents schema — deterministic doc
     ids derive from the line content hash, so the ingest is stable
-    across block splits and reruns."""
+    across block splits and reruns.
+
+    Kept as ingestion surface, though no package code calls it: it is
+    the flat-text entry MIGRATION.md gives callers porting a
+    line-per-document corpus, and the pipeline's own input is never
+    plain text."""
     import hashlib
 
     import numpy as np
@@ -80,7 +160,11 @@ def read_jsonl_as_documents(path: str,
     interleaved documents schema — the webhook/API-payload ingestion
     path a reference user would port. Records carry a text field and
     optionally a media ref; each becomes a one- or two-span document
-    (text span at offset 0, media span after it)."""
+    (text span at offset 0, media span after it).
+
+    Kept as ingestion surface, though no package code calls it: it is
+    the API-payload entry MIGRATION.md names, and the reader for
+    export_jsonl_shards' output, so an export can be fed back in."""
     import numpy as np
     import pyarrow as pa
 
@@ -134,7 +218,11 @@ def read_csv_as_documents(path: str,
     """Ingest CSV (`ray.data.read_csv`) into the interleaved documents
     schema — the masters-CSV-shaped ingestion path (reference
     models.py:21-26 consumes CSV rows); each record becomes a
-    single-text-span document."""
+    single-text-span document.
+
+    Kept as ingestion surface, though no package code calls it: a
+    reference user's records arrive as CSV, and this is their one
+    documented path into the interleaved schema."""
     import numpy as np
     import pyarrow as pa
 
@@ -156,14 +244,6 @@ def read_csv_as_documents(path: str,
         return pa.table({"doc_id": ids, "spans": spans})
 
     return rows.map_batches(to_docs, batch_format="pyarrow")
-
-
-def write_partitioned(ds: rd.Dataset, path: str, by: list) -> None:
-    """Partitioned parquet sink (one directory per key value, hive
-    layout via Ray's native partition_cols) — the resumable-output
-    shape the brief mandates: a failed run re-lists directories and
-    skips finished partitions; never one giant file."""
-    ds.write_parquet(path, partition_cols=list(by))
 
 
 def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
