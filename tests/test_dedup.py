@@ -694,10 +694,21 @@ def test_editk_pairs_vs_bruteforce(ray_session):
     assert out.astype("int64").equals(want_df.astype("int64"))
 
 
+def _jaccard_pct(a: str, b: str, shingle: int) -> int:
+    """Scalar reference for dedup._jaccard_pct_batch: integer Jaccard
+    percent of the two texts' shingle sets, 100*inter // union."""
+    ta, tb = a.split(" "), b.split(" ")
+    sa = {" ".join(ta[i:i + shingle]) for i in range(max(1, len(ta) - shingle + 1))}
+    sb = {" ".join(tb[i:i + shingle]) for i in range(max(1, len(tb) - shingle + 1))}
+    inter = len(sa & sb)
+    return (100 * inter) // (len(sa) + len(sb) - inter) if inter else 0
+
+
 def test_jaccard_pct_batch_matches_scalar_fuzz():
     """The vectorized verify kernel (VERDICT r4 item 4) must reproduce
-    _jaccard_pct exactly — including the inter==0 short-circuit, the
-    floor division, repeated-text pairs, and single-token texts."""
+    the scalar _jaccard_pct reference exactly — including the inter==0
+    short-circuit, the floor division, repeated-text pairs, and
+    single-token texts."""
     rng = np.random.default_rng(7)
     vocab = np.array([f"w{i}" for i in range(30)])
     texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 25)))
@@ -707,7 +718,7 @@ def test_jaccard_pct_batch_matches_scalar_fuzz():
     b = [texts[i] for i in rng.integers(0, len(texts), 200)]
     for shingle in (1, 2, 3):
         got = dedup._jaccard_pct_batch(a, b, shingle)
-        exp = np.array([dedup._jaccard_pct(x, y, shingle)
+        exp = np.array([_jaccard_pct(x, y, shingle)
                         for x, y in zip(a, b)], dtype=np.int32)
         assert np.array_equal(got, exp)
     assert dedup._jaccard_pct_batch([], [], 3).size == 0

@@ -602,6 +602,38 @@ def test_only_extract_dataset_calls_map_groups():
     assert sites == [("pipelines/extract.py", "extract_dataset")]
 
 
+def test_commit_protocol_only_in_storage():
+    """storage owns the commit protocol of derived outputs: no other
+    package module names the commit marker or the oracle-cache root in
+    code, or keys a cache by a file's mtime."""
+    import ast
+    import pathlib
+
+    import westa_ocr_ray
+
+    root = pathlib.Path(westa_ocr_ray.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "storage.py" and path.parent == root:
+            continue
+        tree = ast.parse(path.read_text())
+        docstrings = {id(n.body[0].value) for n in ast.walk(tree)
+                      if isinstance(n, (ast.Module, ast.ClassDef,
+                                        ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                      and n.body and isinstance(n.body[0], ast.Expr)
+                      and isinstance(n.body[0].value, ast.Constant)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                    and ("_SUCCESS" in node.value
+                         or "westa_oracle_cache" in node.value)) or (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "st_mtime_ns"):
+                sites.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert sites == []
+
+
 def test_map_batches_stages_run_as_tasks():
     """Every map_batches stage in the package is a function or an
     instance built on the driver, so it runs as tasks on the warm

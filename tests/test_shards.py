@@ -43,6 +43,21 @@ def test_export_resume_skips_on_marker(tmp_path):
     assert mtimes == [os.path.getmtime(p) for p in after]
 
 
+def test_export_wipes_markerless_dir(tmp_path):
+    # a crashed export leaves uuid-named files and no marker; the re-run
+    # must not read them back next to its own
+    df = _docs(50)
+    out = str(tmp_path / "s3")
+    os.makedirs(os.path.join(out, "shard=0"))
+    planted = os.path.join(out, "shard=0", "part-crashed.parquet")
+    df.head(5).to_parquet(planted, index=False)
+    shards.export_training_shards(rd.from_pandas(df), out, num_shards=4)
+    assert not os.path.exists(planted)
+    back = pd.read_parquet(out)
+    assert len(back) == len(df)
+    assert sorted(back["doc_id"]) == list(df["doc_id"])
+
+
 def test_shard_stats_matches_direct():
     df = _docs(300)
     stats = (shards.shard_stats(rd.from_pandas(df), num_shards=8)

@@ -5,6 +5,7 @@ fixture-scale oracle run may never exercise."""
 
 import numpy as np
 import pandas as pd
+import pytest
 
 from westa_ocr_ray import queries
 
@@ -285,14 +286,14 @@ def test_csv_roundtrip_resume_and_quoting(tmp_path):
         dedup.md5_hex('a,b "quoted" c')[:8], 16)
     assert out.loc["de", "id_sum"] == 2
 
-    st = os.stat(tmp_path / "documents.parquet")
-    key = dedup.md5_hex(
-        f"csvrt|{tmp_path}|{st.st_size}|{st.st_mtime_ns}")[:12]
-    files = glob.glob(f"/tmp/westa_csv_rt/{key}/*.csv")
+    from westa_ocr_ray import storage
+    out_dir = storage.input_cache_dir("csv_rt",
+                                      f"{tmp_path}/documents.parquet")
+    files = glob.glob(f"{out_dir}/*.csv")
     mtime = max(os.path.getmtime(f) for f in files)
     out2 = queries.csv_roundtrip(str(tmp_path)).to_pandas()
     assert max(os.path.getmtime(f)
-               for f in glob.glob(f"/tmp/westa_csv_rt/{key}/*.csv")) \
+               for f in glob.glob(f"{out_dir}/*.csv")) \
         == mtime  # marker hit: no rewrite
     assert len(out2) == 2
 
@@ -1380,12 +1381,13 @@ def test_ivfpq_prunes_to_probed_cells(tmp_path):
     assert set(out["vec_id"]) <= set(range(1, 6))   # positive side only
 
 
-def test_sink_crash_safety_wipes_markerless_dir(tmp_path, monkeypatch):
+def _check_sink_crash_safety(tmp_path, query, cache, tags, part):
     # simulate a crashed export: a marker-less output dir with a bogus
     # leftover file must be wiped and rewritten whole (ADVICE atomic-
-    # sink rule, applied to the round-4 sinks)
-    import glob
+    # sink rule, applied to every query-side sink)
     import os
+
+    from westa_ocr_ray import storage
 
     df = pd.DataFrame({
         "doc_id": np.array([1, 2], dtype=np.int64),
@@ -1393,16 +1395,36 @@ def test_sink_crash_safety_wipes_markerless_dir(tmp_path, monkeypatch):
         "source": "s0", "n_chars": np.int64(3)})
     df.to_parquet(tmp_path / "documents.parquet", index=False)
     sf = str(tmp_path)
-    # first run creates the cache; find the dir, then sabotage it
-    out1 = queries.hive_roundtrip(sf).to_pandas()
-    dirs = glob.glob("/tmp/westa_hive_rt/*")
-    target = max(dirs, key=os.path.getmtime)
+    fn = queries.QUERIES[query]
+    # first run creates the cache; then sabotage it
+    out1 = fn(sf).to_pandas()
+    target = storage.input_cache_dir(cache, f"{sf}/documents.parquet",
+                                     *tags)
     os.remove(os.path.join(target, "_SUCCESS"))
-    with open(os.path.join(target, "lang=es", "junk.parquet"), "w") as f:
-        f.write("not parquet")
-    out2 = queries.hive_roundtrip(sf).to_pandas()
-    assert out1.equals(out2)            # junk wiped, clean rebuild
+    ext = ".csv" if query == "csv_roundtrip" else ".parquet"
+    junk = os.path.join(target, part, "junk" + ext)
+    with open(junk, "w") as f:
+        f.write("not " + ext)
+    out2 = fn(sf).to_pandas()
+    assert not os.path.exists(junk)     # junk wiped, clean rebuild
+    pd.testing.assert_frame_equal(out1, out2)
     assert os.path.exists(os.path.join(target, "_SUCCESS"))
+
+
+def test_sink_crash_safety_wipes_markerless_dir(tmp_path):
+    _check_sink_crash_safety(tmp_path, "hive_roundtrip", "hive_rt", (),
+                             "lang=es")
+
+
+@pytest.mark.parametrize("query,cache,tags,part", [
+    ("csv_roundtrip", "csv_rt", (), ""),
+    ("tokenized_export", "tok_export", (f"v{queries.TOKV_SIZE}",), ""),
+    ("range_partitioned_export", "rpe", (f"p{queries.RPE_PARTS}",),
+     "part=0"),
+])
+def test_every_sink_crash_safety_wipes_markerless_dir(tmp_path, query,
+                                                      cache, tags, part):
+    _check_sink_crash_safety(tmp_path, query, cache, tags, part)
 
 
 def test_user_entropy_uniform_and_pure(tmp_path):

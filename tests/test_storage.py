@@ -295,6 +295,23 @@ def test_export_jsonl_shards_roundtrip_and_resume(tmp_path):
     assert int(m2["n_rows"].sum()) == 60
 
 
+def test_json_cache_recomputes_truncated_file(tmp_path):
+    import json
+
+    path = tmp_path / "oracle.json"
+    path.write_text("{")        # a writer killed mid-dump
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return [[1, "a"]]
+
+    assert storage.json_cache(str(path), compute) == [[1, "a"]]
+    assert json.loads(path.read_text()) == [[1, "a"]]
+    assert storage.json_cache(str(path), compute) == [[1, "a"]]
+    assert len(calls) == 1      # the valid file is read, not recomputed
+
+
 def test_snapshot_diff_statuses():
     import pandas as pd
     import ray.data as rd

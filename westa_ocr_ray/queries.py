@@ -42,7 +42,9 @@ from .config import ExtractConfig
 from .pipelines.extract import extract_dataset, read_documents
 from .relops import (exchange, grouped_topk, hash_join, partial_aggregate,
                      per_key)
-from .storage import DATASET_CONSTRUCTION_LOCK, read_table
+from .storage import (DATASET_CONSTRUCTION_LOCK, commit_dir,
+                      committed_generations, input_cache_dir, input_key,
+                      json_cache, read_table)
 
 
 def rp(sf_dir: str, name: str, columns: Optional[List[str]] = None) -> rd.Dataset:
@@ -969,19 +971,15 @@ QUERY_VEC_IDS = tuple(range(8))
 
 def q_sim_ann_ivf_index(sf_dir: str) -> pd.DataFrame:
     """ANN through a PERSISTED IVF index: build once under /tmp
-    (cell-partitioned parquet + centroid table + _SUCCESS; re-runs
+    (cell-partitioned parquet + centroid table, committed once; re-runs
     skip the build), then answer the probe queries by reading ONLY the
     probed cells' files. Rows-only by design (IVF recall < 1;
     recall-gated in tests/test_similarity.py)."""
-    import os
-
     emb = rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    # |v3: layout/trainer version (gen-subtree cells, int64-quantized
+    # v3: layout/trainer version (gen-subtree cells, int64-quantized
     # deterministic centroid trainer) — a stale /tmp
     # index from an older layout must never be read
-    key = dedup.md5_hex(f"{sf_dir}|{st.st_size}|{st.st_mtime_ns}|v3")[:12]
-    out = f"/tmp/westa_ivf_index/{key}"
+    out = input_cache_dir("ivf_index", f"{sf_dir}/embeddings.parquet", "v3")
     similarity.build_ivf_index(emb, out, n_centroids=16, rounds=3)
     qids, qmat = similarity.load_queries(emb, QUERY_VEC_IDS)
     return similarity.ann_topk_from_index(out, qmat, qids, k=5, n_probe=4)
@@ -991,19 +989,13 @@ def _text_index_dir(sf_dir: str) -> str:
     """Cache dir for the persisted inverted index: keyed by the corpus
     file stat AND the on-disk format version, so a layout change never
     reads a stale /tmp index."""
-    import os
-
-    from .search import TEXT_INDEX_FORMAT
-
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = dedup.md5_hex(
-        f"{sf_dir}|{st.st_size}|{st.st_mtime_ns}|v{TEXT_INDEX_FORMAT}")[:12]
-    return f"/tmp/westa_text_index/{key}"
+    return input_cache_dir("text_index", f"{sf_dir}/documents.parquet",
+                           f"v{search.TEXT_INDEX_FORMAT}")
 
 
 def q_text_index_search(sf_dir: str) -> pd.DataFrame:
     """Term lookup through a PERSISTED inverted index (build once under
-    /tmp — hive-partitioned postings + _SUCCESS resume marker, the
+    /tmp — hive-partitioned postings committed once, the
     build-once/query-many twin of sim_ann_ivf_index for text): the
     probe terms' postings come from ONLY their bucket partitions.
     Exact SQL oracle (tf = whitespace-token occurrences per doc)."""
@@ -1107,13 +1099,9 @@ def q_sim_ann_ivf_index_planted(sf_dir: str) -> pd.DataFrame:
     """The PERSISTED IVF index (build → cell-partitioned parquet →
     probed-cell-only reads) on the planted corpus — the index
     round-trip itself becomes hash-checked, not just recall-gated."""
-    import os
-
     emb = _planted_embeddings(sf_dir)
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    key = dedup.md5_hex(
-        f"{sf_dir}|{st.st_size}|{st.st_mtime_ns}|planted_v3")[:12]
-    out = f"/tmp/westa_ivf_index/{key}"
+    out = input_cache_dir("ivf_index", f"{sf_dir}/embeddings.parquet",
+                          "planted_v3")
     similarity.build_ivf_index(emb, out, n_centroids=16, rounds=3)
     qids, qmat = similarity.load_queries(emb, QUERY_VEC_IDS)
     return similarity.ann_topk_from_index(out, qmat, qids,
@@ -1128,14 +1116,11 @@ def q_sim_ann_ivf_incremental(sf_dir: str) -> pd.DataFrame:
     its query's argmax cell under the stored centroids = the query's
     top-1 probe, so recall stays 1.0 and the result hash-matches the
     same brute-force oracle — proving the add path end to end."""
-    import os
     import shutil
 
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    key = dedup.md5_hex(
-        f"{sf_dir}|{st.st_size}|{st.st_mtime_ns}|incr_v3")[:12]
-    out = f"/tmp/westa_ivf_index/{key}"
-    if not os.path.exists(os.path.join(out, "_SUCCESS.1")):
+    out = input_cache_dir("ivf_index", f"{sf_dir}/embeddings.parquet",
+                          "incr_v3")
+    if 1 not in committed_generations(out):
         shutil.rmtree(out, ignore_errors=True)  # wipe a half-done add
         similarity.build_ivf_index(
             rp(sf_dir, "embeddings", ["vec_id", "embedding"]), out,
@@ -1200,13 +1185,10 @@ def q_text_index_incremental(sf_dir: str) -> pd.DataFrame:
     then look up the probe terms. Hash-matches the SAME
     SQL oracle as text_index_search (the full-corpus derivation) —
     proving incremental == rebuild."""
-    import os
     import shutil
 
-    from . import search
-
     out = _text_index_dir(sf_dir) + "_incr"
-    if not os.path.exists(os.path.join(out, "_SUCCESS.1")):
+    if 1 not in committed_generations(out):
         shutil.rmtree(out, ignore_errors=True)  # wipe a half-done add
         docs = rp(sf_dir, "documents", ["doc_id", "text"])
         base = docs.map_batches(lambda df: df[df["doc_id"] % 3 != 0],
@@ -1898,13 +1880,9 @@ def q_export_jsonl(sf_dir: str) -> rd.Dataset:
     resumed, keyed by the input's stat) and return the (shard, n_rows)
     manifest — which the SQL oracle recomputes from the same shard
     rule, proving the sink wrote everything exactly once."""
-    import os
-
     from . import storage
 
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = dedup.md5_hex(f"{sf_dir}|{st.st_size}|{st.st_mtime_ns}")[:12]
-    out = f"/tmp/westa_jsonl/{key}"
+    out = input_cache_dir("jsonl", f"{sf_dir}/documents.parquet")
     m = storage.export_jsonl_shards(
         rp(sf_dir, "documents", ["doc_id", "text"]), out, num_shards=16)
     return m.map_batches(
@@ -2768,35 +2746,20 @@ def _bpe_train_oracle_sql(tier: str = "correctness") -> str:
     corpus or semantics change regenerates it. Tier maps to the
     standard testdata dir (the driver always runs the correctness tier
     = sf0.01)."""
-    import json
-    import os
-
     sf = {"smoke": "sf0.001", "correctness": "sf0.01",
           "bench": "sf0.1"}[tier]
     path = f"/root/testdata/{sf}/documents.parquet"
-    st = os.stat(path)
-    key = dedup.md5_hex(
-        f"bpe1|{path}|{st.st_size}|{st.st_mtime_ns}|"
-        f"{text_analysis.BPE_TRAIN_MERGES}")[:16]
-    cache = f"/tmp/westa_oracle_cache/bpe_{key}.json"
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         import pyarrow.parquet as pq
         texts = pq.read_table(path, columns=["text"])["text"].to_pylist()
-        rows = [[r, a, b, c] for r, (a, b, c) in
+        return [[r, a, b, c] for r, (a, b, c) in
                 enumerate(text_analysis.bpe_train_serial(
                     texts, text_analysis.BPE_TRAIN_MERGES))]
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+
+    rows = json_cache(
+        f"bpe_{input_key(path, text_analysis.BPE_TRAIN_MERGES)}.json",
+        compute)
 
     def q(s: str) -> str:
         return "'" + s.replace("'", "''") + "'"
@@ -2813,21 +2776,11 @@ def _media_usage_oracle_sql(tier: str = "correctness") -> str:
     reference extraction (same independent implementation the pytest
     span-sequence gate asserts against); disk-cached by source
     fingerprint + tier like _extract_summary_oracle_sql."""
-    import json
-    import os
-
     from . import oracle as oracle_mod
 
     fp = fixtures.source_fingerprint(fixtures, extractors, oracle_mod)
-    cache = f"/tmp/westa_oracle_cache/{fp}_{tier}_media_usage.json"
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         per_doc = oracle_mod.extract_corpus(fixtures.DEFAULT_SEED,
                                             fixtures.TIERS[tier])
         acc: dict = {}
@@ -2838,12 +2791,9 @@ def _media_usage_oracle_sql(tier: str = "correctness") -> str:
                     a[0].add(s["media_ref"])
                     a[1] += 1
                     a[2] += len(s["text"])
-        rows = [[k, len(v[0]), v[1], v[2]] for k, v in sorted(acc.items())]
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+        return [[k, len(v[0]), v[1], v[2]] for k, v in sorted(acc.items())]
+
+    rows = json_cache(f"{fp}_{tier}_media_usage.json", compute)
     vals = ", ".join("('{}', {}, {}, {})".format(*r) for r in rows)
     return f"""
         SELECT kind, CAST(n_refs AS BIGINT) AS n_refs,
@@ -2859,19 +2809,10 @@ def _mm_payload_oracle_sql(tier: str = "correctness") -> str:
     first-wins keeper per (sha, kind). Disk-cached by fixtures source
     fingerprint + tier."""
     import hashlib
-    import json
-    import os
 
     fp = fixtures.source_fingerprint(fixtures)
-    cache = f"/tmp/westa_oracle_cache/{fp}_{tier}_mm_payload.json"
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         acc: dict = {}
         for i in range(fixtures.TIERS[tier]):
             d = fixtures.gen_doc_row(fixtures.DEFAULT_SEED, i)
@@ -2883,12 +2824,9 @@ def _mm_payload_oracle_sql(tier: str = "correctness") -> str:
                     a = acc.setdefault(k, [s["media_ref"], 0, len(p)])
                     a[0] = min(a[0], s["media_ref"])
                     a[1] += 1
-        rows = [[h, k, v[0], v[1], v[2]] for (h, k), v in sorted(acc.items())]
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+        return [[h, k, v[0], v[1], v[2]] for (h, k), v in sorted(acc.items())]
+
+    rows = json_cache(f"{fp}_{tier}_mm_payload.json", compute)
     vals = ", ".join("('{}', '{}', '{}', {}, {})".format(*r) for r in rows)
     return f"""
         SELECT payload_sha, kind, keeper_ref,
@@ -2903,24 +2841,13 @@ def _mm_interleaved_oracle_sql(tier: str = "correctness") -> str:
     reference extraction's span lists run through the same greedy
     budget rule in plain python. Cached by source fingerprint + tier
     + packing constants."""
-    import json
-    import os
-
     from . import oracle as oracle_mod
 
     budget = multimodal.MM_SEQ_BUDGET
     mtok = multimodal.MM_TOKENS_PER_MEDIA
     fp = fixtures.source_fingerprint(fixtures, extractors, oracle_mod)
-    cache = (f"/tmp/westa_oracle_cache/{fp}_{tier}_mmpack_"
-             f"{budget}_{mtok}.json")
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         per_doc = oracle_mod.extract_corpus(fixtures.DEFAULT_SEED,
                                             fixtures.TIERS[tier])
         rows = []
@@ -2940,11 +2867,9 @@ def _mm_interleaved_oracle_sql(tier: str = "correctness") -> str:
                     cur += cost
             rows.append([r["doc_id"], n_seqs, len(r["spans"]), n_media,
                          n_text])
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+        return rows
+
+    rows = json_cache(f"{fp}_{tier}_mmpack_{budget}_{mtok}.json", compute)
     vals = ", ".join("('{}', {}, {}, {}, {})".format(*r) for r in rows)
     return f"""
         SELECT doc_id, CAST(n_seqs AS BIGINT) AS n_seqs,
@@ -2958,21 +2883,11 @@ def _mm_interleaved_oracle_sql(tier: str = "correctness") -> str:
 def _mm_transitions_oracle_sql(tier: str = "correctness") -> str:
     """Inline-VALUES oracle for q_mm_span_transitions from the serial
     reference extraction's adjacent-span kind pairs."""
-    import json
-    import os
-
     from . import oracle as oracle_mod
 
     fp = fixtures.source_fingerprint(fixtures, extractors, oracle_mod)
-    cache = f"/tmp/westa_oracle_cache/{fp}_{tier}_mm_trans.json"
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         per_doc = oracle_mod.extract_corpus(fixtures.DEFAULT_SEED,
                                             fixtures.TIERS[tier])
         acc: dict = {}
@@ -2980,12 +2895,9 @@ def _mm_transitions_oracle_sql(tier: str = "correctness") -> str:
             ks = [s["kind"] for s in r["spans"]]
             for a, b in zip(ks, ks[1:]):
                 acc[(a, b)] = acc.get((a, b), 0) + 1
-        rows = [[a, b, n] for (a, b), n in sorted(acc.items())]
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+        return [[a, b, n] for (a, b), n in sorted(acc.items())]
+
+    rows = json_cache(f"{fp}_{tier}_mm_trans.json", compute)
     vals = ", ".join("('{}', '{}', {})".format(*r) for r in rows)
     return f"""
         SELECT kind_from, kind_to, CAST(n AS BIGINT) AS n
@@ -2996,25 +2908,11 @@ def _bpe_encode_oracle_sql(tier: str = "correctness") -> str:
     """Inline-VALUES oracle for q_bpe_encode: the serial BPE trainer's
     merges applied per doc by the same greedy rule, independently of
     the distributed path. Cached alongside the bpe_train oracle."""
-    import json
-    import os
-
     sf = {"smoke": "sf0.001", "correctness": "sf0.01",
           "bench": "sf0.1"}[tier]
     path = f"/root/testdata/{sf}/documents.parquet"
-    st = os.stat(path)
-    key = dedup.md5_hex(
-        f"bpeenc1|{path}|{st.st_size}|{st.st_mtime_ns}|"
-        f"{text_analysis.BPE_TRAIN_MERGES}")[:16]
-    cache = f"/tmp/westa_oracle_cache/bpeenc_{key}.json"
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         import pyarrow.parquet as pq
         t = pq.read_table(path, columns=["doc_id", "text"])
         texts = t["text"].to_pylist()
@@ -3034,11 +2932,11 @@ def _bpe_encode_oracle_sql(tier: str = "correctness") -> str:
         for did, text in zip(ids, texts):
             ws = [w for w in text.split(" ") if w]
             rows.append([did, len(ws), sum(seg_len(w) for w in ws)])
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+        return rows
+
+    rows = json_cache(
+        f"bpeenc_{input_key(path, text_analysis.BPE_TRAIN_MERGES)}.json",
+        compute)
     vals = ", ".join(f"({d}, {w}, {b})" for d, w, b in rows)
     return f"""
         SELECT CAST(doc_id AS BIGINT) AS doc_id,
@@ -3090,24 +2988,13 @@ def _mm_prep_oracle_sql(tier: str = "correctness") -> str:
     """Composed inline-VALUES oracle for q_mm_prep: serial reference
     extraction → the same greedy packing rule → the same md5 shard
     rule → per-shard rollup."""
-    import json
-    import os
-
     from . import oracle as oracle_mod
 
     budget = multimodal.MM_SEQ_BUDGET
     mtok = multimodal.MM_TOKENS_PER_MEDIA
     fp = fixtures.source_fingerprint(fixtures, extractors, oracle_mod)
-    cache = (f"/tmp/westa_oracle_cache/{fp}_{tier}_mmprep_"
-             f"{budget}_{mtok}.json")
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         per_doc = oracle_mod.extract_corpus(fixtures.DEFAULT_SEED,
                                             fixtures.TIERS[tier])
         acc: dict = {}
@@ -3131,12 +3018,9 @@ def _mm_prep_oracle_sql(tier: str = "correctness") -> str:
             a[1] += n_seqs
             a[2] += n_media
             a[3] += n_text
-        rows = [[sh] + v for sh, v in sorted(acc.items())]
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+        return [[sh] + v for sh, v in sorted(acc.items())]
+
+    rows = json_cache(f"{fp}_{tier}_mmprep_{budget}_{mtok}.json", compute)
     vals = ", ".join("({}, {}, {}, {}, {})".format(*r) for r in rows)
     return f"""
         SELECT CAST(shard AS BIGINT) AS shard,
@@ -3160,21 +3044,11 @@ def _extract_summary_oracle_sql(tier: str = "correctness") -> str:
     expected values depend on, so a semantics change in a later round
     regenerates it (one ~4 s serial pass per fingerprint for the
     2000-doc correctness tier)."""
-    import json
-    import os
-
     from . import oracle as oracle_mod
 
     fp = fixtures.source_fingerprint(fixtures, extractors, oracle_mod)
-    cache = f"/tmp/westa_oracle_cache/{fp}_{tier}_summary.json"
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         per_doc = oracle_mod.extract_corpus(fixtures.DEFAULT_SEED,
                                             fixtures.TIERS[tier])
         acc: dict = {}
@@ -3186,12 +3060,9 @@ def _extract_summary_oracle_sql(tier: str = "correctness") -> str:
             a[3] += r["skipped"]
             a[4] += r["errors"]
             a[5] += r["master_hits"]
-        rows = [[s] + v for s, v in sorted(acc.items())]
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+        return [[s] + v for s, v in sorted(acc.items())]
+
+    rows = json_cache(f"{fp}_{tier}_summary.json", compute)
     vals = ", ".join("('{}', {}, {}, {}, {}, {}, {})".format(*r) for r in rows)
     return f"""
         SELECT status, CAST(n_docs AS BIGINT) AS n_docs,
@@ -3211,22 +3082,12 @@ def _extract_then_clean_oracle_sql(tier: str = "correctness") -> str:
     (word/char thresholds + exact first-wins dedup on content, min-id
     keeper) — the last extract-family query without a driver-visible
     value check. Disk-cached per source fingerprint."""
-    import json
-    import os
-
     from . import oracle as oracle_mod
     from .text_analysis import _WORD_RE
 
     fp = fixtures.source_fingerprint(fixtures, extractors, oracle_mod)
-    cache = f"/tmp/westa_oracle_cache/{fp}_{tier}_thenclean.json"
-    kept = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                kept = json.load(fh)
-        except (OSError, ValueError):
-            kept = None
-    if kept is None:
+
+    def compute() -> list:
         per_doc = oracle_mod.extract_corpus(fixtures.DEFAULT_SEED,
                                             fixtures.TIERS[tier])
         best: dict = {}  # text -> min doc_id (first-wins keeper)
@@ -3236,12 +3097,9 @@ def _extract_then_clean_oracle_sql(tier: str = "correctness") -> str:
                 continue
             if text not in best or r["doc_id"] < best[text]:
                 best[text] = r["doc_id"]
-        kept = sorted(best.values())
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(kept, fh)
-        os.replace(tmp, cache)
+        return sorted(best.values())
+
+    kept = json_cache(f"{fp}_{tier}_thenclean.json", compute)
     vals = ", ".join(f"('{d}')" for d in kept)
     return f"""
         SELECT doc_id FROM (VALUES {vals}) AS t(doc_id)"""
@@ -3253,21 +3111,12 @@ def _extract_span_checksum_oracle_sql(tier: str = "correctness") -> str:
     SAME per-span md5 checksum — disk-cached per source fingerprint
     like _extract_summary_oracle_sql."""
     import hashlib as _h
-    import json
-    import os
 
     from . import oracle as oracle_mod
 
     fp = fixtures.source_fingerprint(fixtures, extractors, oracle_mod)
-    cache = f"/tmp/westa_oracle_cache/{fp}_{tier}_spanchk.json"
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         per_doc = oracle_mod.extract_corpus(fixtures.DEFAULT_SEED,
                                             fixtures.TIERS[tier])
         acc: dict = {}
@@ -3278,12 +3127,9 @@ def _extract_span_checksum_oracle_sql(tier: str = "correctness") -> str:
                 a[1] += int(_h.md5(
                     f"{r['doc_id']}|{s['order']}|{s['kind']}|{s['text']}|"
                     f"{s['media_ref']}".encode("utf-8")).hexdigest()[:8], 16)
-        rows = [[k] + v for k, v in sorted(acc.items())]
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+        return [[k] + v for k, v in sorted(acc.items())]
+
+    rows = json_cache(f"{fp}_{tier}_spanchk.json", compute)
     vals = ", ".join("('{}', {}, {})".format(*r) for r in rows)
     return f"""
         SELECT kind, CAST(n_spans AS BIGINT) AS n_spans,
@@ -3632,9 +3478,7 @@ def jsonl_roundtrip(sf_dir: str) -> rd.Dataset:
 
     from . import storage
 
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = dedup.md5_hex(f"rt|{sf_dir}|{st.st_size}|{st.st_mtime_ns}")[:12]
-    out = f"/tmp/westa_jsonl_rt/{key}"
+    out = input_cache_dir("jsonl_rt", f"{sf_dir}/documents.parquet")
     storage.export_jsonl_shards(
         rp(sf_dir, "documents", ["doc_id", "text", "lang"]), out,
         num_shards=16)
@@ -4934,24 +4778,14 @@ def csv_roundtrip(sf_dir: str) -> rd.Dataset:
     read it back through read_csv, and fold per language into
     (count, doc_id sum, text md5 fold) — the SQL oracle computes the
     same fold from the ORIGINAL parquet, so any quoting/parse mangling
-    in either direction breaks the hash. Crash-safe resume: a
-    marker-less output dir is wiped and rewritten whole (the ADVICE
-    atomic-sink rule); a marker hit skips the export."""
+    in either direction breaks the hash. The export is committed by
+    storage.commit_dir (the ADVICE atomic-sink rule)."""
     import glob as _glob
     import os
-    import shutil as _shutil
 
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = dedup.md5_hex(f"csvrt|{sf_dir}|{st.st_size}|{st.st_mtime_ns}")[:12]
-    out = f"/tmp/westa_csv_rt/{key}"
-    marker = os.path.join(out, "_SUCCESS")
-    if not os.path.exists(marker):
-        if os.path.isdir(out):
-            _shutil.rmtree(out)   # leftovers of a crashed export
-        rp(sf_dir, "documents",
-           ["doc_id", "text", "lang"]).write_csv(out)
-        with open(marker, "w") as f:
-            f.write("")
+    out = input_cache_dir("csv_rt", f"{sf_dir}/documents.parquet")
+    commit_dir(out, lambda d: rp(sf_dir, "documents",
+                                 ["doc_id", "text", "lang"]).write_csv(d))
     files = sorted(_glob.glob(os.path.join(out, "*.csv")))
     with DATASET_CONSTRUCTION_LOCK:
         back = rd.read_csv(files)
@@ -7049,17 +6883,12 @@ ORACLE_SQL["grouped_mad"] = """
 # serial direct-call replay of the three multimodal kernels, cached by
 # source fingerprint + tier (the _mm_payload_oracle_sql mechanism)
 def _mm_kernel_checksums(tier: str = "correctness") -> dict:
-    import json
-    import os
-
     fp = fixtures.source_fingerprint(fixtures, multimodal, extractors)
-    cache = f"/tmp/westa_oracle_cache/{fp}_{tier}_mm_kernels.json"
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            pass
+    return json_cache(f"{fp}_{tier}_mm_kernels.json",
+                      lambda: _mm_kernel_rows(tier))
+
+
+def _mm_kernel_rows(tier: str) -> dict:
     refs, kinds, payloads = [], [], []
     for i in range(fixtures.TIERS[tier]):
         d = fixtures.gen_doc_row(fixtures.DEFAULT_SEED, i)
@@ -7114,13 +6943,7 @@ def _mm_kernel_checksums(tier: str = "correctness") -> dict:
             rt.column("payload").to_pylist(),
             rt.column("error").to_pylist())])
 
-    out = {"featurize": feat_rows, "frame": frame_rows, "resize": rz_rows}
-    os.makedirs(os.path.dirname(cache), exist_ok=True)
-    tmp = cache + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(out, fh)
-    os.replace(tmp, cache)
-    return out
+    return {"featurize": feat_rows, "frame": frame_rows, "resize": rz_rows}
 
 
 def _values_sql(rows: list, cols: list) -> str:
@@ -10657,22 +10480,14 @@ def hive_roundtrip(sf_dir: str) -> rd.Dataset:
     filter — and folded to (n, id_sum, text md5 fold). The oracle
     computes the same fold from the original parquet WHERE lang='es',
     so a partition mix-up or value mangling in either direction breaks
-    the hash. Same crash-safe marker rule as csv_roundtrip."""
+    the hash. Committed by storage.commit_dir like csv_roundtrip."""
     import glob as _glob
     import os
-    import shutil as _shutil
 
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = dedup.md5_hex(f"hivert|{sf_dir}|{st.st_size}|{st.st_mtime_ns}")[:12]
-    out = f"/tmp/westa_hive_rt/{key}"
-    marker = os.path.join(out, "_SUCCESS")
-    if not os.path.exists(marker):
-        if os.path.isdir(out):
-            _shutil.rmtree(out)
-        rp(sf_dir, "documents", ["doc_id", "text", "lang"]) \
-            .write_parquet(out, partition_cols=["lang"])
-        with open(marker, "w") as f:
-            f.write("")
+    out = input_cache_dir("hive_rt", f"{sf_dir}/documents.parquet")
+    commit_dir(out, lambda d: rp(sf_dir, "documents",
+                                 ["doc_id", "text", "lang"])
+               .write_parquet(d, partition_cols=["lang"]))
     files = sorted(_glob.glob(os.path.join(out, "lang=es", "*.parquet")))
     if not files:   # corpus has no lang=es rows: the fold is all-zero
         return rd.from_pandas(pd.DataFrame(
@@ -10708,6 +10523,13 @@ ORACLE_SQL["hive_roundtrip"] = """
 RPE_PARTS = 8
 
 
+def _rpe_dir(sf_dir: str) -> str:
+    """Cache dir of range_partitioned_export, which pruned_range_read
+    lists back."""
+    return input_cache_dir("rpe", f"{sf_dir}/documents.parquet",
+                           f"p{RPE_PARTS}")
+
+
 def range_partitioned_export(sf_dir: str) -> rd.Dataset:
     """RANGE-PARTITIONED export with a data-skipping manifest — the
     distributed ORDER-BY-layout writer: split points are EXACT order
@@ -10722,19 +10544,13 @@ def range_partitioned_export(sf_dir: str) -> rd.Dataset:
     written bytes. Returns (part, n, min_key, max_key, id_sum, fold)."""
     import glob as _glob
     import os
-    import shutil as _shutil
 
     from .relops import exact_order_statistic
 
     docs = rp(sf_dir, "documents", ["doc_id", "n_chars"])
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = dedup.md5_hex(
-        f"rpe|{sf_dir}|{st.st_size}|{st.st_mtime_ns}|p{RPE_PARTS}")[:12]
-    out = f"/tmp/westa_rpe/{key}"
-    marker = os.path.join(out, "_SUCCESS")
-    if not os.path.exists(marker):
-        if os.path.isdir(out):
-            _shutil.rmtree(out)
+    out = _rpe_dir(sf_dir)
+
+    def write(d: str) -> None:
         n = docs.count()
         splits = np.array(
             [exact_order_statistic(docs, "n_chars",
@@ -10750,9 +10566,9 @@ def range_partitioned_export(sf_dir: str) -> rd.Dataset:
                           .astype(np.int64)})
 
         (docs.map_batches(assign, batch_format="pandas")
-             .write_parquet(out, partition_cols=["part"]))
-        with open(marker, "w") as f:
-            f.write("")
+             .write_parquet(d, partition_cols=["part"]))
+
+    commit_dir(out, write)
     files = sorted(_glob.glob(os.path.join(out, "part=*", "*.parquet")))
     back = read_table(files)
 
@@ -11131,11 +10947,10 @@ def tokenized_export(sf_dir: str) -> rd.Dataset:
     (n_docs, n_tokens, id_sum, n_oov). The vocabulary is bounded and
     broadcast; the corpus makes exactly two streaming passes (count,
     encode); the oracle derives the same fold from the raw text, so
-    any encode/write/read mangling breaks the hash. Marker-cached
-    like the other sinks."""
+    any encode/write/read mangling breaks the hash. Committed by
+    storage.commit_dir like the other sinks."""
     import glob as _glob
     import os
-    import shutil as _shutil
 
     docs = rp(sf_dir, "documents", ["doc_id", "text", "lang"])
 
@@ -11154,27 +10969,19 @@ def tokenized_export(sf_dir: str) -> rd.Dataset:
                           ignore_index=True).head(TOKV_SIZE)
     vocab = {t: i + 1 for i, t in enumerate(cnt["token"])}
 
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = dedup.md5_hex(
-        f"tokx|{sf_dir}|{st.st_size}|{st.st_mtime_ns}|v{TOKV_SIZE}")[:12]
-    out_dir = f"/tmp/westa_tok_export/{key}"
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if not os.path.exists(marker):
-        if os.path.isdir(out_dir):
-            _shutil.rmtree(out_dir)
+    out_dir = input_cache_dir("tok_export", f"{sf_dir}/documents.parquet",
+                              f"v{TOKV_SIZE}")
 
-        def encode(df: pd.DataFrame) -> pd.DataFrame:
-            ids = [[vocab.get(t, 0) for t in s.split(" ")]
-                   for s in df["text"]]
-            return pd.DataFrame({
-                "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
-                "lang": df["lang"].to_numpy(),
-                "ids": ids})
+    def encode(df: pd.DataFrame) -> pd.DataFrame:
+        ids = [[vocab.get(t, 0) for t in s.split(" ")]
+               for s in df["text"]]
+        return pd.DataFrame({
+            "doc_id": df["doc_id"].to_numpy(dtype=np.int64),
+            "lang": df["lang"].to_numpy(),
+            "ids": ids})
 
-        docs.map_batches(encode, batch_format="pandas") \
-            .write_parquet(out_dir)
-        with open(marker, "w") as f:
-            f.write("")
+    commit_dir(out_dir, lambda d: docs.map_batches(
+        encode, batch_format="pandas").write_parquet(d))
     files = sorted(_glob.glob(os.path.join(out_dir, "*.parquet")))
     back = read_table(files)
 
@@ -11920,10 +11727,7 @@ def pruned_range_read(sf_dir: str) -> rd.Dataset:
 
     # build (or reuse) the export + its manifest
     manifest = range_partitioned_export(sf_dir).to_pandas()
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = dedup.md5_hex(
-        f"rpe|{sf_dir}|{st.st_size}|{st.st_mtime_ns}|p{RPE_PARTS}")[:12]
-    out = f"/tmp/westa_rpe/{key}"
+    out = _rpe_dir(sf_dir)
     hit = manifest[(manifest["max_key"] >= PRUNE_LO)
                    & (manifest["min_key"] <= PRUNE_HI)]
     parts = sorted(int(p) for p in hit["part"])
@@ -13207,21 +13011,12 @@ def _mm_caption_oracle_sql(tier: str = "correctness") -> str:
     reference extraction through the same nearest-preceding-text
     pairing + per-kind fold."""
     import hashlib as _h
-    import json
-    import os
 
     from . import oracle as oracle_mod
 
     fp = fixtures.source_fingerprint(fixtures, extractors, oracle_mod)
-    cache = f"/tmp/westa_oracle_cache/{fp}_{tier}_mm_capt.json"
-    rows = None
-    if os.path.exists(cache):
-        try:
-            with open(cache) as fh:
-                rows = json.load(fh)
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
+
+    def compute() -> list:
         per_doc = oracle_mod.extract_corpus(fixtures.DEFAULT_SEED,
                                             fixtures.TIERS[tier])
         acc: dict = {}
@@ -13240,12 +13035,9 @@ def _mm_caption_oracle_sql(tier: str = "correctness") -> str:
                             f"{r['doc_id']}|{s['media_ref']}|{s['order']}|"
                             f"{last_text['text']}".encode("utf-8"))
                             .hexdigest()[:8], 16)
-        rows = [[k] + v for k, v in sorted(acc.items())]
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + f".tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, cache)
+        return [[k] + v for k, v in sorted(acc.items())]
+
+    rows = json_cache(f"{fp}_{tier}_mm_capt.json", compute)
     vals = ", ".join("('{}', {}, {}, {}, {})".format(*r) for r in rows)
     return f"""
         SELECT kind, CAST(n_media AS BIGINT) AS n_media,

@@ -32,7 +32,8 @@ import pandas as pd
 import ray.data as rd
 
 from .relops import exchange, grouped_topk, partial_aggregate
-from .storage import DATASET_CONSTRUCTION_LOCK, read_table
+from .storage import (DATASET_CONSTRUCTION_LOCK, add_generation, commit_dir,
+                      generation_files, read_table)
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -152,74 +153,27 @@ def bm25_oracle_sql(terms: Sequence[str], k: int = 50,
 
 #: bump when the on-disk index layout changes (cache keys include it,
 #: so stale /tmp indexes from an older code version are never read)
-TEXT_INDEX_FORMAT = 4  # v4: positional sidecar (positions/gen=/bucket=)
+TEXT_INDEX_FORMAT = 5  # v5: per-gen stats under stats/gen=<g>/
 
 
-def _committed_gens(index_dir: str) -> list:
-    """Generations of the index whose writes fully committed: the base
-    build stamps ``_SUCCESS`` (generation 0) and each incremental add
-    stamps ``_SUCCESS.<g>``. Readers only ever see committed
-    generations, so a crashed build/add is invisible until its re-run
-    commits — the crash-safety contract of the whole index family."""
-    import glob as _glob
-    import os
+def _bucket_parts(terms: Sequence[str], num_buckets: int) -> list:
+    """The ``bucket=<b>`` partition dirs holding ``terms``' postings and
+    positions: md5(token) % num_buckets, the rule _write_index_gen
+    writes by."""
+    import hashlib
 
-    gens = []
-    if os.path.exists(os.path.join(index_dir, "_SUCCESS")):
-        gens.append(0)
-    for m in _glob.glob(os.path.join(index_dir, "_SUCCESS.*")):
-        s = m.rsplit(".", 1)[1]
-        if s.isdigit():
-            gens.append(int(s))
-    return sorted(gens)
-
-
-def _wipe_uncommitted(index_dir: str, committed) -> None:
-    """Remove generation subtrees (and per-gen stats files) that have
-    no commit marker — the leftovers of a crashed add. Safe because a
-    generation's data lives ONLY under its own ``gen=<g>`` dirs."""
-    import glob as _glob
-    import os
-    import shutil
-
-    keep = set(committed)
-    for sub in ("postings", "doclen", "positions"):
-        for d in _glob.glob(os.path.join(index_dir, sub, "gen=*")):
-            s = d.rsplit("=", 1)[1]
-            if s.isdigit() and int(s) not in keep:
-                shutil.rmtree(d)
-    for p in _glob.glob(os.path.join(index_dir, "stats.*.json")):
-        s = os.path.basename(p).split(".")[1]
-        if s.isdigit() and int(s) not in keep:
-            os.remove(p)
-
-
-def _gen_paths(index_dir: str, sub: str, buckets=None) -> list:
-    """Parquet files of committed generations only, optionally pruned
-    to specific token buckets (the 1/num_buckets lookup pruning)."""
-    import glob as _glob
-    import os
-
-    paths = []
-    for g in _committed_gens(index_dir):
-        if buckets is None:
-            paths.extend(sorted(_glob.glob(os.path.join(
-                index_dir, sub, f"gen={g}", "*.parquet"))))
-        else:
-            for b in buckets:
-                paths.extend(sorted(_glob.glob(os.path.join(
-                    index_dir, sub, f"gen={g}", f"bucket={b}",
-                    "*.parquet"))))
-    return paths
+    return [f"bucket={b}" for b in sorted(
+        {int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
+         % num_buckets for t in terms})]
 
 
 def _write_index_gen(ds: rd.Dataset, index_dir: str, gen: int,
                      id_col: str, text_col: str,
                      num_buckets: int) -> None:
-    """Write one generation's postings/doclen/stats under its own
-    ``gen=<g>`` subtree. The caller stamps the commit marker AFTER
-    this returns, so a crash anywhere in here leaves only an
-    uncommitted (invisible, wipeable) subtree."""
+    """Write one generation's postings/doclen/stats/positions, each
+    under its own ``<sub>/gen=<g>`` subtree: the layout
+    storage.commit_dir / add_generation commit and
+    storage.generation_files lists."""
     import hashlib
     import json as _json
     import os
@@ -253,7 +207,8 @@ def _write_index_gen(ds: rd.Dataset, index_dir: str, gen: int,
     # index-time corpus statistics for query-time BM25: per-doc length
     # (= Σ tf over the doc's posting rows — whitespace token count) and
     # the per-gen (n_docs, sum_dl) pair. doclen is doc-count-sized and
-    # narrow; stats.<g>.json is two integers summed at query time.
+    # narrow; stats/gen=<g>/stats.json is two integers summed at query
+    # time.
     doclen = partial_aggregate(table, [id_col], {"dl": ("sum", "tf")})
     with DATASET_CONSTRUCTION_LOCK:
         (doclen.map_batches(lambda df: df.assign(gen=np.int64(gen)),
@@ -265,7 +220,9 @@ def _write_index_gen(ds: rd.Dataset, index_dir: str, gen: int,
                            batch_format="pandas"),
         ["__g"], {"n_docs": ("count", None), "sum_dl": ("sum", "dl")}
     ).to_pandas()
-    with open(os.path.join(index_dir, f"stats.{gen}.json"), "w") as f:
+    stats_dir = os.path.join(index_dir, "stats", f"gen={gen}")
+    os.makedirs(stats_dir)
+    with open(os.path.join(stats_dir, "stats.json"), "w") as f:
         _json.dump({"n_docs": int(tot["n_docs"][0]) if len(tot) else 0,
                     "sum_dl": int(tot["sum_dl"][0]) if len(tot) else 0},
                    f)
@@ -303,24 +260,15 @@ def build_text_index(ds: rd.Dataset, out_dir: str, id_col: str = "doc_id",
     per-batch tf combiner first, so the exchange moves one row per
     distinct (token, doc) per block, never token occurrences — written
     HIVE-PARTITIONED by md5(token) % num_buckets under the base
-    generation (``out_dir/postings/gen=0/bucket=<b>/``) with a
-    ``_SUCCESS`` marker stamped LAST. Crash-safe: a marker-less
-    out_dir (a build that died mid-write) is wiped and rebuilt whole —
+    generation (``out_dir/postings/gen=0/bucket=<b>/``), committed by
+    storage.commit_dir: a re-run that finds the marker skips the build,
+    and a build that died mid-write is wiped and rebuilt whole, so
     partial postings can never be double-counted. The build-once /
     query-many twin of similarity.build_ivf_index: a term lookup reads
-    ONLY its bucket's files (1/num_buckets of the index), and a re-run
-    that finds the marker skips the build. Returns out_dir."""
-    import os
-    import shutil
-
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        return out_dir
-    if os.path.isdir(out_dir):  # crashed earlier build: start clean
-        shutil.rmtree(out_dir)
-    _write_index_gen(ds, out_dir, 0, id_col, text_col, num_buckets)
-    with open(marker, "w") as f:
-        f.write("ok")
+    ONLY its bucket's files (1/num_buckets of the index). Returns
+    out_dir."""
+    commit_dir(out_dir, lambda d: _write_index_gen(
+        ds, d, 0, id_col, text_col, num_buckets))
     return out_dir
 
 
@@ -331,11 +279,8 @@ def text_index_lookup(index_dir: str, terms: Sequence[str],
     bucket partitions (the pruning the hive layout buys — at 100 TB a
     5-term lookup touches 5/num_buckets of the files), filter to the
     terms, return (token, doc_id, tf)."""
-    import hashlib
-
-    want = sorted({int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
-                   % num_buckets for t in terms})
-    paths = _gen_paths(index_dir, "postings", buckets=want)
+    paths = generation_files(index_dir, "postings",
+                             _bucket_parts(terms, num_buckets))
     if not paths:
         return pd.DataFrame({"token": pd.Series([], dtype=object),
                              id_col: pd.Series([], dtype=np.int64),
@@ -356,11 +301,8 @@ def text_index_postings(index_dir: str, terms: Sequence[str],
     """Dataset variant of text_index_lookup (postings stay distributed —
     the input shape bm25_from_index's joins need). None when no bucket
     files exist. Reads committed generations only."""
-    import hashlib
-
-    want = sorted({int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
-                   % num_buckets for t in terms})
-    paths = _gen_paths(index_dir, "postings", buckets=want)
+    paths = generation_files(index_dir, "postings",
+                             _bucket_parts(terms, num_buckets))
     if not paths:
         return None
     tset = set(terms)
@@ -385,15 +327,14 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
     stop-word-sized posting list never lands on the driver. Reads
     committed generations only (global stats = Σ per-gen stats)."""
     import json
-    import os
 
     from .relops import hash_join, partial_aggregate
 
     terms = sorted(terms)
     nt = len(terms)
     n_docs = sum_dl = 0
-    for g in _committed_gens(index_dir):
-        with open(os.path.join(index_dir, f"stats.{g}.json")) as f:
+    for p in generation_files(index_dir, "stats"):
+        with open(p) as f:
             st = json.load(f)
         n_docs += int(st["n_docs"])
         sum_dl += int(st["sum_dl"])
@@ -434,7 +375,7 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
            for i in range(nt)]
     k1p1 = k1 + 1.0
 
-    doclen = read_table(_gen_paths(index_dir, "doclen"))
+    doclen = read_table(generation_files(index_dir, "doclen"))
     if tfdoc is not None:
         scored_in = hash_join(doclen, tfdoc, id_col, id_col, how="left",
                               left_cols=[id_col, "dl"],
@@ -471,30 +412,20 @@ def add_to_text_index(ds: rd.Dataset, index_dir: str,
                       id_col: str = "doc_id", text_col: str = "text",
                       num_buckets: int = 64) -> str:
     """INCREMENTAL index update: write a new snapshot's postings as a
-    fresh GENERATION subtree (``postings/gen=<g>/bucket=<b>/``, its own
-    doclen partition and stats.<g>.json), then stamp ``_SUCCESS.<g>``
-    LAST. The posting layout is additive — one row per (token, doc),
-    so disjoint doc sets union cleanly; lookups and BM25 aggregate per
-    (token, doc) across committed generations. After the add, every
-    query is IDENTICAL to a full rebuild over the union corpus
-    (equality-tested; the planted-increment query
+    fresh GENERATION (``postings/gen=<g>/bucket=<b>/`` and its own
+    doclen, stats and positions subtrees), committed by
+    storage.add_generation. The posting layout is additive — one row
+    per (token, doc), so disjoint doc sets union cleanly; lookups and
+    BM25 aggregate per (token, doc) across committed generations. After
+    the add, every query is IDENTICAL to a full rebuild over the union
+    corpus (equality-tested; the planted-increment query
     text_index_incremental hash-checks it against SQL). The caller
     owns doc-id disjointness (re-adding an existing doc double-counts;
-    dedup_incremental is the dedup step for that). Crash-safe: a
-    crashed add leaves only an uncommitted gen subtree that readers
-    never see and the re-run wipes before redoing the add whole —
-    nothing can be double-counted (the round-3 advisory's fix)."""
-    import os
-
-    gens = _committed_gens(index_dir)
-    if not gens:
-        raise FileNotFoundError(
-            f"no committed index at {index_dir}; build_text_index first")
-    _wipe_uncommitted(index_dir, gens)  # crashed-add leftovers
-    gen = gens[-1] + 1
-    _write_index_gen(ds, index_dir, gen, id_col, text_col, num_buckets)
-    with open(os.path.join(index_dir, f"_SUCCESS.{gen}"), "w") as f:
-        f.write("ok")
+    dedup_incremental is the dedup step for that). A crashed add is
+    never read and is wiped by the re-run before it redoes the add
+    whole."""
+    add_generation(index_dir, lambda g: _write_index_gen(
+        ds, index_dir, g, id_col, text_col, num_buckets))
     return index_dir
 
 
@@ -513,12 +444,9 @@ def phrase_search_from_index(index_dir: str, terms: Sequence[str],
     phrase terms fall out naturally. Returns (id, n_matches) for docs
     containing the phrase at least once; exact and SQL-expressible
     (queries.ORACLE_SQL['phrase_search'])."""
-    import hashlib
-
     terms = list(terms)
-    want = sorted({int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
-                   % num_buckets for t in terms})
-    paths = _gen_paths(index_dir, "positions", buckets=want)
+    paths = generation_files(index_dir, "positions",
+                             _bucket_parts(terms, num_buckets))
     empty = pd.DataFrame({id_col: pd.Series([], dtype=np.int64),
                           "n_matches": pd.Series([], dtype=np.int64)})
     if not paths:
@@ -596,12 +524,9 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
     exchange slot where the sweep runs, and the final ranking is the
     constant-group bounded top-k (candidates never assemble globally).
     Returns (id, width, rank)."""
-    import hashlib
-
     terms = list(terms)
-    want = sorted({int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
-                   % num_buckets for t in terms})
-    paths = _gen_paths(index_dir, "positions", buckets=want)
+    paths = generation_files(index_dir, "positions",
+                             _bucket_parts(terms, num_buckets))
     empty = pd.DataFrame({id_col: pd.Series([], dtype=np.int64),
                           "width": pd.Series([], dtype=np.int64),
                           "rank": pd.Series([], dtype=np.int64)})

@@ -11,7 +11,6 @@ bit-for-bit (queries.ORACLE_SQL['shard_stats'])."""
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +19,7 @@ import ray.data as rd
 
 from .dedup import md5_hex
 from .relops import exchange, partial_aggregate, per_key
+from .storage import commit_dir
 
 #: order-preserving md5 range buckets of the prefix-sum passes below
 #: (shuffle_rank, token_budget_sample, pack_stream): the driver
@@ -341,16 +341,14 @@ def export_training_shards(ds: rd.Dataset, out_dir: str,
                            id_col: str = "doc_id") -> str:
     """Writes ``out_dir/shard=<k>/*.parquet`` (hive partitioning via
     write_parquet(partition_cols), streaming — no per-shard
-    materialization) and stamps ``_SUCCESS`` on completion. A re-run
-    that finds the marker skips the export entirely (whole-export
-    granularity: this is the terminal re-layout; mid-run resumability
-    of the expensive upstream work is the extraction sink's marker
-    system, stages/reassemble.py). Returns out_dir."""
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        return out_dir
-    shard_assign(ds, num_shards, id_col).write_parquet(
-        out_dir, partition_cols=["shard"])
-    with open(marker, "w") as f:
-        f.write("ok\n")
+    materialization): the on-disk layout whose per-shard counts
+    shard_stats reports, and the training stack's input. Committed by
+    storage.commit_dir, so a re-run that finds the marker skips the
+    export and a crashed export is wiped before its rewrite
+    (whole-export granularity: this is the terminal re-layout;
+    mid-run resumability of the expensive upstream work is the
+    extraction sink's marker system, stages/reassemble.py). Returns
+    out_dir."""
+    commit_dir(out_dir, lambda d: shard_assign(ds, num_shards, id_col)
+               .write_parquet(d, partition_cols=["shard"]))
     return out_dir

@@ -18,7 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .storage import read_table
+from .storage import add_generation, commit_dir, generation_files, read_table
 
 
 def _stack(df_col) -> np.ndarray:
@@ -102,17 +102,25 @@ def _planes(dim: int, n_planes: int, seed: int) -> np.ndarray:
     return rng.standard_normal((n_planes, dim))
 
 
+def _bucket_ids(m: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Random-hyperplane bucket id of each row of ``m``: bit i is set
+    when the row lies on the positive side of plane i."""
+    return (((m @ planes.T) > 0) @ (1 << np.arange(len(planes)))
+            ).astype(np.int32)
+
+
 def lsh_buckets(emb: rd.Dataset, n_planes: int = 8, seed: int = 42,
                 id_col: str = "vec_id", vec_col: str = "embedding") -> rd.Dataset:
-    """Random-hyperplane bucket id per vector: (vec_id, bucket:int32).
-    The bucket key is what a 100 TB corpus would be hash-partitioned on."""
+    """Random-hyperplane bucket id per vector: (vec_id, bucket:int32),
+    the ids ann_topk_lsh probes. Kept as public surface, though no
+    package code calls it: the bucket key is what a 100 TB corpus
+    would be hash-partitioned on before a bucket-local ANN pass."""
 
     def bucketer(df: pd.DataFrame) -> pd.DataFrame:
         m = _stack(df[vec_col])
-        bits = (m @ _planes(m.shape[1], n_planes, seed).T) > 0
-        bucket = bits @ (1 << np.arange(n_planes))
         return pd.DataFrame({id_col: df[id_col].to_numpy(),
-                             "bucket": bucket.astype(np.int32)})
+                             "bucket": _bucket_ids(
+                                 m, _planes(m.shape[1], n_planes, seed))})
 
     return emb.map_batches(bucketer, batch_format="pandas")
 
@@ -126,16 +134,12 @@ def ann_topk_lsh(emb: rd.Dataset, query_ids: Sequence[int], k: int = 5,
     qids, qmat = load_queries(emb, query_ids, id_col, vec_col)
     dim = qmat.shape[1]
     planes = _planes(dim, n_planes, seed)
-    qbits = (qmat @ planes.T) > 0
-    qbuckets = (qbits @ (1 << np.arange(n_planes))).astype(np.int32)
-    wanted = set(int(b) for b in qbuckets)
+    wanted = set(int(b) for b in _bucket_ids(qmat, planes))
 
     class BucketFilterTopK(BatchTopK):
         def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            m = _stack(df[vec_col])
-            bits = (m @ planes.T) > 0
-            bucket = (bits @ (1 << np.arange(n_planes))).astype(np.int32)
-            keep = np.isin(bucket, list(wanted))
+            keep = np.isin(_bucket_ids(_stack(df[vec_col]), planes),
+                           list(wanted))
             df = df[keep].reset_index(drop=True)
             if df.empty:
                 return pd.DataFrame({"query_id": pd.Series([], dtype=np.int64),
@@ -339,39 +343,12 @@ def contrastive_pairs(emb: rd.Dataset, anchor_ids: Sequence[int],
             .reset_index(drop=True))
 
 
-def _ivf_wipe_uncommitted(index_dir: str, committed) -> None:
-    """Remove cells/gen=<g> subtrees with no commit marker (crashed
-    build/add leftovers) — the IVF twin of search._wipe_uncommitted."""
-    import glob as _glob
-    import os
-    import shutil
-
-    keep = set(committed)
-    for d in _glob.glob(os.path.join(index_dir, "cells", "gen=*")):
-        s = d.rsplit("=", 1)[1]
-        if s.isdigit() and int(s) not in keep:
-            shutil.rmtree(d)
-
-
-def _ivf_cell_paths(index_dir: str, cells) -> list:
-    """Parquet files of the probed cells across COMMITTED generations
-    only (uncommitted adds are invisible to queries)."""
-    import glob as _glob
-    import os
-
-    from .search import _committed_gens
-
-    return [f for g in _committed_gens(index_dir) for c in cells
-            for f in sorted(_glob.glob(os.path.join(
-                index_dir, "cells", f"gen={g}", f"cell={c}", "*.parquet")))]
-
-
 def _write_ivf_gen(emb: rd.Dataset, index_dir: str, gen: int,
                    centroids: np.ndarray, id_col: str,
                    vec_col: str) -> None:
     """Assign every vector of one snapshot to its nearest centroid and
-    write the cells under the generation's own subtree; the caller
-    stamps the commit marker afterwards."""
+    write the cells under the generation's own ``cells/gen=<g>``
+    subtree."""
     import os
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
@@ -395,35 +372,28 @@ def build_ivf_index(emb: rd.Dataset, out_dir: str, n_centroids: int = 16,
     mini-Lloyd) unless ``centroids`` is given, assign every vector, and
     write the corpus CELL-PARTITIONED under the base generation
     (``out_dir/cells/gen=0/cell=<c>/*.parquet``) next to a centroids
-    table, stamping ``_SUCCESS`` LAST — the build-once / query-many
-    layout ann_topk_ivf's docstring points to: a probe then reads ONLY
-    its cells' files instead of streaming the whole corpus. Re-runs
-    that find the marker skip the build (same whole-export resume
-    granularity as export_training_shards); a marker-LESS out_dir is a
-    crashed build and is wiped before the rebuild so partial cell
-    files are never double-read. Returns out_dir."""
+    table, committed by storage.commit_dir — the build-once /
+    query-many layout ann_topk_ivf's docstring points to: a probe then
+    reads ONLY its cells' files instead of streaming the whole corpus.
+    Returns out_dir."""
     import os
-    import shutil
 
     import pyarrow.parquet as pq
 
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        return out_dir
-    if os.path.isdir(out_dir):  # crashed earlier build: start clean
-        shutil.rmtree(out_dir)
-    if centroids is None:
-        centroids = ivf_train_centroids(emb, n_centroids=n_centroids,
+    def write(d: str) -> None:
+        cents = centroids
+        if cents is None:
+            cents = ivf_train_centroids(emb, n_centroids=n_centroids,
                                         rounds=rounds, id_col=id_col,
                                         vec_col=vec_col)
-    _write_ivf_gen(emb, out_dir, 0, centroids, id_col, vec_col)
-    pq.write_table(
-        pa.table({"cell": pa.array(range(len(centroids)), type=pa.int64()),
-                  "centroid": pa.array([c.tolist() for c in centroids],
-                                       type=pa.list_(pa.float64()))}),
-        os.path.join(out_dir, "centroids.parquet"))
-    with open(marker, "w") as f:
-        f.write("ok\n")
+        _write_ivf_gen(emb, d, 0, cents, id_col, vec_col)
+        pq.write_table(
+            pa.table({"cell": pa.array(range(len(cents)), type=pa.int64()),
+                      "centroid": pa.array([c.tolist() for c in cents],
+                                           type=pa.list_(pa.float64()))}),
+            os.path.join(d, "centroids.parquet"))
+
+    commit_dir(out_dir, write)
     return out_dir
 
 
@@ -441,30 +411,15 @@ def ivf_index_centroids(index_dir: str) -> np.ndarray:
 def add_to_ivf_index(emb: rd.Dataset, index_dir: str,
                      id_col: str = "vec_id",
                      vec_col: str = "embedding") -> str:
-    """INCREMENTAL IVF maintenance (the ANN twin of
-    search.add_to_text_index): assign a new snapshot's vectors to their
-    nearest EXISTING cell (centroids stay fixed — the standard IVF add;
-    retraining is a rebuild) and write them as a fresh committed
-    generation (``cells/gen=<g>/cell=<c>/``, ``_SUCCESS.<g>`` stamped
-    last). After the add, queries are IDENTICAL to a rebuild over the
-    union corpus at the same fixed centroids (equality-tested in
-    tests/test_similarity.py). Crash-safe like the text index: a
-    crashed add leaves only an uncommitted, reader-invisible gen
-    subtree that the re-run wipes. The caller owns id disjointness."""
-    import os
-
-    from .search import _committed_gens
-
-    gens = _committed_gens(index_dir)
-    if not gens:
-        raise FileNotFoundError(
-            f"no committed IVF index at {index_dir}; build_ivf_index first")
-    _ivf_wipe_uncommitted(index_dir, gens)
-    gen = gens[-1] + 1
-    _write_ivf_gen(emb, index_dir, gen, ivf_index_centroids(index_dir),
-                   id_col, vec_col)
-    with open(os.path.join(index_dir, f"_SUCCESS.{gen}"), "w") as f:
-        f.write("ok\n")
+    """INCREMENTAL IVF maintenance: assign a new snapshot's vectors to
+    their nearest EXISTING cell (centroids stay fixed — the standard IVF
+    add; retraining is a rebuild) and write them as a fresh generation
+    (``cells/gen=<g>/cell=<c>/``) committed by storage.add_generation.
+    After the add, queries are IDENTICAL to a rebuild over the union
+    corpus at the same fixed centroids (equality-tested in
+    tests/test_similarity.py). The caller owns id disjointness."""
+    add_generation(index_dir, lambda g: _write_ivf_gen(
+        emb, index_dir, g, ivf_index_centroids(index_dir), id_col, vec_col))
     return index_dir
 
 
@@ -485,7 +440,8 @@ def ann_topk_from_index(index_dir: str, query_vecs: np.ndarray,
 
     # explicit partition pruning: only the probed cells' files are
     # ever listed or read
-    paths = _ivf_cell_paths(index_dir, wanted)
+    paths = generation_files(index_dir, "cells",
+                             [f"cell={c}" for c in wanted])
     if not paths:
         return pd.DataFrame({"query_id": pd.Series([], dtype=np.int64),
                              "neighbor_id": pd.Series([], dtype=np.int64),

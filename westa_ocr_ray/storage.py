@@ -11,13 +11,25 @@ CPUs that Ray Data 2.49 gives every read. A table under 1 MiB is one
 read task, not eight on 4 CPUs (SCALE.md §Read sizing). The extract
 pipeline's documents read picks its own count for the chain it feeds
 (pipelines/extract.read_documents).
+
+It also owns the one commit protocol for derived outputs (exports,
+persisted indexes, oracle caches): write everything, then flip a
+status. commit_dir stamps a whole directory's ``_SUCCESS`` marker
+last and wipes a marker-less directory before rewriting it;
+add_generation / generation_files do the same per index generation;
+json_cache replaces a cache file atomically; input_cache_dir keys a
+cache directory by its input table's stat.
 """
 
 from __future__ import annotations
 
+import glob
+import hashlib
+import json
 import os
+import shutil
 import threading
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 import pandas as pd
@@ -113,6 +125,117 @@ def write_table(ds: rd.Dataset, path: str, **kwargs) -> None:
         ds.write_lance(path, **kwargs)
         return
     ds.write_parquet(path, **kwargs)
+
+
+# ------------------------------------------------------ commit protocol
+
+#: a derived output is visible to readers once its marker exists:
+#: ``_SUCCESS`` commits a directory (and an index's generation 0),
+#: ``_SUCCESS.<g>`` commits index generation g
+_MARKER = "_SUCCESS"
+_ORACLE_CACHE = "/tmp/westa_oracle_cache"
+
+
+def _stamp(path: str) -> None:
+    with open(path, "w") as f:
+        f.write("ok\n")
+
+
+def commit_dir(out_dir: str, write: Callable[[str], Any]) -> Any:
+    """Write ``out_dir`` at most once: skip if ``out_dir/_SUCCESS``
+    exists, else wipe any marker-less ``out_dir`` (the leftovers of a
+    crashed write, which a rewrite of new uuid-named files would
+    otherwise sit next to), call ``write(out_dir)`` and stamp
+    ``_SUCCESS`` last. Returns what ``write`` returned, or None when
+    the marker was found."""
+    if os.path.exists(os.path.join(out_dir, _MARKER)):
+        return None
+    if os.path.isdir(out_dir):
+        shutil.rmtree(out_dir)
+    result = write(out_dir)
+    _stamp(os.path.join(out_dir, _MARKER))
+    return result
+
+
+def committed_generations(index_dir: str) -> list:
+    """Sorted committed generations of an index: 0 once commit_dir
+    stamped the base build's ``_SUCCESS``, g once add_generation
+    stamped ``_SUCCESS.<g>``."""
+    gens = [0] if os.path.exists(os.path.join(index_dir, _MARKER)) else []
+    for m in glob.glob(os.path.join(index_dir, _MARKER + ".*")):
+        s = m.rsplit(".", 1)[1]
+        if s.isdigit():
+            gens.append(int(s))
+    return sorted(gens)
+
+
+def add_generation(index_dir: str, write: Callable[[int], Any]) -> int:
+    """Add one generation to a committed index: wipe every
+    ``<sub>/gen=<g>`` subtree of a generation with no marker (a crashed
+    add), call ``write(g)`` for the next generation g, which writes
+    only under ``<sub>/gen=<g>`` dirs, and stamp ``_SUCCESS.<g>`` last.
+    Readers list committed generations only (generation_files), so a
+    crashed add is invisible until its re-run commits. Returns g."""
+    gens = committed_generations(index_dir)
+    if not gens:
+        raise FileNotFoundError(f"no committed index at {index_dir}")
+    for d in glob.glob(os.path.join(index_dir, "*", "gen=*")):
+        s = d.rsplit("=", 1)[1]
+        if s.isdigit() and int(s) not in gens:
+            shutil.rmtree(d)
+    gen = gens[-1] + 1
+    write(gen)
+    _stamp(os.path.join(index_dir, f"{_MARKER}.{gen}"))
+    return gen
+
+
+def generation_files(index_dir: str, sub: str,
+                     parts: Optional[Sequence[str]] = None) -> list:
+    """Files under ``index_dir/sub/gen=<g>/`` of the committed
+    generations only, or only under the given partition dirs of each
+    generation (``parts``, e.g. ``["bucket=3"]``: the pruned listing a
+    lookup reads)."""
+    return [f for g in committed_generations(index_dir)
+            for part in (parts if parts is not None else [""])
+            for f in sorted(glob.glob(os.path.join(
+                index_dir, sub, f"gen={g}", part, "*")))
+            if os.path.isfile(f)]
+
+
+def json_cache(path: str, compute: Callable[[], Any]) -> Any:
+    """JSON value cached at ``path`` (relative paths resolve under the
+    oracle-cache root): read it if it holds valid JSON, else
+    ``compute()`` it and write it through a tmp file and os.replace,
+    so a reader never sees a half-written file; an unreadable or
+    truncated file is recomputed."""
+    path = os.path.join(_ORACLE_CACHE, path)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        pass
+    value = compute()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fh:
+        json.dump(value, fh)
+    os.replace(tmp, path)
+    return value
+
+
+def input_key(table_path: str, *tags) -> str:
+    """Cache key of an input table: md5 of its path, size, mtime and
+    ``tags`` (the versions of what is derived from it), so a changed
+    table or a bumped tag never reads a stale cache."""
+    st = os.stat(table_path)
+    raw = "|".join(map(str, (table_path, st.st_size, st.st_mtime_ns, *tags)))
+    return hashlib.md5(raw.encode("utf-8")).hexdigest()[:12]
+
+
+def input_cache_dir(name: str, table_path: str, *tags) -> str:
+    """``/tmp/westa_<name>/<input_key>``: the cache directory of an
+    output derived from ``table_path``."""
+    return f"/tmp/westa_{name}/{input_key(table_path, *tags)}"
 
 
 def read_text_lines_as_documents(path: str, id_prefix: str = "line") -> rd.Dataset:
@@ -256,19 +379,13 @@ def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
     partition_cols, so each shard GROUP writes its own file from
     inside the task (the foreach-partition sink shape — rows stream
     through workers, never the driver) and emits one manifest row;
-    a ``_SUCCESS`` marker gives whole-export resume. Round-trips
+    commit_dir gives whole-export resume. Round-trips
     through read_jsonl_as_documents. Returns the (shard, n_rows, path)
     manifest Dataset (already written when this returns)."""
-    import json
-    import os
     import uuid
-
-    import pandas as pd
 
     from .relops import exchange, per_key
     from .shards import shard_assign
-
-    marker = os.path.join(out_dir, "_SUCCESS")
 
     def write_shard(df: pd.DataFrame) -> pd.DataFrame:
         shard = int(df["shard"].iloc[0])
@@ -283,24 +400,16 @@ def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
         return pd.DataFrame({"shard": [shard], "n_rows": [len(df)],
                              "path": [path]})
 
-    if os.path.exists(marker):
-        import glob as _glob
-        rows = []
-        for d in sorted(_glob.glob(os.path.join(out_dir, "shard=*"))):
-            for p in sorted(_glob.glob(os.path.join(d, "*.jsonl"))):
-                rows.append({"shard": int(d.rsplit("=", 1)[1]),
-                             "n_rows": sum(1 for _ in open(p)),
-                             "path": p})
-        return rd.from_pandas(pd.DataFrame(rows))
-
-    if os.path.isdir(out_dir):  # crashed earlier export: start clean
-        import shutil
-        shutil.rmtree(out_dir)
-    manifest = exchange(shard_assign(ds, num_shards, id_col), "shard",
-                        per_key("shard", write_shard))
-    with open(marker, "w") as f:
-        f.write("ok\n")
-    return manifest
+    manifest = commit_dir(out_dir, lambda d: exchange(
+        shard_assign(ds, num_shards, id_col), "shard",
+        per_key("shard", write_shard)))
+    if manifest is not None:
+        return manifest
+    rows = [{"shard": int(d.rsplit("=", 1)[1]),
+             "n_rows": sum(1 for _ in open(p)), "path": p}
+            for d in sorted(glob.glob(os.path.join(out_dir, "shard=*")))
+            for p in sorted(glob.glob(os.path.join(d, "*.jsonl")))]
+    return rd.from_pandas(pd.DataFrame(rows))
 
 
 def snapshot_diff(base: rd.Dataset, new: rd.Dataset,
