@@ -599,7 +599,7 @@ def test_ed_le1_matches_dp_reference():
 def test_fastss_deletion_neighborhood_complete():
     """ed(a,b)<=1 implies D(a) and D(b) share a member, where
     D(x) = {x} union single-deletion variants — the completeness
-    property edit1_pairs' candidate generation rests on."""
+    property editk_pairs(k=1)'s candidate generation rests on."""
     import random
     rng = random.Random(11)
 
@@ -611,33 +611,6 @@ def test_fastss_deletion_neighborhood_complete():
         b = "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))
         if _ref_lev(a, b) <= 1:
             assert D(a) & D(b), (a, b)
-
-
-def test_edit1_pairs_vs_bruteforce(ray_session):
-    rows = [
-        (1, "red apple pie"),
-        (2, "red apple pie"),     # dist 0
-        (3, "red apple pies"),    # dist 1 (insert) vs 1/2
-        (4, "red apgle pie"),     # dist 1 (substitution) vs 1/2
-        (5, "red aple pie"),      # dist 1 (delete) vs 1/2; vs 4 dist 2
-        (6, "green apple pie"),   # dist > 1 vs everything
-        (7, "x"),
-        (8, ""),                  # empty vs "x" -> dist 1
-    ]
-    df = pd.DataFrame(rows, columns=["doc_id", "title"])
-    out = (dedup.edit1_pairs(rd.from_pandas(df), id_col="doc_id",
-                             key_col="title")
-           .to_pandas().sort_values(["doc_a", "doc_b"],
-                                    ignore_index=True))
-    want = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            d = _ref_lev(rows[i][1], rows[j][1])
-            if d <= 1:
-                want.append((rows[i][0], rows[j][0], d))
-    want_df = (pd.DataFrame(want, columns=["doc_a", "doc_b", "dist"])
-               .sort_values(["doc_a", "doc_b"], ignore_index=True))
-    assert out.astype("int64").equals(want_df.astype("int64"))
 
 
 def test_fastss_depth2_closure_complete():
@@ -666,32 +639,45 @@ def test_ed_banded_matches_dp_reference():
             assert e == (d if d <= k else -1), (a, b, k, d, e)
 
 
+EDIT1_ROWS = [
+    (1, "red apple pie"),
+    (2, "red apple pie"),     # dist 0
+    (3, "red apple pies"),    # dist 1 (insert) vs 1/2
+    (4, "red apgle pie"),     # dist 1 (substitution) vs 1/2
+    (5, "red aple pie"),      # dist 1 (delete) vs 1/2; vs 4 dist 2
+    (6, "green apple pie"),   # dist > 1 vs everything
+    (7, "x"),
+    (8, ""),                  # empty vs "x" -> dist 1
+]
+EDIT2_ROWS = [
+    (1, "red apple pie"),
+    (2, "red apple pie"),
+    (3, "red apple pies"),
+    (4, "red apgle pie"),
+    (5, "rad apgle pie"),     # dist 2 from 1/2 (two subs)
+    (6, "red pie"),           # far from all
+    (7, "red apple"),         # dist 4 from 1 ("_pie")
+    (8, ""),
+    (9, "ab"),                # dist 2 from ""
+]
+
+
 def test_editk_pairs_vs_bruteforce(ray_session):
-    rows = [
-        (1, "red apple pie"),
-        (2, "red apple pie"),
-        (3, "red apple pies"),
-        (4, "red apgle pie"),
-        (5, "rad apgle pie"),     # dist 2 from 1/2 (two subs)
-        (6, "red pie"),           # far from all
-        (7, "red apple"),         # dist 4 from 1 ("_pie")
-        (8, ""),
-        (9, "ab"),                # dist 2 from ""
-    ]
-    df = pd.DataFrame(rows, columns=["doc_id", "title"])
-    out = (dedup.editk_pairs(rd.from_pandas(df), id_col="doc_id",
-                             key_col="title", k=2)
-           .to_pandas().sort_values(["doc_a", "doc_b"],
-                                    ignore_index=True))
-    want = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            d = _ref_lev(rows[i][1], rows[j][1])
-            if d <= 2:
-                want.append((rows[i][0], rows[j][0], d))
-    want_df = (pd.DataFrame(want, columns=["doc_a", "doc_b", "dist"])
-               .sort_values(["doc_a", "doc_b"], ignore_index=True))
-    assert out.astype("int64").equals(want_df.astype("int64"))
+    for k, rows in ((1, EDIT1_ROWS), (2, EDIT2_ROWS)):
+        df = pd.DataFrame(rows, columns=["doc_id", "title"])
+        out = (dedup.editk_pairs(rd.from_pandas(df), id_col="doc_id",
+                                 key_col="title", k=k)
+               .to_pandas().sort_values(["doc_a", "doc_b"],
+                                        ignore_index=True))
+        want = []
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                d = _ref_lev(rows[i][1], rows[j][1])
+                if d <= k:
+                    want.append((rows[i][0], rows[j][0], d))
+        want_df = (pd.DataFrame(want, columns=["doc_a", "doc_b", "dist"])
+                   .sort_values(["doc_a", "doc_b"], ignore_index=True))
+        assert out.astype("int64").equals(want_df.astype("int64")), k
 
 
 def _jaccard_pct(a: str, b: str, shingle: int) -> int:

@@ -39,21 +39,13 @@ def assert_equal(got, exp):
 
 
 def test_span_sequence_equality(oracle_rows):
-    cfg = ExtractConfig(num_parts=8, repartition_blocks=8, extract_concurrency=3)
+    cfg = ExtractConfig(num_parts=8, extract_concurrency=3)
     assert_equal(run_pipeline(cfg), oracle_rows)
 
 
 def test_equality_invariant_to_partitioning(oracle_rows):
-    # different partition count + no skew shuffle ⇒ identical output
-    cfg = ExtractConfig(num_parts=3, skew_repartition=False, extract_concurrency=2,
-                        extract_batch_size=16)
-    assert_equal(run_pipeline(cfg), oracle_rows)
-
-
-def test_equality_with_skew_repartition(oracle_rows):
-    # the opt-in all-to-all metadata shuffle must not change results
-    cfg = ExtractConfig(num_parts=4, skew_repartition=True, repartition_blocks=6,
-                        local_interleave=False, extract_concurrency=2)
+    # different partition count ⇒ identical output
+    cfg = ExtractConfig(num_parts=3, extract_concurrency=2)
     assert_equal(run_pipeline(cfg), oracle_rows)
 
 

@@ -23,8 +23,7 @@ def spans_key(spans):
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_pipeline_equals_oracle_for_any_seed(seed):
     table = fixtures.docs_table(seed, 0, N_DOCS)
-    cfg = ExtractConfig(seed=seed, num_parts=4, extract_concurrency=2,
-                        extract_batch_size=16)
+    cfg = ExtractConfig(seed=seed, num_parts=4, extract_concurrency=2)
     got = sorted(extract_dataset(rd.from_arrow(table), cfg).take_all(),
                  key=lambda r: r["doc_id"])
     # oracle on the same rows (dedup first-wins on doc_id)

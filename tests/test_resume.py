@@ -15,7 +15,7 @@ from westa_ocr_ray.config import ExtractConfig
 from westa_ocr_ray.pipelines.extract import (
     done_parts, read_extracted, run_extract)
 
-CFG = ExtractConfig(num_parts=8, repartition_blocks=8, extract_concurrency=3)
+CFG = ExtractConfig(num_parts=8, extract_concurrency=3)
 
 
 def _result_key(ds):
@@ -241,8 +241,7 @@ def test_resume_ignores_stale_stage_files(tmp_path):
     # garbage from a dead phase-1 (wrong schema, partial write)
     with open(os.path.join(crashed, "_stage", "dead.parquet"), "wb") as fh:
         fh.write(b"PAR1 garbage not a real file")
-    cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                        extract_concurrency=3, stage_root=None)
+    cfg = ExtractConfig(num_parts=8, extract_concurrency=3, stage_root=None)
     m = run_extract(corpus, crashed, cfg)
     assert m["parts_written"] == 8
     assert _result_key(read_extracted(crashed)) == full
@@ -319,8 +318,7 @@ def test_reduce_concurrency_does_not_change_output(tmp_path):
     keys = []
     for rc in (1, 3, 8):
         out = str(tmp_path / f"rc{rc}")
-        cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                            extract_concurrency=3,
+        cfg = ExtractConfig(num_parts=8, extract_concurrency=3,
                             reduce_concurrency=rc)
         m = run_extract(corpus, out, cfg)
         assert m["parts_written"] == 8
@@ -529,7 +527,7 @@ def test_graceful_drain_stop_file_mid_phase2(tmp_path):
     out = str(tmp_path / "drained")
     stop = str(tmp_path / "STOP")
     # serialize phase 2 so the marker watcher can interleave a stop
-    cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
+    cfg = ExtractConfig(num_parts=8,
                         extract_concurrency=3, reduce_concurrency=1,
                         stop_file=stop)
 
@@ -578,7 +576,7 @@ def test_graceful_drain_sigterm(tmp_path):
     corpus = fixtures.ensure_corpus("smoke")
     out = str(tmp_path / "term")
     stop = str(tmp_path / "STOP_TERM")
-    cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
+    cfg = ExtractConfig(num_parts=8,
                         extract_concurrency=3, reduce_concurrency=1,
                         stop_file=stop)
 
@@ -614,8 +612,7 @@ def test_stop_file_at_entry_noop(tmp_path):
     stop = str(tmp_path / "PRE_STOP")
     with open(stop, "w") as fh:
         fh.write("stop")
-    cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                        extract_concurrency=3, stop_file=stop)
+    cfg = ExtractConfig(num_parts=8, extract_concurrency=3, stop_file=stop)
     m = run_extract(corpus, out, cfg)
     assert m["stopped"] is True and m["parts_written"] == 0
     assert m["parts_drained"] == 8
@@ -634,8 +631,7 @@ def test_run_extract_stage_root_file_uri(tmp_path):
     subdir wiped after the run)."""
     corpus = fixtures.ensure_corpus("smoke")
     base = str(tmp_path / "shared_stage")
-    cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                        extract_concurrency=3,
+    cfg = ExtractConfig(num_parts=8, extract_concurrency=3,
                         stage_root=f"file://{base}")
     out = str(tmp_path / "uri_out")
     m = run_extract(corpus, out, cfg)
@@ -668,8 +664,7 @@ def test_run_extract_stage_on_rooted_filesystem(tmp_path):
         lambda uri: (pafs.SubTreeFileSystem(str(root), pafs.LocalFileSystem()),
                      uri.split("://", 1)[1]))
     try:
-        cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                            extract_concurrency=3,
+        cfg = ExtractConfig(num_parts=8, extract_concurrency=3,
                             stage_root="sharedtest://stage")
         out = str(tmp_path / "subtree_out")
         m = run_extract(corpus, out, cfg)
@@ -888,8 +883,7 @@ def test_run_metrics_count_stage_files(tmp_path):
     does not run."""
     corpus = fixtures.ensure_corpus("smoke")
     out = str(tmp_path / "out")
-    cfg = ExtractConfig(num_parts=8, repartition_blocks=8,
-                        extract_concurrency=3, read_num_blocks=4)
+    cfg = ExtractConfig(num_parts=8, extract_concurrency=3, read_num_blocks=4)
     m = run_extract(corpus, out, cfg)
     assert m["parts_written"] == 8
     with open(os.path.join(out, "metrics", "run-attempt0.json")) as fh:

@@ -22,7 +22,7 @@ EMPTY = {"doc_id": "d0", "spans": []}
 
 
 def test_explode_rows_and_sentinels():
-    out = make_explode(8, local_interleave=False)(_docs_batch([DOC, EMPTY]))
+    out = make_explode(8)(_docs_batch([DOC, EMPTY]))
     rows = sorted(out.to_pylist(), key=lambda r: (r["doc_id"], r["span_idx"]))
     assert [(r["doc_id"], r["span_idx"], r["kind"]) for r in rows] == [
         ("d0", -1, ""), ("d1", 0, "text"), ("d1", 1, "pdf")]
@@ -33,24 +33,12 @@ def test_explode_rows_and_sentinels():
 
 def test_explode_skip_parts_anti_join():
     skip = {part_of("d1", 8)}
-    out = make_explode(8, skip_parts=skip, local_interleave=False)(
-        _docs_batch([DOC, EMPTY]))
+    out = make_explode(8, skip_parts=skip)(_docs_batch([DOC, EMPTY]))
     assert set(out.column("doc_id").to_pylist()) <= {"d0"}
 
 
-def test_explode_interleave_is_permutation():
-    docs = [{"doc_id": f"d{i}", "spans": DOC["spans"]} for i in range(20)]
-    plain = make_explode(8, local_interleave=False)(_docs_batch(docs))
-    mixed = make_explode(8, local_interleave=True)(_docs_batch(docs))
-    key = lambda t: sorted(zip(t.column("doc_id").to_pylist(),
-                               t.column("span_idx").to_pylist()))
-    assert key(plain) == key(mixed)  # same rows
-    assert (mixed.column("doc_id").to_pylist()
-            != plain.column("doc_id").to_pylist())  # different order
-
-
 def test_prepare_page_fanout_counts():
-    exploded = make_explode(8, local_interleave=False)(_docs_batch([DOC]))
+    exploded = make_explode(8)(_docs_batch([DOC]))
     out = make_prepare()(exploded)
     rows = out.to_pylist()
     media = [r for r in rows if r["kind"] == "pdf"]
@@ -74,7 +62,7 @@ def test_prepare_corrupt_ref_records_error():
     assert ref is not None
     doc = {"doc_id": "dx", "spans": [
         {"kind": "pdf", "text": "", "media_ref": ref, "offset": 0}]}
-    out = make_prepare()(make_explode(4, local_interleave=False)(_docs_batch([doc])))
+    out = make_prepare()(make_explode(4)(_docs_batch([doc])))
     row = out.to_pylist()[0]
     assert row["error"].startswith("media split failed") and row["payload"] is None
     assert row["page_idx"] == 1

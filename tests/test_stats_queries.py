@@ -7,7 +7,15 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from westa_ocr_ray import queries
+from westa_ocr_ray import queries, storage
+
+
+@pytest.fixture(autouse=True)
+def _caches_in_tmp_path(tmp_path, monkeypatch):
+    # the sinks' and indexes' input-keyed cache dirs (csv_rt, hive_rt,
+    # rpe, tok_export, text_index) live under this test's tmp_path and
+    # go with it, instead of piling up under /tmp
+    monkeypatch.setattr(storage, "_CACHE_ROOT", str(tmp_path / "cache"))
 
 
 def _write_events(tmp_path, df: pd.DataFrame) -> str:
@@ -286,9 +294,9 @@ def test_csv_roundtrip_resume_and_quoting(tmp_path):
         dedup.md5_hex('a,b "quoted" c')[:8], 16)
     assert out.loc["de", "id_sum"] == 2
 
-    from westa_ocr_ray import storage
     out_dir = storage.input_cache_dir("csv_rt",
                                       f"{tmp_path}/documents.parquet")
+    assert out_dir.startswith(str(tmp_path))
     files = glob.glob(f"{out_dir}/*.csv")
     mtime = max(os.path.getmtime(f) for f in files)
     out2 = queries.csv_roundtrip(str(tmp_path)).to_pandas()
@@ -1387,8 +1395,6 @@ def _check_sink_crash_safety(tmp_path, query, cache, tags, part):
     # sink rule, applied to every query-side sink)
     import os
 
-    from westa_ocr_ray import storage
-
     df = pd.DataFrame({
         "doc_id": np.array([1, 2], dtype=np.int64),
         "text": ["a b", "c d"], "lang": ["es", "es"],
@@ -1400,6 +1406,7 @@ def _check_sink_crash_safety(tmp_path, query, cache, tags, part):
     out1 = fn(sf).to_pandas()
     target = storage.input_cache_dir(cache, f"{sf}/documents.parquet",
                                      *tags)
+    assert target.startswith(str(tmp_path))
     os.remove(os.path.join(target, "_SUCCESS"))
     ext = ".csv" if query == "csv_roundtrip" else ".parquet"
     junk = os.path.join(target, part, "junk" + ext)

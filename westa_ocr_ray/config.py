@@ -16,19 +16,6 @@ class ExtractConfig:
     seed: int = DEFAULT_SEED
     pattern: str = "A"              # masters pre-filter (GAS doc :57-70)
     num_parts: int = 64             # output partitions (resume granularity)
-    # skew handling (SURVEY.md §4.2), two levels:
-    # - local_interleave (default): deterministic pseudo-random reorder of
-    #   span-ref rows WITHIN each explode batch — free, streaming, spreads
-    #   heavy media spans across the extract batch_size slices.
-    # - skew_repartition (opt-in): a full shuffle of the tiny pre-payload
-    #   span-ref rows across blocks. An all-to-all barrier: only worth it
-    #   when heavy docs are pathologically clustered in the input files.
-    local_interleave: bool = True
-    skew_repartition: bool = False
-    repartition_blocks: int = 64
-    # extract_dataset's batch rows (small batches keep heavy pages from
-    # stalling a worker); run_extract stages whole blocks instead
-    extract_batch_size: int = 128
     # cap on concurrent extract tasks (the reference's WORKER_COUNT);
     # None = as many as the cluster's CPUs allow, all started at once in
     # run_extract whatever the object store size (build_extracted_units).
@@ -69,7 +56,6 @@ class ExtractConfig:
     # also persist per-unit rows (units/part-*.parquet) — the reference's
     # per-page PAGE_RESULT event granularity (app/worker.py:633-687)
     keep_units: bool = False
-    attempt: int = 0                # bumped by resume runs (lineage)
     # cooperative cancellation (reference worker.py:188,256,303-310:
     # stop-signal checks between pages/jobs; admin stop app/admin.py:
     # 727-782). When this file exists the run DRAINS instead of dying:

@@ -1662,78 +1662,6 @@ def _ed_le1(a: str, b: str) -> int:
     return 1 if a[i:] == b[i + 1:] else -1
 
 
-def edit1_pairs(ds: rd.Dataset, id_col: str = "doc_id",
-                key_col: str = "title",
-                cap: int = _BUCKET_CAP) -> rd.Dataset:
-    """EXACT edit-distance<=1 near-duplicate pairs over a SHORT string
-    column (titles, URLs, product names) via FastSS deletion
-    neighborhoods (Bocek et al. 2007, public method): every key emits
-    itself plus each single-character-deletion variant as an md5
-    signature; two keys within edit distance 1 ALWAYS share a
-    signature (equal -> the key itself; substitution at i -> both
-    delete i; indel -> the shorter string is a deletion variant of the
-    longer and of itself), so candidate generation is provably
-    complete and the per-pair verify (`_ed_le1`) makes precision
-    exact. Reference analog: none (beyond-reference dedup family);
-    SQL twin: queries.ORACLE_SQL['dedup_edit1'] (DuckDB levenshtein
-    with the |len diff|<=1 band prefilter).
-
-    Scale shape: the signature table is O(avg_key_len x rows) rows of
-    (16-byte sig, id, key) — the standard FastSS space trade, which is
-    why this operator is for SHORT keys, not document bodies (use the
-    MinHash/SimHash family for those). One exchange on the signature
-    (`_within_bucket_pairs`), pair verify inside the partition, then a
-    bucketed pair-dedup aggregate (a pair found under k shared
-    signatures collapses to one row); nothing corpus-sized touches the
-    driver. ``cap`` bounds the per-signature pairwise expansion
-    exactly like the LSH buckets (dropped pairs are counted there).
-
-    Returns (doc_a, doc_b, dist) with doc_a < doc_b and dist in {0,1}.
-    """
-    def sigs(df: pd.DataFrame) -> pd.DataFrame:
-        ids, sg, keys = [], [], []
-        for i, t in zip(df[id_col], df[key_col]):
-            seen = {t}
-            for j in range(len(t)):
-                seen.add(t[:j] + t[j + 1:])
-            for s in seen:
-                ids.append(i)
-                sg.append(md5_hex(s))
-                keys.append(t)
-        return pd.DataFrame({id_col: pd.Series(ids, dtype=df[id_col].dtype),
-                             "sig": pd.Series(sg, dtype=str),
-                             key_col: pd.Series(keys, dtype=str)})
-
-    rows = ds.map_batches(sigs, batch_format="pandas")
-    cands = _within_bucket_pairs(rows, ["sig"], id_col,
-                                 payload_cols=[key_col], cap=cap)
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        ka, kb = key_col + "_a", key_col + "_b"
-        a_ids, b_ids, dist = [], [], []
-        for ia, ib, ta, tb in zip(df["doc_a"], df["doc_b"],
-                                  df[ka], df[kb]):
-            d = _ed_le1(ta, tb)
-            if d >= 0:
-                a_ids.append(ia)
-                b_ids.append(ib)
-                dist.append(d)
-        return pd.DataFrame({
-            "doc_a": pd.Series(a_ids, dtype=df["doc_a"].dtype),
-            "doc_b": pd.Series(b_ids, dtype=df["doc_b"].dtype),
-            "dist": pd.Series(dist, dtype="int64")})
-
-    verified = cands.map_batches(verify, batch_format="pandas")
-    # the same pair is found once per shared signature — collapse
-    # distributively (dist is functionally determined by the pair, so
-    # keying on it just rides along)
-    uniq = partial_aggregate(verified, ["doc_a", "doc_b", "dist"],
-                             {"n_sigs": ("count", None)})
-    return uniq.map_batches(
-        lambda df: df[["doc_a", "doc_b", "dist"]],
-        batch_format="pandas")
-
-
 def _ed_banded(a: str, b: str, k: int) -> int:
     """Exact edit distance when it is <= k, else -1 — banded DP over a
     2k+1 diagonal strip (O(k·len) instead of O(len²)); the verify
@@ -1779,13 +1707,32 @@ def editk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
                 key_col: str = "title", k: int = 1,
                 cap: int = _BUCKET_CAP) -> rd.Dataset:
     """EXACT edit-distance<=k near-duplicate pairs over a SHORT string
-    column — the depth-parameterized FastSS (edit1_pairs' docstring has
-    the method and scale analysis; completeness of the depth-k deletion
-    closure is property-fuzzed for k=1 and k=2 in tests, and provable:
-    any alignment of <= k edits deletes the touched positions from both
-    sides to a common string). Signature blowup is O(len^k / k!) per
-    key, which is why k stays tiny and the keys stay short. Returns
-    (doc_a, doc_b, dist) with doc_a < doc_b and dist in [0, k]."""
+    column (titles, URLs, product names) via FastSS deletion
+    neighborhoods (Bocek et al. 2007, public method): every key emits
+    each string of its depth-k deletion closure (itself included) as an
+    md5 signature. Two keys within edit distance k ALWAYS share a
+    signature: any alignment of <= k edits deletes the touched
+    positions from both sides to a common string. So candidate
+    generation is complete (property-fuzzed for k=1 and k=2 in tests)
+    and the per-pair verify (`_ed_le1` for k=1, `_ed_banded` above)
+    makes precision exact. Reference analog: none (beyond-reference
+    dedup family); SQL twins: queries.ORACLE_SQL['dedup_edit1'] and
+    ['dedup_edit2'] (DuckDB levenshtein with the |len diff| <= k band
+    prefilter).
+
+    Scale shape: the signature table is O(len^k / k! x rows) rows of
+    (16-byte sig, id, key) — the standard FastSS space trade, which is
+    why k stays tiny and this operator is for SHORT keys, not document
+    bodies (use the MinHash/SimHash family for those). One exchange on
+    the signature (`_within_bucket_pairs`), pair verify inside the
+    partition, then a bucketed pair-dedup aggregate (a pair found under
+    several shared signatures collapses to one row); nothing
+    corpus-sized touches the driver. ``cap`` bounds the per-signature
+    pairwise expansion exactly like the LSH buckets (dropped pairs are
+    counted there).
+
+    Returns (doc_a, doc_b, dist) with doc_a < doc_b and dist in [0, k].
+    """
     def sigs(df: pd.DataFrame) -> pd.DataFrame:
         ids, sg, keys = [], [], []
         for i, t in zip(df[id_col], df[key_col]):
@@ -1817,6 +1764,9 @@ def editk_pairs(ds: rd.Dataset, id_col: str = "doc_id",
             "dist": pd.Series(dist, dtype="int64")})
 
     verified = cands.map_batches(verify, batch_format="pandas")
+    # the same pair is found once per shared signature — collapse
+    # distributively (dist is functionally determined by the pair, so
+    # keying on it just rides along)
     uniq = partial_aggregate(verified, ["doc_a", "doc_b", "dist"],
                              {"n_sigs": ("count", None)})
     return uniq.map_batches(

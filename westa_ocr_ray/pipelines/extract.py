@@ -3,7 +3,6 @@
 
     read(documents)
       → map_batches(explode_spans)            # doc → span rows (M1 fan-out)
-      → [repartition(shuffle)]                # opt-in skew all-to-all (§4.2)
       → map_batches(prepare)                  # fetch + page split (S1/M1)
       → map_batches(ExtractModel instance)    # model (A1) + masters (J1), as tasks
       → exchange on `part`                    # the one shuffle (O1 + G1):
@@ -12,6 +11,10 @@
       → [atomic per-partition write + markers + lineage]   # S3-S6, §4.4
 
 Everything streams with backpressure; nothing materializes the corpus.
+Both entry points run the same fused chain, one task and one batch per
+read block (see build_extracted_units). Skew is handled by the fan-out
+itself: a heavy document becomes many page units before the model runs
+(SURVEY.md §4.2).
 In run_extract both phases start one task per free CPU at once. Phase 1 is
 one fused Ray Data stage whose only output is the tiny staging
 manifest, so it drops Ray Data's output reserve for unsampled tasks
@@ -102,19 +105,16 @@ def build_extracted_units(docs: rd.Dataset, cfg: ExtractConfig,
                           stage_fs=None) -> rd.Dataset:
     """documents → extracted unit rows (pre-reassembly).
 
-    With ``stage_dir`` set, the extract tasks also write the map side of
-    the external shuffle and the returned dataset is the tiny manifest
-    (see stages/staging.py); batches are whole blocks then, so each block
-    yields one stage file."""
-    ds = docs.map_batches(
-        make_explode(cfg.num_parts, skip_parts, local_interleave=cfg.local_interleave),
-        batch_format="pyarrow")
-    if cfg.skew_repartition:
-        # opt-in all-to-all on the tiny span-ref rows (no payloads yet):
-        # shuffles metadata, not data — for inputs whose heavy docs are
-        # clustered so badly that in-block interleave + dynamic batch
-        # dispatch can't level the extract tasks.
-        ds = ds.repartition(cfg.repartition_blocks, shuffle=True)
+    Every stage takes whole blocks (Ray Data's default
+    ``batch_size=None``), so the fused chain runs one task per read
+    block. Ray Data merges small blocks into one task but never splits
+    one, so reordering or slicing rows inside a block could not move
+    work between tasks. With ``stage_dir`` set, the extract tasks also
+    write the map side of the external shuffle and the returned dataset
+    is the tiny manifest (see stages/staging.py), one stage file per
+    block."""
+    ds = docs.map_batches(make_explode(cfg.num_parts, skip_parts),
+                          batch_format="pyarrow")
     ds = ds.map_batches(make_prepare(cfg.seed), batch_format="pyarrow")
     # A callable instance, not the class: the fused chain (read → ... →
     # ExtractModel → stage write) then runs as tasks on the warm
@@ -131,7 +131,6 @@ def build_extracted_units(docs: rd.Dataset, cfg: ExtractConfig,
     ds = ds.map_batches(
         model,
         batch_format="pyarrow",
-        batch_size=None if stage_dir is not None else cfg.extract_batch_size,
         concurrency=cfg.extract_concurrency,  # None: as many as CPUs allow
     )
     if stage_dir is not None:
@@ -309,7 +308,7 @@ def _run_extract_inner(input_path: str, out_dir: str, cfg: ExtractConfig,
                        on_partition_commit, t0: float,
                        stop_requested) -> dict:
     skip = _check_assign_version(out_dir, done_parts(out_dir))
-    attempt = cfg.attempt if cfg.attempt else (1 if skip else 0)
+    attempt = 1 if skip else 0
     if on_partition_commit is not None and skip:
         # partitions committed by a crashed earlier run whose hooks
         # never fired (or that ran without a hook)

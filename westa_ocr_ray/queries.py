@@ -1882,7 +1882,8 @@ def q_export_jsonl(sf_dir: str) -> rd.Dataset:
     rule, proving the sink wrote everything exactly once."""
     from . import storage
 
-    out = input_cache_dir("jsonl", f"{sf_dir}/documents.parquet")
+    out = input_cache_dir("jsonl", f"{sf_dir}/documents.parquet",
+                          f"v{storage.JSONL_EXPORT_FORMAT}")
     m = storage.export_jsonl_shards(
         rp(sf_dir, "documents", ["doc_id", "text"]), out, num_shards=16)
     return m.map_batches(
@@ -3318,15 +3319,15 @@ EDIT1_TITLE_TOKENS = 4
 
 def q_dedup_edit1(sf_dir: str) -> rd.Dataset:
     """Edit-distance<=1 near-duplicate TITLE pairs via FastSS deletion
-    neighborhoods (dedup.edit1_pairs) — the short-key spelling-variant
-    dedup family (titles/URLs/product names). Titles are the first
-    EDIT1_TITLE_TOKENS tokens, with a planted one-character append on
-    every doc_id % 29 == 0 so substitution/indel variants provably
-    exist in the fixture corpus; the SQL oracle recomputes the same
-    titles and takes exact DuckDB levenshtein <= 1 over the
-    |len diff| <= 1 band. Candidate generation is provably complete
-    for distance 1 (property-fuzzed in tests), so engine and oracle
-    must agree pair-for-pair."""
+    neighborhoods (dedup.editk_pairs, k=1) — the short-key
+    spelling-variant dedup family (titles/URLs/product names). Titles
+    are the first EDIT1_TITLE_TOKENS tokens, with a planted
+    one-character append on every doc_id % 29 == 0 so substitution/
+    indel variants provably exist in the fixture corpus; the SQL oracle
+    recomputes the same titles and takes exact DuckDB levenshtein <= 1
+    over the |len diff| <= 1 band. Candidate generation is provably
+    complete for distance 1 (property-fuzzed in tests), so engine and
+    oracle must agree pair-for-pair."""
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
 
     def title(df: pd.DataFrame) -> pd.DataFrame:
@@ -3336,8 +3337,8 @@ def q_dedup_edit1(sf_dir: str) -> rd.Dataset:
         return pd.DataFrame({"doc_id": df["doc_id"].to_numpy(),
                              "title": t})
 
-    return dedup.edit1_pairs(docs.map_batches(title, batch_format="pandas"),
-                             id_col="doc_id", key_col="title")
+    return dedup.editk_pairs(docs.map_batches(title, batch_format="pandas"),
+                             id_col="doc_id", key_col="title", k=1)
 
 
 def q_dedup_edit2(sf_dir: str) -> rd.Dataset:
@@ -3478,7 +3479,8 @@ def jsonl_roundtrip(sf_dir: str) -> rd.Dataset:
 
     from . import storage
 
-    out = input_cache_dir("jsonl_rt", f"{sf_dir}/documents.parquet")
+    out = input_cache_dir("jsonl_rt", f"{sf_dir}/documents.parquet",
+                          f"v{storage.JSONL_EXPORT_FORMAT}")
     storage.export_jsonl_shards(
         rp(sf_dir, "documents", ["doc_id", "text", "lang"]), out,
         num_shards=16)

@@ -27,8 +27,6 @@ _SIZE_CLASS = {"text": 0, "html": 1, "image": 1, "pdf": 2}
 #: pandas key — process- and platform-stable, C-speed per batch).
 ASSIGN_VERSION = 2
 
-_U64_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
 
 def part_of_batch(doc_ids, num_parts: int) -> np.ndarray:
     """Vectorized stable output-partition assignment (ASSIGN_VERSION 2):
@@ -47,14 +45,11 @@ def part_of(doc_id: str, num_parts: int) -> int:
 
 
 def make_explode(num_parts: int,
-                 skip_parts: Optional[Set[int]] = None,
-                 local_interleave: bool = True) -> Callable[[pa.Table], pa.Table]:
+                 skip_parts: Optional[Set[int]] = None) -> Callable[[pa.Table], pa.Table]:
     """Build the explode batch fn. ``skip_parts`` is the resume anti-join:
     rows whose partition already has a completion marker are dropped at
     the earliest possible stage (reference list_pending_jobs WHERE status
-    filter, app/repository.py:291-306). ``local_interleave`` spreads
-    heavy media spans within the block (skew, SURVEY.md §4.2) without an
-    all-to-all."""
+    filter, app/repository.py:291-306)."""
     skip = frozenset(skip_parts or ())
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -118,20 +113,6 @@ def make_explode(num_parts: int,
             mask = np.isin(out.column("part").to_numpy(), np.fromiter(skip, dtype=np.int32),
                            invert=True)
             out = out.filter(pa.array(mask))
-        if local_interleave and out.num_rows > 1:
-            # deterministic pseudo-random within-block order: downstream
-            # batch_size slices then mix heavy and light units. One
-            # siphash over doc_id mixed with span_idx by a golden-ratio
-            # multiply — all vectorized, wraps mod 2^64 (no per-row
-            # Python; the interleave key carries NO persistence
-            # contract, only the within-block spread matters)
-            hdoc = pd.util.hash_pandas_object(
-                out.column("doc_id").to_pandas(), index=False
-            ).to_numpy(dtype=np.uint64)
-            sidx = (out.column("span_idx").to_numpy(zero_copy_only=False)
-                    .astype(np.int64).astype(np.uint64))
-            key = hdoc ^ ((sidx + np.uint64(1)) * _U64_GOLDEN)
-            out = out.take(pa.array(np.argsort(key, kind="stable"), type=pa.int64()))
         return out
 
     return explode

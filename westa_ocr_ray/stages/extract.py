@@ -23,8 +23,7 @@ VM. Constructing ExtractModel only sorts ~20 master keys.
 
 Usage:
     model = ExtractModel(masters=master_key_list)   # built once, on the driver
-    ds.map_batches(model, batch_format="pyarrow", batch_size=64,
-                   num_cpus=1)                     # concurrency=N caps tasks
+    ds.map_batches(model, batch_format="pyarrow")  # concurrency=N caps tasks
 """
 
 from __future__ import annotations

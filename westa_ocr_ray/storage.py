@@ -134,6 +134,8 @@ def write_table(ds: rd.Dataset, path: str, **kwargs) -> None:
 #: ``_SUCCESS.<g>`` commits index generation g
 _MARKER = "_SUCCESS"
 _ORACLE_CACHE = "/tmp/westa_oracle_cache"
+#: where input_cache_dir puts the caches derived from input tables
+_CACHE_ROOT = "/tmp"
 
 
 def _stamp(path: str) -> None:
@@ -235,7 +237,8 @@ def input_key(table_path: str, *tags) -> str:
 def input_cache_dir(name: str, table_path: str, *tags) -> str:
     """``/tmp/westa_<name>/<input_key>``: the cache directory of an
     output derived from ``table_path``."""
-    return f"/tmp/westa_{name}/{input_key(table_path, *tags)}"
+    return os.path.join(_CACHE_ROOT, f"westa_{name}",
+                        input_key(table_path, *tags))
 
 
 def read_text_lines_as_documents(path: str, id_prefix: str = "line") -> rd.Dataset:
@@ -369,6 +372,11 @@ def read_csv_as_documents(path: str,
     return rows.map_batches(to_docs, batch_format="pyarrow")
 
 
+#: on-disk layout version of export_jsonl_shards; callers key their
+#: cache dirs on it. v2: the manifest is a file in the export dir.
+JSONL_EXPORT_FORMAT = 2
+
+
 def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
                         num_shards: int = 16,
                         id_col: str = "doc_id") -> "rd.Dataset":
@@ -379,9 +387,12 @@ def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
     partition_cols, so each shard GROUP writes its own file from
     inside the task (the foreach-partition sink shape — rows stream
     through workers, never the driver) and emits one manifest row;
-    commit_dir gives whole-export resume. Round-trips
-    through read_jsonl_as_documents. Returns the (shard, n_rows, path)
-    manifest Dataset (already written when this returns)."""
+    commit_dir gives whole-export resume, and the manifest is written
+    to ``_manifest.json`` before the marker, so a resumed call returns
+    the committed manifest without reading the shards. Round-trips
+    through read_jsonl_as_documents (Ray's readers skip ``_``-prefixed
+    files). Returns the (shard, n_rows, path) manifest Dataset (already
+    written when this returns)."""
     import uuid
 
     from .relops import exchange, per_key
@@ -400,16 +411,17 @@ def export_jsonl_shards(ds: rd.Dataset, out_dir: str,
         return pd.DataFrame({"shard": [shard], "n_rows": [len(df)],
                              "path": [path]})
 
-    manifest = commit_dir(out_dir, lambda d: exchange(
-        shard_assign(ds, num_shards, id_col), "shard",
-        per_key("shard", write_shard)))
-    if manifest is not None:
-        return manifest
-    rows = [{"shard": int(d.rsplit("=", 1)[1]),
-             "n_rows": sum(1 for _ in open(p)), "path": p}
-            for d in sorted(glob.glob(os.path.join(out_dir, "shard=*")))
-            for p in sorted(glob.glob(os.path.join(d, "*.jsonl")))]
-    return rd.from_pandas(pd.DataFrame(rows))
+    manifest_path = os.path.join(out_dir, "_manifest.json")
+
+    def write(_: str) -> None:
+        manifest = exchange(shard_assign(ds, num_shards, id_col), "shard",
+                            per_key("shard", write_shard)).to_pandas()
+        with open(manifest_path, "w") as f:
+            json.dump(manifest.to_dict("records"), f)
+
+    commit_dir(out_dir, write)
+    with open(manifest_path) as f:
+        return rd.from_pandas(pd.DataFrame(json.load(f)))
 
 
 def snapshot_diff(base: rd.Dataset, new: rd.Dataset,
