@@ -639,45 +639,49 @@ def test_ed_banded_matches_dp_reference():
             assert e == (d if d <= k else -1), (a, b, k, d, e)
 
 
-EDIT1_ROWS = [
-    (1, "red apple pie"),
-    (2, "red apple pie"),     # dist 0
-    (3, "red apple pies"),    # dist 1 (insert) vs 1/2
-    (4, "red apgle pie"),     # dist 1 (substitution) vs 1/2
-    (5, "red aple pie"),      # dist 1 (delete) vs 1/2; vs 4 dist 2
-    (6, "green apple pie"),   # dist > 1 vs everything
-    (7, "x"),
-    (8, ""),                  # empty vs "x" -> dist 1
-]
-EDIT2_ROWS = [
-    (1, "red apple pie"),
-    (2, "red apple pie"),
-    (3, "red apple pies"),
-    (4, "red apgle pie"),
-    (5, "rad apgle pie"),     # dist 2 from 1/2 (two subs)
-    (6, "red pie"),           # far from all
-    (7, "red apple"),         # dist 4 from 1 ("_pie")
-    (8, ""),
-    (9, "ab"),                # dist 2 from ""
-]
+def _assert_editk_pairs_match_bruteforce(rows, k):
+    df = pd.DataFrame(rows, columns=["doc_id", "title"])
+    out = (dedup.editk_pairs(rd.from_pandas(df), id_col="doc_id",
+                             key_col="title", k=k)
+           .to_pandas().sort_values(["doc_a", "doc_b"],
+                                    ignore_index=True))
+    want = []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            d = _ref_lev(rows[i][1], rows[j][1])
+            if d <= k:
+                want.append((rows[i][0], rows[j][0], d))
+    want_df = (pd.DataFrame(want, columns=["doc_a", "doc_b", "dist"])
+               .sort_values(["doc_a", "doc_b"], ignore_index=True))
+    assert out.astype("int64").equals(want_df.astype("int64"))
+
+
+def test_edit1_pairs_vs_bruteforce(ray_session):
+    """editk_pairs(k=1), the path q_dedup_edit1 runs."""
+    _assert_editk_pairs_match_bruteforce([
+        (1, "red apple pie"),
+        (2, "red apple pie"),     # dist 0
+        (3, "red apple pies"),    # dist 1 (insert) vs 1/2
+        (4, "red apgle pie"),     # dist 1 (substitution) vs 1/2
+        (5, "red aple pie"),      # dist 1 (delete) vs 1/2; vs 4 dist 2
+        (6, "green apple pie"),   # dist > 1 vs everything
+        (7, "x"),
+        (8, ""),                  # empty vs "x" -> dist 1
+    ], k=1)
 
 
 def test_editk_pairs_vs_bruteforce(ray_session):
-    for k, rows in ((1, EDIT1_ROWS), (2, EDIT2_ROWS)):
-        df = pd.DataFrame(rows, columns=["doc_id", "title"])
-        out = (dedup.editk_pairs(rd.from_pandas(df), id_col="doc_id",
-                                 key_col="title", k=k)
-               .to_pandas().sort_values(["doc_a", "doc_b"],
-                                        ignore_index=True))
-        want = []
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                d = _ref_lev(rows[i][1], rows[j][1])
-                if d <= k:
-                    want.append((rows[i][0], rows[j][0], d))
-        want_df = (pd.DataFrame(want, columns=["doc_a", "doc_b", "dist"])
-                   .sort_values(["doc_a", "doc_b"], ignore_index=True))
-        assert out.astype("int64").equals(want_df.astype("int64")), k
+    _assert_editk_pairs_match_bruteforce([
+        (1, "red apple pie"),
+        (2, "red apple pie"),
+        (3, "red apple pies"),
+        (4, "red apgle pie"),
+        (5, "rad apgle pie"),     # dist 2 from 1/2 (two subs)
+        (6, "red pie"),           # far from all
+        (7, "red apple"),         # dist 4 from 1 ("_pie")
+        (8, ""),
+        (9, "ab"),                # dist 2 from ""
+    ], k=2)
 
 
 def _jaccard_pct(a: str, b: str, shingle: int) -> int:
