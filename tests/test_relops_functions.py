@@ -989,3 +989,204 @@ def test_exchange_interrupted_by_signal_cancels_reduce_tasks():
            and time.monotonic() < deadline):
         time.sleep(0.1)
     assert ray.available_resources().get("CPU", 0) == 4
+
+
+# ------------- exchange runs peeled reads and map steps in its tasks ---
+
+def _write_table(path, lo: int, hi: int, files: int = 3) -> str:
+    """Rows ``lo``..``hi`` as ``files`` Parquet files under ``path``."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    path.mkdir()
+    v = np.arange(lo, hi)
+    t = pa.table({"k": v % 7, "v": v, "f": v * files // (hi - lo + 1),
+                  "text": [f"w{i % 5} w{i % 3} w{i % 11} w{i % 2}" for i in v]})
+    per = -(-len(v) // files)
+    for f in range(files):
+        pq.write_table(t.slice(f * per, per), str(path / f"part-{f}.parquet"))
+    return str(path)
+
+
+def _exchanged(ds, key, peel=True):
+    """``ds`` through an identity exchange on ``key``, sorted; with
+    ``peel=False`` the exchange runs ``ds`` through Ray Data first."""
+    import unittest.mock
+
+    identity = lambda g: g  # noqa: E731  (nested: pickled by value)
+    if peel:
+        out = relops.exchange(ds, key, identity).to_pandas()
+    else:
+        with unittest.mock.patch.object(relops, "_peel", lambda d: None):
+            out = relops.exchange(ds, key, identity).to_pandas()
+    return _sorted(out, sorted(out.columns))
+
+
+def _peel_shapes(tmp_path):
+    """Every plan shape ``_peel`` accepts, as name -> (dataset, key)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from westa_ocr_ray.dedup import MinHasher
+    from westa_ocr_ray.storage import read_table
+
+    class Halve:  # a callable-instance step built on the driver
+        def __init__(self, col):
+            self.col = col
+
+        def __call__(self, df):
+            return df.assign(half=df[self.col] // 2)
+
+    a = _write_table(tmp_path / "a", 0, 300)
+    b = _write_table(tmp_path / "b", 300, 420, files=2)
+    twice = lambda d: d.assign(w=d["v"] * 2)  # noqa: E731
+    exchanged = relops.exchange(read_table(a), "k", lambda g: g)
+    empty = pd.DataFrame({"k": np.arange(40) % 7, "v": np.arange(40)})
+    return {
+        "read_map": (read_table(a).map_batches(twice, batch_format="pandas"),
+                     "k"),
+        "read_select": (read_table(a).select_columns(["k", "v"]), "k"),
+        "union_of_reads": (read_table(a).union(read_table(b)), "k"),
+        "map_over_exchange": (exchanged.map_batches(twice,
+                                                    batch_format="pandas"),
+                              "k"),
+        "pyarrow_dict": (read_table(a).map_batches(
+            lambda t: {"k": t["k"].to_numpy(),
+                       "v3": pc.multiply(t["v"], 3).to_numpy()},
+            batch_format="pyarrow"), "k"),
+        "pyarrow_frame": (read_table(a).map_batches(
+            lambda t: t.to_pandas().assign(s=lambda d: d["v"].astype(str)),
+            batch_format="pyarrow"), "k"),
+        "callable_instance": (read_table(a).map_batches(
+            Halve("v"), batch_format="pandas", batch_size=16)
+            .map_batches(MinHasher(num_perm=8, bands=4, id_col="v"),
+                         batch_format="pandas", batch_size=50), "band_id"),
+        # the step empties the first file's block; the next one skips it
+        "filtered_to_nothing": (read_table(a)
+                                .map_batches(lambda d: d[d["f"] != 0],
+                                             batch_format="pandas")
+                                .map_batches(twice, batch_format="pandas"),
+                                "k"),
+        "schema_less_empty": (rd.from_arrow(pa.table({"k": [1, 2],
+                                                      "v": [5, 6]}))
+                              .union(_schema_less(empty, 2))
+                              .map_batches(twice, batch_format="pandas"),
+                              "k"),
+    }
+
+
+def test_peel_matches_executed_plan_for_every_shape(tmp_path):
+    """For every plan shape the peel accepts, the exchange that runs the
+    reads and map steps in its own split tasks returns what it returns
+    on the plan Ray Data executed."""
+    for name, (ds, key) in _peel_shapes(tmp_path).items():
+        assert relops._peel(ds) is not None, name
+        got, exp = _exchanged(ds, key), _exchanged(ds, key, peel=False)
+        assert len(exp), name
+        pd.testing.assert_frame_equal(got, exp, obj=name)
+
+
+def test_unrecognized_plan_is_executed_by_ray_data(tmp_path):
+    """A plan the peel does not accept takes Ray Data's path, whole."""
+    from westa_ocr_ray.storage import read_table
+
+    class AddOne:
+        def __call__(self, df):
+            return df.assign(w=df["v"] + 1)
+
+    src = read_table(_write_table(tmp_path / "a", 0, 200))
+    plans = {
+        "actor_class": src.map_batches(AddOne, batch_format="pandas",
+                                       concurrency=1),
+        "fn_args": src.map_batches(lambda d, c: d.assign(w=c),
+                                   fn_args=(3,), batch_format="pandas"),
+        "filter": src.filter(lambda r: r["v"] % 3 == 0),
+        "limit": src.limit(50),
+        "sort": src.sort("v"),
+    }
+    for name, ds in plans.items():
+        assert relops._peel(ds) is None, name
+        exp = ds.to_pandas()
+        pd.testing.assert_frame_equal(_exchanged(ds, "k"),
+                                      _sorted(exp, sorted(exp.columns)),
+                                      obj=name)
+
+
+def test_chained_primitive_starts_no_executor(tmp_path, monkeypatch):
+    """An aggregate over a read and a map step, and a count, a to_pandas
+    and a second exchange over its output, start no Ray Data executor:
+    the split tasks read the files and run the step, and the output
+    comes back with its snapshot set."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from westa_ocr_ray.storage import read_table
+
+    p = _write_table(tmp_path / "a", 0, 300)
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(self)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    agg = relops.partial_aggregate(
+        read_table(p).map_batches(lambda d: d.assign(w=d["v"] % 4),
+                                  batch_format="pandas"),
+        ["w"], {"s": ("sum", "v"), "n": ("count", None)})
+    top = relops.grouped_topk(agg.map_batches(lambda d: d.assign(g=0),
+                                              batch_format="pandas"),
+                              ["g"], ["s"], 2)
+    assert agg.count() == 4 and len(top.to_pandas()) == 2
+    assert runs == []
+    assert sorted(agg.to_pandas()["n"]) == [75] * 4
+
+
+def test_peel_recognizes_read_and_map_plan(tmp_path):
+    """Fails when Ray Data renames or reshapes a plan class the peel
+    reads: the exchange would then execute every input through Ray Data
+    again and lose the gain, silently."""
+    from ray.data.datasource import ReadTask
+
+    from westa_ocr_ray.storage import read_table
+
+    p = _write_table(tmp_path / "a", 0, 60)
+    peeled = relops._peel(read_table(p).map_batches(lambda d: d,
+                                                    batch_format="pandas"))
+    assert peeled
+    assert all(isinstance(src, ReadTask) and size > 0 and len(steps) == 1
+               for src, size, steps in peeled)
+
+
+def test_private_plan_api_only_in_relops():
+    """Ray Data's private plan classes are read in one place,
+    relops._peel, so a Ray upgrade that renames them breaks one
+    function (and test_peel_recognizes_read_and_map_plan)."""
+    import pathlib
+
+    import westa_ocr_ray
+
+    pkg = pathlib.Path(westa_ocr_ray.__file__).parent
+    hits = sorted(str(p.relative_to(pkg)) for p in pkg.rglob("*.py")
+                  if any(name in p.read_text() for name in
+                         ("_logical_plan", "_snapshot_bundle",
+                          "get_read_tasks")))
+    assert hits == ["relops.py"]
+
+
+def test_partial_aggregate_sum_outside_int64_raises():
+    """An int64 sum that leaves int64 raises, in the combine (one block)
+    and in the merge (one row per block), where it used to wrap to
+    -2**62. A sum whose terms cancel stays exact."""
+    big = pd.DataFrame({"k": [1, 1, 1, 2], "v": [2 ** 62] * 3 + [5]})
+    for parts in (1, 4):
+        with pytest.raises(OverflowError):
+            relops.partial_aggregate(rd.from_pandas(big).repartition(parts),
+                                     ["k"], {"s": ("sum", "v")}).to_pandas()
+    ok = pd.DataFrame({"k": [1, 1, 1], "v": [2 ** 62, -2 ** 62, 2 ** 62]})
+    got = relops.partial_aggregate(rd.from_pandas(ok).repartition(3), ["k"],
+                                   {"s": ("sum", "v")}).to_pandas()
+    assert got["s"].tolist() == [2 ** 62]

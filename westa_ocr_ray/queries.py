@@ -12790,8 +12790,9 @@ def q22_idle_customers(sf_dir: str) -> rd.Dataset:
             lambda df: df[df["o_orderdate"] >= Q22_CUTOFF]
             [["o_custkey"]].rename(columns={"o_custkey": "c_custkey"}),
             batch_format="pandas")
-    idle = relops.semi_anti_filter_scalable(rich, "c_custkey", ordered,
-                                            anti=True)
+    idle = relops.semi_anti_filter_scalable(
+        rich, "c_custkey", ordered, anti=True,
+        cols=["c_custkey", "c_nationkey", "bal_cents"])
     return partial_aggregate(idle, ["c_nationkey"],
                              {"numcust": ("count", None),
                               "totacctbal_cents": ("sum", "bal_cents")})

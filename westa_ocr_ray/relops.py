@@ -19,13 +19,22 @@ groupby. A caller whose ``fn`` must see one key at a time wraps it in
 exception is ``pipelines.extract.extract_dataset``, whose reduce is
 pyarrow-format.) On the small inputs of the query registry a Ray Data
 stage is mostly fixed cost (a groupby/map_groups adds a sort with a
-sampling pass, a map_batches stage its own executor run); the
-exchange's output is a materialized Dataset, so it runs its inputs when
-it is called and a chained primitive starts no Ray Data executor.
+sampling pass, a map_batches stage its own executor run), so the
+exchange runs what it can of its input's plan inside its own split
+tasks (``_peel``): the Parquet read tasks of a ``read_table`` or the
+blocks of a materialized input, then the plan's ``map_batches`` and
+``select_columns`` steps, then ``pre``. Its output is a materialized
+Dataset with its snapshot set, so a primitive chained on a read, on
+another primitive or on a map step over either starts no Ray Data
+executor; a plan it does not recognize is executed by Ray Data first,
+as before.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+from types import GeneratorType
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -148,16 +157,122 @@ def _bucket_of(df: pd.DataFrame, key: list, n: int) -> np.ndarray:
     return (h % np.uint64(n)).astype(np.int64)
 
 
-@ray.remote
-def _exchange_split(block, key: list, n: int, pre):
-    """Exchange map task: run ``pre`` on one block, then cut it into
-    ``n`` slot pieces by ``_bucket_of``, rows keeping their block order.
-    An empty block, Ray Data's schema-less one included, skips ``pre``
-    (as ``map_batches`` does) and sends a column-less piece to every
-    slot."""
+def _batch_step(fn, fmt: str, size, copy: bool, block):
+    """One ``map_batches(fn, batch_format=fmt, batch_size=size)`` step
+    on one non-empty block, as Ray Data runs it: ``size``-row batches
+    (the whole block when None) converted by Ray's own converters, and
+    every output batch (a generator's several) built into one block."""
+    from ray.data._internal.delegating_block_builder import \
+        DelegatingBlockBuilder
     from ray.data.block import BlockAccessor
 
-    df = BlockAccessor.for_block(block).to_pandas()
+    acc = BlockAccessor.for_block(block)
+    rows = acc.num_rows()
+    size = size or rows
+    out = DelegatingBlockBuilder()
+    for lo in range(0, rows, size):
+        batch = block if size == rows else acc.slice(lo, lo + size, copy)
+        res = fn(BlockAccessor.for_block(batch).to_batch_format(fmt))
+        for r in res if isinstance(res, GeneratorType) else (res,):
+            out.add_batch(r)
+    return out.build()
+
+
+def _select_step(cols: list, block):
+    """One ``select_columns(cols)`` step on one non-empty block."""
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).select(cols)
+
+
+def _peel(ds):
+    """``ds``'s plan as sources an exchange split task can run itself,
+    or None. A source is ``(src, nbytes, steps)``: ``src`` a block ref
+    or a ``ReadTask``, ``nbytes`` its size from its metadata, and
+    ``steps`` the block -> block functions of the map steps above it,
+    first step first. Accepted: a chain of ``map_batches`` steps (a
+    function or a callable instance in pandas or pyarrow format, no
+    ``fn_args``/``fn_kwargs``/constructor arguments, no actor pool) and
+    ``select_columns`` steps over a union of such chains or over a
+    leaf: a ``Read`` whose block count was set (``read_table`` sets
+    it), the blocks of an in-memory source, or a plan's computed
+    snapshot. Any other plan returns None and runs through Ray Data.
+    This is the package's one reader of Ray Data's private plan
+    classes; a rename there turns every plan into a None."""
+    try:
+        from ray.data._internal.compute import TaskPoolStrategy
+        from ray.data._internal.logical.interfaces import SourceOperator
+        from ray.data._internal.logical.operators.map_operator import (
+            MapBatches, Project)
+        from ray.data._internal.logical.operators.n_ary_operator import Union
+        from ray.data._internal.logical.operators.read_operator import Read
+    except ImportError:
+        return None
+
+    plan = ds._plan
+
+    def blocks(bundles, steps):
+        return [(ref, meta.size_bytes or 0, steps)
+                for b in bundles for ref, meta in b.blocks]
+
+    def walk(op, steps):
+        if op is plan._snapshot_operator and plan._snapshot_bundle is not None:
+            return blocks([plan._snapshot_bundle], steps)
+        if isinstance(op, Read) and op._parallelism > 0:
+            return [(t, t.metadata.size_bytes or 0, steps) for t in
+                    op._datasource_or_legacy_reader.get_read_tasks(
+                        op._parallelism)]
+        if isinstance(op, SourceOperator) and op.output_data() is not None:
+            return blocks(op.output_data(), steps)
+        if isinstance(op, Union):
+            parts = [walk(i, steps) for i in op.input_dependencies]
+            return None if None in parts else [s for p in parts for s in p]
+        if (type(op) is MapBatches and not inspect.isclass(op._fn)
+                and op._batch_format in ("pandas", "pyarrow")
+                and isinstance(op._compute, TaskPoolStrategy)
+                and not (op._fn_args or op._fn_kwargs
+                         or op._fn_constructor_args
+                         or op._fn_constructor_kwargs)):
+            step = functools.partial(
+                _batch_step, op._fn, op._batch_format, op._batch_size,
+                op._batch_size is not None and not op._zero_copy_batch)
+        elif (type(op) is Project and op.cols is not None
+              and not op.cols_rename and not op.exprs):
+            step = functools.partial(_select_step, list(op.cols))
+        else:
+            return None
+        return walk(op.input_dependencies[0], (step,) + steps)
+
+    try:
+        return walk(ds._logical_plan.dag, ())
+    except AttributeError:
+        return None
+
+
+@ray.remote
+def _exchange_split(src, key: list, n: int, prep):
+    """Exchange map task: read ``src`` when it is a ``ReadTask`` (its
+    blocks built into one), run the source's map steps and then the
+    input's ``pre`` on it (``prep = (steps, pre)``), then cut it into
+    ``n`` slot pieces by ``_bucket_of``, rows keeping their block order.
+    An empty block, Ray Data's schema-less one included, skips the
+    steps and ``pre`` (as ``map_batches`` does) and sends a column-less
+    piece to every slot."""
+    from ray.data._internal.delegating_block_builder import \
+        DelegatingBlockBuilder
+    from ray.data.block import BlockAccessor
+    from ray.data.datasource import ReadTask
+
+    steps, pre = prep or ((), None)
+    if isinstance(src, ReadTask):
+        built = DelegatingBlockBuilder()
+        for block in src():
+            built.add_block(block)
+        src = built.build()
+    for step in steps:
+        if BlockAccessor.for_block(src).num_rows():
+            src = step(src)
+    df = BlockAccessor.for_block(src).to_pandas()
     if len(df) and pre is not None:
         df = pre(df)
     if not len(df):
@@ -215,42 +330,61 @@ def exchange(ds, key, fn, pre=None) -> rd.Dataset:
 
     The exchange owns the bucketing (``_bucket_of``: integer values by
     value, others by hash, a null the same wherever it arrives). Runs
-    the inputs when called. Slot count: the cluster's CPUs, or one slot
-    per TARGET_BUCKET_BYTES of input when that is more. One split task
-    per input block sends each row to its slot; one reduce task per slot
-    runs ``fn``. ``pre`` and ``fn`` go into the object store once per
-    call. Footprint: while it runs, the exchange holds every input block,
-    so for a lazy input that is the rows the read produced, not
-    ``pre``'s (often smaller) output. A slot whose output is empty emits
-    no block (an all-empty result is one empty block). The driver waits
-    through ``gather``, so signal handlers run, and an exception raised
-    while it waits (an interrupt, a handler's) cancels the reduce tasks
-    still running."""
+    the inputs when called. An input whose plan ``_peel`` recognizes (a
+    chain of map_batches and select_columns steps over ``read_table``
+    reads, a union of such chains, or materialized blocks) runs inside
+    the split tasks: one split task per read task or block reads it,
+    runs the steps on it (each in its batch format, skipping an empty
+    block as map_batches does) and then ``pre``. Any other input is
+    executed by Ray Data first and feeds one split task per output
+    block. Slot count: the cluster's CPUs, or one slot per
+    TARGET_BUCKET_BYTES of input (the blocks' or the read tasks'
+    metadata) when that is more; one reduce task per slot runs ``fn``.
+    ``pre``, each source's steps and ``fn`` go into the object store
+    once per call. Footprint: a peeled read's rows live only inside its
+    split task; the object store holds ``pre``'s slot pieces. A slot
+    whose output is empty emits no block (an all-empty result is one
+    empty block); the output has its snapshot set, so a count, a
+    to_pandas or another exchange on it starts no executor. The driver
+    waits through ``gather``, so signal handlers run, and an exception
+    raised while it waits (an interrupt, a handler's) cancels the reduce
+    tasks still running."""
     key = _key_cols(key)
     inputs = ds if isinstance(ds, tuple) else (ds,)
     pres = pre if isinstance(pre, tuple) else (pre,) * len(inputs)
-    blocks, nbytes = [[] for _ in inputs], 0
-    for mine, d in zip(blocks, inputs):
-        for bundle in d.iter_internal_ref_bundles():
-            mine += bundle.block_refs
-            nbytes += bundle.size_bytes()
+    srcs, nbytes = [[] for _ in inputs], 0
+    for mine, d, p in zip(srcs, inputs, pres):
+        peeled = _peel(d)
+        if peeled is None:
+            peeled = [(ref, meta.size_bytes or 0, ())
+                      for bundle in d.iter_internal_ref_bundles()
+                      for ref, meta in bundle.blocks]
+        # (steps, pre) go into the object store once per chain; the
+        # driver holds each put until every task that reads it is done
+        puts = {}
+        for src, size, steps in peeled:
+            nbytes += size
+            if id(steps) not in puts:
+                puts[id(steps)] = (ray.put((steps, p))
+                                   if steps or p is not None else None)
+            mine.append((src, puts[id(steps)]))
     cpus = int(ray.cluster_resources().get("CPU", 1))
     n = max(1, cpus, -(-nbytes // TARGET_BUCKET_BYTES))
     split = _exchange_split.options(num_returns=n)
-    # the driver holds each put until every task that reads it is done
-    pres = [None if p is None else ray.put(p) for p in pres]
-    pieces = [split.remote(b, key, n, p)
-              for mine, p in zip(blocks, pres) for b in mine]
+    pieces = [split.remote(src, key, n, prep)
+              for mine in srcs for src, prep in mine]
     if n == 1:
         pieces = [[p] for p in pieces]
     fn = ray.put(fn)
-    sizes = [len(mine) for mine in blocks]
+    sizes = [len(mine) for mine in srcs]
     outs, counts = zip(*(_exchange_reduce.remote(fn, sizes,
                                                  *[p[s] for p in pieces])
                          for s in range(n)))
     rows = gather(list(counts))
+    # materialize() sets the snapshot without an executor run, so a
+    # later count, to_pandas or exchange on the output starts none
     return rd.from_pandas_refs([o for o, r in zip(outs, rows) if r]
-                               or [outs[0]])
+                               or [outs[0]]).materialize()
 
 
 def per_key(key, fn):
@@ -290,13 +424,35 @@ def per_key(key, fn):
 # ------------------------------------------------------------------ agg
 
 
+def _check_int_sums(df: pd.DataFrame, keys: list, sums: dict,
+                    out: pd.DataFrame) -> None:
+    """Raise OverflowError when an integer sum of ``out`` (``sums``: out
+    column -> the column of ``df`` it sums; ``out`` is ``df`` grouped by
+    ``keys`` with ``sort=False, dropna=False``) wrapped around. A
+    wrapped sum is off by a multiple of 2**64, so it lies far from the
+    float64 sum of the same rows; those are computed only when a
+    column's largest magnitude times its row count could reach 2**62."""
+    for o, c in sums.items():
+        v = df[c].to_numpy()
+        if (v.dtype.kind not in "iu" or not len(v)
+                or np.abs(v.astype(np.float64)).max() * len(v) < 2.0 ** 62):
+            continue
+        approx = (df[c].astype(np.float64)
+                  .groupby([df[k] for k in keys], sort=False, dropna=False)
+                  .sum().to_numpy())
+        if (np.abs(out[o].to_numpy(np.float64) - approx) > 2.0 ** 62).any():
+            raise OverflowError(f"sum {o!r} of {c!r} is outside int64")
+
+
 def partial_aggregate(ds: rd.Dataset, keys: Sequence[str],
                       aggs: Dict[str, Tuple[str, str]]) -> rd.Dataset:
     """groupby with a per-batch combiner (SURVEY.md §2.5 G4): aggregate
     inside map_batches first — one row per key per batch — then shuffle
     only the partials. ``aggs``: out_col -> (op, in_col) with op in
     sum/count/min/max. count(in_col=None) counts rows. A null key is one
-    more group, as in SQL GROUP BY.
+    more group, as in SQL GROUP BY. An integer sum that leaves int64
+    raises OverflowError (in the combine or in the merge), where it
+    would otherwise wrap; DuckDB widens such a sum to int128.
 
     Two scale decisions here:
     - the all-to-all moves |keys| × |blocks| partial rows, not every
@@ -316,14 +472,19 @@ def partial_aggregate(ds: rd.Dataset, keys: Sequence[str],
             first_ops[out] = (col, op)
     merge_ops = {out: (out, "sum" if op == "count" else op)
                  for out, (op, _c) in aggs.items()}
+    sums = {out: col for out, (op, col) in aggs.items() if op == "sum"}
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby(keys, sort=False, as_index=False, dropna=False)
-                  .agg(**first_ops))
+        out = (df.groupby(keys, sort=False, as_index=False, dropna=False)
+                 .agg(**first_ops))
+        _check_int_sums(df, keys, sums, out)
+        return out
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby(keys, sort=False, as_index=False, dropna=False)
-                  .agg(**merge_ops))
+        out = (df.groupby(keys, sort=False, as_index=False, dropna=False)
+                 .agg(**merge_ops))
+        _check_int_sums(df, keys, {o: o for o in sums}, out)
+        return out
 
     return exchange(ds, keys, merge, pre=combine)
 

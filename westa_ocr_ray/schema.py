@@ -30,42 +30,6 @@ DOCUMENTS_SCHEMA = pa.schema(
     ]
 )
 
-# ------------------------------------------------------- exploded units
-# One row per unit of work: a text-ish span is one unit; a media span is
-# one unit per page (the reference's page fan-out, app/worker.py:284-286).
-UNITS_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("part", pa.int32()),        # hash(doc_id) % num_parts — resume/output partition
-        ("span_idx", pa.int32()),    # 0-based index in the source spans list; -1 = empty-doc sentinel
-        ("page_idx", pa.int32()),    # 1-based page within a media span (pdf_utils.py:29); 0 for text-ish
-        ("kind", pa.string()),
-        ("media_ref", pa.string()),
-        ("offset", pa.int32()),
-        ("payload", pa.binary()),    # single-page media blob; empty for text-ish units
-        ("text", pa.string()),       # inline text for text-ish units
-        ("size_class", pa.int8()),   # 0 light / 1 medium / 2 heavy — skew bucketing
-        ("error", pa.string()),      # pre-extraction failure (fetch/split), "" = ok
-    ]
-)
-
-# ------------------------------------------------------ extracted units
-EXTRACTED_UNITS_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("part", pa.int32()),
-        ("span_idx", pa.int32()),
-        ("page_idx", pa.int32()),
-        ("kind", pa.string()),
-        ("media_ref", pa.string()),
-        ("offset", pa.int32()),
-        ("text", pa.string()),        # extracted text ("" for sentinel/error units)
-        ("is_content", pa.bool_()),   # False for non-content sentinel pages (GAS doc :356-359)
-        ("error", pa.string()),       # "" = ok; record-and-continue (worker.py:344-359)
-        ("master_hit", pa.bool_()),   # broadcast-masters lookup hit (gemini.py:77-84 analog)
-    ]
-)
-
 # ------------------------------------------------------------ output
 EXTRACTED_SPAN_STRUCT = pa.struct(
     [

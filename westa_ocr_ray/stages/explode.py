@@ -81,10 +81,6 @@ def make_explode(num_parts: int,
                 "offset": flat.field("offset"),
                 "payload": pa.array([None] * len(flat), type=pa.binary()),
                 "text": flat.field("text"),
-                "size_class": pc.cast(
-                    pc.index_in(kind, pa.array(["text", "html", "image", "pdf"])),
-                    pa.int8(),
-                ),
                 "error": pa.array([""] * len(flat), type=pa.string()),
             }
         )
@@ -103,7 +99,6 @@ def make_explode(num_parts: int,
                     "offset": pa.array(np.zeros(n, dtype=np.int32)),
                     "payload": pa.array([None] * n, type=pa.binary()),
                     "text": pa.array([""] * n),
-                    "size_class": pa.array(np.zeros(n, dtype=np.int8)),
                     "error": pa.array([""] * n),
                 }
             )
