@@ -142,3 +142,35 @@ def test_quality_classifier_actor_death_oracle_identical(tmp_path):
                .to_pandas().sort_values("doc_id", ignore_index=True))
     assert os.path.exists(marker)
     pd.testing.assert_frame_equal(clean, crashed)
+
+
+@pytest.mark.parametrize("where", ["pre", "fn"])
+def test_exchange_worker_death_result_identical(tmp_path, where):
+    """A split task's ``pre`` (or a reduce task's ``fn``) kills its
+    worker process on the first call; Ray retries the task and the
+    exchange returns what a crash-free run returns."""
+    from westa_ocr_ray import relops
+
+    marker = str(tmp_path / "exchange_crashed")
+
+    def crash_once(df: pd.DataFrame) -> pd.DataFrame:
+        try:  # exactly one call, over every task, creates the marker
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return df
+        os._exit(1)  # hard kill: no exception, no atexit
+
+    def total(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("k", as_index=False).agg(s=("v", "sum"))
+
+    df = pd.DataFrame({"k": np.arange(600) % 23, "v": np.arange(600)})
+    ds = rd.from_pandas(df).repartition(6).materialize()
+    clean = relops.exchange(ds, "k", total).to_pandas()
+    if where == "pre":
+        out = relops.exchange(ds, "k", total, pre=crash_once)
+    else:
+        out = relops.exchange(ds, "k", lambda g: total(crash_once(g)))
+    assert os.path.exists(marker)  # the crash really happened
+    pd.testing.assert_frame_equal(
+        out.to_pandas().sort_values("k", ignore_index=True),
+        clean.sort_values("k", ignore_index=True))

@@ -120,8 +120,7 @@ def test_prepare_training_data_mixture_and_epochs():
     out = prepare_training_data(
         rd.from_pandas(df).repartition(4),
         mixture_weights={"a": 1.0, "b": 0.0},
-        epoch_factors={"a": 2},
-        checkpoint=False).to_pandas()
+        epoch_factors={"a": 2}).to_pandas()
     assert set(out["lang"]) == {"a"}                 # weight-0 source dropped
     assert sorted(out["epoch"].unique()) == [0, 1]   # each kept doc twice
     n_a = (df["lang"] == "a").sum()

@@ -991,6 +991,99 @@ def test_exchange_interrupted_by_signal_cancels_reduce_tasks():
     assert ray.available_resources().get("CPU", 0) == 4
 
 
+def test_exchange_error_in_every_slot_is_raised_once(monkeypatch):
+    """``fn`` raising in every slot: the exchange raises that error, and
+    no failed slot's output is left for Ray to report as one more
+    "Unhandled error"."""
+    import gc
+    import time
+
+    import numpy as np
+    import ray._private.worker as ray_worker
+
+    def fails(g):
+        raise ValueError("fn fails in its slot")
+
+    unhandled = []
+    monkeypatch.setattr(ray_worker, "_unhandled_error_handler",
+                        unhandled.append)
+    ds = rd.from_pandas(pd.DataFrame({"b": np.arange(40) % 8})).repartition(4)
+    with pytest.raises(ValueError, match="fn fails in its slot"):
+        relops.exchange(ds, "b", fails)
+    gc.collect()  # Ray reports an unread error when its ref is freed
+    deadline = time.monotonic() + 1
+    while not unhandled and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert unhandled == []
+
+
+# ---------------- no step sees an empty frame (the relops contract) ----
+
+def _strict():
+    """A step that raises when called on an empty pandas frame or
+    pyarrow table, and otherwise returns its input (built in a function
+    so Ray pickles it by value: workers cannot import this module)."""
+    def strict(batch):
+        rows = batch.num_rows if hasattr(batch, "num_rows") else len(batch)
+        if not rows:
+            raise RuntimeError("step called on an empty batch")
+        return batch
+    return strict
+
+
+def _empty_batch_shapes():
+    """name -> (dataset, the rows it holds): plans whose map steps meet
+    empty blocks, each step the raising ``_strict()``."""
+    import numpy as np
+
+    strict = _strict()
+    df = pd.DataFrame({"k": np.arange(30) % 3, "v": np.arange(30)})
+    typed = df.iloc[:0]
+    nothing = lambda d: d[d["v"] < 0]  # noqa: E731
+    # three blocks, the middle one typed and empty
+    gappy = rd.from_pandas([df.iloc[:13], typed, df.iloc[13:]])
+    return {
+        "typed_empty_from_pandas": (
+            rd.from_pandas(typed).map_batches(strict, batch_format="pandas"),
+            typed),
+        "two_blocks_filtered_to_nothing": (
+            rd.from_pandas([df.iloc[:15], df.iloc[15:]])
+            .map_batches(nothing, batch_format="pandas")
+            .map_batches(strict, batch_format="pandas"), typed),
+        "all_empty_exchange_output": (
+            relops.exchange(rd.from_pandas(typed), "k", strict, pre=strict)
+            .map_batches(strict, batch_format="pandas"), typed),
+        "pre_and_fn": (gappy, df),
+        "pyarrow": (gappy.map_batches(strict, batch_format="pyarrow"), df),
+        "batch_size_2": (gappy.map_batches(strict, batch_format="pandas",
+                                           batch_size=2), df),
+    }
+
+
+@pytest.mark.parametrize("peel", [True, False], ids=["peeled", "executed"])
+@pytest.mark.parametrize("shape", [
+    "typed_empty_from_pandas", "two_blocks_filtered_to_nothing",
+    "all_empty_exchange_output", "pre_and_fn", "pyarrow", "batch_size_2"])
+def test_no_step_sees_an_empty_batch(shape, peel):
+    """A map_batches step, a peeled step, a ``pre`` and a single-input
+    ``fn`` are never called on an empty frame, whether the exchange runs
+    its input's steps in its split tasks (peeled) or Ray Data executes
+    them first: every step here raises on one, and the exchange's
+    ``pre`` and ``fn`` do too, over empty blocks and empty slots."""
+    import unittest.mock
+
+    ds, exp = _empty_batch_shapes()[shape]
+    strict = _strict()
+    with unittest.mock.patch.object(
+            relops, "_peel", relops._peel if peel else lambda d: None):
+        got = relops.exchange(ds, "k", strict, pre=strict).to_pandas()
+    assert len(got) == len(exp)
+    if len(exp):
+        pd.testing.assert_frame_equal(_sorted(got, ["k", "v"]),
+                                      _sorted(exp, ["k", "v"]),
+                                      check_dtype=False)
+
+
 # ------------- exchange runs peeled reads and map steps in its tasks ---
 
 def _write_table(path, lo: int, hi: int, files: int = 3) -> str:

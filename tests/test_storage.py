@@ -179,6 +179,36 @@ def test_read_parquet_only_in_storage():
     assert hits == ["storage.py"]
 
 
+#: the primitives whose output comes back materialized, snapshot set
+PRIMITIVES = {"exchange", "partial_aggregate", "grouped_topk", "hash_join",
+              "semi_anti_filter_scalable", "global_value_rank",
+              "_within_bucket_pairs"}
+
+
+def test_no_materialize_on_a_primitive():
+    """A primitive's output is already materialized, so a
+    ``.materialize()`` chained on its call is a no-op that deep-copies
+    the plan and asks the cluster for its memory info."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(storage.__file__).parent
+    hits = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "materialize"
+                    and isinstance(node.func.value, ast.Call)):
+                continue
+            f = node.func.value.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if name in PRIMITIVES:
+                hits.append(f"{path.relative_to(pkg)}:{node.lineno}")
+    assert hits == []
+
+
 def test_read_text_lines_as_documents(tmp_path):
     p = tmp_path / "docs.txt"
     p.write_text("hello   world\nsecond  doc here\nhello   world\n")

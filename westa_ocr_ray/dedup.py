@@ -240,10 +240,6 @@ class MinHasher:
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         """Emit one row per (doc, band): the LSH explode."""
         n = len(df)
-        if n == 0:
-            return pd.DataFrame({self.id_col: df[self.id_col],
-                                 "band_id": pd.Series([], dtype=np.int32),
-                                 "band_hash": pd.Series([], dtype=np.int64)})
         sigs = self._signatures(list(df[self.text_col]))  # (P, n)
         rows = sigs.reshape(self.bands, self.rows_per_band, n)
         bh = np.zeros((self.bands, n), dtype=np.uint64)
@@ -460,8 +456,7 @@ def connected_components_partitioned(edges: rd.Dataset, a_col: str = "doc_a",
         # the min original (1:1 in practice; see docstring)
         mapping = partial_aggregate(edges.map_batches(to_mapping,
                                                       batch_format="pandas"),
-                                    ["__h"], {"__orig": ("min", "__orig")}
-                                    ).materialize()
+                                    ["__h"], {"__orig": ("min", "__orig")})
 
         def hash_edges(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({a_col: _h63(df[a_col]),
@@ -613,8 +608,6 @@ class SimHasher:
         return (2 * bits.astype(np.int64) - 1)
 
     def _batch(self, texts: Sequence[str]) -> np.ndarray:
-        if len(texts) == 0:
-            return np.empty(0, dtype=np.int64)
         toks_per = [t.split(" ") for t in texts]
         counts = np.fromiter((len(t) for t in toks_per), dtype=np.int64,
                              count=len(toks_per))
@@ -1097,8 +1090,6 @@ def shingle_table(ds: rd.Dataset, n: int = 4, id_col: str = "doc_id",
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         nrows = len(df)
-        if nrows == 0:
-            return pd.DataFrame({id_col: df[id_col], "g": pd.Series([], dtype=object)})
         toks = df[text_col].str.split(" ")
         lens = toks.map(len).to_numpy(dtype=np.int64)
         flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
@@ -1497,10 +1488,6 @@ def semantic_dedup(emb: rd.Dataset, n_clusters: int = 8,
     cmat /= np.linalg.norm(cmat, axis=1, keepdims=True)
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({id_col: df[id_col],
-                                 vec_col: df[vec_col],
-                                 "cluster": pd.Series([], dtype=np.int64)})
         m = np.stack(df[vec_col].to_numpy()).astype(np.float64)
         m /= np.linalg.norm(m, axis=1, keepdims=True)
         # argmax returns the FIRST max == lowest cluster index

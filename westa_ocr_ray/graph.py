@@ -44,11 +44,12 @@ def pagerank_int(edges: rd.Dataset, n_iter: int = 3,
     # symmetrized edges feed BOTH the degree aggregate and the edge
     # join; materialize once so the upstream pair derivation runs once
     e = edges.map_batches(sym, batch_format="pandas").materialize()
-    deg = partial_aggregate(e, ["src"], {"deg": ("count", None)}).materialize()
-    # (src, dst, deg(src)) — static across iterations, materialize once
+    deg = partial_aggregate(e, ["src"], {"deg": ("count", None)})
+    # (src, dst, deg(src)) — static across iterations; the join's
+    # output is materialized
     ed = hash_join(e, deg, "src", "src",
                    left_cols=["src", "dst"],
-                   right_cols=["src", "deg"]).materialize()
+                   right_cols=["src", "deg"])
 
     ranks = deg.map_batches(
         lambda df: pd.DataFrame({"node": df["src"].to_numpy(),
@@ -116,10 +117,10 @@ def kcore_peel(edges: rd.Dataset, k: int = 2, n_rounds: int = 4,
 
     for _ in range(n_rounds):
         # join degrees onto both endpoints; an edge survives iff both
-        # ends currently have degree >= k (checkpointed per round: the
-        # degree table feeds two joins and lazy re-execution would
-        # replay all prior rounds)
-        deg = degrees(e).materialize()
+        # ends currently have degree >= k (the degree table feeds two
+        # joins; an aggregate's output is materialized, so neither
+        # replays a prior round)
+        deg = degrees(e)
         ja = hash_join(e, deg, "a", "node", left_cols=["a", "b"],
                        right_cols=["node", "deg"])
         ja = ja.map_batches(
@@ -319,10 +320,10 @@ def weighted_pagerank_int(edges: rd.Dataset, n_iter: int = 3,
                                  df[w_col].to_numpy(np.int64)])})
 
     e = edges.map_batches(sym, batch_format="pandas").materialize()
-    tw = partial_aggregate(e, ["src"], {"tw": ("sum", "w")}).materialize()
+    tw = partial_aggregate(e, ["src"], {"tw": ("sum", "w")})
     ed = hash_join(e, tw, "src", "src",
                    left_cols=["src", "dst", "w"],
-                   right_cols=["src", "tw"]).materialize()
+                   right_cols=["src", "tw"])
 
     ranks = tw.map_batches(
         lambda df: pd.DataFrame({"node": df["src"].to_numpy(),

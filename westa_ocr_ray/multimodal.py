@@ -274,8 +274,7 @@ def interleaved_pack(extracted: rd.Dataset,
             zero_copy_only=False).astype(np.int64)
         nonempty = pc.not_equal(pieces, "").to_numpy(zero_copy_only=False)
         toks = np.bincount(pparent[nonempty], minlength=nsp
-                           ).astype(np.int64) if nsp else np.zeros(
-                               0, dtype=np.int64)
+                           ).astype(np.int64)
         media = pc.is_in(kinds, value_set=pa.array(["pdf", "image"])
                          ).to_numpy(zero_copy_only=False)
         cost = toks + media.astype(np.int64) * media_tokens

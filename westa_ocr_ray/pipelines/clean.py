@@ -70,7 +70,7 @@ def prep_funnel(ds: rd.Dataset, id_col: str = "doc_id",
                 bench: Optional[rd.Dataset] = None,
                 min_words: int = 5, min_chars: int = 30,
                 rep_tok_frac4: int = 4, rep_bg_frac8: int = 8,
-                decont_n: int = 4, checkpoint: bool = True) -> rd.Dataset:
+                decont_n: int = 4) -> rd.Dataset:
     """Drop-reason ATTRIBUTION for the training-prep chain — the audit
     a production pipeline publishes alongside its cleaned corpus: for
     EVERY input doc, the first stage of
@@ -115,26 +115,24 @@ def prep_funnel(ds: rd.Dataset, id_col: str = "doc_id",
         df["__r"] = rep_stats(df)["keep"].to_numpy(dtype=bool)
         return df
 
-    tagged = ds.map_batches(q_tag, batch_format="pandas")
-    if checkpoint:  # consumed by the label branch AND the survivor branch
-        tagged = compact_blocks(tagged.materialize())
+    # consumed by the label branch AND the survivor branch
+    tagged = compact_blocks(ds.map_batches(q_tag, batch_format="pandas")
+                            .materialize())
     q_fail = (tagged.map_batches(lambda df: df[~df["__q"]],
                                  batch_format="pandas")
               .map_batches(label("quality"), batch_format="pandas"))
-    s1 = tagged.map_batches(lambda df: df[df["__q"]][[id_col, text_col]],
-                            batch_format="pandas")
-    if checkpoint:
-        s1 = compact_blocks(s1.materialize())
+    s1 = compact_blocks(
+        tagged.map_batches(lambda df: df[df["__q"]][[id_col, text_col]],
+                           batch_format="pandas").materialize())
 
-    dup = dedup.exact_dup_ids(s1, id_col=id_col, text_col=text_col)
-    if checkpoint:  # labeled AND anti-joined
-        dup = dup.materialize()
+    # labeled AND anti-joined
+    dup = dedup.exact_dup_ids(s1, id_col=id_col, text_col=text_col) \
+        .materialize()
     dup_lab = dup.map_batches(label("exact_dup"), batch_format="pandas")
     s2 = semi_anti_filter_scalable(s1, id_col, dup, key_col=id_col,
                                    anti=True, cols=[id_col, text_col])
-    s2 = s2.map_batches(r_tag, batch_format="pandas")
-    if checkpoint:
-        s2 = compact_blocks(s2.materialize())
+    s2 = compact_blocks(s2.map_batches(r_tag, batch_format="pandas")
+                        .materialize())
     r_fail = (s2.map_batches(lambda df: df[~df["__r"]],
                              batch_format="pandas")
               .map_batches(label("repetition"), batch_format="pandas"))
@@ -144,12 +142,9 @@ def prep_funnel(ds: rd.Dataset, id_col: str = "doc_id",
     if bench is None:
         kept = s3.map_batches(label("kept"), batch_format="pandas")
         return q_fail.union(dup_lab, r_fail, kept)
-    if checkpoint:
-        s3 = compact_blocks(s3.materialize())
+    s3 = compact_blocks(s3.materialize())
     cont = dedup.contaminated_ids(s3, bench, n=decont_n, id_col=id_col,
-                                  text_col=text_col)
-    if checkpoint:
-        cont = cont.materialize()
+                                  text_col=text_col).materialize()
     cont_lab = cont.map_batches(label("contaminated"), batch_format="pandas")
     kept = (semi_anti_filter_scalable(s3.select_columns([id_col]), id_col,
                                       cont, key_col=id_col, anti=True,
@@ -165,7 +160,6 @@ def prepare_training_data(ds: rd.Dataset, id_col: str = "doc_id",
                           rep_tok_frac4: int = 4, rep_bg_frac8: int = 8,
                           decont_n: int = 4, fuzzy: bool = False,
                           jaccard_threshold: float = 0.8,
-                          checkpoint: bool = True,
                           mixture_weights: Optional[dict] = None,
                           mixture_key: str = "lang",
                           epoch_factors: Optional[dict] = None,
@@ -190,10 +184,10 @@ def prepare_training_data(ds: rd.Dataset, id_col: str = "doc_id",
     SQL-expressible when ``fuzzy=False`` — the driver gate is
     queries.ORACLE_SQL['training_prep'].
 
-    ``checkpoint=True`` materializes (and block-compacts) the two
-    intermediates each anti-join stage consumes more than once (the
-    quality-filtered input and the pre-decontamination survivors). A
-    Ray Dataset is lazy, so WITHOUT the checkpoint every downstream
+    The chain materializes (and block-compacts) the two intermediates
+    each anti-join stage consumes more than once (the quality-filtered
+    input and the pre-decontamination survivors). A Ray Dataset is
+    lazy, so WITHOUT that checkpoint every downstream
     branch re-executes the whole upstream chain — each dedup stage
     reads its input once for the dropped-id side and once for the
     anti-join, compounding over the chain; with it, each stage runs once
@@ -207,10 +201,9 @@ def prepare_training_data(ds: rd.Dataset, id_col: str = "doc_id",
     if mixture_weights is not None:
         out = shards_mod.mixture_sample(out, mixture_weights,
                                         key_col=mixture_key, id_col=id_col)
-    out = quality_filter(out, text_col=text_col, min_words=min_words,
-                         min_chars=min_chars)
-    if checkpoint:
-        out = compact_blocks(out.materialize())
+    out = compact_blocks(quality_filter(
+        out, text_col=text_col, min_words=min_words,
+        min_chars=min_chars).materialize())
     out = dedup_exact_keep(out, id_col=id_col, text_col=text_col, cols=cols)
     if fuzzy:
         out = dedup.dedup_by_minhash(out, id_col=id_col, text_col=text_col,
@@ -219,8 +212,7 @@ def prepare_training_data(ds: rd.Dataset, id_col: str = "doc_id",
                             max_tok_frac4=rep_tok_frac4,
                             max_bg_frac8=rep_bg_frac8)
     if bench is not None:
-        if checkpoint:
-            out = compact_blocks(out.materialize())
+        out = compact_blocks(out.materialize())
         out = dedup.decontaminate(out, bench, n=decont_n, id_col=id_col,
                                   text_col=text_col, cols=cols)
     if epoch_factors is not None:

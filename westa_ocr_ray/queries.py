@@ -636,9 +636,6 @@ def events_top_burst(sf_dir: str) -> rd.Dataset:
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         t = df["ts"].astype("int64").to_numpy()
         u = df["user_id"].to_numpy()
-        if not len(u):
-            return pd.DataFrame({"user_id": pd.Series([], dtype=np.int64),
-                                 "max_burst": pd.Series([], dtype=np.int64)})
         starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
         ends = np.r_[starts[1:], len(u)]
         uids, bursts = [], []
@@ -1504,8 +1501,6 @@ def q_cms_token_counts(sf_dir: str) -> pd.DataFrame:
     docs = rp(sf_dir, "documents", ["text"])
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"tok": pd.Series([], dtype=object)})
         toks = df["text"].str.split(" ")
         flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         return pd.DataFrame({"tok": flat[flat != ""]})
@@ -1675,11 +1670,12 @@ def q_corpus_rollup(sf_dir: str) -> rd.Dataset:
                              "lb": np.minimum(n // 32, 7),
                              "n_tok": n})
 
+    # langs × 8 rows, read by the two coarser levels and the union; the
+    # aggregate's output is materialized, so the corpus pass runs once
     fine = partial_aggregate(
         docs.map_batches(base, batch_format="pandas"),
         ["lang", "lb"],
-        {"n_docs": ("count", None), "n_tokens": ("sum", "n_tok")}
-    ).materialize()  # consumed three times; langs × 8 rows
+        {"n_docs": ("count", None), "n_tokens": ("sum", "n_tok")})
 
     per_lang = partial_aggregate(
         fine, ["lang"],
@@ -1729,10 +1725,6 @@ def q_minhash_md5_signatures(sf_dir: str) -> rd.Dataset:
                                   for i in range(max(1, len(toks) - 2))}))
         lens = np.array([len(s) for s in doc_sh], dtype=np.int64)
         flat = np.array([g for s in doc_sh for g in s], dtype=object)
-        if not len(flat):
-            return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                                 "h": pd.Series([], dtype=np.int64),
-                                 "sig": pd.Series([], dtype=np.int64)})
         # md5 once per (hash, UNIQUE shingle) per batch (the simhash /
         # cms kernel pattern), then a per-doc min fold via reduceat
         uniq, inv = np.unique(flat, return_inverse=True)
@@ -1997,10 +1989,6 @@ def q_hash_embed_stats(sf_dir: str) -> rd.Dataset:
     emb = text_analysis.hash_embed(docs, dim=16)
 
     def stats(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"doc_id": df["doc_id"],
-                                 "top_bucket": pd.Series([], dtype=np.int64),
-                                 "norm2": pd.Series([], dtype=np.int64)})
         m = np.stack(df["vec"].to_numpy())
         return pd.DataFrame({
             "doc_id": df["doc_id"].to_numpy(),
@@ -2118,12 +2106,6 @@ def _extracted(sf_dir: str) -> rd.Dataset:
     out = f"/tmp/westa_extract_out/{fp}/{tier}_seed{fixtures.DEFAULT_SEED}"
     run_extract(corpus, out, ExtractConfig())
     return read_extracted(out)
-
-
-def q_extract_pipeline(sf_dir: str) -> rd.Dataset:
-    """The flagship extraction pipeline on the interleaved fixture corpus
-    (oracle: tests/test_pipeline_e2e.py asserts span-sequence equality)."""
-    return _extracted(sf_dir)
 
 
 def q_extract_flat(sf_dir: str) -> rd.Dataset:
@@ -2370,11 +2352,11 @@ def _lm_doc_scores(docs: rd.Dataset) -> rd.Dataset:
                              "tf": np.array(tfs, dtype=np.int64)})
 
     tf = docs.map_batches(doc_tf, batch_format="pandas")
-    # materialize the unigram table ONCE (it feeds both the total reduce
-    # and the join; lazy reuse would re-execute the whole tf pipeline
-    # per consumer). Blocks stay distributed in the object store — this
-    # is the DF table itself, never a driver pull.
-    counts = partial_aggregate(tf, ["token"], {"cnt": ("sum", "tf")}).materialize()
+    # the unigram table feeds both the total reduce and the join; the
+    # aggregate's output is materialized, so the tf pipeline runs once.
+    # Blocks stay distributed in the object store — this is the DF
+    # table itself, never a driver pull.
+    counts = partial_aggregate(tf, ["token"], {"cnt": ("sum", "tf")})
     # total corpus token count: tiny driver-side reduce over the counts
     total = int(counts.map_batches(
         lambda df: pd.DataFrame({"t": [int(df["cnt"].sum())]}),
@@ -2447,7 +2429,7 @@ def lm_heldout_score(sf_dir: str) -> rd.Dataset:
         batch_format="pandas")
 
     counts = partial_aggregate(train_tf, ["token"],
-                               {"cnt": ("sum", "tf")}).materialize()
+                               {"cnt": ("sum", "tf")})
     stats = counts.map_batches(
         lambda df: pd.DataFrame({"n": [int(df["cnt"].sum())],
                                  "v": [len(df)]}),
@@ -2523,7 +2505,7 @@ def lm_bigram_score(sf_dir: str) -> rd.Dataset:
 
     b12 = docs.map_batches(doc_bg, batch_format="pandas")
     c12 = partial_aggregate(b12, ["bg"], {"c12": ("sum", "tf"),
-                                          "w1m": ("min", "w1")}).materialize()
+                                          "w1m": ("min", "w1")})
     c1 = partial_aggregate(c12.map_batches(
         lambda df: df[["w1m", "c12"]].rename(columns={"w1m": "w1"}),
         batch_format="pandas"), ["w1"], {"c1": ("sum", "c12")})
@@ -3776,8 +3758,7 @@ def self_join_size_by_user(sf_dir: str) -> rd.Dataset:
         c = df["c"].to_numpy(dtype=np.int64)
         return pd.DataFrame({"__g": np.zeros(1, dtype=np.int32),
                              "n_pairs": [int((c * c).sum())],
-                             "max_key_sq": [int((c * c).max()) if len(c)
-                                            else 0]})
+                             "max_key_sq": [int((c * c).max())]})
 
     out = partial_aggregate(counts.map_batches(fold, batch_format="pandas"),
                             ["__g"], {"n_pairs": ("sum", "n_pairs"),
@@ -3792,8 +3773,6 @@ def _skyline_block(df: pd.DataFrame) -> pd.DataFrame:
     whose nd equals their group max AND strictly beats every
     higher-nt group's max (shifted cummax). Duplicate (nt, nd)
     frontier points all survive (neither strictly dominates)."""
-    if not len(df):
-        return df
     df = df.sort_values(["nt", "nd"], ascending=False,
                         ignore_index=True)
     nt = df["nt"].to_numpy(np.int64)
@@ -4443,8 +4422,7 @@ def lexical_stats_by_source(sf_dir: str) -> rd.Dataset:
         lens = s.map(len).to_numpy(dtype=np.int64)
         return pd.DataFrame({
             "source": np.repeat(df["source"].to_numpy(), lens),
-            "token": np.concatenate(s.to_numpy()) if len(df)
-            else np.array([], dtype=object)})
+            "token": np.concatenate(s.to_numpy())})
 
     per_type = partial_aggregate(
         docs.map_batches(toks, batch_format="pandas"),
@@ -4493,8 +4471,7 @@ def source_overlap_jaccard(sf_dir: str) -> rd.Dataset:
         lens = s.map(len).to_numpy(dtype=np.int64)
         return pd.DataFrame({
             "source": np.repeat(df["source"].to_numpy(), lens),
-            "token": np.concatenate(s.to_numpy()) if len(df)
-            else np.array([], dtype=object)})
+            "token": np.concatenate(s.to_numpy())})
 
     st = partial_aggregate(
         docs.map_batches(toks, batch_format="pandas"),
@@ -4882,7 +4859,7 @@ def user_rfm(sf_dir: str) -> rd.Dataset:
     rfm = partial_aggregate(
         ev.map_batches(base, batch_format="pandas"), ["user_id"],
         {"recency_us": ("max", "t"), "frequency": ("count", None),
-         "monetary_cents": ("sum", "cents")}).materialize()
+         "monetary_cents": ("sum", "cents")})
     n_users = int(partial_aggregate(
         rfm.map_batches(lambda df: pd.DataFrame(
             {"__g": np.zeros(len(df), dtype=np.int32)}),
@@ -4989,7 +4966,7 @@ QUERIES = {
     "parse_detail_rows": parse_detail_rows,
     # extract_span_checksum value-checks EVERY span of the flagship
     # extraction (per-kind md5 fold vs the serial reference VALUES); it
-    # runs the same marker-cached extraction extract_pipeline returns raw
+    # runs the same marker-cached extraction extract_flat returns raw
     "extract_span_checksum": extract_span_checksum,
     "extract_summary": q_extract_summary,
     # dedup / cleaning
@@ -5137,14 +5114,12 @@ QUERIES = {
     "dedup_cdc": q_dedup_cdc,
     # snapshot-versioning diff
     "corpus_diff": q_corpus_diff,
-    # `extract_pipeline` / `extract_flat` are LIBRARY VIEWS, not
-    # registered queries: the raw per-unit rows they expose are
-    # value-checked strictly harder by the registered twins —
-    # extract_span_checksum folds EVERY span,
+    # `extract_flat` is a LIBRARY VIEW, not a registered query: the raw
+    # span rows it exposes are value-checked strictly harder by the
+    # registered twins — extract_span_checksum folds EVERY span,
     # extract_summary/ingest_flat_documents check the aggregates, and
     # tests/test_pipeline_e2e.py asserts span-sequence equality per
-    # doc_id. Call q_extract_pipeline/q_extract_flat directly for the
-    # raw rows.
+    # doc_id. Call q_extract_flat directly for the raw rows.
     "chunk_documents": q_chunk_documents,
     "prep_funnel": q_prep_funnel,
     "token_count_bpe": q_token_count_bpe,
@@ -8079,8 +8054,7 @@ def blocklist_filter(sf_dir: str) -> rd.Dataset:
     def scan(df: pd.DataFrame) -> pd.DataFrame:
         s = df["text"].str.split(" ")
         n = s.map(len).to_numpy(dtype=np.int64)
-        flat = np.concatenate(s.to_numpy()) if len(df) else \
-            np.array([], dtype=object)
+        flat = np.concatenate(s.to_numpy())
         doc_idx = np.repeat(np.arange(len(df), dtype=np.int64), n)
         hits = np.isin(flat, terms)
         n_hits = np.bincount(doc_idx, weights=hits,
@@ -8724,11 +8698,6 @@ def kmeans_assign_new(sf_dir: str) -> rd.Dataset:
     new = emb.map_batches(plant, batch_format="pandas")
 
     def assign_new(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "vec_id": pd.Series([], dtype="int64"),
-                "cluster": pd.Series([], dtype="int64"),
-                "dist2": pd.Series([], dtype="int64")})
         P = np.stack(df["embedding"].to_numpy()).astype(np.float64) * 1000.0
         Q = (np.sign(P) * np.floor(np.abs(P) + 0.5)).astype(np.int64)
         D = ((Q * Q).sum(axis=1)[:, None] - 2 * (Q @ C.T)
@@ -9102,9 +9071,6 @@ def embedding_prep(sf_dir: str) -> rd.Dataset:
         return (np.sign(p) * np.floor(np.abs(p) + 0.5)).astype(np.int64)
 
     def dim_max(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"i": pd.Series([], dtype="int64"),
-                                 "m": pd.Series([], dtype="int64")})
         q = qstack(df)
         return pd.DataFrame({
             "i": np.arange(q.shape[1], dtype=np.int64),
@@ -9117,12 +9083,6 @@ def embedding_prep(sf_dir: str) -> rd.Dataset:
     m[mx["i"].to_numpy()] = mx["m"].to_numpy()
 
     def audit(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "shard": pd.Series([], dtype="int64"),
-                "n_vecs": pd.Series([], dtype="int64"),
-                "sum_code_l1": pd.Series([], dtype="int64"),
-                "sum_sse_q": pd.Series([], dtype="int64")})
         q = qstack(df)
         sgn, aq = np.sign(q), np.abs(q)
         safe = np.where(m == 0, 1, m)
@@ -9288,10 +9248,8 @@ def ranking_eval(sf_dir: str) -> pd.DataFrame:
         post.map_batches(lambda df: df[["doc_id"]].astype("int64"),
                          batch_format="pandas"),
         ["doc_id"], {"nt": ("count", None)})
-    _empty_ids = pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})
     rel = nt.map_batches(
-        lambda df: (df[df["nt"] >= REL_MIN_TERMS][["doc_id"]]
-                    if len(df) else _empty_ids),
+        lambda df: df[df["nt"] >= REL_MIN_TERMS][["doc_id"]],
         batch_format="pandas")
     r_total = int(partial_aggregate(
         rel.map_batches(lambda df: df.assign(__g=np.int32(0)),
@@ -9301,8 +9259,7 @@ def ranking_eval(sf_dir: str) -> pd.DataFrame:
     top = search.bm25_topk(docs, RANK_TERMS, k=50).to_pandas()
     top_ids = set(top["doc_id"].astype("int64"))
     rt = rel.map_batches(
-        lambda df: (df[df["doc_id"].isin(top_ids)]
-                    if len(df) else _empty_ids),
+        lambda df: df[df["doc_id"].isin(top_ids)],
         batch_format="pandas").to_pandas()
     # an all-empty result loses its schema on the way to pandas
     rel_top = (set(rt["doc_id"].astype("int64"))
@@ -9518,8 +9475,7 @@ def sparse_dot_topk(sf_dir: str) -> rd.Dataset:
         toks = df["text"].str.split(" ")
         lens = toks.map(len).to_numpy(dtype=np.int64)
         did = np.repeat(df["doc_id"].to_numpy(dtype=np.int64), lens)
-        flat = (np.concatenate([np.asarray(t, dtype=object) for t in toks])
-                if len(df) else np.array([], dtype=object))
+        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         out = pd.DataFrame({"doc_id": did, "token": flat})
         return (out.groupby(["doc_id", "token"], sort=False,
                             as_index=False).size()
@@ -9537,11 +9493,6 @@ def sparse_dot_topk(sf_dir: str) -> rd.Dataset:
             for p, g in probes.groupby("doc_id")}
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "probe_id": pd.Series([], dtype="int64"),
-                "doc_id": pd.Series([], dtype="int64"),
-                "score": pd.Series([], dtype="int64")})
         tfv = df["tf"].to_numpy(dtype=np.int64)
         wv = df["token"].map(weight).to_numpy(dtype=np.int64)
         frames = []
@@ -9672,11 +9623,6 @@ def incremental_agg(sf_dir: str) -> rd.Dataset:
 
     def parts(sign: int):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return pd.DataFrame({
-                    "g": pd.Series([], dtype="int64"),
-                    "n_docs": pd.Series([], dtype="int64"),
-                    "sum_tokens": pd.Series([], dtype="int64")})
             ids = df["doc_id"].to_numpy(dtype=np.int64)
             ntok = df["text"].str.count(" ").to_numpy(dtype=np.int64) + 1
             return pd.DataFrame({
@@ -9688,10 +9634,7 @@ def incremental_agg(sf_dir: str) -> rd.Dataset:
     def status_ids(*statuses):
         sset = set(statuses)
         return diff.map_batches(
-            lambda df: (df[df["status"].isin(sset)][["doc_id"]]
-                        if len(df) else
-                        pd.DataFrame({"doc_id":
-                                      pd.Series([], dtype="int64")})),
+            lambda df: df[df["status"].isin(sset)][["doc_id"]],
             batch_format="pandas")
 
     minus = semi_anti_filter_scalable(
@@ -10272,7 +10215,7 @@ def events_cube(sf_dir: str) -> rd.Dataset:
     base = partial_aggregate(
         ev.map_batches(prep, batch_format="pandas"),
         ["event_type", "d"],
-        {"n": ("sum", "n"), "cents": ("sum", "cents")}).materialize()
+        {"n": ("sum", "n"), "cents": ("sum", "cents")})
 
     def relabel(ty: Optional[str], dy: Optional[int]):
         def f(df: pd.DataFrame) -> pd.DataFrame:
@@ -10663,32 +10606,21 @@ def q10_returned_items(sf_dir: str) -> rd.Dataset:
     named = hash_join(per_cust, cust, "o_custkey", "c_custkey",
                       left_cols=["o_custkey", "revenue_e4"],
                       right_cols=["c_custkey", "c_name"])
-    _empty_named = pd.DataFrame({
-        "c_custkey": pd.Series([], dtype="int64"),
-        "c_name": pd.Series([], dtype=object),
-        "revenue_e4": pd.Series([], dtype="int64"),
-        "__g": pd.Series([], dtype="int32")})
     # hash_join renames the right key to the LEFT key's name
     named = named.map_batches(
-        lambda df: (pd.DataFrame({
+        lambda df: pd.DataFrame({
             "c_custkey": df["o_custkey"].astype("int64"),
             "c_name": df["c_name"],
             "revenue_e4": df["revenue_e4"].astype("int64"),
-            "__g": np.int32(0)}) if len(df) else _empty_named),
+            "__g": np.int32(0)}),
         batch_format="pandas")
     top = grouped_topk(named, ["__g"], ["revenue_e4", "c_custkey"], Q10_K,
                        ascending=[False, True])
-    _empty_out = pd.DataFrame({
-        "c_custkey": pd.Series([], dtype="int64"),
-        "c_name": pd.Series([], dtype=object),
-        "revenue_e4": pd.Series([], dtype="int64"),
-        "rank": pd.Series([], dtype="int64")})
     return top.map_batches(
         lambda df: (df[["c_custkey", "c_name", "revenue_e4", "rk"]]
                     .rename(columns={"rk": "rank"})
                     .astype({"c_custkey": "int64", "revenue_e4": "int64",
-                             "rank": "int64"})
-                    if len(df) else _empty_out),
+                             "rank": "int64"})),
         batch_format="pandas")
 
 
@@ -10796,10 +10728,6 @@ def eval_prep(sf_dir: str) -> rd.Dataset:
         cols=["doc_id", "text", "lang", "h"])
 
     def text_hash(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "th": pd.Series([], dtype=object),
-                "doc_id": pd.Series([], dtype="int64")})
         return pd.DataFrame({
             "th": [dedup.md5_hex(t) for t in df["text"]],
             "doc_id": df["doc_id"].to_numpy(dtype=np.int64)})
@@ -10807,21 +10735,13 @@ def eval_prep(sf_dir: str) -> rd.Dataset:
     keepers = partial_aggregate(
         scrubbed.map_batches(text_hash, batch_format="pandas"),
         ["th"], {"doc_id": ("min", "doc_id")}).map_batches(
-        lambda df: (df[["doc_id"]].astype("int64") if len(df) else
-                    pd.DataFrame({"doc_id": pd.Series([], dtype="int64")})),
+        lambda df: df[["doc_id"]].astype("int64"),
         batch_format="pandas")
     kept = semi_anti_filter_scalable(
         scrubbed, "doc_id", keepers,
         cols=["doc_id", "text", "lang"])
 
     def split(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "lang": pd.Series([], dtype=object),
-                "n_examples": pd.Series([], dtype="int64"),
-                "sum_prompt_toks": pd.Series([], dtype="int64"),
-                "sum_cont_toks": pd.Series([], dtype="int64"),
-                "id_fold": pd.Series([], dtype="int64")})
         n = df["text"].str.count(" ").to_numpy(dtype=np.int64) + 1
         p = n // 2
         fold = np.fromiter(
@@ -10958,8 +10878,7 @@ def tokenized_export(sf_dir: str) -> rd.Dataset:
 
     def tok_counts(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].str.split(" ")
-        flat = (np.concatenate([np.asarray(t, dtype=object) for t in toks])
-                if len(df) else np.array([], dtype=object))
+        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         out = pd.DataFrame({"token": flat})
         return (out.groupby("token", sort=False, as_index=False).size()
                 .rename(columns={"size": "cnt"}))
@@ -11281,9 +11200,6 @@ def daily_new_users(sf_dir: str) -> rd.Dataset:
         ["user_id"], {"first_us": ("min", "first_us")})
 
     def to_day(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"d": pd.Series([], dtype="int64"),
-                                 "n_new": pd.Series([], dtype="int64")})
         d = (pd.to_datetime(df["first_us"].astype("int64"), unit="us")
              .dt.day.to_numpy(dtype=np.int64))
         return pd.DataFrame({"d": d,
@@ -11369,11 +11285,6 @@ def longest_token_run(sf_dir: str) -> rd.Dataset:
     def runs(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].str.split(" ")
         lens = toks.map(len).to_numpy(dtype=np.int64)
-        if not len(df):
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype="int64"),
-                "run_len": pd.Series([], dtype="int64"),
-                "__g": pd.Series([], dtype="int32")})
         flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         did = np.repeat(df["doc_id"].to_numpy(dtype=np.int64), lens)
         # change points: token differs from predecessor OR doc changes
@@ -11542,9 +11453,7 @@ def ivfpq_search(sf_dir: str) -> rd.Dataset:
     cand_ids = asg.map_batches(
         lambda df: (df[df["cluster"].isin(probe)
                        & (df["vec_id"] != qid)][["vec_id"]]
-                    .astype("int64")
-                    if len(df) else
-                    pd.DataFrame({"vec_id": pd.Series([], dtype="int64")})),
+                    .astype("int64")),
         batch_format="pandas")
     # the embedding column must survive the semi filter's groupby
     # shuffle: re-type Ray's TensorArray extension to plain object
@@ -11577,10 +11486,6 @@ def ivfpq_search(sf_dir: str) -> rd.Dataset:
         tables.append((lo, hi, C, dq))
 
     def adc_score(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "vec_id": pd.Series([], dtype="int64"),
-                "adc_dist2": pd.Series([], dtype="int64")})
         M = np.stack(df["embedding"].to_numpy()).astype(np.float64)
         adc = np.zeros(len(df), dtype=np.int64)
         for lo, hi, C, dq in tables:
@@ -11881,9 +11786,7 @@ def bm25_prf_search(sf_dir: str) -> rd.Dataset:
         toks = df["text"].str.split(" ")
         lens = toks.map(len).to_numpy(dtype=np.int64)
         did = np.repeat(df["doc_id"].to_numpy(dtype=np.int64), lens)
-        flat = (np.concatenate([np.asarray(t, dtype=object)
-                                for t in toks])
-                if len(df) else np.array([], dtype=object))
+        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         out = pd.DataFrame({"doc_id": did, "token": flat})
         out = out[out["token"].isin(set(qterms))]
         return (out.groupby(["doc_id", "token"], sort=False,
@@ -11897,10 +11800,6 @@ def bm25_prf_search(sf_dir: str) -> rd.Dataset:
          for t, n in zip(dfreq["token"], dfreq["df"])}
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype="int64"),
-                "score": pd.Series([], dtype="int64")})
         s = (df["token"].map(w).to_numpy(dtype=np.int64)
              * df["tf"].to_numpy(dtype=np.int64))
         out = pd.DataFrame({"doc_id": df["doc_id"].to_numpy(dtype=np.int64),
@@ -12244,11 +12143,6 @@ def user_entropy(sf_dir: str) -> rd.Dataset:
                   right_cols=["user_id", "n"])
 
     def term(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "n_events": pd.Series([], dtype="int64"),
-                "t": pd.Series([], dtype="int64")})
         c = df["c"].to_numpy(dtype=np.float64)
         n = df["n"].to_numpy(dtype=np.float64)
         t = np.round(1_000_000.0 * (c / n) * np.log(n / c)) \
@@ -12299,13 +12193,6 @@ def dedup_simhash_radius(sf_dir: str) -> rd.Dataset:
     sims = dedup.simhash_table(docs)
 
     def bands(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "combo": pd.Series([], dtype="int64"),
-                "k1": pd.Series([], dtype="int64"),
-                "k2": pd.Series([], dtype="int64"),
-                "doc_id": pd.Series([], dtype="int64"),
-                "simhash": pd.Series([], dtype="int64")})
         sig = df["simhash"].to_numpy(np.int64).view(np.uint64)
         b = [(sig >> np.uint64(16 * i)) & np.uint64(0xFFFF)
              for i in range(4)]
@@ -12326,11 +12213,6 @@ def dedup_simhash_radius(sf_dir: str) -> rd.Dataset:
         payload_cols=["simhash"])
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "doc_a": pd.Series([], dtype="int64"),
-                "doc_b": pd.Series([], dtype="int64"),
-                "hamming": pd.Series([], dtype="int64")})
         x = (df["simhash_a"].to_numpy(np.int64).view(np.uint64)
              ^ df["simhash_b"].to_numpy(np.int64).view(np.uint64))
         ham = np.unpackbits(x.view(np.uint8).reshape(len(df), 8),
@@ -12375,9 +12257,7 @@ def vocab_growth(sf_dir: str) -> rd.Dataset:
         toks = df["text"].str.split(" ")
         lens = toks.map(len).to_numpy(dtype=np.int64)
         did = np.repeat(df["doc_id"].to_numpy(dtype=np.int64), lens)
-        flat = (np.concatenate([np.asarray(t, dtype=object)
-                                for t in toks])
-                if len(df) else np.array([], dtype=object))
+        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         frames = []
         for p in VOCAB_GROWTH_PREFIXES:
             keep = did < p
@@ -12639,7 +12519,7 @@ def q17_small_qty_revenue(sf_dir: str) -> rd.Dataset:
     lp = hash_join(li, part, "l_partkey", "p_partkey",
                    left_cols=["l_partkey", "l_quantity", "l_extendedprice"],
                    right_cols=["p_partkey", "p_brand"],
-                   bucket_fn=keep_brand).materialize()
+                   bucket_fn=keep_brand)
     avg = partial_aggregate(lp, ["l_partkey"],
                             {"sq": ("sum", "qty"), "n": ("count", None)})
 

@@ -27,7 +27,16 @@ blocks of a materialized input, then the plan's ``map_batches`` and
 Dataset with its snapshot set, so a primitive chained on a read, on
 another primitive or on a map step over either starts no Ray Data
 executor; a plan it does not recognize is executed by Ray Data first,
-as before.
+as before. A ``.materialize()`` on a primitive's output is a no-op.
+
+No step sees an empty frame. Ray Data passes an empty pandas or
+pyarrow batch through ``map_batches`` without calling the step; the
+exchange's split task runs a peeled step and ``pre`` only on a block
+with rows, and its reduce task calls ``fn`` only when a frame has rows.
+So a ``map_batches`` step, a peeled step, a ``pre`` and the ``fn`` of a
+single-input ``exchange`` or ``per_key`` need no empty-input branch
+and no typed-empty fallback. (One side of a two-input ``fn`` may be
+empty, column-less when its input had no rows at all.)
 """
 
 from __future__ import annotations
@@ -306,6 +315,15 @@ def _exchange_reduce(fn, sizes: list, *pieces):
     return out, len(out)
 
 
+def _holds_error(ref) -> bool:
+    """Read a finished ref; True when it holds a task's error."""
+    try:
+        ray.get(ref)
+    except ray.exceptions.RayError:
+        return True
+    return False
+
+
 def exchange(ds, key, fn, pre=None) -> rd.Dataset:
     """Keyed reduce as plain Ray tasks: every row of ``ds`` goes to the
     slot of its ``key`` (a column name or a list of names; the empty
@@ -321,8 +339,10 @@ def exchange(ds, key, fn, pre=None) -> rd.Dataset:
 
     ``pre`` is the input's per-block step (a projection, a combiner):
     it runs on each non-empty block inside the split task, before
-    bucketing, and its output must hold ``key``. ``ds`` and ``pre`` may
-    be equal-length tuples, one entry per input (a None entry, or
+    bucketing, and its output must hold ``key``. Neither ``pre`` nor a
+    single-input ``fn`` is ever called on an empty frame (the module
+    docstring states the rule). ``ds`` and ``pre`` may be equal-length
+    tuples, one entry per input (a None entry, or
     ``pre=None``, runs no step). Each input is concatenated on its own,
     with an empty frame for an input that has no rows in the slot: a
     join takes its sides as separate inputs, never a union padded to one
@@ -348,7 +368,9 @@ def exchange(ds, key, fn, pre=None) -> rd.Dataset:
     to_pandas or another exchange on it starts no executor. The driver
     waits through ``gather``, so signal handlers run, and an exception
     raised while it waits (an interrupt, a handler's) cancels the reduce
-    tasks still running."""
+    tasks still running. A task's error is raised once: the outputs of
+    the slots that failed are read before it propagates, so Ray reports
+    none of them as an unhandled error."""
     key = _key_cols(key)
     inputs = ds if isinstance(ds, tuple) else (ds,)
     pres = pre if isinstance(pre, tuple) else (pre,) * len(inputs)
@@ -380,7 +402,18 @@ def exchange(ds, key, fn, pre=None) -> rd.Dataset:
     outs, counts = zip(*(_exchange_reduce.remote(fn, sizes,
                                                  *[p[s] for p in pieces])
                          for s in range(n)))
-    rows = gather(list(counts))
+    try:
+        rows = gather(list(counts))
+    except BaseException:
+        # a failed slot's output holds the error too, and Ray reports an
+        # error dropped unread as one more "Unhandled error": read the
+        # outputs of the finished slots that failed (never waiting on a
+        # running task, never fetching a good slot's rows), raise the first
+        done = set(ray.wait(list(counts), num_returns=n, timeout=0)[0])
+        for c, o in zip(counts, outs):
+            if c in done and _holds_error(c):
+                _holds_error(o)
+        raise
     # materialize() sets the snapshot without an executor run, so a
     # later count, to_pandas or exchange on the output starts none
     return rd.from_pandas_refs([o for o, r in zip(outs, rows) if r]
@@ -434,7 +467,7 @@ def _check_int_sums(df: pd.DataFrame, keys: list, sums: dict,
     column's largest magnitude times its row count could reach 2**62."""
     for o, c in sums.items():
         v = df[c].to_numpy()
-        if (v.dtype.kind not in "iu" or not len(v)
+        if (v.dtype.kind not in "iu"
                 or np.abs(v.astype(np.float64)).max() * len(v) < 2.0 ** 62):
             continue
         approx = (df[c].astype(np.float64)

@@ -54,10 +54,8 @@ def bm25_topk(ds: rd.Dataset, terms: Sequence[str], k: int = 50,
     def stats(df: pd.DataFrame) -> pd.DataFrame:
         n = len(df)
         toks = df[text_col].str.split(" ")
-        lens = (toks.map(len).to_numpy(dtype=np.int64) if n
-                else np.array([], dtype=np.int64))
-        flat = (np.concatenate([np.asarray(t, dtype=object) for t in toks])
-                if n else np.array([], dtype=object))
+        lens = toks.map(len).to_numpy(dtype=np.int64)
+        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         did = np.repeat(np.arange(n, dtype=np.int64), lens)
         out = {id_col: df[id_col].to_numpy(), "dl": lens}
         for i, t in enumerate(terms):
@@ -237,8 +235,7 @@ def _write_index_gen(ds: rd.Dataset, index_dir: str, gen: int,
         lens = toks.map(len).to_numpy(dtype=np.int64)
         ex = (df.assign(token=toks)[[id_col, "token"]]
               .explode("token", ignore_index=True))
-        ex["pos"] = (np.concatenate([np.arange(n) for n in lens])
-                     if len(lens) else np.array([], dtype=np.int64))
+        ex["pos"] = np.concatenate([np.arange(n) for n in lens])
         b = np.fromiter(
             (int(hashlib.md5(t.encode("utf-8")).hexdigest()[:8], 16)
              % num_buckets for t in ex["token"]),
@@ -358,7 +355,7 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
         aggs = {f"tf{i}": ("sum", f"tf{i}") for i in range(nt)}
         tfdoc = partial_aggregate(post.map_batches(pivot,
                                                    batch_format="pandas"),
-                                  [id_col], aggs).materialize()
+                                  [id_col], aggs)
         g = partial_aggregate(
             tfdoc.map_batches(
                 lambda df: pd.DataFrame(

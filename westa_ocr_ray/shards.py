@@ -319,10 +319,6 @@ def epoch_oversample(ds: rd.Dataset, factors: dict, key_col: str = "lang",
     shuffle_rank / shard_assign."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            df = df.copy()
-            df["epoch"] = pd.Series([], dtype="int64")
-            return df
         reps = (df[key_col].map(lambda k: factors.get(k, default))
                 .to_numpy(dtype=np.int64))
         reps = np.maximum(reps, 0)

@@ -170,17 +170,6 @@ def chunk_tokens(ds: rd.Dataset, window: int = 32, stride: int = 24,
 
     def fn(df: pd.DataFrame) -> pa.Table:
         n = len(df)
-        if n == 0:
-            # empty blocks are routine downstream of a filter; an empty
-            # OBJECT series infers a null-typed Arrow column, which
-            # conflicts with the string blocks at the union — pin it
-            ids = pa.Array.from_pandas(df[id_col])
-            if pa.types.is_null(ids.type):
-                ids = ids.cast(pa.string())
-            return pa.table({id_col: ids,
-                             "chunk_idx": pa.array([], pa.int64()),
-                             "n_tokens": pa.array([], pa.int64()),
-                             "chunk_text": pa.array([], pa.string())})
         toks = df[text_col].str.split(" ")
         lens = toks.map(len).to_numpy(dtype=np.int64)
         flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
@@ -455,12 +444,6 @@ def _repetition_batch(id_col: str, text_col: str,
                       max_tok_frac4: int, max_bg_frac8: int):
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         n = len(df)
-        if n == 0:
-            return pd.DataFrame({id_col: df[id_col],
-                                 **{c: pd.Series([], dtype=np.int64)
-                                    for c in ("n_tokens", "n_distinct",
-                                              "max_tok_count", "n_bigrams",
-                                              "max_bigram_count", "keep")}})
         toks = df[text_col].str.split(" ")
         lens = toks.map(len).to_numpy(dtype=np.int64)
         flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
@@ -547,10 +530,8 @@ def hash_embed(ds: rd.Dataset, dim: int = 16, id_col: str = "doc_id",
     def embed(df: pd.DataFrame) -> pd.DataFrame:
         nrows = len(df)
         toks = df[text_col].str.split(" ")
-        lens = toks.map(len).to_numpy(dtype=np.int64) if nrows else \
-            np.array([], dtype=np.int64)
-        flat = (np.concatenate([np.asarray(t, dtype=object) for t in toks])
-                if nrows else np.array([], dtype=object))
+        lens = toks.map(len).to_numpy(dtype=np.int64)
+        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
         keep = flat != ""
         flat = flat[keep]
         did = np.repeat(np.arange(nrows, dtype=np.int64), lens)[keep]
@@ -722,27 +703,23 @@ def quality_classifier(ds: rd.Dataset, id_col: str = "doc_id",
         n = len(df)
         nbg = np.zeros(n, dtype=np.int64)
         sc = np.zeros(n, dtype=np.int64)
-        if n:
-            toks = df[text_col].str.split(" ")
-            lens = toks.map(len).to_numpy(dtype=np.int64)
-            if lens.sum():
-                flat = np.concatenate(
-                    [np.asarray(t, dtype=object) for t in toks])
-                rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-                m = flat != ""
-                flat, rows = flat[m], rows[m]
-                if len(flat) > 1:
-                    adj = rows[:-1] == rows[1:]
-                    bg = flat[:-1][adj] + " " + flat[1:][adj]
-                    brow = rows[:-1][adj]
-                    if len(bg):
-                        uniq, inv = np.unique(bg, return_inverse=True)
-                        ub = np.fromiter(
-                            (int(md5_hex(t)[:8], 16) % num_buckets
-                             for t in uniq),
-                            dtype=np.int64, count=len(uniq))
-                        np.add.at(sc, brow, w[ub[inv]])
-                        np.add.at(nbg, brow, 1)
+        toks = df[text_col].str.split(" ")
+        lens = toks.map(len).to_numpy(dtype=np.int64)
+        flat = np.concatenate([np.asarray(t, dtype=object) for t in toks])
+        rows = np.repeat(np.arange(n, dtype=np.int64), lens)
+        m = flat != ""
+        flat, rows = flat[m], rows[m]
+        if len(flat) > 1:
+            adj = rows[:-1] == rows[1:]
+            bg = flat[:-1][adj] + " " + flat[1:][adj]
+            brow = rows[:-1][adj]
+            if len(bg):
+                uniq, inv = np.unique(bg, return_inverse=True)
+                ub = np.fromiter(
+                    (int(md5_hex(t)[:8], 16) % num_buckets for t in uniq),
+                    dtype=np.int64, count=len(uniq))
+                np.add.at(sc, brow, w[ub[inv]])
+                np.add.at(nbg, brow, 1)
         return pd.DataFrame({id_col: df[id_col],
                              "n_bigrams": nbg, "score_mu": sc,
                              "keep": (sc > 0).astype(np.int64)})
@@ -844,8 +821,6 @@ def bpe_train(ds: rd.Dataset, n_merges: int = BPE_TRAIN_MERGES,
         # key-disjoint) block emits its own best row, the driver
         # reduces ≤ one candidate per block
         def block_top(df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return df
             return df.sort_values(["cnt", "lhs", "rhs"],
                                   ascending=[False, True, True]).head(1)
 
