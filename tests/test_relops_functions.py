@@ -12,18 +12,26 @@ from westa_ocr_ray.functions import (build_masters_csv, csv_quote,
 
 
 def test_partial_aggregate_matches_pandas():
-    # a null key is one more group, as in SQL GROUP BY
+    # a null key is one more group, as in SQL GROUP BY; the empty key is
+    # one group, an aggregate without GROUP BY
+    import numpy as np
     df = pd.DataFrame({"k": ["a", "b", "a", "c", "b", "a", None, None],
-                       "v": [1, 2, 3, 4, 5, 6, 7, 8]})
-    got = (relops.partial_aggregate(rd.from_pandas(df).repartition(3), ["k"],
-                                    {"s": ("sum", "v"), "n": ("count", None),
-                                     "mn": ("min", "v"), "mx": ("max", "v")})
-           .to_pandas().sort_values("k", ignore_index=True))
-    exp = (df.groupby("k", as_index=False, dropna=False)
-             .agg(s=("v", "sum"), n=("v", "size"), mn=("v", "min"), mx=("v", "max"))
-             .sort_values("k", ignore_index=True))
-    pd.testing.assert_frame_equal(got[["k", "s", "n", "mn", "mx"]], exp,
-                                  check_dtype=False)
+                       "v": [1, 2, 3, 4, 5, 6, 7, 8],
+                       "f": [0.5, None, 2.0, None, 1.5, 3.0, None, 4.0]})
+    for keys in (["k"], []):
+        got = (relops.partial_aggregate(
+                   rd.from_pandas(df).repartition(3), keys,
+                   {"s": ("sum", "v"), "n": ("count", None),
+                    "mn": ("min", "v"), "mx": ("max", "v"),
+                    "fs": ("sum", "f"), "fmn": ("min", "f")})
+               .to_pandas().sort_values(keys, ignore_index=True))
+        exp = (df.groupby(keys or np.zeros(len(df), int), dropna=False)
+                 .agg(s=("v", "sum"), n=("v", "size"), mn=("v", "min"),
+                      mx=("v", "max"), fs=("f", "sum"), fmn=("f", "min"))
+                 .reset_index(drop=not keys)
+                 .sort_values(keys, ignore_index=True))
+        cols = keys + ["s", "n", "mn", "mx", "fs", "fmn"]
+        pd.testing.assert_frame_equal(got[cols], exp[cols], check_dtype=False)
 
 
 def test_hash_join_matches_pandas_merge():
@@ -232,6 +240,7 @@ def test_semi_anti_filter_scalable_matches_broadcast():
 
 
 def test_grouped_topk_matches_pandas():
+    # the empty group key is one group: a global ORDER BY ... LIMIT k
     import numpy as np
     from westa_ocr_ray.relops import grouped_topk
     rng = np.random.RandomState(3)
@@ -240,18 +249,22 @@ def test_grouped_topk_matches_pandas():
                        "uid": np.arange(400)})
     df.loc[df.index[:200], "g"] = 0                      # hot group
     df.loc[df.index[-30:], "g"] = None                   # null group
-    out = (grouped_topk(rd.from_pandas(df).repartition(6), ["g"],
-                        ["v", "uid"], k=3, ascending=[False, True])
-           .to_pandas().sort_values(["g", "rk"], ignore_index=True))
-    exp = (df.sort_values(["g", "v", "uid"], ascending=[True, False, True])
-             .groupby("g", dropna=False).head(3)
-             .sort_values(["g", "v", "uid"], ascending=[True, False, True],
-                          ignore_index=True))
-    exp["rk"] = exp.groupby("g", dropna=False).cumcount() + 1
-    assert exp["g"].isna().sum() == 3
-    pd.testing.assert_frame_equal(out[["g", "v", "uid", "rk"]],
-                                  exp[["g", "v", "uid", "rk"]],
-                                  check_dtype=False)
+    for group, k in ((["g"], 3), ([], 7)):
+        out = (grouped_topk(rd.from_pandas(df).repartition(6), group,
+                            ["v", "uid"], k=k, ascending=[False, True])
+               .to_pandas().sort_values(group + ["rk"], ignore_index=True))
+        order = group + ["v", "uid"]
+        asc = [True] * len(group) + [False, True]
+        exp = (df.sort_values(order, ascending=asc)
+                 .groupby(group or np.zeros(len(df), int), dropna=False)
+                 .head(k)
+                 .sort_values(order, ascending=asc, ignore_index=True))
+        exp["rk"] = exp.groupby(group or np.zeros(len(exp), int),
+                                dropna=False).cumcount() + 1
+        assert exp["g"].isna().sum() == (3 if group else 0)
+        pd.testing.assert_frame_equal(out[["g", "v", "uid", "rk"]],
+                                      exp[["g", "v", "uid", "rk"]],
+                                      check_dtype=False)
 
 
 def test_grouped_topk_k_exceeds_group_size():
@@ -602,6 +615,19 @@ def test_only_extract_dataset_calls_map_groups():
     assert sites == [("pipelines/extract.py", "extract_dataset")]
 
 
+def test_no_constant_group_column():
+    """A global aggregate or top-k passes the empty key ``[]``; no module
+    builds a constant ``__g`` column to group on."""
+    import pathlib
+
+    import westa_ocr_ray
+
+    pkg = pathlib.Path(westa_ocr_ray.__file__).parent
+    hits = sorted(str(p.relative_to(pkg)) for p in pkg.rglob("*.py")
+                  if "__g" in p.read_text())
+    assert hits == []
+
+
 def test_commit_protocol_only_in_storage():
     """storage owns the commit protocol of derived outputs: no other
     package module names the commit marker or the oracle-cache root in
@@ -688,13 +714,16 @@ def test_minhash_and_topk_create_no_actor():
 
 
 def test_exchange_all_empty_input_is_one_empty_block():
+    # the empty key too: a global aggregate over no rows has no row
     df = pd.DataFrame({"k": [1, 2, 3, 4], "v": [1, 2, 3, 4]})
     empty = rd.from_pandas(df).repartition(4).filter(lambda r: r["k"] > 9)
-    for out in (relops.partial_aggregate(empty, ["k"], {"s": ("sum", "v")}),
-                relops.grouped_topk(empty, ["k"], ["v"], 2),
-                relops.hash_join(empty, rd.from_pandas(df), "k", "k",
-                                 left_cols=["k", "v"],
-                                 right_cols=["k", "v"])):
+    outs = [relops.hash_join(empty, rd.from_pandas(df), "k", "k",
+                             left_cols=["k", "v"], right_cols=["k", "v"])]
+    for key in (["k"], []):
+        outs += [relops.partial_aggregate(empty, key, {"s": ("sum", "v"),
+                                                       "n": ("count", None)}),
+                 relops.grouped_topk(empty, key, ["v"], 2)]
+    for out in outs:
         out = out.materialize()
         assert out.count() == 0
         assert out.num_blocks() <= 1
@@ -732,6 +761,35 @@ def test_exchange_single_bucket(monkeypatch):
     pd.testing.assert_frame_equal(_sorted(j, ["k", "uid", "w"]),
                                   _sorted(exp_j, ["k", "uid", "w"]),
                                   check_dtype=False)
+
+
+def test_exchange_empty_key_starts_one_reduce_task(monkeypatch):
+    """The empty key is one group, so a global aggregate or top-k opens
+    one slot and starts one reduce task, however many CPUs the cluster
+    has; a keyed reduce on the same cluster opens one per CPU."""
+    import ray
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 4})
+    real, calls = relops._exchange_reduce, []
+
+    class Counting:
+        def remote(self, *args):
+            calls.append(1)
+            return real.remote(*args)
+
+    monkeypatch.setattr(relops, "_exchange_reduce", Counting())
+    df = pd.DataFrame({"k": [1, 2, 3, 4, 5], "v": [5, 4, 3, 2, 1]})
+    src = rd.from_pandas(df).repartition(3)
+    got = relops.partial_aggregate(src, [], {"s": ("sum", "v"),
+                                             "n": ("count", None)})
+    assert calls == [1]
+    assert got.to_pandas()[["s", "n"]].values.tolist() == [[15, 5]]
+    calls.clear()
+    top = relops.grouped_topk(src, [], ["v"], 2).to_pandas()
+    assert calls == [1] and top["v"].tolist() == [5, 4]
+    calls.clear()
+    relops.partial_aggregate(src, ["k"], {"s": ("sum", "v")})
+    assert len(calls) == 4
 
 
 def _schema_less(df: pd.DataFrame, parts: int) -> rd.Dataset:
@@ -1273,13 +1331,16 @@ def test_private_plan_api_only_in_relops():
 def test_partial_aggregate_sum_outside_int64_raises():
     """An int64 sum that leaves int64 raises, in the combine (one block)
     and in the merge (one row per block), where it used to wrap to
-    -2**62. A sum whose terms cancel stays exact."""
+    -2**62, with a key or without one. A sum whose terms cancel stays
+    exact."""
     big = pd.DataFrame({"k": [1, 1, 1, 2], "v": [2 ** 62] * 3 + [5]})
-    for parts in (1, 4):
-        with pytest.raises(OverflowError):
-            relops.partial_aggregate(rd.from_pandas(big).repartition(parts),
-                                     ["k"], {"s": ("sum", "v")}).to_pandas()
     ok = pd.DataFrame({"k": [1, 1, 1], "v": [2 ** 62, -2 ** 62, 2 ** 62]})
-    got = relops.partial_aggregate(rd.from_pandas(ok).repartition(3), ["k"],
-                                   {"s": ("sum", "v")}).to_pandas()
-    assert got["s"].tolist() == [2 ** 62]
+    for keys in (["k"], []):
+        for parts in (1, 4):
+            with pytest.raises(OverflowError):
+                relops.partial_aggregate(
+                    rd.from_pandas(big).repartition(parts), keys,
+                    {"s": ("sum", "v")}).to_pandas()
+        got = relops.partial_aggregate(rd.from_pandas(ok).repartition(3),
+                                       keys, {"s": ("sum", "v")}).to_pandas()
+        assert got["s"].tolist() == [2 ** 62]

@@ -325,6 +325,14 @@ def test_dup_source_matrix_counts_cross_and_within(tmp_path):
     assert len(out) == 2
 
 
+def test_cents_rounds_half_away_from_zero():
+    """A half cent rounds away from zero, as the oracles' DuckDB
+    ``round(value * 100)`` does (np.round gives [12, -12, 62])."""
+    got = queries._cents(pd.Series([0.125, -0.125, 0.625], index=[4, 5, 6]))
+    assert got.tolist() == [13, -13, 63]
+    assert got.index.tolist() == [4, 5, 6] and got.dtype == np.int64
+
+
 def test_user_rfm_quintile_assignment(tmp_path):
     # 5 users with strictly ordered metrics: user i has i events of
     # value i at time i → every tile is the user's rank (tile k = one

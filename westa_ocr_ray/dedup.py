@@ -1477,12 +1477,9 @@ def semantic_dedup(emb: rd.Dataset, n_clusters: int = 8,
     exceeds one worker's pairwise budget is sub-blocked by the
     random-hyperplane tables of embedding_near_dup_lsh — same verify
     kernel, recall<1 documented there."""
-    # centroid pick: constant-group partial top-k (blocks emit their
-    # own k smallest ids; one small final reduce) — never a global sort
-    cand = emb.map_batches(
-        lambda df: df.assign(__g=np.int32(0)), batch_format="pandas")
-    cent = (grouped_topk(cand, ["__g"], [id_col], k=n_clusters,
-                         ascending=True)
+    # centroid pick: empty-key partial top-k (blocks emit their own k
+    # smallest ids; one small final reduce) — never a global sort
+    cent = (grouped_topk(emb, [], [id_col], k=n_clusters, ascending=True)
             .to_pandas().sort_values(id_col, ignore_index=True))
     cmat = np.stack(cent[vec_col].to_numpy()).astype(np.float64)
     cmat /= np.linalg.norm(cmat, axis=1, keepdims=True)

@@ -52,7 +52,11 @@ def rp(sf_dir: str, name: str, columns: Optional[List[str]] = None) -> rd.Datase
 
 
 def _cents(x: pd.Series) -> pd.Series:
-    return np.round(x * 100).astype("int64")
+    """Money in whole cents, rounded half away from zero as the oracles'
+    DuckDB ``round(value * 100)`` rounds (``np.round`` rounds half to
+    even)."""
+    return pd.Series(similarity._quant_away(x, 100), index=x.index,
+                     name=x.name)
 
 
 # ------------------------------------------------------------ TPC-H-ish
@@ -1169,7 +1173,7 @@ BM25_TERMS = ("hash", "merge", "vector", "window")
 def q_bm25_search(sf_dir: str) -> rd.Dataset:
     """Distributed BM25 top-50 for a fixed probe query: one vectorized
     corpus pass for (dl, tf, hit) stats, a one-row global reduce for
-    (N, avgdl, df), idf on the driver, constant-group top-k — no global
+    (N, avgdl, df), idf on the driver, empty-key top-k — no global
     sort (search.bm25_topk; oracle generated from the same constants)."""
     return search.bm25_topk(rp(sf_dir, "documents", ["doc_id", "text"]),
                             BM25_TERMS, k=50)
@@ -1304,11 +1308,10 @@ def weighted_sample(sf_dir: str) -> rd.Dataset:
         u = (h.astype(np.float64) + 1.0) / 4294967296.0
         return pd.DataFrame({"doc_id": df["doc_id"].to_numpy(),
                              "n_tok": n,
-                             "prio": np.log(u) / n,
-                             "__g": np.zeros(len(df), dtype=np.int32)})
+                             "prio": np.log(u) / n})
 
     top = grouped_topk(docs.map_batches(key, batch_format="pandas"),
-                       ["__g"], ["prio", "doc_id"], WEIGHTED_SAMPLE_K,
+                       [], ["prio", "doc_id"], WEIGHTED_SAMPLE_K,
                        ascending=[False, True])
     return top.map_batches(
         lambda df: df[["doc_id", "n_tok", "rk"]]
@@ -1320,7 +1323,7 @@ def length_ntile(sf_dir: str, tiles: int = 10) -> rd.Dataset:
     """NTILE(10) decile assignment by global (token count DESC, doc_id)
     order — the percentile-bucketing shape of curriculum/quality tiers,
     derived from relops.global_value_rank (the histogram
-    range-partition ORDER BY) plus one constant-group count; exact
+    range-partition ORDER BY) plus one empty-key count; exact
     NTILE SQL oracle (first n%B buckets one row larger, SQL semantics
     reproduced from the rank arithmetic)."""
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
@@ -1333,11 +1336,8 @@ def length_ntile(sf_dir: str, tiles: int = 10) -> rd.Dataset:
 
     ranked = relops.global_value_rank(
         docs.map_batches(ntok, batch_format="pandas"), "n_tok", "doc_id")
-    cnt = partial_aggregate(
-        docs.map_batches(lambda df: pd.DataFrame(
-            {"__g": np.zeros(len(df), dtype=np.int32)}),
-            batch_format="pandas"),
-        ["__g"], {"n": ("count", None)}).to_pandas()
+    cnt = partial_aggregate(docs.select_columns(["doc_id"]), [],
+                            {"n": ("count", None)}).to_pandas()
     n = int(cnt["n"][0]) if len(cnt) else 0
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
@@ -1683,12 +1683,9 @@ def q_corpus_rollup(sf_dir: str) -> rd.Dataset:
     ).map_batches(lambda df: df.assign(lb=np.int64(-1)),
                   batch_format="pandas")
     total = partial_aggregate(
-        fine.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                         batch_format="pandas"),
-        ["__g"],
+        fine, [],
         {"n_docs": ("sum", "n_docs"), "n_tokens": ("sum", "n_tokens")}
-    ).map_batches(lambda df: df.drop(columns="__g")
-                  .assign(lang="ALL", lb=np.int64(-1)),
+    ).map_batches(lambda df: df.assign(lang="ALL", lb=np.int64(-1)),
                   batch_format="pandas")
 
     cols = ["lang", "lb", "n_docs", "n_tokens"]
@@ -3756,15 +3753,12 @@ def self_join_size_by_user(sf_dir: str) -> rd.Dataset:
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         c = df["c"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"__g": np.zeros(1, dtype=np.int32),
-                             "n_pairs": [int((c * c).sum())],
+        return pd.DataFrame({"n_pairs": [int((c * c).sum())],
                              "max_key_sq": [int((c * c).max())]})
 
-    out = partial_aggregate(counts.map_batches(fold, batch_format="pandas"),
-                            ["__g"], {"n_pairs": ("sum", "n_pairs"),
-                                      "max_key_sq": ("max", "max_key_sq")})
-    return out.map_batches(lambda df: df[["n_pairs", "max_key_sq"]],
-                           batch_format="pandas")
+    return partial_aggregate(counts.map_batches(fold, batch_format="pandas"),
+                             [], {"n_pairs": ("sum", "n_pairs"),
+                                  "max_key_sq": ("max", "max_key_sq")})
 
 
 def _skyline_block(df: pd.DataFrame) -> pd.DataFrame:
@@ -4050,7 +4044,7 @@ def events_profile(sf_dir: str) -> rd.Dataset:
     before training on an ingest batch): per column — row count, null
     count, EXACT distinct count, and an md5 value fold — over a
     canonical per-column encoding shared with the generated SQL
-    oracle. Counts/folds are one constant-group pass; the exact
+    oracle. Counts/folds are one pass keyed by column name; the exact
     distinct count is the standard two-bucketed-pass shape (one
     (col, value-hash) row per distinct value crosses the wire — the
     documented cost of exactness at scale; swap in the HLL sketch
@@ -4256,8 +4250,8 @@ def rrf_fusion(sf_dir: str) -> rd.Dataset:
     (search.bm25_oracle_sql, the shared-constants pattern) plus the
     same integer fusion. Distribution shape: the two rankings are
     already top-k (≤ 2k candidate rows total), fused by one bucketed
-    partial aggregate; final ordering via the constant-group
-    grouped_topk, never a global sort. Returns
+    partial aggregate; final ordering via the empty-key grouped_topk,
+    never a global sort. Returns
     (doc_id, rrf_ppb, n_lists, rank), top RRF_OUT_K."""
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
     ranked = []
@@ -4274,11 +4268,8 @@ def rrf_fusion(sf_dir: str) -> rd.Dataset:
         ranked[0].union(ranked[1]).map_batches(contrib,
                                                batch_format="pandas"),
         ["doc_id"], {"rrf_ppb": ("sum", "c"), "n_lists": ("count", None)})
-    top = grouped_topk(
-        fused.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                          batch_format="pandas"),
-        ["__g"], ["rrf_ppb", "doc_id"], RRF_OUT_K,
-        ascending=[False, True])
+    top = grouped_topk(fused, [], ["rrf_ppb", "doc_id"], RRF_OUT_K,
+                       ascending=[False, True])
     return top.map_batches(
         lambda df: df[["doc_id", "rrf_ppb", "n_lists", "rk"]]
         .rename(columns={"rk": "rank"})
@@ -4676,7 +4667,7 @@ def token_pmi(sf_dir: str) -> rd.Dataset:
     distributed map (candidates only — pairs with c_xy ≥ PMI_MIN_COUNT
     after the bucketed fold). Shape: bigram + unigram counts via
     combiner-first aggregates; the two unigram joins run partitioned
-    (hash_join); final order via constant-group grouped_topk. Returns
+    (hash_join); final order via empty-key grouped_topk. Returns
     (tok_a, tok_b, c_xy, c_x, c_y, ratio_ppm, rank), top PMI_TOP_K by
     (ratio_ppm desc, tok_a, tok_b)."""
     docs = rp(sf_dir, "documents", ["text"])
@@ -4701,12 +4692,8 @@ def token_pmi(sf_dir: str) -> rd.Dataset:
                              {"c_xy": ("count", None)})
     # B and the unigram table both count bigram SLOTS (first/second
     # position), which is the PMI normalization over the pair sample
-    btot = int(partial_aggregate(
-        bg_rows.map_batches(
-            lambda df: pd.DataFrame({"__g": np.zeros(len(df),
-                                                     dtype=np.int32)}),
-            batch_format="pandas"),
-        ["__g"], {"b": ("count", None)}).to_pandas()["b"][0])
+    btot = int(partial_aggregate(bg_rows.select_columns(["tok_a"]), [],
+                                 {"b": ("count", None)}).to_pandas()["b"][0])
     uni = partial_aggregate(
         bg_rows.map_batches(
             lambda df: pd.DataFrame({"tok": np.concatenate(
@@ -4735,11 +4722,10 @@ def token_pmi(sf_dir: str) -> rd.Dataset:
             ((1_000_000 * btot * int(cxy)) // (int(cx) * int(cy))
              for cxy, cx, cy in zip(df["c_xy"], df["c_x"], df["c"])),
             dtype=np.int64, count=len(df))
-        out["__g"] = np.zeros(len(df), dtype=np.int32)
         return out
 
     top = grouped_topk(j.map_batches(ratio, batch_format="pandas"),
-                       ["__g"], ["ratio_ppm", "tok_a", "tok_b"],
+                       [], ["ratio_ppm", "tok_a", "tok_b"],
                        PMI_TOP_K, ascending=[False, True, True])
     return top.map_batches(
         lambda df: df[["tok_a", "tok_b", "c_xy", "c_x", "c_y",
@@ -4861,10 +4847,8 @@ def user_rfm(sf_dir: str) -> rd.Dataset:
         {"recency_us": ("max", "t"), "frequency": ("count", None),
          "monetary_cents": ("sum", "cents")})
     n_users = int(partial_aggregate(
-        rfm.map_batches(lambda df: pd.DataFrame(
-            {"__g": np.zeros(len(df), dtype=np.int32)}),
-            batch_format="pandas"),
-        ["__g"], {"n": ("count", None)}).to_pandas()["n"][0])
+        rfm.select_columns(["user_id"]), [],
+        {"n": ("count", None)}).to_pandas()["n"][0])
 
     def tiles(metric: str, out_col: str) -> rd.Dataset:
         ranked = relops.global_value_rank(rfm, metric, "user_id")
@@ -4922,9 +4906,7 @@ def events_ks_drift(sf_dir: str) -> rd.Dataset:
 
     b = ev.map_batches(base, batch_format="pandas").materialize()
     bounds = partial_aggregate(
-        b.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                      batch_format="pandas"),
-        ["__g"], {"mn": ("min", "t"), "mx": ("max", "t")}).to_pandas()
+        b, [], {"mn": ("min", "t"), "mx": ("max", "t")}).to_pandas()
     mid = (int(bounds["mn"][0]) + int(bounds["mx"][0])) // 2
 
     hist = partial_aggregate(
@@ -7614,9 +7596,7 @@ def hits_user_event(sf_dir: str) -> rd.Dataset:
             edges.map_batches(with_a, batch_format="pandas"),
             ["user_id"], {"h": ("sum", "h")})
         hmax = int(partial_aggregate(
-            hr.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                           batch_format="pandas"),
-            ["__g"], {"mx": ("max", "h")}).to_pandas()["mx"][0])
+            hr, [], {"mx": ("max", "h")}).to_pandas()["mx"][0])
         h = hr.map_batches(
             lambda df, hm=hmax: pd.DataFrame({
                 "user_id": df["user_id"].astype(np.int64),
@@ -7774,9 +7754,7 @@ def events_cusum(sf_dir: str) -> rd.Dataset:
 
     b = ev.map_batches(base, batch_format="pandas").materialize()
     bounds = partial_aggregate(
-        b.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                      batch_format="pandas"),
-        ["__g"], {"mn": ("min", "t"), "mx": ("max", "t")}).to_pandas()
+        b, [], {"mn": ("min", "t"), "mx": ("max", "t")}).to_pandas()
     mn, mx = int(bounds["mn"][0]), int(bounds["mx"][0])
     span = max(mx - mn + 1, 1)
 
@@ -8162,7 +8140,7 @@ def mmr_diversify(sf_dir: str) -> rd.Dataset:
 
     Shape: candidates stay a Dataset throughout — rel computes once
     in one map (the query vector held by its closure), each round is a
-    constant-group partial top-1 (the driver sees ONE row per round)
+    empty-key partial top-1 (the driver sees ONE row per round)
     plus a broadcast maxsim update; K materializes of a (id, rel, ms,
     q) table. Returns (vec_id, pick_round, rel, maxsim, score)."""
     emb = rp(sf_dir, "embeddings", ["vec_id", "embedding"])
@@ -8175,10 +8153,9 @@ def mmr_diversify(sf_dir: str) -> rd.Dataset:
     mn = partial_aggregate(
         emb.map_batches(
             lambda df: pd.DataFrame({
-                "__g": np.zeros(len(df), dtype=np.int32),
                 "v": df["vec_id"].astype(np.int64).to_numpy()}),
             batch_format="pandas"),
-        ["__g"], {"mn": ("min", "v")}).to_pandas()
+        [], {"mn": ("min", "v")}).to_pandas()
     qid = int(mn["mn"].iloc[0])
     qrow = emb.map_batches(lambda df: df[df["vec_id"] == qid],
                            batch_format="pandas").to_pandas()
@@ -8205,10 +8182,9 @@ def mmr_diversify(sf_dir: str) -> rd.Dataset:
         scored = cand.map_batches(
             lambda df: df.assign(
                 score=MMR_REL_W * df["rel"].to_numpy(np.int64)
-                - df["ms"].to_numpy(np.int64),
-                __g=np.int32(0)),
+                - df["ms"].to_numpy(np.int64)),
             batch_format="pandas")
-        top = grouped_topk(scored, ["__g"], ["score", "vec_id"], 1,
+        top = grouped_topk(scored, [], ["score", "vec_id"], 1,
                            ascending=[False, True]).to_pandas()
         if not len(top):     # fewer candidates than MMR_K: stop early,
             break            # exactly as the oracle's empty p{r} rounds
@@ -8310,8 +8286,8 @@ def session_paths(sf_dir: str) -> rd.Dataset:
     (ts, event_id) order; ranking is (count desc, path asc). Shape:
     sessionize + path build run per user-bucket in the ordered-log
     pattern (one row per SESSION leaves the bucket), counts fold
-    through the bucketed combiner, the top-k is the constant-group
-    partial top-k — never a global sort. Returns (path, n, rank)."""
+    through the bucketed combiner, the top-k is the empty-key partial
+    top-k — never a global sort. Returns (path, n, rank)."""
     ev = rp(sf_dir, "events", ["event_id", "user_id", "ts",
                                "event_type"])
 
@@ -8333,10 +8309,8 @@ def session_paths(sf_dir: str) -> rd.Dataset:
 
     counts = partial_aggregate(_bucketed_by_user(ev, fn),
                                ["path"], {"n": ("sum", "n")})
-    top = grouped_topk(
-        counts.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                           batch_format="pandas"),
-        ["__g"], ["n", "path"], SP_K, ascending=[False, True])
+    top = grouped_topk(counts, [], ["n", "path"], SP_K,
+                       ascending=[False, True])
     return top.map_batches(
         lambda df: pd.DataFrame({"path": df["path"].to_numpy(),
                                  "n": df["n"].astype(np.int64),
@@ -8917,7 +8891,7 @@ def ann_pq_search(sf_dir: str) -> rd.Dataset:
     distances, ties (adc, then vec_id). Shape: the two centroid sets
     + distance tables broadcast once (k × d ints); codes assign and
     ADC sums in ONE streaming map (no join — the fused serving form);
-    top-k via the constant-group partial top-k. The oracle extends the
+    top-k via the empty-key partial top-k. The oracle extends the
     PQ round-replay chain with the query's distance tables and the
     same ranking. Returns (vec_id, rank, adc_dist2)."""
     emb = rp(sf_dir, "embeddings", ["vec_id", "embedding"])
@@ -8933,10 +8907,9 @@ def ann_pq_search(sf_dir: str) -> rd.Dataset:
     mn = partial_aggregate(
         emb.map_batches(
             lambda df: pd.DataFrame({
-                "__g": np.zeros(len(df), dtype=np.int32),
                 "v": df["vec_id"].astype(np.int64).to_numpy()}),
             batch_format="pandas"),
-        ["__g"], {"mn": ("min", "v")}).to_pandas()
+        [], {"mn": ("min", "v")}).to_pandas()
     qid = int(mn["mn"].iloc[0])
     qrow = emb.map_batches(lambda df: df[df["vec_id"] == qid],
                            batch_format="pandas").to_pandas()
@@ -8971,11 +8944,8 @@ def ann_pq_search(sf_dir: str) -> rd.Dataset:
             "adc_dist2": adc})
 
     scored = emb.map_batches(adc_score, batch_format="pandas")
-    top = grouped_topk(
-        scored.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                           batch_format="pandas"),
-        ["__g"], ["adc_dist2", "vec_id"], PQ_SEARCH_K,
-        ascending=[True, True])
+    top = grouped_topk(scored, [], ["adc_dist2", "vec_id"], PQ_SEARCH_K,
+                       ascending=[True, True])
     return top.map_batches(
         lambda df: pd.DataFrame({
             "vec_id": df["vec_id"].astype(np.int64).to_numpy(),
@@ -9252,9 +9222,7 @@ def ranking_eval(sf_dir: str) -> pd.DataFrame:
         lambda df: df[df["nt"] >= REL_MIN_TERMS][["doc_id"]],
         batch_format="pandas")
     r_total = int(partial_aggregate(
-        rel.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                        batch_format="pandas"),
-        ["__g"], {"r": ("count", None)}).to_pandas()["r"][0])
+        rel, [], {"r": ("count", None)}).to_pandas()["r"][0])
 
     top = search.bm25_topk(docs, RANK_TERMS, k=50).to_pandas()
     top_ids = set(top["doc_id"].astype("int64"))
@@ -9383,16 +9351,14 @@ def q6_forecast_revenue(sf_dir: str) -> rd.Dataset:
                 & (df["l_quantity"].to_numpy(dtype=np.float64) < 24))
         price = _cents(df["l_extendedprice"][keep]).to_numpy()
         return pd.DataFrame({
-            "__g": np.zeros(int(keep.sum()), dtype=np.int32),
             "rev": price * disc[keep.to_numpy()],
             "n": np.ones(int(keep.sum()), dtype=np.int64)})
 
     out = partial_aggregate(li.map_batches(prep, batch_format="pandas"),
-                            ["__g"], {"revenue_e4": ("sum", "rev"),
-                                      "n_lines": ("sum", "n")})
-    return out.map_batches(
-        lambda df: df[["revenue_e4", "n_lines"]].astype("int64"),
-        batch_format="pandas")
+                            [], {"revenue_e4": ("sum", "rev"),
+                                 "n_lines": ("sum", "n")})
+    return out.map_batches(lambda df: df.astype("int64"),
+                           batch_format="pandas")
 
 
 QUERIES["q6_forecast_revenue"] = q6_forecast_revenue
@@ -9998,19 +9964,17 @@ def fk_integrity(sf_dir: str) -> rd.Dataset:
 
     def bad_qty(df: pd.DataFrame) -> pd.DataFrame:
         n = int((df["l_quantity"].to_numpy(dtype=np.float64) <= 0).sum())
-        return pd.DataFrame({"__g": [np.int32(0)],
-                             "n": pd.Series([n], dtype="int64")})
+        return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
 
     def bad_total(df: pd.DataFrame) -> pd.DataFrame:
         n = int((df["o_totalprice"].to_numpy(dtype=np.float64) < 0).sum())
-        return pd.DataFrame({"__g": [np.int32(0)],
-                             "n": pd.Series([n], dtype="int64")})
+        return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
 
     nq = partial_aggregate(li.map_batches(bad_qty, batch_format="pandas"),
-                           ["__g"], {"n": ("sum", "n")}).to_pandas()
+                           [], {"n": ("sum", "n")}).to_pandas()
     nt = partial_aggregate(
         orders.map_batches(bad_total, batch_format="pandas"),
-        ["__g"], {"n": ("sum", "n")}).to_pandas()
+        [], {"n": ("sum", "n")}).to_pandas()
     rows = [("orphan_lineitem", count_of(orphan_li, "orphan_lineitem")),
             ("orphan_order", count_of(orphan_ord, "orphan_order")),
             ("nonpositive_qty", int(nq["n"][0])),
@@ -10389,17 +10353,14 @@ def multi_pattern_counts(sf_dir: str) -> pd.DataFrame:
             c = df["text"].str.count(re.escape(p)).to_numpy(dtype=np.int64)
             rows[f"n{i}"] = c
             rows[f"d{i}"] = (c > 0).astype(np.int64)
-        out = pd.DataFrame(rows)
-        out["__g"] = np.int32(0)
-        return out
+        return pd.DataFrame(rows)
 
     aggs = {}
     for i in range(len(SCAN_PATTERNS)):
         aggs[f"n{i}"] = ("sum", f"n{i}")
         aggs[f"d{i}"] = ("sum", f"d{i}")
     tot = partial_aggregate(
-        docs.map_batches(scan, batch_format="pandas"),
-        ["__g"], aggs).to_pandas()
+        docs.map_batches(scan, batch_format="pandas"), [], aggs).to_pandas()
     rows = [(p, int(tot[f"n{i}"][0]), int(tot[f"d{i}"][0]))
             for i, p in enumerate(SCAN_PATTERNS)]
     out = pd.DataFrame(rows, columns=["pattern", "n_occurrences",
@@ -10445,15 +10406,14 @@ def hive_roundtrip(sf_dir: str) -> rd.Dataset:
         return pd.DataFrame({
             "n": np.ones(len(df), dtype=np.int64),
             "id_sum": df["doc_id"].to_numpy(dtype=np.int64),
-            "fold": h, "__g": np.int32(0)})
+            "fold": h})
 
     res = partial_aggregate(
         back.map_batches(fold, batch_format="pandas"),
-        ["__g"], {"n": ("sum", "n"), "id_sum": ("sum", "id_sum"),
-                  "fold": ("sum", "fold")})
-    return res.map_batches(
-        lambda df: df[["n", "id_sum", "fold"]].astype("int64"),
-        batch_format="pandas")
+        [], {"n": ("sum", "n"), "id_sum": ("sum", "id_sum"),
+             "fold": ("sum", "fold")})
+    return res.map_batches(lambda df: df.astype("int64"),
+                           batch_format="pandas")
 
 
 QUERIES["hive_roundtrip"] = hive_roundtrip
@@ -10572,7 +10532,7 @@ def q10_returned_items(sf_dir: str) -> rd.Dataset:
     lineitems pre-aggregate to (orderkey, cents) partials map-side,
     join PARTITIONED to the quarter's orders (the small filtered
     side), fold per customer, join customer names, then the bounded
-    constant-group top-k. Revenue in exact cents x (100 - centidisc)
+    empty-key top-k. Revenue in exact cents x (100 - centidisc)
     integers. Returns (c_custkey, c_name, revenue_e4, rank)."""
     li = rp(sf_dir, "lineitem",
             ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"])
@@ -10611,10 +10571,9 @@ def q10_returned_items(sf_dir: str) -> rd.Dataset:
         lambda df: pd.DataFrame({
             "c_custkey": df["o_custkey"].astype("int64"),
             "c_name": df["c_name"],
-            "revenue_e4": df["revenue_e4"].astype("int64"),
-            "__g": np.int32(0)}),
+            "revenue_e4": df["revenue_e4"].astype("int64")}),
         batch_format="pandas")
-    top = grouped_topk(named, ["__g"], ["revenue_e4", "c_custkey"], Q10_K,
+    top = grouped_topk(named, [], ["revenue_e4", "c_custkey"], Q10_K,
                        ascending=[False, True])
     return top.map_batches(
         lambda df: (df[["c_custkey", "c_name", "revenue_e4", "rk"]]
@@ -11227,7 +11186,7 @@ def pushdown_filter_agg(sf_dir: str) -> rd.Dataset:
     predicate goes into the Parquet reader's Arrow filter (evaluated inside
     the reader against row-group statistics and pages — at 100 TB the
     skipped row groups never leave storage) and only two columns are
-    projected; everything after is one constant-group fold. The
+    projected; everything after is one empty-key fold. The
     oracle computes the same aggregate with a WHERE clause, so a
     pushdown that dropped or double-read rows would break the hash.
     Returns (n_rows, qty_sum, price_cents_sum)."""
@@ -11240,7 +11199,6 @@ def pushdown_filter_agg(sf_dir: str) -> rd.Dataset:
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         q = df["l_quantity"].to_numpy(dtype=np.float64)
         return pd.DataFrame({
-            "__g": [np.int32(0)],
             "n_rows": pd.Series([len(df)], dtype="int64"),
             "qty_sum": pd.Series([int(np.round(q).astype(np.int64).sum())],
                                  dtype="int64"),
@@ -11248,13 +11206,11 @@ def pushdown_filter_agg(sf_dir: str) -> rd.Dataset:
                 [int(_cents(df["l_extendedprice"]).sum())], dtype="int64")})
 
     out = partial_aggregate(
-        ds.map_batches(fold, batch_format="pandas"), ["__g"],
+        ds.map_batches(fold, batch_format="pandas"), [],
         {"n_rows": ("sum", "n_rows"), "qty_sum": ("sum", "qty_sum"),
          "price_cents_sum": ("sum", "price_cents_sum")})
-    return out.map_batches(
-        lambda df: df[["n_rows", "qty_sum", "price_cents_sum"]]
-                     .astype("int64"),
-        batch_format="pandas")
+    return out.map_batches(lambda df: df.astype("int64"),
+                           batch_format="pandas")
 
 
 QUERIES["pushdown_filter_agg"] = pushdown_filter_agg
@@ -11278,7 +11234,7 @@ def longest_token_run(sf_dir: str) -> rd.Dataset:
     stutter) that complements the n-gram repetition ratio. Per batch
     the run lengths come from one vectorized change-point pass over
     the flattened token stream (doc boundaries count as changes);
-    ranking is the bounded constant-group top-k. Returns
+    ranking is the bounded empty-key top-k. Returns
     (doc_id, run_len, rank)."""
     docs = rp(sf_dir, "documents", ["doc_id", "text"])
 
@@ -11294,14 +11250,12 @@ def longest_token_run(sf_dir: str) -> rd.Dataset:
         starts = np.flatnonzero(chg)
         run_len = np.diff(np.append(starts, len(flat)))
         run_doc = did[starts]
-        out = (pd.DataFrame({"doc_id": run_doc, "run_len": run_len})
-               .groupby("doc_id", sort=False, as_index=False)
-               .agg(run_len=("run_len", "max")))
-        out["__g"] = np.int32(0)
-        return out
+        return (pd.DataFrame({"doc_id": run_doc, "run_len": run_len})
+                .groupby("doc_id", sort=False, as_index=False)
+                .agg(run_len=("run_len", "max")))
 
     top = grouped_topk(docs.map_batches(runs, batch_format="pandas"),
-                       ["__g"], ["run_len", "doc_id"], RUN_TOP_K,
+                       [], ["run_len", "doc_id"], RUN_TOP_K,
                        ascending=[False, True])
     return top.map_batches(
         lambda df: df[["doc_id", "run_len", "rk"]]
@@ -11432,10 +11386,9 @@ def ivfpq_search(sf_dir: str) -> rd.Dataset:
     mn = partial_aggregate(
         emb.map_batches(
             lambda df: pd.DataFrame({
-                "__g": np.zeros(len(df), dtype=np.int32),
                 "v": df["vec_id"].astype(np.int64).to_numpy()}),
             batch_format="pandas"),
-        ["__g"], {"mn": ("min", "v")}).to_pandas()
+        [], {"mn": ("min", "v")}).to_pandas()
     qid = int(mn["mn"].iloc[0])
     qrow = emb.map_batches(lambda df: df[df["vec_id"] == qid],
                            batch_format="pandas").to_pandas()
@@ -11499,11 +11452,8 @@ def ivfpq_search(sf_dir: str) -> rd.Dataset:
             "adc_dist2": adc})
 
     scored = cand.map_batches(adc_score, batch_format="pandas")
-    top = grouped_topk(
-        scored.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                           batch_format="pandas"),
-        ["__g"], ["adc_dist2", "vec_id"], PQ_SEARCH_K,
-        ascending=[True, True])
+    top = grouped_topk(scored, [], ["adc_dist2", "vec_id"], PQ_SEARCH_K,
+                       ascending=[True, True])
     return top.map_batches(
         lambda df: pd.DataFrame({
             "vec_id": df["vec_id"].astype(np.int64).to_numpy(),
@@ -11642,11 +11592,6 @@ def pruned_range_read(sf_dir: str) -> rd.Dataset:
     for p in parts:
         files += sorted(_glob.glob(os.path.join(out, f"part={p}",
                                                 "*.parquet")))
-    empty = pd.DataFrame({
-        "__g": pd.Series([], dtype="int32"),
-        "n_rows": pd.Series([], dtype="int64"),
-        "id_sum": pd.Series([], dtype="int64"),
-        "key_sum": pd.Series([], dtype="int64")})
     if files:
         back = read_table(files)
 
@@ -11654,7 +11599,6 @@ def pruned_range_read(sf_dir: str) -> rd.Dataset:
             v = df["n_chars"].to_numpy(dtype=np.int64)
             keep = (v >= PRUNE_LO) & (v <= PRUNE_HI)   # residual filter
             return pd.DataFrame({
-                "__g": pd.Series([np.int32(0)]),
                 "n_rows": pd.Series([int(keep.sum())], dtype="int64"),
                 "id_sum": pd.Series(
                     [int(df["doc_id"].to_numpy(dtype=np.int64)[keep]
@@ -11663,7 +11607,7 @@ def pruned_range_read(sf_dir: str) -> rd.Dataset:
                                      dtype="int64")})
 
         agg = partial_aggregate(
-            back.map_batches(fold, batch_format="pandas"), ["__g"],
+            back.map_batches(fold, batch_format="pandas"), [],
             {"n_rows": ("sum", "n_rows"), "id_sum": ("sum", "id_sum"),
              "key_sum": ("sum", "key_sum")}).to_pandas()
     else:
@@ -11810,10 +11754,8 @@ def bm25_prf_search(sf_dir: str) -> rd.Dataset:
     scored = partial_aggregate(
         tf.map_batches(score, batch_format="pandas"),
         ["doc_id"], {"score": ("sum", "score")})
-    top = grouped_topk(
-        scored.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                           batch_format="pandas"),
-        ["__g"], ["score", "doc_id"], PRF_K, ascending=[False, True])
+    top = grouped_topk(scored, [], ["score", "doc_id"], PRF_K,
+                       ascending=[False, True])
     return top.map_batches(
         lambda df: df[["doc_id", "score", "rk"]]
                      .rename(columns={"rk": "rank"}).astype("int64"),
@@ -11919,8 +11861,8 @@ def session_type_pairs(sf_dir: str) -> rd.Dataset:
     the distinct types expand to unordered pairs INSIDE the per-user
     ordered-log bucket (<= C(|types|,2) = 10 pairs per session — the
     type vocabulary bounds the blowup, not the session length), pair
-    counts fold bucketed, ranking is the bounded constant-group
-    top-k. Returns (type_a, type_b, n_sessions, rank)."""
+    counts fold bucketed, ranking is the bounded empty-key top-k.
+    Returns (type_a, type_b, n_sessions, rank)."""
     ev = rp(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
     GAP_US = 1800 * 10**6
 
@@ -11948,11 +11890,8 @@ def session_type_pairs(sf_dir: str) -> rd.Dataset:
     pairs = _bucketed_by_user(ev, fn)
     counts = partial_aggregate(pairs, ["type_a", "type_b"],
                                {"n_sessions": ("sum", "n_sessions")})
-    top = grouped_topk(
-        counts.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                           batch_format="pandas"),
-        ["__g"], ["n_sessions", "type_a", "type_b"], STP_K,
-        ascending=[False, True, True])
+    top = grouped_topk(counts, [], ["n_sessions", "type_a", "type_b"],
+                       STP_K, ascending=[False, True, True])
     return top.map_batches(
         lambda df: df[["type_a", "type_b", "n_sessions", "rk"]]
                      .rename(columns={"rk": "rank"})
@@ -12019,7 +11958,6 @@ def q14_promo_revenue(sf_dir: str) -> rd.Dataset:
         rev = df["rev"].to_numpy(dtype=np.int64)
         promo = df["p_type"].to_numpy() == "PROMO"
         return pd.DataFrame({
-            "__g": [np.int32(0)],
             "promo_revenue_e4": pd.Series([int(rev[promo].sum())],
                                           dtype="int64"),
             "total_revenue_e4": pd.Series([int(rev.sum())],
@@ -12028,7 +11966,7 @@ def q14_promo_revenue(sf_dir: str) -> rd.Dataset:
     j = hash_join(li, part, "l_partkey", "p_partkey",
                   left_cols=["l_partkey", "rev"],
                   right_cols=["p_partkey", "p_type"], bucket_fn=fold)
-    agg = partial_aggregate(j, ["__g"],
+    agg = partial_aggregate(j, [],
                             {"promo_revenue_e4": ("sum", "promo_revenue_e4"),
                              "total_revenue_e4": ("sum", "total_revenue_e4")}
                             ).to_pandas()
@@ -12095,7 +12033,6 @@ def q19_bracket_revenue(sf_dir: str) -> rd.Dataset:
                      & (qty >= q_lo) & (qty <= q_hi))
         rev = df["rev"].to_numpy(dtype=np.int64)[keep]
         return pd.DataFrame({
-            "__g": [np.int32(0)],
             "revenue_e4": pd.Series([int(rev.sum())], dtype="int64"),
             "n_lines": pd.Series([int(keep.sum())], dtype="int64")})
 
@@ -12104,12 +12041,11 @@ def q19_bracket_revenue(sf_dir: str) -> rd.Dataset:
                   left_cols=["l_partkey", "qty", "rev"],
                   right_cols=["p_partkey", "p_brand", "p_size"],
                   bucket_fn=fold)
-    out = partial_aggregate(j, ["__g"],
+    out = partial_aggregate(j, [],
                             {"revenue_e4": ("sum", "revenue_e4"),
                              "n_lines": ("sum", "n_lines")})
-    return out.map_batches(
-        lambda df: df[["revenue_e4", "n_lines"]].astype("int64"),
-        batch_format="pandas")
+    return out.map_batches(lambda df: df.astype("int64"),
+                           batch_format="pandas")
 
 
 QUERIES["q19_bracket_revenue"] = q19_bracket_revenue
@@ -12527,7 +12463,6 @@ def q17_small_qty_revenue(sf_dir: str) -> rd.Dataset:
         k = df["qty"].to_numpy(np.int64) * 5 * df["n"].to_numpy(np.int64) \
             < df["sq"].to_numpy(np.int64)
         return pd.DataFrame({
-            "__g": [np.int32(0)],
             "small_qty_cents": pd.Series([int(df["cents"].to_numpy(
                 np.int64)[k].sum())], dtype="int64"),
             "n_lines": pd.Series([int(k.sum())], dtype="int64")})
@@ -12536,11 +12471,9 @@ def q17_small_qty_revenue(sf_dir: str) -> rd.Dataset:
                   left_cols=["l_partkey", "qty", "cents"],
                   right_cols=["l_partkey", "sq", "n"],
                   bucket_fn=small_only)
-    return partial_aggregate(j, ["__g"],
+    return partial_aggregate(j, [],
                              {"small_qty_cents": ("sum", "small_qty_cents"),
-                              "n_lines": ("sum", "n_lines")}) \
-        .map_batches(lambda df: df[["small_qty_cents", "n_lines"]],
-                     batch_format="pandas")
+                              "n_lines": ("sum", "n_lines")})
 
 
 QUERIES["q17_small_qty_revenue"] = q17_small_qty_revenue
@@ -12648,11 +12581,10 @@ def q22_idle_customers(sf_dir: str) -> rd.Dataset:
     cust = rp(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
     stats = cust.map_batches(
         lambda df: (lambda c: pd.DataFrame({
-            "__g": [np.int32(0)],
             "sc": pd.Series([int(c[c > 0].sum())], dtype="int64"),
             "n": pd.Series([int((c > 0).sum())], dtype="int64")}))
         (_cents(df["c_acctbal"]).to_numpy()), batch_format="pandas")
-    stats = partial_aggregate(stats, ["__g"],
+    stats = partial_aggregate(stats, [],
                               {"sc": ("sum", "sc"), "n": ("sum", "n")}) \
         .to_pandas()
     sc, n = int(stats["sc"][0]), int(stats["n"][0])

@@ -15,7 +15,9 @@ once on every row of the slot. The exchange owns the bucketing: a
 caller passes its real key (one column or several) and an ``fn`` that
 handles several whole keys at once, usually one vectorized pandas
 groupby. A caller whose ``fn`` must see one key at a time wraps it in
-``per_key``. A join passes its two sides as two inputs. (The one
+``per_key``. A join passes its two sides as two inputs. A global
+reduce (an aggregate without GROUP BY, an ORDER BY … LIMIT k) is the
+same call with the empty key ``[]``: one group, in one slot. (The one
 exception is ``pipelines.extract.extract_dataset``, whose reduce is
 pyarrow-format.) On the small inputs of the query registry a Ray Data
 stage is mostly fixed cost (a groupby/map_groups adds a sort with a
@@ -327,7 +329,7 @@ def _holds_error(ref) -> bool:
 def exchange(ds, key, fn, pre=None) -> rd.Dataset:
     """Keyed reduce as plain Ray tasks: every row of ``ds`` goes to the
     slot of its ``key`` (a column name or a list of names; the empty
-    list sends every row to one slot, a global reduce), and each
+    list is one group, a global reduce, and opens one slot), and each
     slot with rows calls ``fn(*frames)`` ONCE, the call holding every
     row of each of its keys, nulls included. ``fn`` handles several
     keys at a time (one vectorized groupby by ``key``, say); wrapped in
@@ -357,7 +359,8 @@ def exchange(ds, key, fn, pre=None) -> rd.Dataset:
     runs the steps on it (each in its batch format, skipping an empty
     block as map_batches does) and then ``pre``. Any other input is
     executed by Ray Data first and feeds one split task per output
-    block. Slot count: the cluster's CPUs, or one slot per
+    block. Slot count: one for the empty key, whose rows all meet in
+    slot 0; else the cluster's CPUs, or one slot per
     TARGET_BUCKET_BYTES of input (the blocks' or the read tasks'
     metadata) when that is more; one reduce task per slot runs ``fn``.
     ``pre``, each source's steps and ``fn`` go into the object store
@@ -390,8 +393,8 @@ def exchange(ds, key, fn, pre=None) -> rd.Dataset:
                 puts[id(steps)] = (ray.put((steps, p))
                                    if steps or p is not None else None)
             mine.append((src, puts[id(steps)]))
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    n = max(1, cpus, -(-nbytes // TARGET_BUCKET_BYTES))
+    n = 1 if not key else max(1, int(ray.cluster_resources().get("CPU", 1)),
+                              -(-nbytes // TARGET_BUCKET_BYTES))
     split = _exchange_split.options(num_returns=n)
     pieces = [split.remote(src, key, n, prep)
               for mine in srcs for src, prep in mine]
@@ -457,22 +460,32 @@ def per_key(key, fn):
 # ------------------------------------------------------------------ agg
 
 
+def _groups(df: pd.DataFrame, keys: list):
+    """``df`` grouped by ``keys`` in first-appearance order, a null key
+    one more group, as SQL GROUP BY groups. The empty key is one group
+    holding every row (an aggregate without GROUP BY); its ``.agg``
+    result is indexed by that group, so callers ``reset_index(drop=True)``
+    it. (An array grouper with ``as_index=False`` warns in pandas 2.2.)"""
+    if keys:
+        return df.groupby(keys, sort=False, as_index=False, dropna=False)
+    return df.groupby(np.zeros(len(df), np.int8), sort=False)
+
+
 def _check_int_sums(df: pd.DataFrame, keys: list, sums: dict,
                     out: pd.DataFrame) -> None:
     """Raise OverflowError when an integer sum of ``out`` (``sums``: out
-    column -> the column of ``df`` it sums; ``out`` is ``df`` grouped by
-    ``keys`` with ``sort=False, dropna=False``) wrapped around. A
-    wrapped sum is off by a multiple of 2**64, so it lies far from the
-    float64 sum of the same rows; those are computed only when a
-    column's largest magnitude times its row count could reach 2**62."""
+    column -> the column of ``df`` it sums; ``out`` is ``df`` aggregated
+    over ``_groups(df, keys)``) wrapped around. A wrapped sum is off by
+    a multiple of 2**64, so it lies far from the float64 sum of the same
+    rows; those are computed only when a column's largest magnitude
+    times its row count could reach 2**62."""
     for o, c in sums.items():
         v = df[c].to_numpy()
         if (v.dtype.kind not in "iu"
                 or np.abs(v.astype(np.float64)).max() * len(v) < 2.0 ** 62):
             continue
-        approx = (df[c].astype(np.float64)
-                  .groupby([df[k] for k in keys], sort=False, dropna=False)
-                  .sum().to_numpy())
+        approx = (_groups(df.astype({c: np.float64}), keys)
+                  .agg(approx=(c, "sum"))["approx"].to_numpy())
         if (np.abs(out[o].to_numpy(np.float64) - approx) > 2.0 ** 62).any():
             raise OverflowError(f"sum {o!r} of {c!r} is outside int64")
 
@@ -483,7 +496,9 @@ def partial_aggregate(ds: rd.Dataset, keys: Sequence[str],
     inside map_batches first — one row per key per batch — then shuffle
     only the partials. ``aggs``: out_col -> (op, in_col) with op in
     sum/count/min/max. count(in_col=None) counts rows. A null key is one
-    more group, as in SQL GROUP BY. An integer sum that leaves int64
+    more group, as in SQL GROUP BY. The empty key ``[]`` is one group,
+    an aggregate without GROUP BY: one row, or no row on an empty input,
+    reduced in one exchange slot. An integer sum that leaves int64
     raises OverflowError (in the combine or in the merge), where it
     would otherwise wrap; DuckDB widens such a sum to int128.
 
@@ -497,25 +512,21 @@ def partial_aggregate(ds: rd.Dataset, keys: Sequence[str],
     """
     keys = list(keys)
 
-    first_ops = {}
-    for out, (op, col) in aggs.items():
-        if op == "count":
-            first_ops[out] = (keys[0], "size")
-        else:
-            first_ops[out] = (col, op)
     merge_ops = {out: (out, "sum" if op == "count" else op)
                  for out, (op, _c) in aggs.items()}
     sums = {out: col for out, (op, col) in aggs.items() if op == "sum"}
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby(keys, sort=False, as_index=False, dropna=False)
-                 .agg(**first_ops))
+        # a count is the size of its group, read off any column
+        rows = (keys or list(df.columns))[0]
+        out = _groups(df, keys).agg(**{
+            o: (rows, "size") if op == "count" else (c, op)
+            for o, (op, c) in aggs.items()}).reset_index(drop=True)
         _check_int_sums(df, keys, sums, out)
         return out
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby(keys, sort=False, as_index=False, dropna=False)
-                 .agg(**merge_ops))
+        out = _groups(df, keys).agg(**merge_ops).reset_index(drop=True)
         _check_int_sums(df, keys, {o: o for o in sums}, out)
         return out
 
@@ -538,7 +549,9 @@ def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
        is what makes a skewed hot group safe).
 
     Adds ``rk`` (1-based rank within the group); a null group key is one
-    more group. ``order_cols`` should
+    more group, and the empty ``group_cols`` ``[]`` is one group, a
+    global top-k (``ORDER BY … LIMIT k``) reduced in one exchange slot.
+    ``order_cols`` should
     end in a unique column so ranks are deterministic under any block
     layout."""
     group_cols, order_cols = list(group_cols), list(order_cols)
@@ -548,13 +561,12 @@ def grouped_topk(ds: rd.Dataset, group_cols: Sequence[str],
     sort_asc = [True] * len(group_cols) + asc
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(sort_cols, ascending=sort_asc)
-                  .groupby(group_cols, sort=False, dropna=False).head(k))
+        return _groups(df.sort_values(sort_cols, ascending=sort_asc),
+                       group_cols).head(k)
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(sort_cols, ascending=sort_asc, ignore_index=True)
-        df["rk"] = (df.groupby(group_cols, sort=False, dropna=False)
-                    .cumcount() + 1).astype("int64")
+        df["rk"] = (_groups(df, group_cols).cumcount() + 1).astype("int64")
         return df[df["rk"] <= k]
 
     return exchange(ds, group_cols, final, pre=partial)
@@ -670,7 +682,7 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
     range-partition sort with an exact histogram partitioner):
 
     1. bounds pass: global (min, max) of the value — one partial row
-       per block through the constant-group aggregate;
+       per block through the empty-key aggregate;
     2. histogram pass: per-bin counts (bin = (v - min) // width) via
        the partial aggregate — ≤ num_bins rows reach the
        driver, prefix-summed into per-bin rank offsets in rank order;
@@ -687,19 +699,17 @@ def global_value_rank(ds: rd.Dataset, value_col: str, id_col: str,
     and block-layout independent. The input is consumed three times, so
     the narrow (id, value) projection is materialized once (the
     bm25/per_doc trade). Returns a materialized Dataset of (id_col,
-    value_col, rank): the placement ``exchange`` runs when called."""
+    value_col, rank): the placement ``exchange`` runs when called. An
+    empty input returns its empty (id_col, value_col) projection, which
+    has no rank column."""
     proj = ds.map_batches(lambda df: df[[id_col, value_col]],
                           batch_format="pandas").materialize()
 
     bounds = partial_aggregate(
-        proj.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                         batch_format="pandas"),
-        ["__g"], {"mn": ("min", value_col), "mx": ("max", value_col)}
+        proj, [], {"mn": ("min", value_col), "mx": ("max", value_col)}
     ).to_pandas()
     if not len(bounds):
-        return proj.map_batches(
-            lambda df: df.assign(rank=np.int64(0)).iloc[:0],
-            batch_format="pandas")
+        return proj
     mn, mx = int(bounds["mn"][0]), int(bounds["mx"][0])
     width = max(1, (mx - mn) // num_bins + 1)
 

@@ -11,14 +11,14 @@ Scale shape (100 TB framing):
   consumed twice (global reduce + scoring), the same
   materialize-the-narrow-side trade as pipelines.prepare_training_data;
 - the global reduce (N, Σdl, document frequency per term) moves ONE
-  partial row per block through a constant-group bucketed aggregate —
-  the driver sees a single row;
+  partial row per block through an empty-key aggregate — the driver
+  sees a single row;
 - scoring is pure arithmetic per doc (idf constants precomputed on the
   driver with math.log so the only float ops in the distributed pass
   are IEEE +,*,/ — bit-identical to the DuckDB oracle's ln()-based
   derivation, queries.ORACLE_SQL['bm25_search']);
-- top-k uses relops.grouped_topk on a constant group: every block emits
-  at most k candidates, so ≤ blocks × k rows reach the final task — no
+- top-k uses relops.grouped_topk with the empty group key: every block
+  emits at most k candidates, so ≤ blocks × k rows reach the final task — no
   global sort.
 """
 
@@ -72,11 +72,7 @@ def bm25_topk(ds: rd.Dataset, terms: Sequence[str], k: int = 50,
     aggs = {"n_docs": ("count", None), "sum_dl": ("sum", "dl")}
     for i in range(nt):
         aggs[f"df{i}"] = ("sum", f"hit{i}")
-    g = (partial_aggregate(
-            per_doc.map_batches(lambda df: df.assign(__g=np.int32(0)),
-                                batch_format="pandas"),
-            ["__g"], aggs)
-         .to_pandas())  # exactly one row
+    g = partial_aggregate(per_doc, [], aggs).to_pandas()  # exactly one row
     n_docs = int(g["n_docs"][0])
     avgdl = int(g["sum_dl"][0]) / n_docs
     # idf per term on the DRIVER (math.log = libm log, the same function
@@ -96,11 +92,10 @@ def bm25_topk(ds: rd.Dataset, terms: Sequence[str], k: int = 50,
         return pd.DataFrame({
             id_col: df[id_col].to_numpy(),
             "score_micro": np.floor(s * 1000000.0).astype(np.int64),
-            "__g": np.zeros(len(df), dtype=np.int32),
         })
 
     top = grouped_topk(per_doc.map_batches(score, batch_format="pandas"),
-                       ["__g"], ["score_micro", id_col], k,
+                       [], ["score_micro", id_col], k,
                        ascending=[False, True])
     return top.map_batches(
         lambda df: df[[id_col, "score_micro", "rk"]]
@@ -214,9 +209,7 @@ def _write_index_gen(ds: rd.Dataset, index_dir: str, gen: int,
                .write_parquet(os.path.join(index_dir, "doclen"),
                               partition_cols=["gen"]))
     tot = partial_aggregate(
-        doclen.map_batches(lambda df: df.assign(__g=0),
-                           batch_format="pandas"),
-        ["__g"], {"n_docs": ("count", None), "sum_dl": ("sum", "dl")}
+        doclen, [], {"n_docs": ("count", None), "sum_dl": ("sum", "dl")}
     ).to_pandas()
     stats_dir = os.path.join(index_dir, "stats", f"gen={gen}")
     os.makedirs(stats_dir)
@@ -359,11 +352,10 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
         g = partial_aggregate(
             tfdoc.map_batches(
                 lambda df: pd.DataFrame(
-                    {"__g": np.zeros(len(df), dtype=np.int32),
-                     **{f"h{i}": (df[f"tf{i}"].to_numpy() > 0)
-                        .astype(np.int64) for i in range(nt)}}),
+                    {f"h{i}": (df[f"tf{i}"].to_numpy() > 0).astype(np.int64)
+                     for i in range(nt)}),
                 batch_format="pandas"),
-            ["__g"], {f"df{i}": ("sum", f"h{i}") for i in range(nt)}
+            [], {f"df{i}": ("sum", f"h{i}") for i in range(nt)}
         ).to_pandas()
         dfs = [int(g[f"df{i}"][0]) if len(g) else 0 for i in range(nt)]
 
@@ -393,11 +385,10 @@ def bm25_from_index(index_dir: str, terms: Sequence[str], k: int = 50,
         return pd.DataFrame({
             id_col: df[id_col].to_numpy(),
             "score_micro": np.floor(s * 1000000.0).astype(np.int64),
-            "__g": np.zeros(len(df), dtype=np.int32),
         })
 
     top = grouped_topk(scored_in.map_batches(score, batch_format="pandas"),
-                       ["__g"], ["score_micro", id_col], k,
+                       [], ["score_micro", id_col], k,
                        ascending=[False, True])
     return top.map_batches(
         lambda df: df[[id_col, "score_micro", "rk"]]
@@ -519,7 +510,7 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
     plan as phrase_search_from_index (only the query terms' bucket
     partitions are listed), per-doc occurrence rows co-locate in an
     exchange slot where the sweep runs, and the final ranking is the
-    constant-group bounded top-k (candidates never assemble globally).
+    empty-key bounded top-k (candidates never assemble globally).
     Returns (id, width, rank)."""
     terms = list(terms)
     paths = generation_files(index_dir, "positions",
@@ -547,11 +538,10 @@ def proximity_topk_from_index(index_dir: str, terms: Sequence[str],
         return pd.DataFrame({
             id_col: pd.Series(out_id, dtype=df[id_col].dtype),
             "width": pd.Series(out_w, dtype=np.int64),
-            "__g": pd.Series(np.zeros(len(out_id), dtype=np.int32)),
         })
 
     cand = exchange(occ, id_col, per_doc)
-    top = grouped_topk(cand, ["__g"], ["width", id_col], k,
+    top = grouped_topk(cand, [], ["width", id_col], k,
                        ascending=[True, True])
     return top.map_batches(
         lambda df: df[[id_col, "width", "rk"]]

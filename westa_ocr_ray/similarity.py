@@ -529,13 +529,8 @@ def kmeans_lloyd_int(emb: rd.Dataset, k: int = 8, n_rounds: int = 2,
         return _quant_away(_stack(df[vec_col]), scale)
 
     # deterministic seeds: the k lowest ids (SQL: ORDER BY id LIMIT k)
-    seed_ids = (grouped_topk(
-        emb.map_batches(
-            lambda df: pd.DataFrame({id_col: df[id_col].to_numpy(),
-                                     "__g": np.zeros(len(df),
-                                                     dtype=np.int32)}),
-            batch_format="pandas"),
-        ["__g"], [id_col], k, ascending=True)
+    seed_ids = (grouped_topk(emb.select_columns([id_col]), [], [id_col], k,
+                             ascending=True)
         .to_pandas()[id_col].sort_values().to_numpy())
     seed_rows = emb.map_batches(
         lambda df: df[df[id_col].isin(seed_ids)],

@@ -486,8 +486,8 @@ def build_vocab(ds: rd.Dataset, top_v: int = 256,
     tokens ranked by (count desc, token asc) — deterministic rank, no
     global sort. Per-batch token counting (one Counter pass) feeds the
     bucketed partial aggregate; the final cut is the bounded two-stage
-    grouped_topk on a constant group (≤ blocks × top_v candidate rows
-    reach one task — bounded by the block count, never the vocabulary).
+    grouped_topk with the empty group key (≤ blocks × top_v candidate
+    rows reach one task — bounded by the block count, never the vocabulary).
     Returns (token, cnt, rk); exact and SQL-expressible
     (queries.ORACLE_SQL['build_vocab'])."""
     from collections import Counter
@@ -505,11 +505,8 @@ def build_vocab(ds: rd.Dataset, top_v: int = 256,
     counts = partial_aggregate(ds.map_batches(count_batch,
                                               batch_format="pandas"),
                                ["token"], {"cnt": ("sum", "cnt")})
-    top = grouped_topk(counts.map_batches(
-        lambda df: df.assign(__g=np.int32(0)), batch_format="pandas"),
-        ["__g"], ["cnt", "token"], top_v, ascending=[False, True])
-    return top.map_batches(lambda df: df[["token", "cnt", "rk"]],
-                           batch_format="pandas")
+    return grouped_topk(counts, [], ["cnt", "token"], top_v,
+                        ascending=[False, True])
 
 
 def hash_embed(ds: rd.Dataset, dim: int = 16, id_col: str = "doc_id",
@@ -759,7 +756,7 @@ def bpe_train(ds: rd.Dataset, n_merges: int = BPE_TRAIN_MERGES,
     (word, freq) table (the corpus never moves again; BPE statistics
     are a function of word frequencies only), then each merge round is
     a distributed adjacent-pair count over that vocab-sized table —
-    per-batch partial Counters → bucketed aggregate → constant-group
+    per-batch partial Counters → bucketed aggregate → per-block
     top-1 — and the driver sees exactly one (pair, count) row per
     round. Ties break (count desc, lhs asc, rhs asc) so the merge
     table is deterministic under any block layout.
